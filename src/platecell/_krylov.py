@@ -5,7 +5,9 @@ package (vector cell problems, scalar potential problems).  Columns of the
 right-hand side iterate together but carry independent step sizes, and a
 projection callback removes the operator kernel (rigid translations /
 constants) from every iterate, which is the gauge fixing of the methods
-that call this.
+that call this.  The preconditioner is a callable supplied by the caller:
+the vector cell problems pass an in-plane FFT solve with a homogeneous
+reference medium, the scalar potential problems a Jacobi division.
 """
 
 import numpy as np
@@ -13,12 +15,15 @@ import numpy as np
 from .errors import ConvergenceError
 
 
-def block_pcg(matvec, diag, project, rhs, tol, max_iter, callback=None):
-    """Solve A x = rhs column-wise with Jacobi preconditioning.
+def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
+              callback=None):
+    """Solve A x = rhs column-wise with a symmetric positive preconditioner.
 
     Args:
         matvec: function (n, m) -> (n, m) applying the operator.
-        diag: (n,) positive operator diagonal (Jacobi preconditioner).
+        precondition: function (n, m) -> (n, m) applying an approximate
+            inverse of the operator to residuals; it must not modify its
+            argument.
         project: function projecting (n, m) onto the orthogonal complement of
             the kernel, in place; identity for trivial kernels.
         rhs: (n, m) right-hand sides.
@@ -32,13 +37,12 @@ def block_pcg(matvec, diag, project, rhs, tol, max_iter, callback=None):
     Raises:
         ConvergenceError: some column is still above tol at the cap.
     """
-    d = np.where(diag > 0, diag, 1.0)[:, None]
     b = project(rhs.copy())
     bnorm = np.linalg.norm(b, axis=0)
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(r / d)
+    z = project(precondition(r))
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
     rel = np.linalg.norm(r, axis=0) / bnorm
@@ -61,7 +65,7 @@ def block_pcg(matvec, diag, project, rhs, tol, max_iter, callback=None):
         rel = np.linalg.norm(r, axis=0) / bnorm
         history.append(rel.copy())
         active = rel > tol
-        z = project(r / d)
+        z = project(precondition(r))
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
         p = z + beta * p

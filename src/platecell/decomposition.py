@@ -210,7 +210,8 @@ def decompose_mixed(field, tol=1e-10):
     rhs = np.bincount(edof.ravel(), weights=fe.ravel(),
                       minlength=n_nodes)[:, None]
     max_iter = int(20.0 * np.sqrt(n_nodes)) + 10
-    psi, history = block_pcg(matvec, jacobi, project, rhs, tol, max_iter)
+    psi, history = block_pcg(matvec, lambda r: r / jacobi[:, None], project,
+                             rhs, tol, max_iter)
     psi = psi[:, 0]
 
     pot = np.einsum("qcl,el->eqc", B, psi[edof])

@@ -166,8 +166,12 @@ class EnsembleResult:
         self.forms = list(forms)
         stack = np.stack([f.voigt3 for f in self.forms])
         self.mean_form = EffectiveBendingForm(stack.mean(axis=0))
-        self.voigt3_var = stack.var(axis=0)
-        self.voigt3_std = stack.std(axis=0)
+        # spread about the first seed's form (variance is shift-invariant):
+        # seeds with identical forms then give exactly zero, which spread
+        # about a rounded mean does not
+        shifted = stack - stack[0]
+        self.voigt3_var = shifted.var(axis=0)
+        self.voigt3_std = shifted.std(axis=0)
 
 
 def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):

@@ -1,5 +1,8 @@
 """Cell problem: energies, correctors, effective tensors, rescaling identity."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +13,7 @@ from platecell import (
     ConfigError,
     ConvergenceError,
     CorrectorField,
+    CoupledEffectiveTensor,
     PhaseGrid,
     RVEGrid,
     cell_energy,
@@ -22,7 +26,9 @@ from platecell import (
     material_table,
     qgamma_eval,
     solve_corrector,
+    unit_loads,
 )
+from platecell._krylov import block_pcg
 from oracles import (
     laminate_bending_reference,
     plane_stress_form,
@@ -187,6 +193,101 @@ def test_nonconvergence_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         op.solve(op.rhs([load]), tol=1e-12, max_iter=1)
     assert len(err.value.residual_history) >= 2
+
+
+# ---------------------------------------------------------------------------
+# In-plane FFT preconditioner
+# ---------------------------------------------------------------------------
+
+def tile_checker_phases(n, tiles=4):
+    """The same tiles x tiles checkerboard at every resolution n."""
+    t = np.arange(n) * tiles // n
+    return PhaseGrid(n, n, 1.0, (np.add.outer(t, t) % 2).astype(int))
+
+
+def pairwise_closure(op, X):
+    """Coupled 6x6 tensor of the unit-load solutions X, entry by entry."""
+    loads = unit_loads()
+    taus = [op.total_strains(loads[a], X[:, a]) for a in range(6)]
+    return np.array([[op.energy_product(ta, tb) for tb in taus]
+                     for ta in taus])
+
+
+def test_single_phase_reference_medium_is_exact():
+    # one phase: the reference medium is the medium, so the preconditioner
+    # inverts the operator on the mean-free fields
+    grid = RVEGrid(8, 6, 3, 1.5, 2.0)
+    op = CellOperator(grid, uniform_phases(8, 6, 2.0),
+                      material_table([(0, 2.0, 0.7)]))
+    _, history = op.solve(op.rhs(unit_loads()), tol=1e-10)
+    assert len(history) - 1 <= 2
+    u = op.project(np.random.default_rng(0).standard_normal((op.ndof, 2)))
+    npt.assert_allclose(op.project(op.precondition(op.matvec(u))), u,
+                        atol=1e-10)
+
+
+def test_iterations_do_not_grow_with_the_mesh():
+    # contrast 10 against the geometric-mean reference: the preconditioned
+    # operator's spectrum lies in [1/sqrt(10), sqrt(10)] whatever the mesh,
+    # so a fixed bound holds for every n
+    bound = 40
+    mats = material_table([(0, 1.0, 1.0), (1, 10.0, 10.0)])
+    for n in (8, 16, 32):
+        op = CellOperator(RVEGrid(n, n, 2, 1.0, 1.0), tile_checker_phases(n),
+                          mats)
+        _, history = op.solve(op.rhs(unit_loads()), tol=1e-8)
+        assert len(history) - 1 <= bound, n
+
+
+def test_fft_preconditioned_tensor_matches_jacobi():
+    grid = RVEGrid(8, 8, 3, 1.3, 1.0)
+    rng = np.random.default_rng(5)
+    phases = PhaseGrid(8, 8, 1.0, rng.integers(0, 3, size=(8, 8)))
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    form = effective_form(grid, phases, mats, tol=1e-10)
+
+    op = CellOperator(grid, phases, mats)
+    diag = np.bincount(op.edof.ravel(),
+                       weights=np.einsum("pii->pi", op.ke)[op.phase_el].ravel(),
+                       minlength=op.ndof)
+    X, _ = block_pcg(op.matvec, lambda r: r / diag[:, None], op.project,
+                     op.rhs(unit_loads()), 1e-10, 5000)
+    M = pairwise_closure(op, X)
+    jacobi = effective_bending(CoupledEffectiveTensor(M, grid, [], 0.0))
+    npt.assert_allclose(form.voigt3, jacobi.voigt3, rtol=1e-8, atol=1e-10)
+
+
+def test_batched_closure_matches_pairwise_energy_products():
+    # coupled_tensor closes all 36 entries in one pass; the reference is the
+    # entry-by-entry quadrature of the same (bitwise identical) solve
+    grid = RVEGrid(6, 4, 3, 1.7, 1.5)
+    rng = np.random.default_rng(9)
+    phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 2, size=(6, 4)))
+    mats = material_table([(0, 1.0, 0.5), (1, 7.0, 3.0)])
+    ct = coupled_tensor(grid, phases, mats, tol=1e-9)
+    op = CellOperator(grid, phases, mats)
+    X, _ = op.solve(op.rhs(unit_loads()), tol=1e-9)
+    M = pairwise_closure(op, X)
+    npt.assert_allclose(ct.matrix, M, rtol=0, atol=1e-13 * np.abs(M).max())
+    assert ct.asymmetry <= 1e-13 * np.abs(M).max()
+
+
+def test_operator_is_freed_without_gc():
+    # the preconditioner state must not form a reference cycle with the
+    # operator: a dead operator is freed at once, not at a later gc pass
+    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        op = CellOperator(grid, checker_phases(4, 4), mats)
+        op.solve(op.rhs([CellLoad(G=I2)]))
+        ref = weakref.ref(op)
+        del op
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Block preconditioned conjugate gradients with kernel projection.
 
-One Krylov loop serves every symmetric positive semidefinite system in the
-package (vector cell problems, scalar potential problems).  Columns of the
-right-hand side iterate together but carry independent step sizes, and a
-projection callback removes the operator kernel (rigid translations /
-constants) from every iterate, which is the gauge fixing of the methods
-that call this.  The preconditioner is a callable supplied by the caller:
-the vector cell problems pass an in-plane FFT solve with a homogeneous
-reference medium, the scalar potential problems a Jacobi division.
+One Krylov loop serves the symmetric positive semidefinite cell problems of
+the package.  Columns of the right-hand side iterate together but carry
+independent step sizes, and a projection callback removes the operator
+kernel (rigid translations) from every iterate, which is the gauge fixing of
+the methods that call this.  The preconditioner is a callable supplied by
+the caller; the cell problems pass an in-plane FFT solve with a homogeneous
+reference medium.
 """
 
 import numpy as np

@@ -385,8 +385,8 @@ def cell_energy(grid, phases, materials, load, phi=None):
 
 def solve_corrector(grid, phases, materials, load, tol=1e-8, callback=None):
     """Minimize the cell energy over correctors for one fixed load."""
-    if not tol > 0:
-        raise ConfigError("solve_corrector: tol must be > 0")
+    if not 0 < tol < 1:
+        raise ConfigError("solve_corrector: tol must lie in (0, 1)")
     op = CellOperator(grid, phases, materials)
     rhs = op.rhs([load])
     x, history = op.solve(rhs, tol=tol, callback=callback)
@@ -422,6 +422,8 @@ def coupled_tensor(grid, phases, materials, tol=1e-8):
     the polarization identity; since the minimizer is linear in the load the
     closure uses the six stored minimizers directly.
     """
+    if not 0 < tol < 1:
+        raise ConfigError("coupled_tensor: tol must lie in (0, 1)")
     op = CellOperator(grid, phases, materials)
     loads = unit_loads()
     rhs = op.rhs(loads)

@@ -11,6 +11,7 @@ of the same config are byte-identical regardless of --threads.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -106,8 +107,9 @@ def _seed(cfg):
 
 def _tol(cfg, default=1e-8):
     tol = cfg.get("tol", default)
-    if not isinstance(tol, (int, float)) or not tol > 0:
-        raise ConfigError("tol: must be a positive number")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not 0 < tol < 1:
+        raise ConfigError("tol: must be a number in (0, 1)")
     return float(tol)
 
 
@@ -305,8 +307,16 @@ def _cmd_decompose(args, cfg, started):
     grid = _parse_grid(cfg)
     field_file = cfg.get("field")
     if field_file is not None:
-        values, _ = fileio.read_field(field_file)
-        field = MixedField(values, grid, layout="nodes")
+        if not isinstance(field_file, str):
+            raise ConfigError("field: must be the path of a field file")
+        try:
+            values, _ = fileio.read_field(field_file)
+            field = MixedField(values, grid, layout="nodes")
+        except OSError as exc:
+            raise ConfigError("field: cannot read field file: %s" % exc) \
+                from exc
+        except ConfigError as exc:
+            raise ConfigError("field: %s" % exc) from exc
     else:
         field = random_mixed_field(grid, _seed(cfg))
     dec = decompose_mixed(field, tol=_tol(cfg, default=1e-10))
@@ -368,7 +378,11 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    # Built once per process: a parser is a web of reference cycles that only
+    # a full garbage collection frees, and building one per call grew
+    # long-running in-process callers by about 2 KB per call.
     parser = argparse.ArgumentParser(
         prog="platecell",
         description="Cell problems, effective bending tensors, and recovery "
@@ -397,16 +411,18 @@ def main(argv=None):
         return 2
     started = time.perf_counter()
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError("config: not valid JSON (%s)" % exc)
+        except OSError as exc:
+            raise ConfigError("cannot read config: %s" % exc) from exc
+        except ValueError as exc:
+            raise ConfigError("config: not valid JSON (%s)" % exc) from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be an object")
         return _COMMANDS[args.command][0](args, cfg, started)
     except OSError as exc:
-        print("platecell: cannot read config: %s" % exc, file=sys.stderr)
+        print("platecell: cannot write output: %s" % exc, file=sys.stderr)
         return 2
     except ConfigError as exc:
         print("platecell: config error: %s" % exc, file=sys.stderr)

@@ -14,10 +14,10 @@ Two decompositions live here.
    Both output parts are stored as Gauss-point fields ("gauss" layout):
    projecting nabla(psi) back to nodes would re-introduce O(h^2) components
    along gradients and destroy orthogonality, whereas at the quadrature points
-   the Galerkin equation makes the remainder orthogonal to machine/solver
-   precision.  Constants are also discrete gradients vertically (chi = x3 is
-   in the scalar space) and average out horizontally by periodicity, so all
-   three parts are mutually orthogonal without extra corrections.
+   the Galerkin equation makes the remainder orthogonal to rounding level.
+   Constants are also discrete gradients vertically (chi = x3 is in the
+   scalar space) and average out horizontally by periodicity, so all three
+   parts are mutually orthogonal without extra corrections.
 
 2. `decompose_second_order`: the analogous splitting of a periodic symmetric
    2x2 matrix field on the flat 2-torus into mean + Hessian part + remainder,
@@ -30,8 +30,7 @@ Two decompositions live here.
 
 import numpy as np
 
-from ._krylov import block_pcg
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 
 _GA = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 
@@ -74,7 +73,7 @@ class MixedDecomposition:
         self.potential = potential      # MixedField, layout "gauss"
         self.solenoidal = solenoidal    # MixedField, layout "gauss"
         self.psi = psi                  # (n1, n2, n3+1) nodal scalar
-        self.residuals = residuals      # CG relative residual history
+        self.residuals = residuals      # [1.0, verified relative residual]
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +110,14 @@ def _scalar_tables(grid):
 def _scalar_edof(grid):
     """(n_elements, 8) node indices, periodic in-plane, layered vertically."""
     n1, n2, n3 = grid.n1, grid.n2, grid.n3
-    i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3),
-                          indexing="ij")
-    i, j, k = i.ravel(), j.ravel(), k.ravel()
+    i, j, k = np.ogrid[:n1, :n2, :n3]
     edof = np.empty((grid.n_elements, 8), dtype=np.int64)
     for dz in (0, 1):
         for dy in (0, 1):
             for dx in (0, 1):
                 node = (((i + dx) % n1) * n2 + (j + dy) % n2) * (n3 + 1) \
                     + (k + dz)
-                edof[:, dx + 2 * dy + 4 * dz] = node
+                edof[:, dx + 2 * dy + 4 * dz] = node.ravel()
     return edof
 
 
@@ -129,9 +126,7 @@ def _to_gauss(field):
     if field.layout == "gauss":
         return field.values
     N, _, _ = _scalar_tables(field.grid)
-    nodal = field.values.reshape(-1, 3)
-    edof = _scalar_edof(field.grid)
-    return np.einsum("ql,elc->eqc", N, nodal[edof])
+    return N @ field.values.reshape(-1, 3)[_scalar_edof(field.grid)]
 
 
 def mixed_inner(a, b):
@@ -157,8 +152,8 @@ def gradient_field(grid, scalar):
         raise ConfigError("gradient_field: scalar must be nodal, shape %s"
                           % ((grid.n1, grid.n2, grid.n3 + 1),))
     _, B, _ = _scalar_tables(grid)
-    vals = np.einsum("qcl,el->eqc", B, scalar.reshape(-1)[_scalar_edof(grid)])
-    return MixedField(vals, grid, layout="gauss")
+    vals = scalar.reshape(-1)[_scalar_edof(grid)] @ B.reshape(24, 8).T
+    return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
 
 
 def random_mixed_field(grid, seed, scale=1.0):
@@ -168,60 +163,113 @@ def random_mixed_field(grid, seed, scale=1.0):
     return MixedField(vals, grid, layout="nodes")
 
 
+def _eigenbasis_1d(n_el, h, periodic):
+    """Closed-form solutions of K v = lam M v for 1D Q1 elements of size h.
+
+    K and M are the assembled stiffness and mass of n_el elements.  On a
+    periodic line (n_el nodes) they are circulant with symbols (2 - 2cos t)/h
+    and h(4 + 2cos t)/6, and the Hartley vectors cos(t i) + sin(t i),
+    t = 2 pi k / n_el, diagonalize both.  With free ends (n_el + 1 nodes) the
+    cosines cos(t i), t = pi k / n_el, satisfy K v = sym_K D v and
+    M v = sym_M D v with D = diag(1/2, 1, ..., 1, 1/2).
+
+    Returns:
+        (lam, V): lam[k] = sym_K / sym_M at t_k, so lam[0] = 0 belongs to the
+        constant vector; the columns of V are scaled to V^T M V = I.
+    """
+    k = np.arange(n_el if periodic else n_el + 1)
+    period = n_el if periodic else 2 * n_el
+    step = 2.0 * np.pi / period            # t_k = k * step
+    ti = step * (np.outer(k, k) % period)  # t_k i, reduced exactly
+    d = np.ones(k.size)
+    if periodic:
+        V = np.cos(ti) + np.sin(ti)
+    else:
+        V = np.cos(ti)
+        d[[0, -1]] = 0.5
+    c = np.cos(step * k)
+    sym_k, sym_m = (2.0 - 2.0 * c) / h, h * (4.0 + 2.0 * c) / 6.0
+    V /= np.sqrt(sym_m * (d @ (V * V)))
+    return sym_k / sym_m, V
+
+
+def _poisson_solve(grid, rhs):
+    """Exact nodal solution of the assembled scalar Q1 stiffness system.
+
+    The 2x2x2 Gauss rule integrates Q1 x Q1 products exactly, so the stiffness
+    is the Kronecker sum Kx(x)My(x)Mz + Mx(x)Ky(x)Mz + Mx(x)My(x)Kz of 1D
+    stiffness and mass matrices, periodic in-plane and with free ends through
+    the thickness.  The tensor product of their generalized eigenbases
+    diagonalizes it with eigenvalues lam_x + lam_y + lam_z (fast
+    diagonalization, Lynch, Rice & Thomas 1964).  The single constant mode is
+    dropped and psi returned with zero nodal mean; rhs must sum to zero.
+    """
+    n1, n2, n3, L = grid.n1, grid.n2, grid.n3, grid.box_side
+    lx, Vx = _eigenbasis_1d(n1, L / n1, periodic=True)
+    ly, Vy = _eigenbasis_1d(n2, L / n2, periodic=True)
+    lz, Vz = _eigenbasis_1d(n3, 1.0 / n3, periodic=False)
+    denom = lx[:, None, None] + ly[:, None] + lz
+    denom[0, 0, 0] = np.inf
+    u = (Vx.T @ rhs.reshape(n1, -1)).reshape(n1, n2, n3 + 1)
+    u = (Vy.T @ u @ Vz) / denom
+    psi = (Vx @ (Vy @ u @ Vz.T).reshape(n1, -1)).reshape(-1)
+    return psi - psi.mean()
+
+
 def decompose_mixed(field, tol=1e-10):
     """Split f into mean + gradient + gradient-orthogonal remainder.
 
+    The potential comes from a direct solve; one application of the assembled
+    element operator then measures its true relative residual
+    ||b - K psi|| / ||b||.
+
     Args:
         field: MixedField (either layout).
-        tol: relative residual target for the scalar Poisson solve.
+        tol: gate on that verified residual, in (0, 1).
 
     Returns:
-        MixedDecomposition with Gauss-layout parts.
+        MixedDecomposition with Gauss-layout parts; its `residuals` are
+        [1.0, verified residual] (a zero start, then the direct solve).
+
+    Raises:
+        ConvergenceError: the verified residual is above tol.
     """
-    if not tol > 0:
-        raise ConfigError("decompose_mixed: tol must be > 0")
+    if not 0 < tol < 1:
+        raise ConfigError("decompose_mixed: tol must lie in (0, 1)")
     grid = field.grid
-    N, B, wq = _scalar_tables(grid)
+    _, B, wq = _scalar_tables(grid)
+    B = B.reshape(24, 8)                  # rows (Gauss point, component)
     edof = _scalar_edof(grid)
-    fg = _to_gauss(field)
+    sol = _to_gauss(field)
     volume = wq * 8.0 * grid.n_elements
-    mean = (wq / volume) * fg.sum(axis=(0, 1))
+    mean = (wq / volume) * sol.sum(axis=(0, 1))
+    sol = sol - mean
 
-    ke = wq * np.einsum("qci,qcj->ij", B, B)
-    n_nodes = grid.n1 * grid.n2 * (grid.n3 + 1)
-    jacobi = np.bincount(edof.ravel(),
-                         weights=np.broadcast_to(np.diag(ke), edof.shape).ravel(),
-                         minlength=n_nodes)
+    n_nodes = grid.n_nodes
+    fe = wq * (sol.reshape(-1, 24) @ B)
+    rhs = np.bincount(edof.ravel(), weights=fe.ravel(), minlength=n_nodes)
+    rhs -= rhs.mean()
+    psi = _poisson_solve(grid, rhs)
 
-    def matvec(u):
-        ue = u[edof]                                  # (E, 8, m)
-        ve = np.einsum("ij,ejm->eim", ke, ue)
-        out = np.zeros_like(u)
-        for c in range(u.shape[1]):
-            out[:, c] = np.bincount(edof.ravel(), weights=ve[:, :, c].ravel(),
-                                    minlength=n_nodes)
-        return out
+    ke = wq * (B.T @ B)
+    Kpsi = np.bincount(edof.ravel(), weights=(psi[edof] @ ke).ravel(),
+                       minlength=n_nodes)
+    bnorm = np.linalg.norm(rhs)
+    res = float(np.linalg.norm(rhs - Kpsi) / (bnorm if bnorm > 0 else 1.0))
+    if not res <= tol:
+        raise ConvergenceError(
+            "decompose_mixed: direct Poisson solve left a relative residual "
+            "%.3e above tol=%g" % (res, tol),
+            residual_history=[[1.0], [res]])
 
-    def project(u):
-        u -= u.mean(axis=0, keepdims=True)
-        return u
-
-    fe = wq * np.einsum("qcl,eqc->el", B, fg - mean)
-    rhs = np.bincount(edof.ravel(), weights=fe.ravel(),
-                      minlength=n_nodes)[:, None]
-    max_iter = int(20.0 * np.sqrt(n_nodes)) + 10
-    psi, history = block_pcg(matvec, lambda r: r / jacobi[:, None], project,
-                             rhs, tol, max_iter)
-    psi = psi[:, 0]
-
-    pot = np.einsum("qcl,el->eqc", B, psi[edof])
-    sol = fg - mean - pot
+    pot = (psi[edof] @ B.T).reshape(-1, 8, 3)
+    sol -= pot
     return MixedDecomposition(
         mean=mean,
         potential=MixedField(pot, grid, layout="gauss"),
         solenoidal=MixedField(sol, grid, layout="gauss"),
         psi=psi.reshape(grid.n1, grid.n2, grid.n3 + 1),
-        residuals=[float(h[0]) for h in history])
+        residuals=[1.0, res])
 
 
 def orthogonality_report(field, decomposition=None, tol=1e-10):
@@ -241,24 +289,26 @@ def orthogonality_report(field, decomposition=None, tol=1e-10):
     p, s = dec.potential.values, dec.solenoidal.values
     mean = dec.mean
 
-    def nrm(v):
-        return np.sqrt(max(wq * np.sum(v * v), 0.0))
+    def dot(a, b):
+        return wq * float(np.vdot(a, b))
 
-    def pair(a, b):
-        na, nb = nrm(a), nrm(b)
-        return abs(wq * np.sum(a * b)) / max(na * nb, 1e-30)
+    def pair(ab, aa, bb):
+        return abs(ab) / max(np.sqrt(aa * bb), 1e-30)
 
-    mfield = np.broadcast_to(mean, fg.shape)
-    nf = max(nrm(fg), 1e-30)
-    pyth = abs(nrm(fg) ** 2
-               - float(mean @ mean) * volume - nrm(p) ** 2 - nrm(s) ** 2) / nf ** 2
-    recon = nrm(fg - mean - p - s) / nf
+    ff, pp, ss = dot(fg, fg), dot(p, p), dot(s, s)
+    mm = float(mean @ mean) * volume
+    nf = max(np.sqrt(ff), 1e-30)
+    r = fg - mean
+    r -= p
+    r -= s
     return {
-        "pot_sol": pair(p, s),
-        "pot_mean": pair(p, mfield),
-        "sol_mean": pair(s, mfield),
-        "pythagoras": pyth,
-        "reconstruction": recon,
+        "pot_sol": pair(dot(p, s), pp, ss),
+        "pot_mean": pair(wq * float(p.reshape(-1, 3).sum(axis=0) @ mean),
+                         pp, mm),
+        "sol_mean": pair(wq * float(s.reshape(-1, 3).sum(axis=0) @ mean),
+                         ss, mm),
+        "pythagoras": abs(ff - mm - pp - ss) / nf ** 2,
+        "reconstruction": np.sqrt(dot(r, r)) / nf,
     }
 
 

@@ -14,7 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative solver did not reach the requested tolerance.
+    """A solver did not reach the requested residual tolerance.
 
     Carries the relative residual history so callers can dump diagnostics.
     """

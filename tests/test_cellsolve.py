@@ -60,6 +60,16 @@ def stripe_phases(n1, n2, box_side=1.0):
 # Validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, 1e300, float("nan")])
+def test_solvers_reject_tol_outside_unit_interval(tol):
+    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
+    with pytest.raises(ConfigError):
+        solve_corrector(grid, uniform_phases(4, 4), ONE_PHASE,
+                        CellLoad(G=I2), tol=tol)
+    with pytest.raises(ConfigError):
+        coupled_tensor(grid, uniform_phases(4, 4), ONE_PHASE, tol=tol)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         RVEGrid(3, 4, 4, 1.0, 1.0)      # odd n1

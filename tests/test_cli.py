@@ -53,6 +53,35 @@ def test_unreadable_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["absent.field", "."],
+                         ids=["missing", "directory"])
+def test_unreadable_field_file_is_a_field_error(tmp_path, capsys, name):
+    cfg = write_cfg(tmp_path, {"grid": GRID, "field": str(tmp_path / name)})
+    assert run("decompose", cfg, tmp_path / "o.json") == 2
+    err = capsys.readouterr().err
+    assert "field: cannot read" in err
+    assert "cannot read config" not in err
+
+
+def test_unwritable_output_is_not_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"model": CHECKER, "seed": 0, "L": 1.0})
+    assert run("generate", cfg, tmp_path / "no_dir" / "o.json") == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err
+    assert "cannot read config" not in err
+
+
+@pytest.mark.parametrize("tol", [True, 0, 1, 1e300, "1e-8"])
+@pytest.mark.parametrize("command", ["effective", "decompose"])
+def test_tol_must_be_a_number_in_unit_interval(tmp_path, capsys, command,
+                                               tol):
+    cfg = write_cfg(tmp_path, {"model": CHECKER, "grid": GRID, "seed": 0,
+                               "materials": MATS_ONE, "tol": tol})
+    assert run(command, cfg, tmp_path / "o.json") == 2
+    assert "tol: must be a number in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_unknown_command(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])
@@ -193,6 +222,16 @@ def test_decompose_command(tmp_path):
         assert report[key] <= 1e-8
     psi, _ = read_field(payload["psi_file"])
     assert psi.shape == (4, 4, 5, 3)
+
+
+def test_decompose_unreachable_tol_exits_1_with_sidecar(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"grid": GRID, "seed": 3, "tol": 1e-30})
+    out = tmp_path / "dec.json"
+    assert run("decompose", cfg, out) == 1
+    assert "numerical failure" in capsys.readouterr().err
+    history = read_json(str(out) + ".residuals.json")["residual_history"]
+    assert history[0] == [1.0] and history[1][0] > 1e-30
+    assert not out.exists()
 
 
 def test_recovery_command(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from platecell import (
     ConfigError,
+    ConvergenceError,
     MixedField,
     RVEGrid,
     cof_sym_grad,
@@ -18,6 +19,13 @@ from platecell import (
     mixed_norm,
     orthogonality_report,
     random_mixed_field,
+)
+from platecell._krylov import block_pcg
+from platecell.decomposition import (
+    _eigenbasis_1d,
+    _scalar_edof,
+    _scalar_tables,
+    _to_gauss,
 )
 
 GRID = RVEGrid(6, 6, 4, 1.0, 1.0)
@@ -122,8 +130,82 @@ def test_pythagoras_explicit():
 
 
 def test_decompose_mixed_rejects_bad_tol():
-    with pytest.raises(ConfigError):
-        decompose_mixed(random_mixed_field(GRID, 0), tol=0.0)
+    for tol in (0.0, -1e-8, 1.0, 1e300, float("nan")):
+        with pytest.raises(ConfigError):
+            decompose_mixed(random_mixed_field(GRID, 0), tol=tol)
+
+
+@pytest.mark.parametrize("n_el, h, periodic",
+                         [(2, 0.5, True), (9, 0.3, True), (10, 0.17, True),
+                          (2, 0.5, False), (3, 1 / 3, False), (8, 0.125, False)])
+def test_eigenbasis_diagonalizes_assembled_1d_matrices(n_el, h, periodic):
+    n = n_el if periodic else n_el + 1
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    for e in range(n_el):
+        ij = np.ix_([e, (e + 1) % n], [e, (e + 1) % n])
+        K[ij] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        M[ij] += h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    lam, V = _eigenbasis_1d(n_el, h, periodic)
+    npt.assert_allclose(V.T @ M @ V, np.eye(n), atol=1e-13)
+    npt.assert_allclose(V.T @ K @ V, np.diag(lam), atol=1e-12 * lam.max())
+    assert lam[0] == 0.0 and np.all(lam[1:] > 0)
+
+
+def jacobi_pcg_potential(field, mean, tol):
+    """The scalar Poisson solve as an independent Jacobi block_pcg oracle."""
+    grid = field.grid
+    _, B, wq = _scalar_tables(grid)
+    edof = _scalar_edof(grid)
+    n = grid.n_nodes
+    ke = wq * np.einsum("qci,qcj->ij", B, B)
+    diag = np.bincount(edof.ravel(),
+                       weights=np.tile(np.diag(ke), grid.n_elements),
+                       minlength=n)
+
+    def matvec(u):
+        ve = u[edof, 0] @ ke
+        return np.bincount(edof.ravel(), weights=ve.ravel(),
+                           minlength=n)[:, None]
+
+    def project(u):
+        u -= u.mean(axis=0)
+        return u
+
+    fe = wq * np.einsum("qcl,eqc->el", B, _to_gauss(field) - mean)
+    rhs = np.bincount(edof.ravel(), weights=fe.ravel(), minlength=n)
+    psi, _ = block_pcg(matvec, lambda r: r / diag[:, None], project,
+                       rhs[:, None], tol, 5000)
+    return psi[:, 0].reshape(grid.n1, grid.n2, grid.n3 + 1)
+
+
+def test_direct_solve_matches_jacobi_pcg():
+    # non-square slab, L != 1 and odd n3 guard the hx, hy, hz scalings
+    grid = RVEGrid(6, 10, 3, 1.0, 1.7)
+    f = random_mixed_field(grid, 31)
+    dec = decompose_mixed(f)
+    want = jacobi_pcg_potential(f, dec.mean, 1e-12)
+    npt.assert_allclose(dec.psi, want, rtol=0,
+                        atol=1e-9 * np.abs(want).max())
+    assert dec.residuals[0] == 1.0 and dec.residuals[1] <= 1e-13
+
+
+def test_direct_solve_orthogonality_at_rounding_level():
+    # criterion 07's grid (the criterion itself keeps its 1e-8 bound)
+    grid = RVEGrid(16, 16, 8, 1.0, 1.0)
+    worst = 0.0
+    for seed in range(10):
+        f = random_mixed_field(grid, seed)
+        worst = max(worst, max(orthogonality_report(f).values()))
+    assert worst <= 1e-13
+
+
+def test_unreachable_tol_raises_with_verified_residual():
+    with pytest.raises(ConvergenceError) as info:
+        decompose_mixed(random_mixed_field(GRID, 1), tol=1e-30)
+    first, last = info.value.residual_history
+    assert first == [1.0]
+    assert 1e-30 < last[0] <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,16 @@ def unit_loads():
 
 
 def sym2_to_voigt3(M):
-    """Orthonormal Voigt vector (M11, M22, sqrt2*M12) of a symmetric 2x2 M."""
+    """Orthonormal Voigt vector (M11, M22, sqrt2*M12) of a symmetric 2x2 M.
+
+    M may be a stack (..., 2, 2); the result is then (..., 3).
+    """
     M = np.asarray(M, dtype=float)
-    return np.array([M[0, 0], M[1, 1], SQRT2 * 0.5 * (M[0, 1] + M[1, 0])])
+    v = np.empty(M.shape[:-2] + (3,))
+    v[..., 0] = M[..., 0, 0]
+    v[..., 1] = M[..., 1, 1]
+    v[..., 2] = SQRT2 * 0.5 * (M[..., 0, 1] + M[..., 1, 0])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +205,7 @@ class CellOperator:
         self.ndof = 3 * grid.n_nodes
 
         # --- connectivity -------------------------------------------------
-        i, j, k = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3),
-                              indexing="ij")
+        i, j, k = np.ogrid[:n1, :n2, :n3]
         edof = np.empty((grid.n_elements, 24), dtype=np.int64)
         for l in range(8):
             dx, dy, dz = l & 1, (l >> 1) & 1, (l >> 2) & 1
@@ -208,7 +214,7 @@ class CellOperator:
             edof[:, 3 * l + 1] = 3 * node.ravel() + 1
             edof[:, 3 * l + 2] = 3 * node.ravel() + 2
         self.edof = edof
-        self.layer = k.ravel()                      # thickness layer per element
+        self.layer = np.tile(k.ravel(), n1 * n2)    # thickness layer per element
 
         # phase per element (constant along the column)
         self.phase_ids = [int(p) for p in present]
@@ -477,11 +483,16 @@ def qgamma_eval(q, G):
 
     Args:
         q: EffectiveBendingForm or plain (3, 3) Voigt matrix.
-        G: symmetric 2x2 matrix.
+        G: symmetric 2x2 matrix, or a stack (..., 2, 2) of them.
+
+    Returns:
+        float for one matrix, array (...) for a stack.
     """
     voigt3 = q.voigt3 if isinstance(q, EffectiveBendingForm) else np.asarray(q)
     v = sym2_to_voigt3(G)
-    return float(v @ voigt3 @ v)
+    if v.ndim == 1:
+        return float(v @ voigt3 @ v)
+    return np.einsum("...i,ij,...j->...", v, voigt3, v)
 
 
 def _resample_axis(arr, target, axis):

@@ -28,6 +28,8 @@ Two decompositions live here.
    null-Lagrangian identity div(cof grad b) = 0 on sampled vector fields.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
@@ -85,11 +87,15 @@ def _scalar_tables(grid):
 
     Node and Gauss orderings are l = ix + 2*iy + 4*iz on the reference cube;
     gradients are physical (element sizes hx, hy, hz = L/n1, L/n2, 1/n3).
+    Built once per spacing; the arrays are shared and read-only.
     """
+    return _scalar_tables_at(grid.box_side / grid.n1, grid.box_side / grid.n2,
+                             1.0 / grid.n3)
+
+
+@functools.lru_cache(maxsize=8)
+def _scalar_tables_at(hx, hy, hz):
     corners = [(ix, iy, iz) for iz in (0, 1) for iy in (0, 1) for ix in (0, 1)]
-    hx = grid.box_side / grid.n1
-    hy = grid.box_side / grid.n2
-    hz = 1.0 / grid.n3
     sc = np.array([1.0 / hx, 1.0 / hy, 1.0 / hz])
     N = np.empty((8, 8))
     B = np.empty((8, 3, 8))
@@ -103,21 +109,31 @@ def _scalar_tables(grid):
             B[q, 0, l] = (1.0 if ix else -1.0) * f[1] * f[2] * sc[0]
             B[q, 1, l] = (1.0 if iy else -1.0) * f[0] * f[2] * sc[1]
             B[q, 2, l] = (1.0 if iz else -1.0) * f[0] * f[1] * sc[2]
+    N.flags.writeable = False
+    B.flags.writeable = False
     wq = hx * hy * hz / 8.0
     return N, B, wq
 
 
 def _scalar_edof(grid):
-    """(n_elements, 8) node indices, periodic in-plane, layered vertically."""
-    n1, n2, n3 = grid.n1, grid.n2, grid.n3
+    """(n_elements, 8) node indices, periodic in-plane, layered vertically.
+
+    Built once per grid shape; the array is shared and read-only.
+    """
+    return _scalar_edof_of(grid.n1, grid.n2, grid.n3)
+
+
+@functools.lru_cache(maxsize=8)
+def _scalar_edof_of(n1, n2, n3):
     i, j, k = np.ogrid[:n1, :n2, :n3]
-    edof = np.empty((grid.n_elements, 8), dtype=np.int64)
+    edof = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
     for dz in (0, 1):
         for dy in (0, 1):
             for dx in (0, 1):
                 node = (((i + dx) % n1) * n2 + (j + dy) % n2) * (n3 + 1) \
                     + (k + dz)
                 edof[:, dx + 2 * dy + 4 * dz] = node.ravel()
+    edof.flags.writeable = False
     return edof
 
 
@@ -337,7 +353,10 @@ def _wavenumbers(n, box_side):
     k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=float(box_side) / n)
     if n % 2 == 0:
         k1[n // 2] = 0.0
-    return np.meshgrid(k1, k1, indexing="ij")
+    kx, ky = np.empty((n, n)), np.empty((n, n))
+    kx[:] = k1[:, None]
+    ky[:] = k1
+    return kx, ky
 
 
 def _check_sym_field(A):

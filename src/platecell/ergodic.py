@@ -16,7 +16,7 @@ import numpy as np
 from .cellsolve import EffectiveBendingForm, effective_form, qgamma_eval
 from .errors import ConfigError, NumericalError
 from .material import SQRT2
-from .microstructure import rasterize, sample_realization
+from .microstructure import _tensor_points, rasterize, sample_realization
 
 _PROBES = (
     np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -102,9 +102,7 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
         my = max(int(np.ceil((y1 - y0) / h)), 1)
         xs = x0 + (np.arange(mx) + 0.5) * (x1 - x0) / mx
         ys = y0 + (np.arange(my) + 0.5) * (y1 - y0) / my
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()]) / e
-        phases = realization.phase_at(pts)
+        phases = realization.phase_at(_tensor_points(xs, ys) / e)
         averages.append(float(values[phases].mean()))
     return BirkhoffSeries(eps, averages, reference)
 

@@ -185,11 +185,20 @@ def svk_energy(phase, F):
         scalar or array (...): (mu/2)|F^T F - I|^2 + (lam/4) tr(F^T F - I)^2.
     """
     F = np.asarray(F, dtype=float)
-    C = np.swapaxes(F, -1, -2) @ F
-    E2 = C - np.eye(3)          # = 2 * Green-Lagrange strain
+    c = (F[..., 0], F[..., 1], F[..., 2])      # columns of F
+
+    def dot(a, b):
+        u, v = c[a], c[b]
+        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] \
+            + u[..., 2] * v[..., 2]
+
+    # the six distinct entries of E2 = F^T F - I (2 * Green-Lagrange strain)
+    e11, e22, e33 = dot(0, 0) - 1.0, dot(1, 1) - 1.0, dot(2, 2) - 1.0
+    e12, e13, e23 = dot(0, 1), dot(0, 2), dot(1, 2)
     mu, lam = phase.lame_mu, phase.lame_lambda
-    frob2 = np.einsum("...ij,...ij->...", E2, E2)
-    tr = np.einsum("...ii->...", E2)
+    frob2 = e11 * e11 + e22 * e22 + e33 * e33 \
+        + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23)
+    tr = e11 + e22 + e33
     out = 0.5 * mu * frob2 + 0.25 * lam * tr * tr
     return float(out) if out.ndim == 0 else out
 

@@ -335,6 +335,14 @@ def shift(r, x):
     return s
 
 
+def _tensor_points(xs, ys):
+    """(len(xs) * len(ys), 2) points of the tensor grid, xs varying slowest."""
+    pts = np.empty((len(xs), len(ys), 2))
+    pts[:, :, 0] = xs[:, None]
+    pts[:, :, 1] = ys
+    return pts.reshape(-1, 2)
+
+
 def rasterize(r, n1, n2):
     """Phase ids at element centers ((i+1/2) L/n1, (j+1/2) L/n2)."""
     n1, n2 = int(n1), int(n2)
@@ -343,7 +351,5 @@ def rasterize(r, n1, n2):
     L = r.box_side
     cx = (np.arange(n1) + 0.5) * (L / n1)
     cy = (np.arange(n2) + 0.5) * (L / n2)
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    phases = phase_at(r, pts).reshape(n1, n2)
+    phases = phase_at(r, _tensor_points(cx, cy)).reshape(n1, n2)
     return PhaseGrid(n1, n2, L, phases)

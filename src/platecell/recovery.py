@@ -14,6 +14,12 @@ collars where the corrector is suppressed.
 The corrector lives on the same discrete cell problem used for the effective
 form (same grid, same material table), so the microscale phase layout seen by
 the energy is by construction the one the corrector was optimized for.
+
+Evaluation works per node layer: the corrector is trilinear, so a plan
+gathers each point's in-plane corners once and stores, for every node layer
+of the cell grid, the corrector's rotated and cut-off part of the scaled
+gradient; the gradient at any height then blends two stored layers.  The
+energy quadrature takes its points grouped by phase, in fixed-size blocks.
 """
 
 import numpy as np
@@ -21,8 +27,14 @@ import numpy as np
 from .cellsolve import CellLoad, effective_form, qgamma_eval, solve_corrector
 from .errors import ConfigError
 from .material import svk_energy
+from .microstructure import _tensor_points
 
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+# Quadrature points per plan in evaluate_scaled_energy: large enough that
+# numpy's per-call overhead is small, small enough that a plan's node-layer
+# tables stay a few MB.
+_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +257,13 @@ class RecoveryFamily:
         eta = cfg.patch_size
         nx = max(int(np.ceil((x1 - x0) / eta - 1e-12)), 1)
         ny = max(int(np.ceil((y1 - y0) / eta - 1e-12)), 1)
+        xs = [(x0 + i * eta, min(x0 + (i + 1) * eta, x1)) for i in range(nx)]
+        ys = [(y0 + j * eta, min(y0 + (j + 1) * eta, y1)) for j in range(ny)]
+        self._sides = (np.array(xs), np.array(ys))    # patch intervals
         self.patches = []
-        for i in range(nx):
-            for j in range(ny):
-                rect = (x0 + i * eta, y0 + j * eta,
-                        min(x0 + (i + 1) * eta, x1),
-                        min(y0 + (j + 1) * eta, y1))
+        for a0, a1 in xs:
+            for b0, b1 in ys:
+                rect = (a0, b0, a1, b1)
                 load = self._patch_load(rect)
                 self.patches.append(
                     _Patch(rect, load, source.corrector(load)))
@@ -272,6 +285,31 @@ class RecoveryFamily:
         A = -II.mean(axis=0)
         return 0.5 * (A + A.T)
 
+    def cutoff(self, xp):
+        """Patch holding each point, and that patch's cutoff there.
+
+        Patches are half-open rectangles [a0, a1) x [b0, b1).
+
+        Returns:
+            (patch, chi, dchi): index into `patches` per point (-1 where no
+            patch holds it), the cutoff (M,) and its gradient (dchi1, dchi2),
+            all zero outside the patches.
+        """
+        xs, ys = self._sides
+        i = np.searchsorted(xs[:, 0], xp[:, 0], side="right") - 1
+        j = np.searchsorted(ys[:, 0], xp[:, 1], side="right") - 1
+        inside = (i >= 0) & (j >= 0)
+        a0, a1 = xs[np.maximum(i, 0)].T
+        b0, b1 = ys[np.maximum(j, 0)].T
+        inside &= (xp[:, 0] < a1) & (xp[:, 1] < b1)
+        delta = self.cfg.ramp_width
+        cx, dcx = _ramp_1d(xp[:, 0], a0, a1, delta)
+        cy, dcy = _ramp_1d(xp[:, 1], b0, b1, delta)
+        chi = np.where(inside, cx * cy, 0.0)
+        dchi = (np.where(inside, dcx * cy, 0.0),
+                np.where(inside, cx * dcy, 0.0))
+        return np.where(inside, i * len(ys) + j, -1), chi, dchi
+
     def sampler(self, h):
         return DeformationSampler(self, h)
 
@@ -282,11 +320,27 @@ def build_recovery(iso, cfg, source, V=None):
 
 
 class _Plan:
-    """Per-point geometry reused across thickness quadrature layers."""
+    """Per-point data reused across the thickness quadrature layers.
 
-    def __init__(self, frames, patches):
-        self.frames = frames
-        self.patches = patches  # list of per-patch dicts
+    The corrector is trilinear, so at height x3 in thickness element k its
+    value and gradient blend those of node layers k and k+1.  Node layer l's
+    corrector part of the scaled gradient is `layers[:, :, l]`: columns 0-1
+    the in-plane derivatives of h eps chi R g_l (its R dg, dR g and dchi
+    terms), column 2 eps chi R g_l itself, whose layer difference times n3 is
+    the x3 derivative.  The frame part of the gradient is F0 + (h x3) F1.
+    Arrays keep the point index last, so every operation runs along it.
+    """
+
+    def __init__(self, frames, F0, F1, layers):
+        self.frames = frames  # isometry frame fields at the points
+        self.F0 = F0          # (3, 3, M) columns d1y, d2y, n
+        self.F1 = F1          # (3, 3, M) columns d1n, d2n, 0
+        self.layers = layers  # (3, 3, n3+1, M) per node layer
+
+
+def _rotate(A, g):
+    """Per-point matrices A (3, 3, M) applied to vectors g (3, L, M)."""
+    return np.einsum("ijm,jlm->ilm", A, g)
 
 
 class DeformationSampler:
@@ -317,115 +371,85 @@ class DeformationSampler:
     # -- planning ----------------------------------------------------------
 
     def plan(self, xp):
-        """Precompute frames, ramps and in-plane interpolation data."""
+        """Frame part and per-node-layer corrector part of the gradient."""
         xp = np.asarray(xp, dtype=float)
-        frames = self.family.iso.frame_fields(xp)
+        f = self.family.iso.frame_fields(xp)
         grid = self.family.source.grid
-        delta = self.family.cfg.ramp_width
-        patches = []
-        for patch in self.family.patches:
-            a0, b0, a1, b1 = patch.rect
-            idx = np.flatnonzero((xp[:, 0] >= a0) & (xp[:, 0] < a1)
-                                 & (xp[:, 1] >= b0) & (xp[:, 1] < b1))
-            if idx.size == 0:
-                continue
-            px = xp[idx]
-            cx, dcx = _ramp_1d(px[:, 0], a0, a1, delta)
-            cy, dcy = _ramp_1d(px[:, 1], b0, b1, delta)
-            chi = cx * cy
-            dchi = np.column_stack([dcx * cy, cx * dcy])
-            yw = np.mod(px / self.eps, grid.box_side)
-            sx = yw[:, 0] / self._hx
-            sy = yw[:, 1] / self._hy
-            i0 = np.floor(sx).astype(np.int64) % grid.n1
-            j0 = np.floor(sy).astype(np.int64) % grid.n2
-            patches.append({
-                "idx": idx,
-                "chi": chi,
-                "dchi": dchi,
-                "values": patch.values,
-                "i0": i0, "i1": (i0 + 1) % grid.n1, "tx": sx - np.floor(sx),
-                "j0": j0, "j1": (j0 + 1) % grid.n2, "ty": sy - np.floor(sy),
-                "R": np.stack([frames["d1y"][idx], frames["d2y"][idx],
-                               frames["n"][idx]], axis=2),
-                "dR": np.stack(
-                    [np.stack([frames["ddy"][idx, a, 0],
-                               frames["ddy"][idx, a, 1],
-                               frames["d%dn" % (a + 1)][idx]], axis=2)
-                     for a in (0, 1)], axis=1),
-            })
-        return _Plan(frames, patches)
+        n1, n2 = grid.n1, grid.n2
+        h, eps = self.h, self.eps
+        F0 = np.empty((3, 3, xp.shape[0]))
+        F0[:, 0], F0[:, 1], F0[:, 2] = f["d1y"].T, f["d2y"].T, f["n"].T
+        F1 = np.zeros_like(F0)
+        F1[:, 0], F1[:, 1] = f["d1n"].T, f["d2n"].T
+        patch, chi, dchi = self.family.cutoff(xp)
+        # the distinct corrector tables as one (3, n3+1, tables*n1*n2) array;
+        # points outside every patch read patch 0's table with chi = 0
+        values = [p.values for p in self.family.patches]
+        distinct = list({id(v): v for v in values}.values())
+        slot = {id(v): k for k, v in enumerate(distinct)}
+        table = np.array([slot[id(v)] for v in values])[np.maximum(patch, 0)]
+        T = np.stack(distinct).transpose(4, 3, 0, 1, 2).reshape(
+            3, self._n3 + 1, -1)
+        yw = np.mod(xp / eps, grid.box_side)
+        sx = yw[:, 0] / self._hx
+        sy = yw[:, 1] / self._hy
+        i0 = np.floor(sx).astype(np.int64) % n1
+        j0 = np.floor(sy).astype(np.int64) % n2
+        i1 = (i0 + 1) % n1
+        j1 = (j0 + 1) % n2
+        tx = sx - np.floor(sx)
+        ty = sy - np.floor(sy)
+        # in-plane corners, all node layers at once: (3, n3+1, M)
+        row0, row1 = (table * n1 + i0) * n2, (table * n1 + i1) * n2
+        c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
+        c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
+        d0, d1 = c10 - c00, c11 - c01            # steps along y1 at j0, j1
+        lo = c00 + tx * d0
+        step2 = c01 + tx * d1 - lo               # step along y2
+        g = lo + ty * step2
+        step1 = (1.0 - ty) * d0 + ty * d1
+        # dR[a] = d_a R: columns d_a d1y, d_a d2y, d_a n
+        dR = np.empty((2,) + F0.shape)
+        dR[:, :, :2] = f["ddy"].transpose(1, 3, 2, 0)
+        dR[:, :, 2] = F1[:, :2].transpose(1, 0, 2)
+        # frames with the cutoff folded in: (h chi / cell size) R on the
+        # steps, h eps (dchi_a R + chi dR_a) and eps chi R on g
+        layers = np.empty((3, 3) + g.shape[1:])
+        for a, step, side in ((0, step1, self._hx), (1, step2, self._hy)):
+            Q = (h * eps) * (dchi[a] * F0 + chi * dR[a])
+            layers[:, a] = _rotate((h / side * chi) * F0, step) \
+                + _rotate(Q, g)
+        layers[:, 2] = _rotate((eps * chi) * F0, g)
+        return _Plan(f, F0, F1, layers)
 
-    def _interp(self, p, x3):
-        """Corrector value and (d_y1, d_y2, d_x3) gradients at one layer."""
+    def _layer(self, x3):
+        """Thickness element k0 holding height x3 and the offset tz in it."""
         n3 = self._n3
         s = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
         k0 = min(int(s), n3 - 1)
-        tz = s - k0
-        V = p["values"]
-        wx = (1.0 - p["tx"], p["tx"])
-        wy = (1.0 - p["ty"], p["ty"])
-        wz = (1.0 - tz, tz)
-        m = p["idx"].size
-        val = np.zeros((m, 3))
-        grad = np.zeros((m, 3, 3))
-        for a in (0, 1):
-            ii = p["i0"] if a == 0 else p["i1"]
-            dxs = -1.0 if a == 0 else 1.0
-            for b in (0, 1):
-                jj = p["j0"] if b == 0 else p["j1"]
-                dys = -1.0 if b == 0 else 1.0
-                for c in (0, 1):
-                    corner = V[ii, jj, k0 + c]
-                    dzs = -1.0 if c == 0 else 1.0
-                    val += (wx[a] * wy[b] * wz[c])[:, None] * corner
-                    grad[:, :, 0] += (dxs / self._hx * wy[b]
-                                      * wz[c])[:, None] * corner
-                    grad[:, :, 1] += (wx[a] * dys / self._hy
-                                      * wz[c])[:, None] * corner
-                    grad[:, :, 2] += (wx[a] * wy[b] * dzs
-                                      * n3)[:, None] * corner
-        return val, grad
+        return k0, s - k0
 
     # -- evaluation --------------------------------------------------------
 
     def deformation(self, xp, x3):
         """Deformed positions (M, 3) of midplane points at one fiber height."""
         plan = self.plan(xp)
-        f = plan.frames
-        out = f["y"] + self.h * x3 * f["n"]
-        for p in plan.patches:
-            g, _ = self._interp(p, x3)
-            Rg = np.einsum("mij,mj->mi", p["R"], g)
-            out[p["idx"]] += self.h * self.eps * p["chi"][:, None] * Rg
+        k0, tz = self._layer(x3)
+        lo, hi = plan.layers[:, 2, k0], plan.layers[:, 2, k0 + 1]
+        out = plan.frames["y"] + self.h * x3 * plan.frames["n"]
+        out += (self.h * ((1.0 - tz) * lo + tz * hi)).T
         return out
 
     def scaled_gradient(self, xp, x3, plan=None):
         """Scaled deformation gradients (M, 3, 3) at one fiber height."""
         if plan is None:
             plan = self.plan(xp)
-        f = plan.frames
-        h, eps = self.h, self.eps
-        m = f["y"].shape[0]
-        F = np.empty((m, 3, 3))
-        F[:, :, 0] = f["d1y"] + h * x3 * f["d1n"]
-        F[:, :, 1] = f["d2y"] + h * x3 * f["d2n"]
-        F[:, :, 2] = f["n"]
-        for p in plan.patches:
-            g, dg = self._interp(p, x3)
-            idx = p["idx"]
-            chi = p["chi"][:, None]
-            Rg = np.einsum("mij,mj->mi", p["R"], g)
-            Rdg = np.einsum("mij,mjc->mic", p["R"], dg)
-            sub = F[idx]
-            for a in (0, 1):
-                dRg = np.einsum("mij,mj->mi", p["dR"][:, a], g)
-                sub[:, :, a] += (h * chi * Rdg[:, :, a]
-                                 + h * eps * (p["dchi"][:, a:a + 1] * Rg
-                                              + chi * dRg))
-            sub[:, :, 2] += eps * chi * Rdg[:, :, 2]
-            F[idx] = sub
-        return F
+        k0, tz = self._layer(x3)
+        lo, hi = plan.layers[:, :, k0], plan.layers[:, :, k0 + 1]
+        F = plan.F0 + (self.h * x3) * plan.F1
+        F[:, :2] += (1.0 - tz) * lo[:, :2] + tz * hi[:, :2]
+        F[:, 2] += self._n3 * (hi[:, 2] - lo[:, 2])
+        return F.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +463,10 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     the microscale, and per-corrector-layer 2-point Gauss through the
     thickness (matching the cell solve's rule, so the discrete corrector is
     credited exactly the relaxation it earned there).
+
+    The points are grouped by phase and taken in blocks of _BLOCK: each block
+    gets one plan, then every thickness layer's gradients and densities, so
+    the temporaries stay bounded whatever the number of points.
 
     Returns:
         float: (1/h^2) integral of W(phase, scaled gradient).
@@ -455,29 +483,25 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
                           "not resolve the microscale")
     gx = (np.arange(ncx)[:, None] + np.asarray(_G2)).ravel() * (x1 - x0) / ncx
     gy = (np.arange(ncy)[:, None] + np.asarray(_G2)).ravel() * (y1 - y0) / ncy
-    X, Y = np.meshgrid(x0 + gx, y0 + gy, indexing="ij")
-    xp = np.column_stack([X.ravel(), Y.ravel()])
+    xp = _tensor_points(x0 + gx, y0 + gy)
     w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
 
-    plan = sampler.plan(xp)
     source = family.source
-    ypts = np.mod(xp / eps, source.grid.box_side)
-    phases = source.phase_of_points(ypts)
-    groups = {int(pid): np.flatnonzero(phases == pid)
-              for pid in np.unique(phases)}
-    mats = {pid: source.materials[pid] for pid in groups}
-
+    phases = source.phase_of_points(np.mod(xp / eps, source.grid.box_side))
+    order = np.argsort(phases, kind="stable")
+    cuts = np.flatnonzero(np.diff(phases[order])) + 1
     n3 = source.grid.n3
+    heights = [-0.5 + (k + gq) / n3 for k in range(n3) for gq in _G2]
     total = 0.0
-    for k in range(n3):
-        for gq in _G2:
-            x3 = -0.5 + (k + gq) / n3
-            F = sampler.scaled_gradient(xp, x3, plan=plan)
-            dens = 0.0
-            for pid, sel in groups.items():
-                dens += float(np.sum(svk_energy(mats[pid], F[sel])))
-            total += dens / (2.0 * n3)
-    return total * w_area / sampler.h ** 2
+    for group in np.split(order, cuts):
+        mat = source.materials[int(phases[group[0]])]
+        for start in range(0, group.size, _BLOCK):
+            xb = xp[group[start:start + _BLOCK]]
+            plan = sampler.plan(xb)
+            for x3 in heights:
+                F = sampler.scaled_gradient(xb, x3, plan=plan)
+                total += float(np.sum(svk_energy(mat, F)))
+    return total / (2.0 * n3) * w_area / sampler.h ** 2
 
 
 def limit_energy(form, iso, resolution=32):
@@ -489,11 +513,8 @@ def limit_energy(form, iso, resolution=32):
     x0, y0, x1, y1 = iso.domain
     xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
     ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    II = iso.second_form(pts)
-    vals = np.array([qgamma_eval(form, II[m]) for m in range(len(pts))])
-    return float(vals.mean() * (x1 - x0) * (y1 - y0))
+    II = iso.second_form(_tensor_points(xs, ys))
+    return float(qgamma_eval(form, II).mean() * (x1 - x0) * (y1 - y0))
 
 
 def recovery_gaps(family, h_schedule=None):

@@ -20,6 +20,7 @@ from platecell import (
     orthogonality_report,
     random_mixed_field,
 )
+from platecell import decomposition
 from platecell._krylov import block_pcg
 from platecell.decomposition import (
     _eigenbasis_1d,
@@ -150,6 +151,39 @@ def test_eigenbasis_diagonalizes_assembled_1d_matrices(n_el, h, periodic):
     npt.assert_allclose(V.T @ M @ V, np.eye(n), atol=1e-13)
     npt.assert_allclose(V.T @ K @ V, np.diag(lam), atol=1e-12 * lam.max())
     assert lam[0] == 0.0 and np.all(lam[1:] > 0)
+
+
+def test_scalar_tables_are_built_once_and_read_only():
+    twin = RVEGrid(GRID.n1, GRID.n2, GRID.n3, GRID.gamma, GRID.box_side)
+    assert _scalar_edof(twin) is _scalar_edof(GRID)
+    assert _scalar_tables(twin) is _scalar_tables(GRID)
+    N, B, wq = _scalar_tables(GRID)
+    for arr in (N, B, _scalar_edof(GRID)):
+        assert not arr.flags.writeable
+    # the shared tables are exactly a fresh build's
+    hx, hy = GRID.box_side / GRID.n1, GRID.box_side / GRID.n2
+    fN, fB, fwq = decomposition._scalar_tables_at.__wrapped__(
+        hx, hy, 1.0 / GRID.n3)
+    npt.assert_array_equal(N, fN)
+    npt.assert_array_equal(B, fB)
+    assert wq == fwq
+    npt.assert_array_equal(
+        _scalar_edof(GRID),
+        decomposition._scalar_edof_of.__wrapped__(GRID.n1, GRID.n2, GRID.n3))
+
+
+def test_decomposition_unchanged_by_warm_tables():
+    f = random_mixed_field(GRID, 3)
+    decomposition._scalar_tables_at.cache_clear()
+    decomposition._scalar_edof_of.cache_clear()
+    cold = decompose_mixed(f)
+    cold_report = orthogonality_report(f, decomposition=cold)
+    warm = decompose_mixed(f)
+    npt.assert_array_equal(warm.psi, cold.psi)
+    npt.assert_array_equal(warm.mean, cold.mean)
+    npt.assert_array_equal(warm.potential.values, cold.potential.values)
+    npt.assert_array_equal(warm.solenoidal.values, cold.solenoidal.values)
+    assert orthogonality_report(f, decomposition=warm) == cold_report
 
 
 def jacobi_pcg_potential(field, mean, tol):

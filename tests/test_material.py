@@ -145,6 +145,39 @@ def test_svk_zero_on_rotations():
         assert abs(svk_energy(phase, R)) < 1e-14
 
 
+def _svk_by_matrix(phase, F):
+    """The density through the stacked 3x3 strain, as the formula reads."""
+    E2 = np.swapaxes(F, -1, -2) @ F - np.eye(3)
+    frob2 = np.einsum("...ij,...ij->...", E2, E2)
+    tr = np.einsum("...ii->...", E2)
+    return 0.5 * phase.lame_mu * frob2 + 0.25 * phase.lame_lambda * tr * tr
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 5), (2, 3, 4)])
+def test_svk_components_match_matrix_formula(shape):
+    phase = PhaseMaterial(0, 1.3, 2.1)
+    rng = np.random.default_rng(sum(shape))
+    F = np.eye(3) + 0.4 * rng.standard_normal(shape + (3, 3))
+    got = svk_energy(phase, F)
+    want = _svk_by_matrix(phase, F)
+    assert got.shape == shape
+    npt.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # strided views (a transposed stack) give the same values
+    Ft = np.ascontiguousarray(np.moveaxis(F, (-2, -1), (0, 1)))
+    npt.assert_array_equal(svk_energy(phase, np.moveaxis(Ft, (0, 1), (-2, -1))),
+                           got)
+
+
+def test_svk_single_matrix_is_float():
+    phase = PhaseMaterial(0, 1.0, 2.0)
+    F = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
+    w = svk_energy(phase, F)
+    assert type(w) is float
+    npt.assert_allclose(w, float(_svk_by_matrix(phase, F)), rtol=1e-14)
+    assert svk_energy(phase, np.broadcast_to(np.eye(3), (5, 3, 3))).tolist() \
+        == [0.0] * 5
+
+
 def test_svk_objectivity_sampled():
     phase = PhaseMaterial(0, 1.0, 2.0)
     rng = np.random.default_rng(5)

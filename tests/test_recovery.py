@@ -1,5 +1,8 @@
 """Recovery family: isometry frames, patch correctors, scaled vs limit energy."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,12 +19,15 @@ from platecell import (
     flat_isometry,
     limit_energy,
     material_table,
+    qgamma_eval,
     recovery_gaps,
 )
+from platecell import recovery
 from oracles import single_phase_bending_discrete
 
 ONE_PHASE = material_table([(0, 1.0, 1.0)])
 TWO_PHASE = material_table([(0, 1.0, 1.0), (1, 3.0, 2.0)])
+CONTRAST5 = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
 
 
 def uniform_phases(n1, n2, box_side=1.0, phase=0):
@@ -31,6 +37,14 @@ def uniform_phases(n1, n2, box_side=1.0, phase=0):
 def checker_phases(n1, n2, box_side=1.0):
     ids = (np.add.outer(np.arange(n1), np.arange(n2)) % 2).astype(int)
     return PhaseGrid(n1, n2, box_side, ids)
+
+
+def contrast5_source(n, tol=1e-10):
+    """Checkerboard of two n/2-element blocks a side, phase contrast 5."""
+    ids = ((np.arange(n)[:, None] // (n // 2) + np.arange(n) // (n // 2))
+           % 2).astype(int)
+    return CellCorrectorSource(RVEGrid(n, n, 4, 2.0, 1.0),
+                               PhaseGrid(n, n, 1.0, ids), CONTRAST5, tol=tol)
 
 
 def checker_source(tol=1e-11):
@@ -244,6 +258,131 @@ def test_cutoff_collar_suppresses_corrector():
     assert np.max(np.abs(sampler.deformation(center, 0.17) - v_kl)) > 1e-6
 
 
+def _per_patch_reference(sampler, xp, x3):
+    """Positions and scaled gradients by the per-patch, 8-corner formula.
+
+    Each patch's points are interpolated trilinearly from the eight cell
+    corners around them at height x3, then rotated and cut off; this is the
+    evaluation the node-layer plan replaces, kept here as its reference.
+    """
+    fam, h, eps = sampler.family, sampler.h, sampler.eps
+    grid, delta = fam.source.grid, fam.cfg.ramp_width
+    hx, hy, n3 = grid.box_side / grid.n1, grid.box_side / grid.n2, grid.n3
+    f = fam.iso.frame_fields(xp)
+    v = f["y"] + h * x3 * f["n"]
+    _, F = kirchhoff_love(fam.iso, h, xp, x3)
+    s3 = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
+    k0 = min(int(s3), n3 - 1)
+    wz = (1.0 - (s3 - k0), s3 - k0)
+    for patch in fam.patches:
+        a0, b0, a1, b1 = patch.rect
+        idx = np.flatnonzero((xp[:, 0] >= a0) & (xp[:, 0] < a1)
+                             & (xp[:, 1] >= b0) & (xp[:, 1] < b1))
+        px = xp[idx]
+        cx, dcx = recovery._ramp_1d(px[:, 0], a0, a1, delta)
+        cy, dcy = recovery._ramp_1d(px[:, 1], b0, b1, delta)
+        chi = (cx * cy)[:, None]
+        dchi = (dcx * cy)[:, None], (cx * dcy)[:, None]
+        yw = np.mod(px / eps, grid.box_side)
+        sx, sy = yw[:, 0] / hx, yw[:, 1] / hy
+        i0 = np.floor(sx).astype(np.int64) % grid.n1
+        j0 = np.floor(sy).astype(np.int64) % grid.n2
+        ii = (i0, (i0 + 1) % grid.n1)
+        jj = (j0, (j0 + 1) % grid.n2)
+        wx = (1.0 - (sx - np.floor(sx)), sx - np.floor(sx))
+        wy = (1.0 - (sy - np.floor(sy)), sy - np.floor(sy))
+        g = np.zeros((idx.size, 3))
+        dg = np.zeros((idx.size, 3, 3))
+        for a, b, c in np.ndindex(2, 2, 2):
+            corner = patch.values[ii[a], jj[b], k0 + c]
+            sa, sb, sc = (-1.0, 1.0)[a], (-1.0, 1.0)[b], (-1.0, 1.0)[c]
+            g += (wx[a] * wy[b] * wz[c])[:, None] * corner
+            dg[:, :, 0] += (sa / hx * wy[b] * wz[c])[:, None] * corner
+            dg[:, :, 1] += (wx[a] * sb / hy * wz[c])[:, None] * corner
+            dg[:, :, 2] += (wx[a] * wy[b] * sc * n3)[:, None] * corner
+        R = np.stack([f["d1y"][idx], f["d2y"][idx], f["n"][idx]], axis=2)
+        Rg = np.einsum("mij,mj->mi", R, g)
+        Rdg = np.einsum("mij,mjc->mic", R, dg)
+        v[idx] += h * eps * chi * Rg
+        for a in (0, 1):
+            dR = np.stack([f["ddy"][idx, a, 0], f["ddy"][idx, a, 1],
+                           f["d%dn" % (a + 1)][idx]], axis=2)
+            dRg = np.einsum("mij,mj->mi", dR, g)
+            F[idx, :, a] += h * chi * Rdg[:, :, a] \
+                + h * eps * (dchi[a] * Rg + chi * dRg)
+        F[idx, :, 2] += eps * chi * Rdg[:, :, 2]
+    return v, F
+
+
+def _distinct_tables(fam):
+    """Give each patch its own corrector, solved for a load of its own."""
+    loads = [np.array([[1.0, 0.3], [0.3, -0.5]]),
+             np.array([[-0.4, 0.0], [0.0, 0.9]]),
+             np.array([[0.2, -0.7], [-0.7, 0.1]]),
+             np.array([[0.0, 0.5], [0.5, 0.0]])]
+    for patch, load in zip(fam.patches, loads):
+        patch.values = fam.source.corrector(load)
+    assert len({id(p.values) for p in fam.patches}) == len(fam.patches)
+    return fam
+
+
+def _quadrature_like_points(fam, count=400):
+    """Random points, patch edges, collars, and the domain's far corner."""
+    x0, y0, x1, y1 = fam.iso.domain
+    pts = np.random.default_rng(21).uniform([x0, y0], [x1, y1],
+                                            size=(count, 2))
+    delta = fam.cfg.ramp_width
+    edges = [(0.5, 0.3), (0.5 - 1.5 * delta, 0.6), (0.25, 0.5 + delta),
+             (0.0, 0.0), (x1, 0.4), (0.7, y1)]
+    return np.vstack([pts, edges])
+
+
+@pytest.mark.parametrize("case", ["flat", "cylinder", "cylinder_distinct",
+                                  "flat_distinct"])
+def test_node_layer_plan_matches_per_patch_formula(case):
+    iso = cylinder_isometry(1.0) if case.startswith("cylinder") \
+        else flat_isometry()
+    fam = build_recovery(iso, RecoveryConfig(gamma=2.0, patch_size=0.5),
+                         contrast5_source(4))
+    if case.endswith("distinct"):
+        _distinct_tables(fam)
+    xp = _quadrature_like_points(fam)
+    for h in (0.3, 0.1):
+        sampler = fam.sampler(h)
+        plan = sampler.plan(xp)
+        for x3 in (-0.5, -0.31, -0.25, 0.0, 0.06, 0.37, 0.5):
+            v_ref, F_ref = _per_patch_reference(sampler, xp, x3)
+            F = sampler.scaled_gradient(xp, x3, plan=plan)
+            v = sampler.deformation(xp, x3)
+            npt.assert_allclose(F, F_ref, rtol=0,
+                                atol=1e-13 * np.max(np.abs(F_ref)))
+            npt.assert_allclose(v, v_ref, rtol=0,
+                                atol=1e-13 * np.max(np.abs(v_ref)))
+            if case == "flat":
+                npt.assert_array_equal(F, F_ref)
+                npt.assert_array_equal(v, v_ref)
+
+
+def test_rows_do_not_depend_on_the_other_points():
+    # blocking the quadrature changes nothing per point: any subset's rows
+    # are the full call's rows, bit for bit
+    fam = _distinct_tables(build_recovery(
+        cylinder_isometry(1.0), RecoveryConfig(gamma=2.0, patch_size=0.5),
+        contrast5_source(4)))
+    sampler = fam.sampler(0.1)
+    xp = _quadrature_like_points(fam)
+    rng = np.random.default_rng(2)
+    subsets = [np.arange(1), np.arange(len(xp) - 1, len(xp)),
+               np.arange(0, len(xp), 3), rng.permutation(len(xp))[:57]]
+    for x3 in (-0.4, 0.06, 0.5):
+        F = sampler.scaled_gradient(xp, x3)
+        v = sampler.deformation(xp, x3)
+        for sub in subsets:
+            npt.assert_array_equal(sampler.scaled_gradient(xp[sub], x3),
+                                   F[sub])
+            npt.assert_array_equal(sampler.deformation(xp[sub], x3), v[sub])
+
+
 def _fd_gradient(sampler, xp, x3, s, s3):
     G = np.empty((len(xp), 3, 3))
     for a in range(2):
@@ -379,6 +518,51 @@ def test_limit_energy_closed_forms():
     # constant curvature: any resolution integrates exactly
     npt.assert_allclose(limit_energy(M, cylinder_isometry(1.0), resolution=5),
                         limit_energy(M, cylinder_isometry(1.0)), rtol=1e-13)
+
+
+def test_limit_energy_is_the_pointwise_midpoint_rule():
+    form = contrast5_source(4).effective()
+    for iso in (cylinder_isometry(1.0), cylinder_isometry(0.7, (0.0, 0.0, 2.0, 1.0))):
+        x0, y0, x1, y1 = iso.domain
+        n = 32
+        xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+        ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
+        II = iso.second_form(np.array([(x, y) for x in xs for y in ys]))
+        loop = np.mean([qgamma_eval(form, G) for G in II]) \
+            * (x1 - x0) * (y1 - y0)
+        npt.assert_allclose(limit_energy(form, iso), loop, rtol=1e-14)
+
+
+def test_limit_energy_retains_no_objects():
+    form = np.diag([0.5, 0.5, 0.4])
+    iso = cylinder_isometry(1.0)
+    for _ in range(5):
+        limit_energy(form, iso)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(50):
+            limit_energy(form, iso)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    diff = after.filter_traces(own).compare_to(before.filter_traces(own),
+                                               "lineno")
+    grown = [(str(d.traceback), d.count_diff) for d in diff
+             if d.count_diff > 0]
+    assert sum(c for _, c in grown) < 5, grown
+
+
+def test_workload_checkerboard_energy_is_pinned():
+    # 8x8x4 checkerboard of contrast 5, cylinder r = 1, h = 0.1; the value
+    # was computed by the per-patch, per-layer evaluation
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(gamma=2.0),
+                         contrast5_source(8))
+    npt.assert_allclose(evaluate_scaled_energy(fam.sampler(0.1)),
+                        0.6373825732229864, rtol=1e-12)
 
 
 def test_gap_trend_single_phase():

@@ -28,7 +28,7 @@ closure.
 import numpy as np
 
 from ._krylov import block_pcg
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, as_index
 from .material import SQRT2, isotropic_form
 
 _GA = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
@@ -42,7 +42,9 @@ class RVEGrid:
     """Structured RVE discretization parameters."""
 
     def __init__(self, n1, n2, n3, gamma, box_side):
-        self.n1, self.n2, self.n3 = int(n1), int(n2), int(n3)
+        self.n1 = as_index(n1, "grid: n1")
+        self.n2 = as_index(n2, "grid: n2")
+        self.n3 = as_index(n3, "grid: n3")
         self.gamma = float(gamma)
         self.box_side = float(box_side)
         if self.n1 < 2 or self.n2 < 2 or self.n1 % 2 or self.n2 % 2:

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -29,96 +30,165 @@ from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
 from .errors import ConfigError, ConvergenceError, DegenerateRealizationError, \
     NumericalError
 from . import fileio
-from .material import material_table
+from .material import PhaseMaterial, material_table
 from .microstructure import MicrostructureModel, rasterize, sample_realization
 from .recovery import CellCorrectorSource, IsometrySpec, RecoveryConfig, \
     build_recovery, recovery_gaps
 
 
 # ---------------------------------------------------------------------------
-# Config access with field-path diagnostics
+# Config fields
 # ---------------------------------------------------------------------------
 
-_BLOCKS = ("model", "grid", "materials", "load", "isometry", "recovery")
+# Every config field the CLI reads: path -> (what it must be, default), where
+# a default of ... marks a required field.  "a.b" is key b of block a, and
+# "materials[].b" key b of each materials entry.  Ranges that the library
+# checks (grid evenness, model kinds and marks, isometry and recovery
+# parameters, Birkhoff scales, moduli) are left to it.  Unknown keys are
+# ignored: one file serves several subcommands.  "L" may be spelled
+# "box_side".  A null counts as absent only where the default is None.
+_FIELDS = {
+    "seed": ("an integer >= 0", ...),
+    "tol": ("a number in (0, 1)", 1e-8),
+    "L": ("a number", ...),
+    "model": ("an object", ...),
+    "model.kind": ("a string", ...),
+    "model.phase_count": ("an integer", 2),
+    "model.period_hint": ("a number", 1.0),
+    "model.intensity": ("a number", None),
+    "model.mark_distribution": ("a list of numbers", None),
+    "model.resample_on_empty": ("true or false", False),
+    "grid": ("an object", ...),
+    "grid.n1": ("an integer", ...),
+    "grid.n2": ("an integer", ...),
+    "grid.n3": ("an integer", ...),
+    "grid.gamma": ("a number", ...),
+    "grid.L": ("a number", ...),
+    "materials": ("a list of objects", ...),
+    "materials[].phase_id": ("an integer", ...),
+    "materials[].mu": ("a number", ...),
+    "materials[].lambda": ("a number", ...),
+    "load": ("an object", ...),
+    "load.B": ("a 2x2 matrix", None),
+    "load.G": ("a 2x2 matrix", None),
+    "raster": ("an object", None),
+    "raster.n1": ("an integer", ...),
+    "raster.n2": ("an integer", ...),
+    "rescale_check": ("true or false", False),
+    "gammas": ("a list of numbers", ...),
+    "seeds": ("a list of integers >= 0", ...),
+    "rotations": ("an integer >= 8", 8),
+    "window": ("a list of 4 numbers", ...),
+    "epsilons": ("a list of numbers", ...),
+    "f_table": ("a list of numbers or an object of numbers by phase id", ...),
+    "step": ("a number > 0", None),
+    "field": ("a string", None),
+    "write_potential": ("true or false", False),
+    "isometry": ("an object", ...),
+    "isometry.kind": ("a string", ...),
+    "isometry.domain": ("a list of 4 numbers", (0.0, 0.0, 1.0, 1.0)),
+    "isometry.radius": ("a number", None),
+    "recovery": ("an object", ...),
+    "recovery.patch_size": ("a number", 0.25),
+    "recovery.ramp_width": ("a number", None),
+    "recovery.cells_per_scale": ("an integer", 4),
+    "recovery.h_schedule": ("a list of numbers", ...),
+    "recovery.corrector_tol": ("a number in (0, 1)", 1e-10),
+}
 
 
-def _get(cfg, key):
-    if key not in cfg:
-        raise ConfigError("config: missing required %s '%s'"
-                          % ("block" if key in _BLOCKS else "field", key))
-    return cfg[key]
+def _list_of(test, size=None):
+    """Test for a nonempty list, of `size` items if given, passing `test`."""
+    return lambda v: type(v) is list and len(v) > 0 \
+        and size in (None, len(v)) and all(map(test, v))
 
 
-def _parse_model(cfg):
-    block = _get(cfg, "model")
-    if not isinstance(block, dict):
-        raise ConfigError("config: 'model' must be an object")
+def _is_num(v):
+    return type(v) in (int, float)
+
+
+# what a field must be -> the test of its JSON value; type() is exact, so no
+# bool passes for a number, no float for an integer, no string for either
+_TYPES = {
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 0": lambda v: type(v) is int and v >= 0,
+    "an integer >= 8": lambda v: type(v) is int and v >= 8,
+    "a number": _is_num,
+    "a number > 0": lambda v: _is_num(v) and v > 0,
+    "a number in (0, 1)": lambda v: _is_num(v) and 0 < v < 1,
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "an object": lambda v: type(v) is dict,
+    "a list of objects": _list_of(lambda v: type(v) is dict),
+    "a list of numbers": _list_of(_is_num),
+    "a list of integers >= 0": _list_of(lambda v: type(v) is int and v >= 0),
+    "a list of 4 numbers": _list_of(_is_num, 4),
+    "a 2x2 matrix": _list_of(_list_of(_is_num, 2), 2),
+    "a list of numbers or an object of numbers by phase id":
+        lambda v: _list_of(_is_num)(v) or type(v) is dict and all(
+            k.isdecimal() and _is_num(x) for k, x in v.items()),
+}
+
+
+def _read(block, path):
+    """The checked value of field `path` (materials[0].mu, say) in `block`."""
+    what, default = _FIELDS[re.sub(r"\[\d+\]", "[]", path)]
+    key = path.rpartition(".")[2]
+    if key == "L" and "L" not in block and "box_side" in block:
+        key = "box_side"
+        path = path[:-1] + key
+    value = block.get(key)
+    if value is None and (key not in block or default is None):
+        if default is ...:
+            raise ConfigError("%s: missing" % path)
+        return default
+    if not _TYPES[what](value):
+        raise ConfigError("%s: must be %s" % (path, what))
+    return value
+
+
+def _block(cfg, name):
+    """{key: checked value} over the fields of block `name` (None if absent)."""
+    block = _read(cfg, name)
+    return block if block is None else {
+        path[len(name) + 1:]: _read(block, path)
+        for path in _FIELDS if path.startswith(name + ".")}
+
+
+def _under(path, build, *args, **kwargs):
+    """build(*args, **kwargs), a ConfigError from its checks put under `path`."""
     try:
-        return MicrostructureModel.from_dict(block)
+        return build(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError("model: %s" % exc) from exc
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(path) else
+                          "%s: %s" % (path, msg)) from exc
 
 
-def _parse_materials(cfg):
-    block = _get(cfg, "materials")
-    if not isinstance(block, list):
-        raise ConfigError("config: 'materials' must be a list")
-    entries = []
-    for k, item in enumerate(block):
-        if not isinstance(item, dict):
-            raise ConfigError("materials[%d]: must be an object" % k)
-        for key in ("phase_id", "mu", "lambda"):
-            if key not in item:
-                raise ConfigError("materials[%d].%s: missing" % (k, key))
-        entries.append(item)
-    return material_table(entries)
+def _grid(cfg):
+    g = _block(cfg, "grid")
+    return _under("grid", RVEGrid, g["n1"], g["n2"], g["n3"], g["gamma"], g["L"])
 
 
-def _parse_grid(cfg):
-    block = _get(cfg, "grid")
-    if not isinstance(block, dict):
-        raise ConfigError("config: 'grid' must be an object")
-    for key in ("n1", "n2", "n3", "gamma"):
-        if key not in block:
-            raise ConfigError("grid.%s: missing" % key)
-    side = block.get("L", block.get("box_side"))
-    if side is None:
-        raise ConfigError("grid.L: missing")
-    try:
-        return RVEGrid(block["n1"], block["n2"], block["n3"],
-                       block["gamma"], side)
-    except ConfigError as exc:
-        raise ConfigError("grid: %s" % exc) from exc
+def _materials(cfg):
+    return _under("materials", material_table, [
+        _under("materials[%d]" % k, PhaseMaterial,
+               *(_read(item, "materials[%d].%s" % (k, key))
+                 for key in ("phase_id", "mu", "lambda")))
+        for k, item in enumerate(_read(cfg, "materials"))])
 
 
-def _parse_sym2(block, path):
-    arr = np.asarray(block, dtype=float)
-    if arr.shape != (2, 2):
-        raise ConfigError("%s: must be a 2x2 matrix" % path)
-    return arr
+def _model(cfg):
+    return _under("model", MicrostructureModel, **_block(cfg, "model"))
 
 
-def _seed(cfg):
-    seed = _get(cfg, "seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed: must be a nonnegative integer")
-    return seed
-
-
-def _tol(cfg, default=1e-8):
-    tol = cfg.get("tol", default)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-            or not 0 < tol < 1:
-        raise ConfigError("tol: must be a number in (0, 1)")
-    return float(tol)
-
-
-def _realize_phases(cfg, grid):
-    """model + seed + grid -> (realization, PhaseGrid on the grid's box)."""
-    model = _parse_model(cfg)
-    seed = _seed(cfg)
+def _cell(cfg):
+    """Grid, materials and seed of a one-sample run, with the phases of the
+    seed's realization on the grid.  Callers read their other fields first."""
+    grid, materials, model = _grid(cfg), _materials(cfg), _model(cfg)
+    seed = _read(cfg, "seed")
     r = sample_realization(model, seed, grid.box_side)
-    return r, rasterize(r, grid.n1, grid.n2)
+    return grid, materials, seed, rasterize(r, grid.n1, grid.n2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +231,24 @@ def _finish(args, payload, started, config):
 # ---------------------------------------------------------------------------
 
 def _cmd_generate(args, cfg, started):
-    model = _parse_model(cfg)
-    seed = _seed(cfg)
-    box = cfg.get("L", cfg.get("box_side"))
-    if isinstance(box, bool) or not isinstance(box, (int, float)) or not box > 0:
-        raise ConfigError("L (box side): must be a positive number")
-    r = sample_realization(model, seed, float(box))
+    model, seed, box = _model(cfg), _read(cfg, "seed"), _read(cfg, "L")
+    raster = _block(cfg, "raster")
+    r = _under("L", sample_realization, model, seed, box)
     payload = {"realization": fileio.realization_to_dict(r)}
-    raster = cfg.get("raster")
     if raster is not None:
-        for key in ("n1", "n2"):
-            if key not in raster:
-                raise ConfigError("raster.%s: missing" % key)
-        pg = rasterize(r, int(raster["n1"]), int(raster["n2"]))
+        pg = _under("raster", rasterize, r, raster["n1"], raster["n2"])
         payload["phase_grid"] = fileio.phase_grid_to_dict(pg)
     return _finish(args, payload, started, cfg)
 
 
 def _cmd_solve_cell(args, cfg, started):
-    grid = _parse_grid(cfg)
-    materials = _parse_materials(cfg)
-    _, phases = _realize_phases(cfg, grid)
-    block = _get(cfg, "load")
-    B = _parse_sym2(block["B"], "load.B") if "B" in block else None
-    G = _parse_sym2(block["G"], "load.G") if "G" in block else None
-    load = CellLoad(B=B, G=G)
-    field = solve_corrector(grid, phases, materials, load, tol=_tol(cfg))
+    load = _under("load", CellLoad, **_block(cfg, "load"))
+    tol = _read(cfg, "tol")
+    grid, materials, seed, phases = _cell(cfg)
+    field = solve_corrector(grid, phases, materials, load, tol=tol)
     fileio.write_field(args.out + ".field", field.values, grid)
     payload = {
-        "seed": _seed(cfg),
+        "seed": seed,
         "grid": grid.to_dict(),
         "cg_residuals": [float(v) for v in field.residuals],
         "field_file": args.out + ".field",
@@ -198,57 +257,42 @@ def _cmd_solve_cell(args, cfg, started):
 
 
 def _cmd_effective(args, cfg, started):
-    grid = _parse_grid(cfg)
-    materials = _parse_materials(cfg)
-    _, phases = _realize_phases(cfg, grid)
-    ct = coupled_tensor(grid, phases, materials, tol=_tol(cfg))
+    tol, rescale = _read(cfg, "tol"), _read(cfg, "rescale_check")
+    grid, materials, seed, phases = _cell(cfg)
+    ct = coupled_tensor(grid, phases, materials, tol=tol)
     form = effective_bending(ct)
-    payload = fileio.tensor_result_dict(ct, form, grid,
-                                        extra={"seed": _seed(cfg)})
-    if cfg.get("rescale_check", False):
+    payload = fileio.tensor_result_dict(ct, form, grid, extra={"seed": seed})
+    if rescale:
         payload["rescale_discrepancy"] = gamma_rescale_check(
-            grid, phases, materials, tol=_tol(cfg))
+            grid, phases, materials, tol=tol)
     return _finish(args, payload, started, cfg)
 
 
 def _cmd_sweep_gamma(args, cfg, started):
-    materials = _parse_materials(cfg)
-    gammas = cfg.get("gammas")
-    if not isinstance(gammas, list) or not gammas or \
-            any(not isinstance(g, (int, float)) or g <= 0 for g in gammas):
-        raise ConfigError("gammas: must be a nonempty list of positive "
-                          "numbers")
-    base = _parse_grid(cfg)
+    tol, gammas = _read(cfg, "tol"), _read(cfg, "gammas")
+    # the realization and its raster depend on seed, box side, n1 and n2 only
+    base, materials, seed, phases = _cell(cfg)
+    grids = [_under("gammas", RVEGrid, base.n1, base.n2, base.n3, g,
+                    base.box_side) for g in gammas]
     results = []
-    for g in gammas:
-        grid = RVEGrid(base.n1, base.n2, base.n3, float(g), base.box_side)
-        _, phases = _realize_phases(cfg, grid)
-        ct = coupled_tensor(grid, phases, materials, tol=_tol(cfg))
-        form = effective_bending(ct)
+    for grid in grids:
+        form = effective_bending(coupled_tensor(grid, phases, materials,
+                                                tol=tol))
         results.append([float(v) for v in form.voigt3.ravel()])
-    stack = np.asarray(results).reshape(len(gammas), 3, 3)
-    spread = float(np.max(np.abs(stack - stack[0])))
     payload = {
-        "seed": _seed(cfg),
+        "seed": seed,
         "gammas": [float(g) for g in gammas],
         "voigt3_per_gamma": results,
-        "max_spread": spread,
+        "max_spread": float(np.max(np.abs(np.subtract(results, results[0])))),
     }
     return _finish(args, payload, started, cfg)
 
 
 def _cmd_isotropy(args, cfg, started):
-    grid = _parse_grid(cfg)
-    materials = _parse_materials(cfg)
-    model = _parse_model(cfg)
-    seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds or \
-            any(not isinstance(s, int) or isinstance(s, bool) or s < 0
-                for s in seeds):
-        raise ConfigError("seeds: must be a nonempty list of nonnegative "
-                          "integers")
-    rotations = cfg.get("rotations", 8)
-    ens = ensemble_effective(model, materials, grid, seeds, tol=_tol(cfg),
+    grid, materials, model = _grid(cfg), _materials(cfg), _model(cfg)
+    seeds, rotations, tol = (_read(cfg, path)
+                             for path in ("seeds", "rotations", "tol"))
+    ens = ensemble_effective(model, materials, grid, seeds, tol=tol,
                              threads=_threads(args))
     report = isotropy_report(ens, rotation_count=rotations)
     fileio.write_ensemble_csv(args.out + ".csv", ens,
@@ -266,28 +310,13 @@ def _cmd_isotropy(args, cfg, started):
 
 
 def _cmd_ergodic(args, cfg, started):
-    model = _parse_model(cfg)
-    seed = _seed(cfg)
-    box = cfg.get("L", cfg.get("box_side"))
-    if isinstance(box, bool) or not isinstance(box, (int, float)) or not box > 0:
-        raise ConfigError("L (box side): must be a positive number")
-    window = cfg.get("window")
-    if not isinstance(window, list) or len(window) != 4:
-        raise ConfigError("window: must be [x0, y0, x1, y1]")
-    epsilons = cfg.get("epsilons")
-    if not isinstance(epsilons, list) or not epsilons:
-        raise ConfigError("epsilons: must be a nonempty list")
-    f_table = cfg.get("f_table")
-    if not isinstance(f_table, (list, dict)) or not f_table:
-        raise ConfigError("f_table: must map phases to values")
+    model, seed, box = _model(cfg), _read(cfg, "seed"), _read(cfg, "L")
+    window, epsilons, f_table, step = (
+        _read(cfg, path) for path in ("window", "epsilons", "f_table", "step"))
     if isinstance(f_table, dict):
-        try:
-            f_table = {int(k): float(v) for k, v in f_table.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("f_table: %s" % exc) from exc
-    r = sample_realization(model, seed, float(box))
-    series = birkhoff_average(r, f_table, window, epsilons,
-                              step=cfg.get("step"))
+        f_table = {int(k): float(v) for k, v in f_table.items()}
+    r = _under("L", sample_realization, model, seed, box)
+    series = birkhoff_average(r, f_table, window, epsilons, step=step)
     C, ok = birkhoff_rate(series)
     fileio.write_series_csv(args.out + ".csv", series)
     payload = {
@@ -304,29 +333,27 @@ def _cmd_ergodic(args, cfg, started):
 
 
 def _cmd_decompose(args, cfg, started):
-    grid = _parse_grid(cfg)
-    field_file = cfg.get("field")
-    if field_file is not None:
-        if not isinstance(field_file, str):
-            raise ConfigError("field: must be the path of a field file")
+    grid, field_file = _grid(cfg), _read(cfg, "field")
+    # the potential solve defaults to a tighter tol than the cell solves
+    tol = _read({"tol": 1e-10, **cfg}, "tol")
+    write_potential = _read(cfg, "write_potential")
+    if field_file is None:
+        field = random_mixed_field(grid, _read(cfg, "seed"))
+    else:
         try:
-            values, _ = fileio.read_field(field_file)
-            field = MixedField(values, grid, layout="nodes")
+            values, _ = _under("field", fileio.read_field, field_file)
         except OSError as exc:
             raise ConfigError("field: cannot read field file: %s" % exc) \
                 from exc
-        except ConfigError as exc:
-            raise ConfigError("field: %s" % exc) from exc
-    else:
-        field = random_mixed_field(grid, _seed(cfg))
-    dec = decompose_mixed(field, tol=_tol(cfg, default=1e-10))
+        field = _under("field", MixedField, values, grid, layout="nodes")
+    dec = decompose_mixed(field, tol=tol)
     report = orthogonality_report(field, dec)
     payload = {
         "mean": [float(v) for v in dec.mean],
         "report": {k: float(v) for k, v in report.items()},
         "cg_residual": float(dec.residuals[-1]),
     }
-    if cfg.get("write_potential", False):
+    if write_potential:
         psi = dec.psi[..., None] * np.array([1.0, 0.0, 0.0])
         fileio.write_field(args.out + ".psi.field", psi, grid)
         payload["psi_file"] = args.out + ".psi.field"
@@ -334,29 +361,16 @@ def _cmd_decompose(args, cfg, started):
 
 
 def _cmd_recovery(args, cfg, started):
-    grid = _parse_grid(cfg)
-    materials = _parse_materials(cfg)
-    _, phases = _realize_phases(cfg, grid)
-    iso_block = _get(cfg, "isometry")
-    kind = iso_block.get("kind")
-    domain = iso_block.get("domain", [0.0, 0.0, 1.0, 1.0])
-    iso = IsometrySpec(kind, domain, radius=iso_block.get("radius"))
-    rec = cfg.get("recovery", {})
-    rcfg = RecoveryConfig(
-        gamma=grid.gamma,
-        patch_size=rec.get("patch_size", 0.25),
-        ramp_width=rec.get("ramp_width"),
-        cells_per_scale=rec.get("cells_per_scale", 4),
-        h_schedule=rec.get("h_schedule"),
-        corrector_tol=rec.get("corrector_tol", 1e-10))
-    if rcfg.h_schedule is None:
-        raise ConfigError("recovery.h_schedule: missing")
+    iso = _under("isometry", IsometrySpec, **_block(cfg, "isometry"))
+    rec = _block(cfg, "recovery")
+    grid, materials, seed, phases = _cell(cfg)
+    rcfg = _under("recovery", RecoveryConfig, gamma=grid.gamma, **rec)
     source = CellCorrectorSource(grid, phases, materials,
                                  tol=rcfg.corrector_tol)
     family = build_recovery(iso, rcfg, source)
     gaps = recovery_gaps(family)
     payload = {
-        "seed": _seed(cfg),
+        "seed": seed,
         "h_schedule": gaps["h_schedule"],
         "scaled_energies": gaps["scaled"],
         "limit_energy": gaps["limit"],
@@ -403,9 +417,12 @@ def _build_parser():
     return parser
 
 
+def _not_json(name):
+    raise ValueError("%s is not a JSON number" % name)
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.threads < 1:
         print("platecell: --threads must be >= 1", file=sys.stderr)
         return 2
@@ -413,7 +430,7 @@ def main(argv=None):
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_constant=_not_json)
         except OSError as exc:
             raise ConfigError("cannot read config: %s" % exc) from exc
         except ValueError as exc:
@@ -426,6 +443,10 @@ def main(argv=None):
         return 2
     except ConfigError as exc:
         print("platecell: config error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("platecell: config error: config needs more memory than is "
+              "available (%s)" % exc, file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         hist_path = args.out + ".residuals.json"

@@ -1,12 +1,25 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its strict integer check.
 
 Config/validation problems and numerical failures are kept distinct so the
 command-line layer can map them to different exit codes (2 and 1).
 """
 
+import operator
+
 
 class ConfigError(ValueError):
     """Invalid configuration or arguments; message names the offending field."""
+
+
+def as_index(value, name):
+    """`value` as an int; Python and numpy integers pass, while bools, floats
+    (8.0 too) and strings raise instead of being truncated or coerced."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError("%s must be an integer, got %r" % (name, value))
 
 
 class NumericalError(RuntimeError):

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 from .microstructure import _PERIODIC_KINDS, MicrostructureModel, \
     MicrostructureRealization, PhaseGrid
 
@@ -123,9 +123,10 @@ def read_field(path):
         raw = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-        n1, n2, n3 = header["n1"], header["n2"], header["n3"]
+        n1, n2, n3 = (as_index(header[k], "header " + k)
+                      for k in ("n1", "n2", "n3"))
         values = np.frombuffer(raw, dtype="<f8").reshape(n1, n2, n3 + 1, 3)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("malformed field file %s: %s" % (path, exc)) from exc
     return values.copy(), header
 

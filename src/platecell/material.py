@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -127,7 +127,7 @@ class PhaseMaterial:
     """One phase: Lame parameters plus the derived quadratic form."""
 
     def __init__(self, phase_id, lame_mu, lame_lambda):
-        self.phase_id = int(phase_id)
+        self.phase_id = as_index(phase_id, "phase_id")
         self.lame_mu = float(lame_mu)
         self.lame_lambda = float(lame_lambda)
         self.q0 = isotropic_form(self.lame_mu, self.lame_lambda)

@@ -79,8 +79,15 @@ def test_grid_validation():
         RVEGrid(4, 4, 4, 0.0, 1.0)      # gamma
     with pytest.raises(ConfigError):
         RVEGrid(4, 4, 4, 1.0, -2.0)     # box side
+    for bad in (8.5, 8.0, "8", True, np.float64(8.0)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RVEGrid(bad, 8, 4, 1.0, 1.0)   # no truncation or coercion
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RVEGrid(8, 8, bad, 1.0, 1.0)
     g = RVEGrid(4, 6, 3, 2.0, 1.5)
     assert g.n_nodes == 4 * 6 * 4 and g.n_elements == 4 * 6 * 3
+    g = RVEGrid(np.int64(4), np.int32(6), np.int16(3), 2.0, 1.5)
+    assert (g.n1, g.n2, g.n3) == (4, 6, 3) and type(g.n1) is int
 
 
 def test_load_validation():

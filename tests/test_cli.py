@@ -1,11 +1,14 @@
 """CLI driver: configs in, canonical artifacts out, honest exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from platecell import cli
 from platecell.cli import main
 from platecell.fileio import phase_grid_from_dict, read_field, read_json
 from oracles import single_phase_bending_discrete
@@ -297,3 +300,140 @@ def test_threads_env_override_is_logged(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PLATECELL_THREADS", "many")
     assert run("isotropy", cfg, tmp_path / "iso.json") == 2
     assert "PLATECELL_THREADS" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed fields: exit 2 naming the field, before any numerical work
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+DELETE = object()
+BIG = 10 ** 17      # past any 64-bit address space: fails whatever the
+                    # kernel's overcommit policy
+
+
+def probe_base(command):
+    """A valid config for `command`, built on the shipped checkerboard."""
+    if command == "ergodic":
+        return {"model": {"kind": "checkerboard", "period_hint": 1},
+                "seed": 0, "L": 2, "window": [0.1, 0.1, 1.1, 0.9],
+                "epsilons": [0.5, 0.25, 0.125], "f_table": [0, 1]}
+    cfg = json.loads((CONFIGS / "checkerboard_contrast5.json").read_text())
+    cfg.update({
+        "generate": {"L": 1.0, "raster": {"n1": 8, "n2": 8}},
+        "solve-cell": {"load": {"G": [[1, 0], [0, 0]]}},
+        "isotropy": {"seeds": [0, 1]},
+        "sweep-gamma": {"gammas": [1, 2]},
+        "recovery": {"isometry": {"kind": "cylinder", "radius": 1},
+                     "recovery": {"h_schedule": [0.4, 0.2],
+                                  "patch_size": 0.5}},
+    }.get(command, {}))
+    return cfg
+
+
+def set_path(cfg, path, value):
+    *blocks, key = [int(k) if k.isdigit() else k
+                    for k in path.replace("[", ".").replace("]", "")
+                    .split(".")]
+    for k in blocks:
+        cfg = cfg[k]
+    if value is DELETE:
+        del cfg[key]
+    else:
+        cfg[key] = value
+
+
+def write_field_file(path, header):
+    path.write_text(json.dumps(header) + "\n")
+    with open(path, "ab") as fh:
+        fh.write(np.zeros((8, 8, 5, 3)).tobytes())
+    return str(path)
+
+
+PROBES = [
+    # (command, path, value, text stderr must contain)
+    ("effective", "materials[0].mu", "x", "materials[0].mu"),
+    ("effective", "model.kind", DELETE, "model.kind"),
+    ("effective", "model.phase_count", "two", "model.phase_count"),
+    ("solve-cell", "load.B", [[1, 0], [0]], "load.B"),
+    ("isotropy", "rotations", "8", "rotations"),
+    ("recovery", "isometry", 3, "isometry: must be an object"),
+    ("recovery", "recovery.h_schedule", "0.1", "recovery.h_schedule"),
+    ("ergodic", "window", ["a", 0, 1, 1], "window"),
+    ("ergodic", "epsilons", ["x"], "epsilons"),
+    ("generate", "raster", 8, "raster: must be an object"),
+    ("recovery", "isometry.domain", [0, 0, 1], "isometry.domain"),
+    ("recovery", "recovery", [1], "recovery: must be an object"),
+    ("effective", "grid.n1", 8.5, "grid.n1"),
+    ("effective", "grid.n1", 8.0, "grid.n1"),
+    ("effective", "grid.n1", "8", "grid.n1"),
+    ("effective", "grid.gamma", "2", "grid.gamma"),
+    ("effective", "grid.gamma", True, "grid.gamma"),
+    ("solve-cell", "load", [1, 2], "load: must be an object"),
+    ("generate", "raster.n1", 8.5, "raster.n1"),
+    ("sweep-gamma", "gammas", [True, 2], "gammas"),
+    ("effective", "rescale_check", "false", "rescale_check"),
+    ("recovery", "recovery.cells_per_scale", 4.5, "recovery.cells_per_scale"),
+    ("recovery", "recovery.corrector_tol", "1e-10", "recovery.corrector_tol"),
+    ("effective", "materials[0].phase_id", 0.5, "materials[0].phase_id"),
+    ("effective", "model.period_hint", "0.5", "model.period_hint"),
+    ("decompose", "write_potential", "no", "write_potential"),
+    ("effective", "grid.gamma", float("nan"), "NaN is not a JSON number"),
+    ("effective", "comment", float("inf"), "Infinity is not a JSON number"),
+    ("effective", "grid", {"n1": BIG, "n2": BIG, "n3": 4, "gamma": 2.0,
+                           "L": 1.0}, "needs more memory"),
+    ("decompose", "field", {"n1": "8", "n2": 8, "n3": 4}, "field: malformed"),
+    ("decompose", "field", {"n1": 8.5, "n2": 8, "n3": 4}, "field: malformed"),
+]
+
+
+@pytest.mark.parametrize("command,path,value,text", PROBES,
+                         ids=["%s-%s-%d" % (p[0], p[1], k)
+                              for k, p in enumerate(PROBES)])
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, path,
+                                           value, text):
+    cfg = probe_base(command)
+    if path == "field":
+        value = write_field_file(tmp_path / "in.field", value)
+    set_path(cfg, path, value)
+    out = tmp_path / "o.json"
+    assert run(command, write_cfg(tmp_path, cfg), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("platecell: config error: ")
+    assert text in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "solve-cell", "effective",
+                                     "sweep-gamma", "isotropy", "ergodic",
+                                     "decompose", "recovery"])
+def test_probe_bases_are_valid(tmp_path, command):
+    cfg = write_cfg(tmp_path, probe_base(command))
+    assert run(command, cfg, tmp_path / "o.json") == 0
+
+
+def test_fields_are_checked_before_the_ensemble_is_solved(tmp_path, capsys,
+                                                          monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ensemble solved before the config was read")
+
+    monkeypatch.setattr("platecell.cli.ensemble_effective", fail)
+    cfg = probe_base("isotropy")
+    cfg["rotations"] = "8"
+    assert run("isotropy", write_cfg(tmp_path, cfg), tmp_path / "o.json") == 2
+    assert "rotations: must be an integer >= 8" in capsys.readouterr().err
+
+
+def test_every_config_field_is_documented():
+    readme = (CONFIGS.parent.parent / "README.md").read_text()
+    missing = [p for p in cli._FIELDS if "`%s`" % p not in readme]
+    assert not missing
+
+
+def test_cli_tour_demo_runs(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "cli_tour", CONFIGS.parent / "cli_tour.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main_demo()                # exits through SystemExit on a failure
+    assert "spread across gamma" in capsys.readouterr().out

@@ -155,6 +155,14 @@ def test_field_malformed_file(tmp_path):
     garbled.write_bytes(b"not json\n" + blob.split(b"\n", 1)[1])
     with pytest.raises(ConfigError):
         read_field(garbled)
+    body = blob.split(b"\n", 1)[1]
+    for header in ({"n1": "2", "n2": 2, "n3": 2}, {"n1": 2, "n2": 2, "n3": 2.5},
+                   {"n1": 2.0, "n2": 2, "n3": 2}, {"n1": True, "n2": 2, "n3": 2},
+                   [2, 2, 2]):
+        bad = tmp_path / "h.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ConfigError, match="h.bin"):
+            read_field(bad)
 
 
 def test_field_bytes_deterministic(tmp_path):

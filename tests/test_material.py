@@ -282,3 +282,14 @@ def test_material_table_rejects_duplicates_and_empty():
         material_table([(0, 1, 1), (0, 2, 2)])
     with pytest.raises(ConfigError):
         material_table([])
+
+
+def test_phase_id_must_be_an_integer():
+    for bad in (0.5, 1.0, "1", True, np.float64(1.0)):
+        with pytest.raises(ConfigError, match="phase_id must be an integer"):
+            PhaseMaterial(bad, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="phase_id"):
+            material_table([(bad, 1.0, 1.0)])
+    pm = PhaseMaterial(np.int64(3), 1.0, 1.0)
+    assert pm.phase_id == 3 and type(pm.phase_id) is int
+    assert set(material_table([(np.int32(0), 1, 1), (1, 2, 2)])) == {0, 1}

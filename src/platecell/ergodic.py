@@ -42,6 +42,10 @@ def _phase_values(f_table, phase_ids):
         missing = [p for p in phase_ids if p not in f_table]
         if missing:
             raise ConfigError("f_table lacks values for phases %s" % missing)
+        extra = sorted(int(p) for p in f_table if int(p) not in phase_ids)
+        if extra:
+            raise ConfigError("f_table has values for phases %s outside the "
+                              "model's phases %s" % (extra, phase_ids))
         out = np.zeros(max(phase_ids) + 1)
         for p, v in f_table.items():
             out[int(p)] = float(v)

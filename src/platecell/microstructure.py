@@ -17,10 +17,14 @@ they stay independent.
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRealizationError
+from .errors import ConfigError, DegenerateRealizationError, as_index
 
 _PERIODIC_KINDS = ("periodic_texture", "checkerboard")
 _KINDS = _PERIODIC_KINDS + ("poisson_voronoi",)
+
+# Queries per distance pass in _BucketIndex.query: large enough that numpy's
+# per-call overhead is small, small enough that the temporaries stay a few MB.
+_BLOCK = 4096
 
 
 def _rng(seed, stream):
@@ -48,11 +52,14 @@ class MicrostructureModel:
         if kind not in _KINDS:
             raise ConfigError("model.kind must be one of %s, got %r" % (_KINDS, kind))
         self.kind = kind
-        self.phase_count = int(phase_count)
+        self.phase_count = as_index(phase_count, "model.phase_count")
         if self.phase_count < 1:
             raise ConfigError("model.phase_count must be >= 1")
         self.period_hint = float(period_hint)
         self.intensity = None if intensity is None else float(intensity)
+        if not isinstance(resample_on_empty, (bool, np.bool_)):
+            raise ConfigError("model.resample_on_empty must be true or false, "
+                              "got %r" % (resample_on_empty,))
         self.resample_on_empty = bool(resample_on_empty)
 
         if kind in _PERIODIC_KINDS:
@@ -103,8 +110,8 @@ class PhaseGrid:
     """Phase ids sampled at the n1 x n2 element centers of the box (x3-constant)."""
 
     def __init__(self, n1, n2, box_side, cell_phase):
-        self.n1 = int(n1)
-        self.n2 = int(n2)
+        self.n1 = as_index(n1, "PhaseGrid.n1")
+        self.n2 = as_index(n2, "PhaseGrid.n2")
         self.box_side = float(box_side)
         cell_phase = np.asarray(cell_phase, dtype=np.int64)
         if cell_phase.shape != (self.n1, self.n2):
@@ -122,11 +129,14 @@ class PhaseGrid:
 class _BucketIndex:
     """Torus nearest-neighbour queries over [0, L)^2.
 
-    Points are binned into an nb x nb bucket lattice.  A query expands
-    Chebyshev rings of buckets outward (with wrap) and stops once the ring
-    lower bound (ring_index * bucket_size) strictly exceeds the best distance
-    found, so equal-distance candidates can never hide in an unvisited ring.
-    Ties are broken lexicographically on (x, y) with our own arithmetic.
+    Sites are binned into nb x nb buckets of side bs = L / nb, nb =
+    floor(sqrt(n)), and a table lists for each bucket the sites of its wrapped
+    3 x 3 block of buckets (padded with -1; all sites when nb <= 3).  Queries
+    take one torus distance pass over their bucket's row, in blocks of _BLOCK.
+    Sites outside the block lie at least bs away, so a best d^2 strictly below
+    (bs (1 - 1e-12))^2 is certified (the margin covers floor(p / bs) rounding
+    at bucket edges); other queries fall back to a pass over all sites.  Ties
+    go to minimum d^2, then minimum x, then minimum y.
     """
 
     def __init__(self, points, box_side):
@@ -136,79 +146,65 @@ class _BucketIndex:
         self.nb = max(1, int(np.sqrt(n)))
         self.bs = self.L / self.nb
         cells = np.floor(self.points / self.bs).astype(np.int64) % self.nb
-        flat = cells[:, 0] * self.nb + cells[:, 1]
-        order = np.argsort(flat, kind="stable")
-        self._sorted = order
-        self._starts = np.searchsorted(flat[order], np.arange(self.nb * self.nb + 1))
-
-    def _bucket_points(self, ci, cj):
-        f = (ci % self.nb) * self.nb + (cj % self.nb)
-        return self._sorted[self._starts[f]:self._starts[f + 1]]
-
-    def _ring_cells(self, ci, cj, k, visited):
-        """Unvisited bucket cells at Chebyshev radius k around (ci, cj)."""
-        out = []
-        if k == 0:
-            rng = [(0, 0)]
-        else:
-            rng = [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)
-                   if max(abs(di), abs(dj)) == k]
-        for di, dj in rng:
-            a, b = (ci + di) % self.nb, (cj + dj) % self.nb
-            if not visited[a, b]:
-                visited[a, b] = True
-                out.append((a, b))
-        return out
+        # (row, site) pairs, sorted by row; np.unique drops the repeats that
+        # wrapping makes when nb < 3
+        block = np.arange(-1, 2)
+        rows = (((cells[:, 0, None, None] + block[:, None]) % self.nb) * self.nb
+                + (cells[:, 1, None, None] + block) % self.nb)
+        row, site = np.divmod(np.unique(rows.reshape(n, 9) * n
+                                        + np.arange(n)[:, None]), n)
+        counts = np.bincount(row, minlength=self.nb * self.nb)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self._table = np.full((self.nb * self.nb, counts.max()), -1, np.int64)
+        self._table[row, col] = site
+        self._certified = (np.inf if self.nb <= 3
+                           else (self.bs * (1.0 - 1e-12)) ** 2)
 
     def query(self, q):
         """Nearest-point indices for query points q (M, 2), already wrapped."""
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        M = len(q)
-        result = np.empty(M, dtype=np.int64)
         cells = np.floor(q / self.bs).astype(np.int64) % self.nb
         flat = cells[:, 0] * self.nb + cells[:, 1]
-        # group queries sharing a bucket so ring scans are amortized
-        order = np.argsort(flat, kind="stable")
-        starts = np.flatnonzero(np.r_[True, np.diff(flat[order]) != 0])
-        bounds = np.r_[starts, M]
-        px, py = self.points[:, 0], self.points[:, 1]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            idx = order[s:e]
-            qg = q[idx]
-            ci, cj = int(cells[idx[0], 0]), int(cells[idx[0], 1])
-            visited = np.zeros((self.nb, self.nb), dtype=bool)
-            cand = []
-            best = np.full(len(idx), np.inf)
-            k = 0
-            while True:
-                ring = self._ring_cells(ci, cj, k, visited)
-                fresh = [self._bucket_points(a, b) for a, b in ring]
-                fresh = [f for f in fresh if len(f)]
-                if fresh:
-                    newc = np.concatenate(fresh)
-                    cand.append(newc)
-                    d2 = self._torus_d2(qg, newc)
-                    best = np.minimum(best, d2.min(axis=1))
-                done = visited.all()
-                if done or (np.isfinite(best).all()
-                            and k * self.bs > np.sqrt(best.max())):
-                    break
-                k += 1
-            cand = np.concatenate(cand)
-            d2 = self._torus_d2(qg, cand)
-            m = d2.min(axis=1, keepdims=True)
-            tie = d2 == m
-            X = np.where(tie, px[cand][None, :], np.inf)
-            tie &= X == X.min(axis=1, keepdims=True)
-            Y = np.where(tie, py[cand][None, :], np.inf)
-            tie &= Y == Y.min(axis=1, keepdims=True)
-            result[idx] = cand[np.argmax(tie, axis=1)]
+        result = np.empty(len(q), dtype=np.int64)
+        best = np.empty(len(q))
+        for s in range(0, len(q), _BLOCK):
+            at = slice(s, s + _BLOCK)
+            result[at], best[at] = self._nearest(q[at], self._table[flat[at]])
+        n = len(self.points)
+        # fallback blocks hold as many elements as the table pass's
+        step = max(1, _BLOCK * self._table.shape[1] // n)
+        redo = np.flatnonzero(~(best < self._certified))
+        for s in range(0, len(redo), step):
+            at = redo[s:s + step]
+            result[at] = self._nearest(
+                q[at], np.broadcast_to(np.arange(n), (len(at), n)))[0]
         return result
 
-    def _torus_d2(self, qg, cand):
-        d = np.abs(qg[:, None, :] - self.points[cand][None, :, :])
-        d = np.minimum(d, self.L - d)
-        return d[..., 0] ** 2 + d[..., 1] ** 2
+    def _nearest(self, q, rows):
+        """Site index and d^2 of each query's nearest site in its row of
+        `rows` (M, w), where -1 pads."""
+        px, py = self.points[:, 0], self.points[:, 1]
+        dx = q[:, 0, None] - px[rows]
+        dy = q[:, 1, None] - py[rows]
+        for d in (dx, dy):     # in place: d = min(|d|, L - |d|)^2
+            np.abs(d, out=d)
+            np.minimum(d, self.L - d, out=d)
+            d *= d
+        d2 = np.add(dx, dy, out=dx)
+        d2[rows < 0] = np.inf
+        k = np.argmin(d2, axis=1)
+        at = np.arange(len(q))
+        best = d2[at, k]
+        tie = d2 == best[:, None]
+        t = np.flatnonzero(tie.sum(axis=1) > 1)
+        if len(t):
+            tie, cand = tie[t], rows[t]
+            X = np.where(tie, px[cand], np.inf)
+            tie &= X == X.min(axis=1, keepdims=True)
+            Y = np.where(tie, py[cand], np.inf)
+            tie &= Y == Y.min(axis=1, keepdims=True)
+            k[t] = np.argmax(tie, axis=1)
+        return rows[at, k], best
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +341,7 @@ def _tensor_points(xs, ys):
 
 def rasterize(r, n1, n2):
     """Phase ids at element centers ((i+1/2) L/n1, (j+1/2) L/n2)."""
-    n1, n2 = int(n1), int(n2)
+    n1, n2 = as_index(n1, "rasterize: n1"), as_index(n2, "rasterize: n2")
     if n1 < 1 or n2 < 1:
         raise ConfigError("rasterize: n1, n2 must be >= 1")
     L = r.box_side

@@ -523,11 +523,18 @@ def recovery_gaps(family, h_schedule=None):
     Returns:
         dict with h_schedule, scaled (list), limit (float), gaps (list of
         (scaled - limit) / limit).
+
+    Raises:
+        ConfigError: the limit energy is 0 (a flat isometry), where relative
+            gaps are undefined.
     """
     hs = h_schedule if h_schedule is not None else family.cfg.h_schedule
     if not hs:
         raise ConfigError("recovery_gaps: no h_schedule given")
     limit = limit_energy(family.source.effective(), family.iso)
+    if limit == 0:
+        raise ConfigError("isometry: the limit energy of kind %r is 0, so "
+                          "relative gaps are undefined" % family.iso.kind)
     scaled = [evaluate_scaled_energy(family.sampler(h)) for h in hs]
     gaps = [(s - limit) / limit for s in scaled]
     return {"h_schedule": list(hs), "scaled": scaled, "limit": limit,

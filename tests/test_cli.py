@@ -384,6 +384,8 @@ PROBES = [
                            "L": 1.0}, "needs more memory"),
     ("decompose", "field", {"n1": "8", "n2": 8, "n3": 4}, "field: malformed"),
     ("decompose", "field", {"n1": 8.5, "n2": 8, "n3": 4}, "field: malformed"),
+    ("ergodic", "f_table", {"0": 0, "1": 1, "5": 2}, "f_table"),
+    ("recovery", "isometry", {"kind": "flat"}, "isometry"),
 ]
 
 

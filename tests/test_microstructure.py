@@ -30,6 +30,12 @@ def voronoi_model(intensity=50.0, probs=None, phases=2, resample=False):
 def test_model_rejects_bad_kind():
     with pytest.raises(ConfigError):
         MicrostructureModel("brick_wall")
+    # fields are checked, not coerced: 1.5 phases is not one phase
+    for kwargs in ({"phase_count": 1.5}, {"phase_count": "2"},
+                   {"phase_count": True}, {"resample_on_empty": "no"},
+                   {"resample_on_empty": 1}):
+        with pytest.raises(ConfigError):
+            MicrostructureModel("checkerboard", **kwargs)
 
 
 def test_model_rejects_bad_probabilities():
@@ -164,6 +170,19 @@ def test_rasterize_matches_brute_force():
             assert pg.cell_phase[i, j] == r.marks[k]
 
 
+def _assert_sites_match_brute_force(r, queries):
+    """phase_at's site for every query is the oracle's, index for index.
+
+    Marks are set to the site indices, so a wrong site with the right mark
+    cannot pass."""
+    r = MicrostructureRealization(r.model, r.seed, r.box_side, points=r.points,
+                                  marks=np.arange(len(r.points)),
+                                  offset=r.offset)
+    wrapped = np.mod(queries + r.offset, r.box_side)
+    want = [brute_nearest(r.points, r.box_side, q) for q in wrapped]
+    npt.assert_array_equal(phase_at(r, queries), want)
+
+
 def test_phase_at_brute_force_random_queries():
     r = sample_realization(voronoi_model(intensity=40.0), 13, 2.0)
     rng = np.random.default_rng(10)
@@ -171,6 +190,48 @@ def test_phase_at_brute_force_random_queries():
     got = phase_at(r, queries)
     want = [r.marks[brute_nearest(r.points, 2.0, q)] for q in queries]
     npt.assert_array_equal(got, want)
+    model = voronoi_model()
+
+    # a 6 x 6 unit lattice at half-integers: 2- and 4-way ties, some of them
+    # only through the wrap (x = 5.5 is 0.5 from the sites at 5 and at 0);
+    # the sites are listed in reverse so that index order breaks no tie
+    grid = np.arange(6.0)
+    lattice = np.stack(np.meshgrid(grid, grid, indexing="ij"),
+                       -1).reshape(-1, 2)[::-1]
+    half = np.arange(12) * 0.5
+    ties = np.stack(np.meshgrid(half, half, indexing="ij"), -1).reshape(-1, 2)
+    _assert_sites_match_brute_force(
+        MicrostructureRealization(model, 0, 6.0, points=lattice,
+                                  marks=np.zeros(36)), ties)
+
+    # at most 3 x 3 buckets: every query sees every site
+    for n in (1, 2, 5, 9):
+        pts = rng.random((n, 2)) * 3.0
+        _assert_sites_match_brute_force(
+            MicrostructureRealization(model, 0, 3.0, points=pts,
+                                      marks=np.zeros(n)),
+            rng.random((300, 2)) * 3.0)
+
+    # dense: about 750 sites
+    r = sample_realization(voronoi_model(intensity=47.0), 5, 4.0)
+    assert 700 <= len(r.points) <= 800
+    _assert_sites_match_brute_force(r, rng.random((20000, 2)) * 4.0)
+
+    # clustered in one quadrant of a 16 x 16 box (8 x 8 buckets of side 2):
+    # far queries' nearest site lies more than one bucket side away
+    pts = rng.random((64, 2)) * 8.0
+    queries = rng.random((2000, 2)) * 16.0
+    d = np.abs(queries[:, None, :] - pts)
+    d = np.minimum(d, 16.0 - d)
+    assert np.sqrt((d * d).sum(axis=2).min(axis=1).max()) > 16.0 / 8
+    _assert_sites_match_brute_force(
+        MicrostructureRealization(model, 0, 16.0, points=pts,
+                                  marks=np.zeros(64)), queries)
+
+    # a shifted realization, queried outside the box too
+    r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
+    _assert_sites_match_brute_force(shift(r, (0.73, -1.91)),
+                                    rng.random((500, 2)) * 6.0 - 3.0)
 
 
 def test_zero_point_draw_raises_or_resamples():
@@ -261,6 +322,9 @@ def test_phase_grid_validation():
     from platecell import PhaseGrid
     with pytest.raises(ConfigError):
         PhaseGrid(2, 2, 1.0, np.zeros((3, 2), dtype=int))
+    for n1 in (2.0, "2", True):
+        with pytest.raises(ConfigError):
+            PhaseGrid(n1, 2, 1.0, np.zeros((2, 2), dtype=int))
     pg = PhaseGrid(2, 3, 1.0, np.array([[0, 1, 0], [1, 0, 1]]))
     assert pg.phase_ids() == [0, 1]
 
@@ -269,3 +333,6 @@ def test_rasterize_rejects_empty_grid():
     r = sample_realization(voronoi_model(intensity=30.0), 1, 1.0)
     with pytest.raises(ConfigError):
         rasterize(r, 0, 4)
+    for n1, n2 in ((4.5, 4), (4, 4.0), ("4", 4)):
+        with pytest.raises(ConfigError):
+            rasterize(r, n1, n2)

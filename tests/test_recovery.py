@@ -588,3 +588,12 @@ def test_recovery_gaps_needs_schedule():
         recovery_gaps(fam)
     out = recovery_gaps(fam, h_schedule=[0.4])
     assert set(out) == {"h_schedule", "scaled", "limit", "gaps"}
+
+
+def test_recovery_gaps_refuse_a_zero_limit():
+    """A flat isometry's limit energy is exactly 0: relative gaps are
+    undefined there, so the gaps are refused instead of dividing by 0."""
+    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    with pytest.raises(ConfigError, match="isometry"):
+        recovery_gaps(fam, h_schedule=[0.4])

@@ -2,8 +2,10 @@
 
 A recovery deformation is built from the target isometry, the corrector
 cell fields, and a thickness parameter h. As h shrinks, the scaled 3D
-energy of that deformation approaches the limiting bending energy from
-above; the gap is the price of the finite thickness.
+energy of that deformation falls towards the limiting bending energy from
+above; the gap is the price of the finite thickness plus a fixed share from
+the cutoff collars, where the corrector is switched off near patch
+boundaries.
 """
 
 import time

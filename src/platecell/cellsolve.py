@@ -1,18 +1,20 @@
 """Discrete cell problems on the periodic RVE (torus^2 x interval).
 
-The minimization is over nodal 3-vector fields phi on a structured trilinear
-hexahedral grid: n1 x n2 in-plane element columns (periodically identified,
-no duplicated nodes) times n3 layers through the thickness [-1/2, 1/2] with
-free ends.  The strain of a candidate field is
+The minimization is over nodal 3-vector fields phi on the structured slab
+mesh of `_mesh`: n1 x n2 periodic in-plane element columns times n3 trilinear
+layers through the thickness [-1/2, 1/2] with free ends.  The strain of a
+candidate field is
 
     sym( d1 phi, d2 phi, (1/gamma) d3 phi )
 
 and the load contributes iota(B + x3 G) with iota the 2x2 -> 3x3 upper-left
 embedding, so the energy is the volume average of the per-phase quadratic
-form over 2x2x2 Gauss points (exact for the x3-quadratic load term).
+form over 2x2x2 Gauss points (exact for the x3-quadratic load term).  The
+strain matrices are the mesh's reference gradients scaled by the element
+sizes, with 1/(gamma hz) through the thickness.
 
 The stationarity system is solved matrix-free: one 24x24 element kernel per
-phase, gather -> batched GEMM -> scatter via bincount, conjugate gradients
+phase, gather -> batched GEMM -> the mesh's scatter, conjugate gradients
 with the 3-dimensional translation kernel projected out each iteration.  The
 preconditioner is the exact inverse of a homogeneous reference medium (Lame
 constants the geometric means of the phases present): its stiffness is
@@ -28,10 +30,9 @@ closure.
 import numpy as np
 
 from ._krylov import block_pcg
+from ._mesh import GAUSS, dN, nodes, scatter
 from .errors import ConfigError, NumericalError, as_index
 from .material import SQRT2, isotropic_form
-
-_GA = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,51 +137,24 @@ def sym2_to_voigt3(M):
 # Element machinery
 # ---------------------------------------------------------------------------
 
-def _shape_gradients():
-    """Reference-cell shape-function gradients at the 8 Gauss points.
-
-    Returns (dN, gz): dN has shape (8 gauss, 3 dirs, 8 nodes) on the unit
-    reference cell, gz the zeta-coordinates of the Gauss points.  Local node
-    and Gauss indices both use l = ix + 2*iy + 4*iz ordering.
-    """
-    dN = np.empty((8, 3, 8))
-    gz = np.empty(8)
-    lin = ((lambda s: 1.0 - s, lambda s: s), (-1.0, 1.0))
-    for q in range(8):
-        qx, qy, qz = q & 1, (q >> 1) & 1, (q >> 2) & 1
-        xi, eta, zeta = _GA[qx], _GA[qy], _GA[qz]
-        gz[q] = zeta
-        for l in range(8):
-            dx, dy, dz = l & 1, (l >> 1) & 1, (l >> 2) & 1
-            fx, fy, fz = lin[0][dx](xi), lin[0][dy](eta), lin[0][dz](zeta)
-            dN[q, 0, l] = lin[1][dx] * fy * fz
-            dN[q, 1, l] = fx * lin[1][dy] * fz
-            dN[q, 2, l] = fx * fy * lin[1][dz]
-    return dN, gz
-
-
 def _strain_matrices(grid):
     """B-matrices (8 gauss, 6 voigt, 24 dof) incl. the (1/gamma) d3 scaling."""
-    dN, gz = _shape_gradients()
     hx = grid.box_side / grid.n1
     hy = grid.box_side / grid.n2
     hz = 1.0 / grid.n3
     sc = np.array([1.0 / hx, 1.0 / hy, 1.0 / (grid.gamma * hz)])
-    B = np.zeros((8, 6, 24))
-    for q in range(8):
-        gx, gy, gzs = dN[q, 0] * sc[0], dN[q, 1] * sc[1], dN[q, 2] * sc[2]
-        for l in range(8):
-            ux, uy, uz = 3 * l, 3 * l + 1, 3 * l + 2
-            B[q, 0, ux] = gx[l]
-            B[q, 1, uy] = gy[l]
-            B[q, 2, uz] = gzs[l]
-            B[q, 3, uy] = gzs[l] / SQRT2
-            B[q, 3, uz] = gy[l] / SQRT2
-            B[q, 4, ux] = gzs[l] / SQRT2
-            B[q, 4, uz] = gx[l] / SQRT2
-            B[q, 5, ux] = gy[l] / SQRT2
-            B[q, 5, uy] = gx[l] / SQRT2
-    return B, gz
+    gx, gy, gz = (dN * sc[:, None]).transpose(1, 0, 2)    # each (8 gauss, 8)
+    B = np.zeros((8, 6, 8, 3))                           # dof 3 * node + comp
+    B[:, 0, :, 0] = gx
+    B[:, 1, :, 1] = gy
+    B[:, 2, :, 2] = gz
+    B[:, 3, :, 1] = gz / SQRT2
+    B[:, 3, :, 2] = gy / SQRT2
+    B[:, 4, :, 0] = gz / SQRT2
+    B[:, 4, :, 2] = gx / SQRT2
+    B[:, 5, :, 0] = gy / SQRT2
+    B[:, 5, :, 1] = gx / SQRT2
+    return B.reshape(8, 6, 24)
 
 
 class CellOperator:
@@ -207,16 +181,9 @@ class CellOperator:
         self.ndof = 3 * grid.n_nodes
 
         # --- connectivity -------------------------------------------------
-        i, j, k = np.ogrid[:n1, :n2, :n3]
-        edof = np.empty((grid.n_elements, 24), dtype=np.int64)
-        for l in range(8):
-            dx, dy, dz = l & 1, (l >> 1) & 1, (l >> 2) & 1
-            node = (((i + dx) % n1) * n2 + (j + dy) % n2) * (n3 + 1) + (k + dz)
-            edof[:, 3 * l] = 3 * node.ravel()
-            edof[:, 3 * l + 1] = 3 * node.ravel() + 1
-            edof[:, 3 * l + 2] = 3 * node.ravel() + 2
-        self.edof = edof
-        self.layer = np.tile(k.ravel(), n1 * n2)    # thickness layer per element
+        self.edof = (3 * nodes(n1, n2, n3)[..., None]
+                     + np.arange(3)).reshape(-1, 24)
+        self.layer = np.tile(np.arange(n3), n1 * n2)  # thickness layer per element
 
         # phase per element (constant along the column)
         self.phase_ids = [int(p) for p in present]
@@ -227,10 +194,11 @@ class CellOperator:
                              for p in range(len(self.phase_ids))]
 
         # --- element kernels ----------------------------------------------
-        B, gz = _strain_matrices(grid)
+        B = _strain_matrices(grid)
         self.Bq = B                                  # (8, 6, 24)
         self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
         hz = 1.0 / n3
+        gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
         self.zq = -0.5 + (np.arange(n3)[:, None] + gz[None, :]) * hz   # (n3, 8)
         self.forms = np.stack([materials[pid].q0.voigt for pid in self.phase_ids])
         self.ke = np.einsum("qci,pcd,qdj->pij", B, self.forms, B) * self.wq
@@ -302,12 +270,7 @@ class CellOperator:
         Ve = np.empty_like(Ue)
         for ke, sel in zip(kernels, groups):
             Ve[sel] = np.matmul(ke, Ue[sel])
-        out = np.empty_like(U)
-        flat = edof.ravel()
-        for c in range(U.shape[1]):
-            out[:, c] = np.bincount(flat, weights=Ve[..., c].ravel(),
-                                    minlength=self.ndof)
-        return out
+        return scatter(edof, Ve, self.ndof)
 
     # --- loads ---------------------------------------------------------------
     def load_strains(self, load):
@@ -322,17 +285,11 @@ class CellOperator:
 
     def rhs(self, loads):
         """Right-hand sides -f for a list of loads: (ndof, m)."""
-        m = len(loads)
-        out = np.zeros((self.ndof, m))
-        flat = self.edof.ravel()
-        for c, load in enumerate(loads):
-            eps = self.load_strains(load)                       # (n3, 8, 6)
-            # per (phase, layer) element load vector
-            fe = np.einsum("qci,pcd,kqd->pki", self.Bq, self.forms, eps) * self.wq
-            gathered = fe[self.phase_el, self.layer]            # (n_el, 24)
-            out[:, c] = -np.bincount(flat, weights=gathered.ravel(),
-                                     minlength=self.ndof)
-        return out
+        # per (phase, layer) element load vectors, (n_phases, n3, 24, m)
+        fe = np.stack([np.einsum("qci,pcd,kqd->pki", self.Bq, self.forms,
+                                 self.load_strains(load)) * self.wq
+                       for load in loads], axis=-1)
+        return -scatter(self.edof, fe[self.phase_el, self.layer], self.ndof)
 
     # --- strains and energies ------------------------------------------------
     def corrector_strains(self, u):

@@ -7,9 +7,10 @@ Two decompositions live here.
    a gradient part nabla(psi) with psi a nodal scalar, and a remainder that is
    L2-orthogonal to every discrete gradient.  The potential psi solves the
    Neumann/periodic Poisson problem <grad psi, grad chi> = <f - mean, grad chi>
-   with the same trilinear elements and 2x2x2 Gauss rule as the cell solver.
-   The gradient here is the plain geometric one -- no thickness rescaling --
-   so the splitting depends only on the mesh, not on gamma.
+   on the cell solver's slab mesh (`_mesh`: trilinear elements, 2x2x2 Gauss
+   rule, the same connectivity and scatter).  The gradient here is the plain
+   geometric one -- the reference gradients over hx, hy, hz, no thickness
+   rescaling -- so the splitting depends only on the mesh, not on gamma.
 
    Both output parts are stored as Gauss-point fields ("gauss" layout):
    projecting nabla(psi) back to nodes would re-introduce O(h^2) components
@@ -28,13 +29,10 @@ Two decompositions live here.
    null-Lagrangian identity div(cof grad b) = 0 on sampled vector fields.
 """
 
-import functools
-
 import numpy as np
 
+from ._mesh import N, dN, nodes, scatter
 from .errors import ConfigError, ConvergenceError
-
-_GA = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 
 _LAYOUTS = ("nodes", "gauss")
 
@@ -79,77 +77,34 @@ class MixedDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Scalar trilinear machinery (shared grid, unscaled vertical derivative)
+# Scalar fields on the slab mesh (unscaled vertical derivative)
 # ---------------------------------------------------------------------------
 
 def _scalar_tables(grid):
-    """Shape values N (8,8), gradients B (8,3,8) and weights at Gauss points.
+    """Gradients B (8 gauss, 3, 8 nodes) and the weight of each Gauss point.
 
-    Node and Gauss orderings are l = ix + 2*iy + 4*iz on the reference cube;
-    gradients are physical (element sizes hx, hy, hz = L/n1, L/n2, 1/n3).
-    Built once per spacing; the arrays are shared and read-only.
+    B is the mesh's reference gradients divided by the element sizes
+    hx, hy, hz = L/n1, L/n2, 1/n3.
     """
-    return _scalar_tables_at(grid.box_side / grid.n1, grid.box_side / grid.n2,
-                             1.0 / grid.n3)
-
-
-@functools.lru_cache(maxsize=8)
-def _scalar_tables_at(hx, hy, hz):
-    corners = [(ix, iy, iz) for iz in (0, 1) for iy in (0, 1) for ix in (0, 1)]
-    sc = np.array([1.0 / hx, 1.0 / hy, 1.0 / hz])
-    N = np.empty((8, 8))
-    B = np.empty((8, 3, 8))
-    for q in range(8):
-        g = (_GA[q % 2], _GA[(q // 2) % 2], _GA[q // 4])
-        for l, (ix, iy, iz) in enumerate(corners):
-            f = ((g[0] if ix else 1.0 - g[0]),
-                 (g[1] if iy else 1.0 - g[1]),
-                 (g[2] if iz else 1.0 - g[2]))
-            N[q, l] = f[0] * f[1] * f[2]
-            B[q, 0, l] = (1.0 if ix else -1.0) * f[1] * f[2] * sc[0]
-            B[q, 1, l] = (1.0 if iy else -1.0) * f[0] * f[2] * sc[1]
-            B[q, 2, l] = (1.0 if iz else -1.0) * f[0] * f[1] * sc[2]
-    N.flags.writeable = False
-    B.flags.writeable = False
-    wq = hx * hy * hz / 8.0
-    return N, B, wq
-
-
-def _scalar_edof(grid):
-    """(n_elements, 8) node indices, periodic in-plane, layered vertically.
-
-    Built once per grid shape; the array is shared and read-only.
-    """
-    return _scalar_edof_of(grid.n1, grid.n2, grid.n3)
-
-
-@functools.lru_cache(maxsize=8)
-def _scalar_edof_of(n1, n2, n3):
-    i, j, k = np.ogrid[:n1, :n2, :n3]
-    edof = np.empty((n1 * n2 * n3, 8), dtype=np.int64)
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                node = (((i + dx) % n1) * n2 + (j + dy) % n2) * (n3 + 1) \
-                    + (k + dz)
-                edof[:, dx + 2 * dy + 4 * dz] = node.ravel()
-    edof.flags.writeable = False
-    return edof
+    hx, hy = grid.box_side / grid.n1, grid.box_side / grid.n2
+    hz = 1.0 / grid.n3
+    B = dN * np.array([1.0 / hx, 1.0 / hy, 1.0 / hz])[:, None]
+    return B, hx * hy * hz / 8.0
 
 
 def _to_gauss(field):
     """Interpolate a MixedField to Gauss layout (identity if already there)."""
     if field.layout == "gauss":
         return field.values
-    N, _, _ = _scalar_tables(field.grid)
-    return N @ field.values.reshape(-1, 3)[_scalar_edof(field.grid)]
+    grid = field.grid
+    return N @ field.values.reshape(-1, 3)[nodes(grid.n1, grid.n2, grid.n3)]
 
 
 def mixed_inner(a, b):
     """Physical L2 inner product of two fields via the 2x2x2 Gauss rule."""
     if a.grid is not b.grid and a.grid.to_dict() != b.grid.to_dict():
         raise ConfigError("mixed_inner: fields live on different grids")
-    _, _, wq = _scalar_tables(a.grid)
+    _, wq = _scalar_tables(a.grid)
     return float(wq * np.sum(_to_gauss(a) * _to_gauss(b)))
 
 
@@ -167,8 +122,9 @@ def gradient_field(grid, scalar):
     if scalar.shape != (grid.n1, grid.n2, grid.n3 + 1):
         raise ConfigError("gradient_field: scalar must be nodal, shape %s"
                           % ((grid.n1, grid.n2, grid.n3 + 1),))
-    _, B, _ = _scalar_tables(grid)
-    vals = scalar.reshape(-1)[_scalar_edof(grid)] @ B.reshape(24, 8).T
+    B, _ = _scalar_tables(grid)
+    edof = nodes(grid.n1, grid.n2, grid.n3)
+    vals = scalar.reshape(-1)[edof] @ B.reshape(24, 8).T
     return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
 
 
@@ -253,9 +209,9 @@ def decompose_mixed(field, tol=1e-10):
     if not 0 < tol < 1:
         raise ConfigError("decompose_mixed: tol must lie in (0, 1)")
     grid = field.grid
-    _, B, wq = _scalar_tables(grid)
+    B, wq = _scalar_tables(grid)
     B = B.reshape(24, 8)                  # rows (Gauss point, component)
-    edof = _scalar_edof(grid)
+    edof = nodes(grid.n1, grid.n2, grid.n3)
     sol = _to_gauss(field)
     volume = wq * 8.0 * grid.n_elements
     mean = (wq / volume) * sol.sum(axis=(0, 1))
@@ -263,13 +219,12 @@ def decompose_mixed(field, tol=1e-10):
 
     n_nodes = grid.n_nodes
     fe = wq * (sol.reshape(-1, 24) @ B)
-    rhs = np.bincount(edof.ravel(), weights=fe.ravel(), minlength=n_nodes)
+    rhs = scatter(edof, fe, n_nodes)
     rhs -= rhs.mean()
     psi = _poisson_solve(grid, rhs)
 
     ke = wq * (B.T @ B)
-    Kpsi = np.bincount(edof.ravel(), weights=(psi[edof] @ ke).ravel(),
-                       minlength=n_nodes)
+    Kpsi = scatter(edof, psi[edof] @ ke, n_nodes)
     bnorm = np.linalg.norm(rhs)
     res = float(np.linalg.norm(rhs - Kpsi) / (bnorm if bnorm > 0 else 1.0))
     if not res <= tol:
@@ -299,7 +254,7 @@ def orthogonality_report(field, decomposition=None, tol=1e-10):
     dec = decomposition if decomposition is not None \
         else decompose_mixed(field, tol=tol)
     grid = field.grid
-    _, _, wq = _scalar_tables(grid)
+    _, wq = _scalar_tables(grid)
     volume = wq * 8.0 * grid.n_elements
     fg = _to_gauss(field)
     p, s = dec.potential.values, dec.solenoidal.values

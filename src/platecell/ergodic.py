@@ -191,26 +191,21 @@ def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):
                           "(ensemble statistics are meaningless for one)")
 
     def one(seed):
-        r = sample_realization(model, seed, grid.box_side)
-        phases = rasterize(r, grid.n1, grid.n2)
-        return effective_form(grid, phases, materials, tol=tol)
+        try:
+            r = sample_realization(model, seed, grid.box_side)
+            phases = rasterize(r, grid.n1, grid.n2)
+            return effective_form(grid, phases, materials, tol=tol)
+        except NumericalError as exc:
+            annotated = type(exc)("seed %d: %s" % (seed, exc))
+            annotated.__dict__.update(exc.__dict__)   # keeps residual_history
+            raise annotated from exc
 
     if threads <= 1:
-        forms = []
-        for s in seeds:
-            try:
-                forms.append(one(s))
-            except NumericalError as exc:
-                raise type(exc)("seed %d: %s" % (s, exc)) from exc
+        forms = [one(s) for s in seeds]    # stops at the first failing seed
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
             futures = [ex.submit(one, s) for s in seeds]
-            forms = []
-            for s, fut in zip(seeds, futures):
-                try:
-                    forms.append(fut.result())
-                except NumericalError as exc:
-                    raise type(exc)("seed %d: %s" % (s, exc)) from exc
+            forms = [fut.result() for fut in futures]
     return EnsembleResult(seeds, forms)
 
 

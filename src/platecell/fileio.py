@@ -70,7 +70,8 @@ def realization_from_dict(d):
             pts = None
             marks = None
         return MicrostructureRealization(
-            model, int(d["seed"]), float(d["box_side"]),
+            model, as_index(d["seed"], "realization file: seed"),
+            float(d["box_side"]),
             points=pts, marks=marks,
             offset=np.asarray(d.get("offset", (0.0, 0.0)), dtype=float))
     except (KeyError, TypeError, IndexError) as exc:
@@ -88,7 +89,8 @@ def phase_grid_to_dict(pg):
 
 def phase_grid_from_dict(d):
     try:
-        n1, n2 = int(d["n1"]), int(d["n2"])
+        n1 = as_index(d["n1"], "n1")
+        n2 = as_index(d["n2"], "n2")
         cells = np.asarray(d["cell_phase"], dtype=np.int64).reshape(n1, n2)
         return PhaseGrid(n1, n2, float(d["box_side"]), cells)
     except (KeyError, TypeError, ValueError) as exc:

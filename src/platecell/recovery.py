@@ -12,8 +12,10 @@ Their gap shrinks as the thickness does, up to the fixed cost of the cutoff
 collars where the corrector is suppressed.
 
 The corrector lives on the same discrete cell problem used for the effective
-form (same grid, same material table), so the microscale phase layout seen by
-the energy is by construction the one the corrector was optimized for.
+form (same grid, same material table), and the quadrature finds both a
+point's phase and its corrector corners through the slab mesh's one in-plane
+lookup (`_mesh.locate`), so the microscale phase layout seen by the energy is
+by construction the one the corrector was optimized for.
 
 Evaluation works per node layer: the corrector is trilinear, so a plan
 gathers each point's in-plane corners once and stores, for every node layer
@@ -24,12 +26,11 @@ energy quadrature takes its points grouped by phase, in fixed-size blocks.
 
 import numpy as np
 
+from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, effective_form, qgamma_eval, solve_corrector
 from .errors import ConfigError
 from .material import svk_energy
 from .microstructure import _tensor_points
-
-_G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 # Quadrature points per plan in evaluate_scaled_energy: large enough that
 # numpy's per-call overhead is small, small enough that a plan's node-layer
@@ -204,11 +205,8 @@ class CellCorrectorSource:
         return self._form
 
     def phase_of_points(self, ypts):
-        """Phase ids of wrapped cell coordinates (matching the solve)."""
-        n1, n2 = self.grid.n1, self.grid.n2
-        L = self.grid.box_side
-        i = np.floor(ypts[:, 0] * n1 / L).astype(np.int64) % n1
-        j = np.floor(ypts[:, 1] * n2 / L).astype(np.int64) % n2
+        """Phase ids at cell coordinates, wrapped onto the cell grid."""
+        (i, j), _, _ = locate(ypts, self.grid)
         return self.phases.cell_phase[i, j]
 
 
@@ -278,8 +276,8 @@ class RecoveryFamily:
         form is even) but not for the cross term here.
         """
         a0, b0, a1, b1 = rect
-        gx = [a0 + g * (a1 - a0) for g in _G2]
-        gy = [b0 + g * (b1 - b0) for g in _G2]
+        gx = [a0 + g * (a1 - a0) for g in GAUSS]
+        gy = [b0 + g * (b1 - b0) for g in GAUSS]
         pts = np.array([(x, y) for x in gx for y in gy])
         II = self.iso.second_form(pts)
         A = -II.mean(axis=0)
@@ -390,15 +388,7 @@ class DeformationSampler:
         table = np.array([slot[id(v)] for v in values])[np.maximum(patch, 0)]
         T = np.stack(distinct).transpose(4, 3, 0, 1, 2).reshape(
             3, self._n3 + 1, -1)
-        yw = np.mod(xp / eps, grid.box_side)
-        sx = yw[:, 0] / self._hx
-        sy = yw[:, 1] / self._hy
-        i0 = np.floor(sx).astype(np.int64) % n1
-        j0 = np.floor(sy).astype(np.int64) % n2
-        i1 = (i0 + 1) % n1
-        j1 = (j0 + 1) % n2
-        tx = sx - np.floor(sx)
-        ty = sy - np.floor(sy)
+        (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps, grid)
         # in-plane corners, all node layers at once: (3, n3+1, M)
         row0, row1 = (table * n1 + i0) * n2, (table * n1 + i1) * n2
         c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
@@ -481,17 +471,17 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     if (x1 - x0) / ncx > eps / 2.0 or (y1 - y0) / ncy > eps / 2.0:
         raise ConfigError("evaluate_scaled_energy: in-plane quadrature does "
                           "not resolve the microscale")
-    gx = (np.arange(ncx)[:, None] + np.asarray(_G2)).ravel() * (x1 - x0) / ncx
-    gy = (np.arange(ncy)[:, None] + np.asarray(_G2)).ravel() * (y1 - y0) / ncy
+    gx = (np.arange(ncx)[:, None] + np.asarray(GAUSS)).ravel() * (x1 - x0) / ncx
+    gy = (np.arange(ncy)[:, None] + np.asarray(GAUSS)).ravel() * (y1 - y0) / ncy
     xp = _tensor_points(x0 + gx, y0 + gy)
     w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
 
     source = family.source
-    phases = source.phase_of_points(np.mod(xp / eps, source.grid.box_side))
+    phases = source.phase_of_points(xp / eps)
     order = np.argsort(phases, kind="stable")
     cuts = np.flatnonzero(np.diff(phases[order])) + 1
     n3 = source.grid.n3
-    heights = [-0.5 + (k + gq) / n3 for k in range(n3) for gq in _G2]
+    heights = [-0.5 + (k + gq) / n3 for k in range(n3) for gq in GAUSS]
     total = 0.0
     for group in np.split(order, cuts):
         mat = source.materials[int(phases[group[0]])]

@@ -20,11 +20,11 @@ from platecell import (
     orthogonality_report,
     random_mixed_field,
 )
-from platecell import decomposition
+from platecell import _mesh
 from platecell._krylov import block_pcg
+from platecell._mesh import nodes
 from platecell.decomposition import (
     _eigenbasis_1d,
-    _scalar_edof,
     _scalar_tables,
     _to_gauss,
 )
@@ -153,29 +153,9 @@ def test_eigenbasis_diagonalizes_assembled_1d_matrices(n_el, h, periodic):
     assert lam[0] == 0.0 and np.all(lam[1:] > 0)
 
 
-def test_scalar_tables_are_built_once_and_read_only():
-    twin = RVEGrid(GRID.n1, GRID.n2, GRID.n3, GRID.gamma, GRID.box_side)
-    assert _scalar_edof(twin) is _scalar_edof(GRID)
-    assert _scalar_tables(twin) is _scalar_tables(GRID)
-    N, B, wq = _scalar_tables(GRID)
-    for arr in (N, B, _scalar_edof(GRID)):
-        assert not arr.flags.writeable
-    # the shared tables are exactly a fresh build's
-    hx, hy = GRID.box_side / GRID.n1, GRID.box_side / GRID.n2
-    fN, fB, fwq = decomposition._scalar_tables_at.__wrapped__(
-        hx, hy, 1.0 / GRID.n3)
-    npt.assert_array_equal(N, fN)
-    npt.assert_array_equal(B, fB)
-    assert wq == fwq
-    npt.assert_array_equal(
-        _scalar_edof(GRID),
-        decomposition._scalar_edof_of.__wrapped__(GRID.n1, GRID.n2, GRID.n3))
-
-
 def test_decomposition_unchanged_by_warm_tables():
     f = random_mixed_field(GRID, 3)
-    decomposition._scalar_tables_at.cache_clear()
-    decomposition._scalar_edof_of.cache_clear()
+    _mesh.nodes.cache_clear()
     cold = decompose_mixed(f)
     cold_report = orthogonality_report(f, decomposition=cold)
     warm = decompose_mixed(f)
@@ -189,8 +169,8 @@ def test_decomposition_unchanged_by_warm_tables():
 def jacobi_pcg_potential(field, mean, tol):
     """The scalar Poisson solve as an independent Jacobi block_pcg oracle."""
     grid = field.grid
-    _, B, wq = _scalar_tables(grid)
-    edof = _scalar_edof(grid)
+    B, wq = _scalar_tables(grid)
+    edof = nodes(grid.n1, grid.n2, grid.n3)
     n = grid.n_nodes
     ke = wq * np.einsum("qci,qcj->ij", B, B)
     diag = np.bincount(edof.ravel(),

@@ -161,13 +161,17 @@ def test_variance_shrinks_with_box_size():
     assert var[8.0] < var[4.0]
 
 
-def test_ensemble_errors_are_seed_annotated():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_errors_are_seed_annotated(threads):
     model = MicrostructureModel("poisson_voronoi", intensity=8.0,
                                 mark_distribution=[0.5, 0.5])
     mats = material_table([(0, 1.0, 1.0), (1, 10.0, 10.0)])
     grid = RVEGrid(4, 4, 2, 1.0, 2.0)
-    with pytest.raises(ConvergenceError, match="^seed 0:"):
-        ensemble_effective(model, mats, grid, [0, 1], tol=1e-30)
+    with pytest.raises(ConvergenceError, match="^seed 0:") as info:
+        ensemble_effective(model, mats, grid, [0, 1], tol=1e-30,
+                           threads=threads)
+    assert info.value.residual_history == info.value.__cause__.residual_history
+    assert len(info.value.residual_history) > 1
 
 
 def test_ensemble_needs_two_seeds():

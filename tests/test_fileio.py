@@ -96,6 +96,9 @@ def test_realization_malformed():
             lambda d: d.pop("seed"),
             lambda d: d.update(points=[[0.1]]),        # short point row
             lambda d: d.update(points=[]),             # no points, not periodic
+            lambda d: d.update(seed=2.7),              # truncated before
+            lambda d: d.update(seed=True),             # read as 1 before
+            lambda d: d.update(seed="8"),
     ):
         d = json.loads(canonical_json(good))
         breakage(d)
@@ -120,6 +123,10 @@ def test_phase_grid_malformed():
     missing = {k: v for k, v in d.items() if k != "n2"}
     with pytest.raises(ConfigError):
         phase_grid_from_dict(missing)
+    for bad in (2.7, True, "8"):     # 2.7 and True were read as 2 and 1
+        for key in ("n1", "n2"):
+            with pytest.raises(ConfigError, match=key):
+                phase_grid_from_dict(dict(d, **{key: bad}))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The three parts are mutually orthogonal in the weighted inner product, the
 norms satisfy Pythagoras, and re-splitting the potential part returns it
-unchanged. The second half checks the planar identities: Hessian fields
+unchanged. The nodal field is interpolated to the Gauss points once, and the
+splitting and its report both read that Gauss-layout field. The second half checks the planar identities: Hessian fields
 pair to zero against cofactor-of-symmetric-gradient fields, and the
 divergence of a cofactor field vanishes at the order of the stencil.
 """
@@ -10,7 +11,7 @@ divergence of a cofactor field vanishes at the order of the stencil.
 import numpy as np
 
 from platecell import (RVEGrid, decompose_mixed, orthogonality_report,
-                       random_mixed_field)
+                       random_mixed_field, to_gauss)
 from platecell.decomposition import (cof_sym_grad, decompose_second_order,
                                      div_cof_residual, hessian_pairing)
 
@@ -23,7 +24,7 @@ def wave(n, kx, ky, phase=0.0):
 
 def main():
     grid = RVEGrid(12, 12, 6, 1.0, 1.0)
-    field = random_mixed_field(grid, seed=5)
+    field = to_gauss(random_mixed_field(grid, seed=5))
     dec = decompose_mixed(field, tol=1e-11)
     print("orthogonal splitting of a white-noise field on 12x12x6:")
     for key, val in sorted(orthogonality_report(field, dec).items()):

@@ -24,7 +24,7 @@ from . import __version__
 from .cellsolve import CellLoad, RVEGrid, coupled_tensor, effective_bending, \
     gamma_rescale_check, solve_corrector
 from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
-    random_mixed_field
+    random_mixed_field, to_gauss
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
     isotropy_report
 from .errors import ConfigError, ConvergenceError, DegenerateRealizationError, \
@@ -346,6 +346,8 @@ def _cmd_decompose(args, cfg, started):
             raise ConfigError("field: cannot read field file: %s" % exc) \
                 from exc
         field = _under("field", MixedField, values, grid, layout="nodes")
+    # interpolated once, then shared by the splitting and its report
+    field = to_gauss(field)
     dec = decompose_mixed(field, tol=tol)
     report = orthogonality_report(field, dec)
     payload = {

@@ -20,6 +20,13 @@ Two decompositions live here.
    scalar space) and average out horizontally by periodicity, so all three
    parts are mutually orthogonal without extra corrections.
 
+   A nodal input is interpolated to the Gauss points once, by `to_gauss`;
+   `decompose_mixed` and `orthogonality_report` take either layout, so a
+   caller that needs both (the `decompose` command) interpolates first and
+   hands them the Gauss-layout field.  Their field-sized means and inner
+   products are contiguous `np.einsum` reductions, not BLAS calls, so the
+   results do not depend on the BLAS thread count.
+
 2. `decompose_second_order`: the analogous splitting of a periodic symmetric
    2x2 matrix field on the flat 2-torus into mean + Hessian part + remainder,
    done mode-by-mode in Fourier space where the Hessians of scalars span
@@ -92,12 +99,14 @@ def _scalar_tables(grid):
     return B, hx * hy * hz / 8.0
 
 
-def _to_gauss(field):
-    """Interpolate a MixedField to Gauss layout (identity if already there)."""
+def to_gauss(field):
+    """`field` in Gauss layout: itself if already there, else its trilinear
+    interpolation to the 2x2x2 Gauss points of every element."""
     if field.layout == "gauss":
-        return field.values
+        return field
     grid = field.grid
-    return N @ field.values.reshape(-1, 3)[nodes(grid.n1, grid.n2, grid.n3)]
+    values = N @ field.values.reshape(-1, 3)[nodes(grid.n1, grid.n2, grid.n3)]
+    return MixedField(values, grid, layout="gauss")
 
 
 def mixed_inner(a, b):
@@ -105,7 +114,9 @@ def mixed_inner(a, b):
     if a.grid is not b.grid and a.grid.to_dict() != b.grid.to_dict():
         raise ConfigError("mixed_inner: fields live on different grids")
     _, wq = _scalar_tables(a.grid)
-    return float(wq * np.sum(_to_gauss(a) * _to_gauss(b)))
+    ga = to_gauss(a).values
+    gb = ga if b is a else to_gauss(b).values
+    return float(wq * np.sum(ga * gb))
 
 
 def mixed_norm(a):
@@ -196,7 +207,8 @@ def decompose_mixed(field, tol=1e-10):
     ||b - K psi|| / ||b||.
 
     Args:
-        field: MixedField (either layout).
+        field: MixedField (either layout; a Gauss-layout one is not
+            interpolated again, nor written into).
         tol: gate on that verified residual, in (0, 1).
 
     Returns:
@@ -212,9 +224,9 @@ def decompose_mixed(field, tol=1e-10):
     B, wq = _scalar_tables(grid)
     B = B.reshape(24, 8)                  # rows (Gauss point, component)
     edof = nodes(grid.n1, grid.n2, grid.n3)
-    sol = _to_gauss(field)
+    sol = to_gauss(field).values
     volume = wq * 8.0 * grid.n_elements
-    mean = (wq / volume) * sol.sum(axis=(0, 1))
+    mean = (wq / volume) * np.einsum("eqc->c", sol)
     sol = sol - mean
 
     n_nodes = grid.n_nodes
@@ -224,7 +236,8 @@ def decompose_mixed(field, tol=1e-10):
     psi = _poisson_solve(grid, rhs)
 
     ke = wq * (B.T @ B)
-    Kpsi = scatter(edof, psi[edof] @ ke, n_nodes)
+    psi_e = psi[edof]
+    Kpsi = scatter(edof, psi_e @ ke, n_nodes)
     bnorm = np.linalg.norm(rhs)
     res = float(np.linalg.norm(rhs - Kpsi) / (bnorm if bnorm > 0 else 1.0))
     if not res <= tol:
@@ -233,7 +246,7 @@ def decompose_mixed(field, tol=1e-10):
             "%.3e above tol=%g" % (res, tol),
             residual_history=[[1.0], [res]])
 
-    pot = (psi[edof] @ B.T).reshape(-1, 8, 3)
+    pot = (psi_e @ B.T).reshape(-1, 8, 3)
     sol -= pot
     return MixedDecomposition(
         mean=mean,
@@ -246,22 +259,26 @@ def decompose_mixed(field, tol=1e-10):
 def orthogonality_report(field, decomposition=None, tol=1e-10):
     """Normalized residuals of the mixed splitting of `field`.
 
+    `field` may have either layout; a nodal one is interpolated once, and
+    shared with the splitting when `decomposition` is not given.
+
     Returns a dict with keys:
         pot_sol, pot_mean, sol_mean: |<a,b>| / max(|a| |b|, tiny)
         pythagoras: | |f|^2 - |mean|^2 V - |p|^2 - |s|^2 | / |f|^2
         reconstruction: |f - mean - p - s| / |f|
     """
+    field = to_gauss(field)
     dec = decomposition if decomposition is not None \
         else decompose_mixed(field, tol=tol)
     grid = field.grid
     _, wq = _scalar_tables(grid)
     volume = wq * 8.0 * grid.n_elements
-    fg = _to_gauss(field)
+    fg = field.values
     p, s = dec.potential.values, dec.solenoidal.values
     mean = dec.mean
 
     def dot(a, b):
-        return wq * float(np.vdot(a, b))
+        return wq * float(np.einsum("eqc,eqc->", a, b))
 
     def pair(ab, aa, bb):
         return abs(ab) / max(np.sqrt(aa * bb), 1e-30)
@@ -274,10 +291,8 @@ def orthogonality_report(field, decomposition=None, tol=1e-10):
     r -= s
     return {
         "pot_sol": pair(dot(p, s), pp, ss),
-        "pot_mean": pair(wq * float(p.reshape(-1, 3).sum(axis=0) @ mean),
-                         pp, mm),
-        "sol_mean": pair(wq * float(s.reshape(-1, 3).sum(axis=0) @ mean),
-                         ss, mm),
+        "pot_mean": pair(wq * float(np.einsum("eqc->c", p) @ mean), pp, mm),
+        "sol_mean": pair(wq * float(np.einsum("eqc->c", s) @ mean), ss, mm),
         "pythagoras": abs(ff - mm - pp - ss) / nf ** 2,
         "reconstruction": np.sqrt(dot(r, r)) / nf,
     }

@@ -1,9 +1,11 @@
-"""Exception taxonomy shared across the package, and its strict integer check.
+"""Exception taxonomy shared across the package, and its strict number checks.
 
 Config/validation problems and numerical failures are kept distinct so the
 command-line layer can map them to different exit codes (2 and 1).
 """
 
+import math
+import numbers
 import operator
 
 
@@ -20,6 +22,19 @@ def as_index(value, name):
         except TypeError:
             pass
     raise ConfigError("%s must be an integer, got %r" % (name, value))
+
+
+def as_real(value, name):
+    """`value` as a finite float; Python and numpy numbers pass, while bools,
+    strings, nan and infinities raise instead of being coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:       # an int beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ConfigError("%s must be a finite number, got %r" % (name, value))
 
 
 class NumericalError(RuntimeError):

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, as_index
+from .errors import ConfigError, as_index, as_real
 from .microstructure import _PERIODIC_KINDS, MicrostructureModel, \
     MicrostructureRealization, PhaseGrid
 
@@ -61,8 +61,11 @@ def realization_to_dict(r):
 def realization_from_dict(d):
     try:
         model = MicrostructureModel.from_dict(d["model"])
-        pts = np.asarray([[p[0], p[1]] for p in d["points"]], dtype=float)
-        marks = np.asarray([p[2] for p in d["points"]], dtype=np.int64)
+        pts = np.asarray([[as_real(p[0], "point coordinate"),
+                           as_real(p[1], "point coordinate")]
+                          for p in d["points"]], dtype=float)
+        marks = np.asarray([as_index(p[2], "mark") for p in d["points"]],
+                           dtype=np.int64)
         if len(pts) == 0:
             if model.kind not in _PERIODIC_KINDS:
                 raise ConfigError("realization of a %r model has no points"
@@ -71,10 +74,10 @@ def realization_from_dict(d):
             marks = None
         return MicrostructureRealization(
             model, as_index(d["seed"], "realization file: seed"),
-            float(d["box_side"]),
+            as_real(d["box_side"], "box_side"),
             points=pts, marks=marks,
-            offset=np.asarray(d.get("offset", (0.0, 0.0)), dtype=float))
-    except (KeyError, TypeError, IndexError) as exc:
+            offset=[as_real(v, "offset") for v in d.get("offset", (0.0, 0.0))])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError("malformed realization file: %s" % exc) from exc
 
 
@@ -91,8 +94,10 @@ def phase_grid_from_dict(d):
     try:
         n1 = as_index(d["n1"], "n1")
         n2 = as_index(d["n2"], "n2")
-        cells = np.asarray(d["cell_phase"], dtype=np.int64).reshape(n1, n2)
-        return PhaseGrid(n1, n2, float(d["box_side"]), cells)
+        cells = np.asarray([as_index(v, "cell_phase entry")
+                            for v in d["cell_phase"]],
+                           dtype=np.int64).reshape(n1, n2)
+        return PhaseGrid(n1, n2, as_real(d["box_side"], "box_side"), cells)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed phase grid: %s" % exc) from exc
 

@@ -2,13 +2,16 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from platecell import cli
+from platecell import cli, decomposition
 from platecell.cli import main
 from platecell.fileio import phase_grid_from_dict, read_field, read_json
 from oracles import single_phase_bending_discrete
@@ -235,6 +238,49 @@ def test_decompose_unreachable_tol_exits_1_with_sidecar(tmp_path, capsys):
     history = read_json(str(out) + ".residuals.json")["residual_history"]
     assert history[0] == [1.0] and history[1][0] > 1e-30
     assert not out.exists()
+
+
+def test_decompose_interpolates_the_field_once(tmp_path, monkeypatch):
+    # the splitting and its report share one Gauss-layout field
+    nodal_inputs = []
+    interpolate = decomposition.to_gauss
+
+    def counting(field):
+        if field.layout == "nodes":
+            nodal_inputs.append(field)
+        return interpolate(field)
+
+    monkeypatch.setattr(decomposition, "to_gauss", counting)
+    monkeypatch.setattr(cli, "to_gauss", counting)
+    cfg = write_cfg(tmp_path, {"grid": GRID, "seed": 3})
+    assert run("decompose", cfg, tmp_path / "dec.json") == 0
+    assert len(nodal_inputs) == 1
+
+
+def test_decompose_bytes_independent_of_blas_threads(tmp_path):
+    # a BLAS dot product splits its sum across threads; each child process
+    # sets its own OpenBLAS thread count
+    grid = {"n1": 48, "n2": 48, "n3": 4, "gamma": 1.0, "L": 1.0}
+    cfg = write_cfg(tmp_path, {"grid": grid, "seed": 7,
+                               "write_potential": True})
+    out = tmp_path / "dec.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from platecell.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "decompose", "--config", cfg, "--out", str(out),
+             "--deterministic"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        artifacts.append((out.read_bytes(),
+                          (tmp_path / "dec.json.psi.field").read_bytes()))
+    assert artifacts[0] == artifacts[1]
 
 
 def test_recovery_command(tmp_path):

@@ -19,6 +19,7 @@ from platecell import (
     mixed_norm,
     orthogonality_report,
     random_mixed_field,
+    to_gauss,
 )
 from platecell import _mesh
 from platecell._krylov import block_pcg
@@ -26,7 +27,6 @@ from platecell._mesh import nodes
 from platecell.decomposition import (
     _eigenbasis_1d,
     _scalar_tables,
-    _to_gauss,
 )
 
 GRID = RVEGrid(6, 6, 4, 1.0, 1.0)
@@ -124,6 +124,9 @@ def test_pythagoras_explicit():
     dec = decompose_mixed(f, tol=1e-11)
     volume = GRID.box_side ** 2
     total = mixed_inner(f, f)
+    # one interpolation for a repeated operand, bitwise as with two
+    assert total == mixed_inner(f, MixedField(f.values.copy(), GRID))
+    assert mixed_norm(f) == np.sqrt(total)
     parts = (float(dec.mean @ dec.mean) * volume
              + mixed_inner(dec.potential, dec.potential)
              + mixed_inner(dec.solenoidal, dec.solenoidal))
@@ -166,6 +169,32 @@ def test_decomposition_unchanged_by_warm_tables():
     assert orthogonality_report(f, decomposition=warm) == cold_report
 
 
+def test_gauss_layout_input_splits_bitwise_as_nodal():
+    f = random_mixed_field(GRID, 5)
+    g = to_gauss(f)
+    assert g.layout == "gauss" and to_gauss(g) is g
+    kept = g.values.copy()
+    nodal, gauss = decompose_mixed(f), decompose_mixed(g)
+    npt.assert_array_equal(gauss.mean, nodal.mean)
+    npt.assert_array_equal(gauss.psi, nodal.psi)
+    npt.assert_array_equal(gauss.potential.values, nodal.potential.values)
+    npt.assert_array_equal(gauss.solenoidal.values, nodal.solenoidal.values)
+    assert gauss.residuals == nodal.residuals
+    assert orthogonality_report(g, nodal) == orthogonality_report(f, nodal)
+    assert orthogonality_report(g) == orthogonality_report(f)
+    npt.assert_array_equal(g.values, kept)      # neither writes into it
+
+
+@pytest.mark.parametrize("shape", [(48, 48, 4), (16, 16, 8)])
+def test_mean_matches_axis_sum(shape):
+    grid = RVEGrid(*shape, 1.0, 1.0)
+    f = random_mixed_field(grid, 11)
+    values = to_gauss(f).values
+    want = values.sum(axis=(0, 1)) / (8 * grid.n_elements)
+    npt.assert_allclose(decompose_mixed(f).mean, want, rtol=0,
+                        atol=1e-14 * np.abs(f.values).max())
+
+
 def jacobi_pcg_potential(field, mean, tol):
     """The scalar Poisson solve as an independent Jacobi block_pcg oracle."""
     grid = field.grid
@@ -186,7 +215,7 @@ def jacobi_pcg_potential(field, mean, tol):
         u -= u.mean(axis=0)
         return u
 
-    fe = wq * np.einsum("qcl,eqc->el", B, _to_gauss(field) - mean)
+    fe = wq * np.einsum("qcl,eqc->el", B, to_gauss(field).values - mean)
     rhs = np.bincount(edof.ravel(), weights=fe.ravel(), minlength=n)
     psi, _ = block_pcg(matvec, lambda r: r / diag[:, None], project,
                        rhs[:, None], tol, 5000)

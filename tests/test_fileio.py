@@ -99,6 +99,19 @@ def test_realization_malformed():
             lambda d: d.update(seed=2.7),              # truncated before
             lambda d: d.update(seed=True),             # read as 1 before
             lambda d: d.update(seed="8"),
+            # numbers below were coerced before: "2.0" -> 2.0, true -> 1.0,
+            # "0.25" -> 0.25 and a 0.7 mark -> 0
+            lambda d: d.update(box_side="2.0"),
+            lambda d: d.update(box_side=True),
+            lambda d: d.update(box_side=float("inf")),
+            lambda d: d.update(box_side=10 ** 400),
+            lambda d: d.update(offset=["0.5", True]),
+            lambda d: d.update(offset=[0.5, True]),
+            lambda d: d.update(offset=[0.5, 0.5, 0.5]),
+            lambda d: d["points"][0].__setitem__(0, "0.25"),
+            lambda d: d["points"][0].__setitem__(1, None),
+            lambda d: d["points"][0].__setitem__(2, 0.7),
+            lambda d: d["points"][0].__setitem__(2, True),
     ):
         d = json.loads(canonical_json(good))
         breakage(d)
@@ -127,6 +140,13 @@ def test_phase_grid_malformed():
         for key in ("n1", "n2"):
             with pytest.raises(ConfigError, match=key):
                 phase_grid_from_dict(dict(d, **{key: bad}))
+    # read as 1.0, 1.5 and 0 before
+    for bad in (True, "1.5", float("nan")):
+        with pytest.raises(ConfigError, match="box_side"):
+            phase_grid_from_dict(dict(d, box_side=bad))
+    for bad in (0.6, True, "1"):
+        with pytest.raises(ConfigError, match="cell_phase"):
+            phase_grid_from_dict(dict(d, cell_phase=[0, 0, bad, 0]))
 
 
 # ---------------------------------------------------------------------------

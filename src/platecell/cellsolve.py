@@ -21,10 +21,10 @@ constants the geometric means of the phases present): its stiffness is
 block-circulant in the in-plane node indices, so a real 2D FFT splits it into
 one Hermitian 3(n3+1) x 3(n3+1) system per wavevector, inverted once per
 operator (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then
-depend on the phase contrast but not on the mesh.  All six unit Voigt loads
-iterate together (block right-hand side) so the effective
-membrane/bending/coupling tensor comes from six solves and a bilinear energy
-closure.
+depend on the phase contrast but not on the mesh.  Unit loads iterate
+together (block right-hand side) into one bilinear energy closure: the three
+bending loads give the bending form, since the reflection x3 -> -x3 decouples
+them from the membrane loads, and all six give the 6x6 tensor.
 """
 
 import numpy as np
@@ -33,6 +33,7 @@ from ._krylov import block_pcg
 from ._mesh import GAUSS, dN, nodes, scatter
 from .errors import ConfigError, NumericalError, as_index
 from .material import SQRT2, isotropic_form
+from .microstructure import PhaseGrid
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,6 @@ class CorrectorField:
         self.grid = grid
         self.residuals = [] if residuals is None else residuals
 
-    def flat(self):
-        return self.values.reshape(-1)
-
 
 # The six unit loads, orthonormal Voigt order (B11, B22, s2*B12 | G11, G22, s2*G12).
 _UNIT2 = (np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -115,9 +113,7 @@ _UNIT2 = (np.array([[1.0, 0.0], [0.0, 0.0]]),
 
 
 def unit_loads():
-    loads = [CellLoad(B=U) for U in _UNIT2]
-    loads += [CellLoad(G=U) for U in _UNIT2]
-    return loads
+    return [CellLoad(B=U) for U in _UNIT2] + [CellLoad(G=U) for U in _UNIT2]
 
 
 def sym2_to_voigt3(M):
@@ -175,7 +171,6 @@ class CellOperator:
         if missing:
             raise ConfigError("material table lacks phase ids %s" % missing)
         self.grid = grid
-        self.phases = phases
         self.materials = materials
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
         self.ndof = 3 * grid.n_nodes
@@ -292,14 +287,11 @@ class CellOperator:
         return -scatter(self.edof, fe[self.phase_el, self.layer], self.ndof)
 
     # --- strains and energies ------------------------------------------------
-    def corrector_strains(self, u):
-        """Gauss-point strains of a nodal field u (ndof,): (n_el, 8, 6)."""
-        return np.einsum("qck,ek->eqc", self.Bq, u[self.edof])
-
     def total_strains(self, load, u=None):
-        eps = self.load_strains(load)[self.layer]               # (n_el, 8, 6)
+        """Gauss-point strains of load plus nodal field u: (n_el, 8, 6)."""
+        eps = self.load_strains(load)[self.layer]
         if u is not None:
-            eps = eps + self.corrector_strains(u)
+            eps = eps + np.einsum("qck,ek->eqc", self.Bq, u[self.edof])
         return eps
 
     def energy_product(self, tau_a, tau_b):
@@ -320,7 +312,7 @@ class CellOperator:
 
         Args:
             rhs: (ndof, m) right-hand sides (solved simultaneously).
-            tol: relative residual target per column.
+            tol: relative residual target per column, in (0, 1).
             max_iter: iteration cap; default 20*sqrt(ndof).
             callback: optional f(iteration, x) hook (e.g. energy tracing).
 
@@ -329,8 +321,11 @@ class CellOperator:
             per-column relative residuals.
 
         Raises:
+            ConfigError: tol is outside (0, 1).
             ConvergenceError: a column missed tol within the cap.
         """
+        if not 0 < tol < 1:
+            raise ConfigError("cell solve: tol must lie in (0, 1)")
         if max_iter is None:
             max_iter = int(20.0 * np.sqrt(self.ndof)) + 10
         return block_pcg(self.matvec, self.precondition, self.project, rhs,
@@ -343,18 +338,14 @@ class CellOperator:
 
 def cell_energy(grid, phases, materials, load, phi=None):
     """Volume-averaged cell energy of a load plus (optional) corrector."""
-    op = CellOperator(grid, phases, materials)
-    u = None if phi is None else phi.flat()
-    return op.energy(load, u)
+    u = None if phi is None else phi.values.reshape(-1)
+    return CellOperator(grid, phases, materials).energy(load, u)
 
 
 def solve_corrector(grid, phases, materials, load, tol=1e-8, callback=None):
     """Minimize the cell energy over correctors for one fixed load."""
-    if not 0 < tol < 1:
-        raise ConfigError("solve_corrector: tol must lie in (0, 1)")
     op = CellOperator(grid, phases, materials)
-    rhs = op.rhs([load])
-    x, history = op.solve(rhs, tol=tol, callback=callback)
+    x, history = op.solve(op.rhs([load]), tol=tol, callback=callback)
     values = x[:, 0].reshape(grid.n1, grid.n2, grid.n3 + 1, 3)
     return CorrectorField(values, grid, residuals=[h[0] for h in history])
 
@@ -372,37 +363,33 @@ class CoupledEffectiveTensor:
 class EffectiveBendingForm:
     """3x3 Voigt representation of the effective bending form."""
 
-    def __init__(self, voigt3, parent=None):
+    def __init__(self, voigt3):
         voigt3 = np.asarray(voigt3, dtype=float)
         if voigt3.shape != (3, 3):
             raise ConfigError("EffectiveBendingForm.voigt3 must be 3x3")
         self.voigt3 = 0.5 * (voigt3 + voigt3.T)
-        self.parent = parent
 
 
-def coupled_tensor(grid, phases, materials, tol=1e-8):
-    """Solve the six unit loads and close the energy bilinearly.
+def _closed_solve(grid, phases, materials, loads, tol):
+    """Solve the loads in one block and close the energy bilinearly.
 
     Entry (a,b) equals (E(load_a + load_b) - E(load_a) - E(load_b)) / 2 by
     the polarization identity; since the minimizer is linear in the load the
-    closure uses the six stored minimizers directly.
+    closure uses the stored minimizers directly; returns (M, asym, X, history).
     """
-    if not 0 < tol < 1:
-        raise ConfigError("coupled_tensor: tol must lie in (0, 1)")
     op = CellOperator(grid, phases, materials)
-    loads = unit_loads()
-    rhs = op.rhs(loads)
-    X, history = op.solve(rhs, tol=tol)
-    # total strains of all six loads at once: (n_el, 8 gauss, 6 voigt, 6 loads);
+    X, history = op.solve(op.rhs(loads), tol=tol)
+    m = len(loads)
+    # total strains of all loads at once: (n_el, 8 gauss, 6 voigt, m loads);
     # elements are numbered layer-fastest, so the load strains broadcast
     taus = np.matmul(op.Bq, X[op.edof][:, None])
-    per_layer = taus.reshape(-1, grid.n3, 8, 6, 6)
+    per_layer = taus.reshape(-1, grid.n3, 8, 6, m)
     per_layer += np.stack([op.load_strains(ld) for ld in loads], axis=-1)
     # M[a, b] = sum over phases of Q_p[c, d] * sum_eq tau[eq, c, a] tau[eq, d, b]
-    M = np.zeros((6, 6))
+    M = np.zeros((m, m))
     for p, sel in enumerate(op.phase_groups):
-        T = taus[sel].reshape(-1, 36)
-        gram = (T.T @ T).reshape(6, 6, 6, 6)
+        T = taus[sel].reshape(-1, 6 * m)
+        gram = (T.T @ T).reshape(6, m, 6, m)
         M += np.einsum("cd,cadb->ab", op.forms[p], gram)
     M *= op.wq
     asym = float(np.max(np.abs(M - M.T)))
@@ -412,8 +399,23 @@ def coupled_tensor(grid, phases, materials, tol=1e-8):
         raise NumericalError("coupled tensor is not positive definite "
                              "(min eigenvalue %g); the solve is under-resolved "
                              "or the material table is invalid" % w[0])
-    final = [float(h) for h in history[-1]]
-    return CoupledEffectiveTensor(M, grid, final, asym)
+    return M, asym, X, history
+
+
+def coupled_tensor(grid, phases, materials, tol=1e-8):
+    """6x6 membrane/bending tensor of the six unit loads (for `effective`)."""
+    M, asym, _, hist = _closed_solve(grid, phases, materials, unit_loads(), tol)
+    return CoupledEffectiveTensor(M, grid, [float(h) for h in hist[-1]], asym)
+
+
+def bending_solve(grid, phases, materials, tol=1e-8):
+    """Effective bending form and the (ndof, 3) bending unit correctors X.
+
+    By the reflection symmetry the form is the closure of the three bending
+    loads alone; the corrector of a bending load G is X @ sym2_to_voigt3(G).
+    """
+    M, _, X, _ = _closed_solve(grid, phases, materials, unit_loads()[3:], tol)
+    return EffectiveBendingForm(M), X
 
 
 def effective_bending(ct):
@@ -429,12 +431,12 @@ def effective_bending(ct):
         raise NumericalError("membrane block of the coupled tensor is not SPD; "
                              "cannot reduce over the membrane offset")
     y = np.linalg.solve(c, Qbg)
-    return EffectiveBendingForm(Qgg - y.T @ y, parent=ct)
+    return EffectiveBendingForm(Qgg - y.T @ y)
 
 
 def effective_form(grid, phases, materials, tol=1e-8):
-    """Convenience pipeline: coupled tensor -> effective bending form."""
-    return effective_bending(coupled_tensor(grid, phases, materials, tol=tol))
+    """Effective bending form from the three bending solves (bending_solve)."""
+    return bending_solve(grid, phases, materials, tol=tol)[0]
 
 
 def qgamma_eval(q, G):
@@ -492,11 +494,8 @@ def gamma_rescale_check(grid, phases, materials, tol=1e-8):
     distance must shrink under mesh refinement and vanish identically at
     gamma = 1.
     """
-    from .microstructure import PhaseGrid
-
     g = grid.gamma
-    n1b = g * grid.n1
-    n2b = g * grid.n2
+    n1b, n2b = g * grid.n1, g * grid.n2
     if abs(n1b - round(n1b)) > 1e-9 or abs(n2b - round(n2b)) > 1e-9:
         raise ConfigError("gamma_rescale_check: gamma*n1 and gamma*n2 must be "
                           "integral (gamma=%g, n1=%d, n2=%d)" % (g, grid.n1, grid.n2))

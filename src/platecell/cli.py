@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cellsolve import CellLoad, RVEGrid, coupled_tensor, effective_bending, \
-    gamma_rescale_check, solve_corrector
+    effective_form, gamma_rescale_check, solve_corrector
 from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
     random_mixed_field, to_gauss
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
@@ -276,8 +276,7 @@ def _cmd_sweep_gamma(args, cfg, started):
                     base.box_side) for g in gammas]
     results = []
     for grid in grids:
-        form = effective_bending(coupled_tensor(grid, phases, materials,
-                                                tol=tol))
+        form = effective_form(grid, phases, materials, tol=tol)
         results.append([float(v) for v in form.voigt3.ravel()])
     payload = {
         "seed": seed,

@@ -113,9 +113,13 @@ class PhaseGrid:
         self.n1 = as_index(n1, "PhaseGrid.n1")
         self.n2 = as_index(n2, "PhaseGrid.n2")
         self.box_side = float(box_side)
+        if not 0 < self.box_side < np.inf:
+            raise ConfigError("PhaseGrid.box_side must be finite and > 0")
         cell_phase = np.asarray(cell_phase, dtype=np.int64)
         if cell_phase.shape != (self.n1, self.n2):
             raise ConfigError("PhaseGrid.cell_phase must have shape (n1, n2)")
+        if (cell_phase < 0).any():
+            raise ConfigError("PhaseGrid.cell_phase ids must be >= 0")
         self.cell_phase = cell_phase
 
     def phase_ids(self):
@@ -219,6 +223,8 @@ class MicrostructureRealization:
         self.model = model
         self.seed = int(seed)
         self.box_side = float(box_side)
+        if not 0 < self.box_side < np.inf:
+            raise ConfigError("realization box_side must be finite and > 0")
         self.points = None if points is None else np.asarray(points, dtype=float)
         self.marks = None if marks is None else np.asarray(marks, dtype=np.int64)
         self.offset = np.asarray(offset, dtype=float).reshape(2).copy()

@@ -11,11 +11,10 @@ thickness-scaled elastic energy of one member of the family;
 Their gap shrinks as the thickness does, up to the fixed cost of the cutoff
 collars where the corrector is suppressed.
 
-The corrector lives on the same discrete cell problem used for the effective
-form (same grid, same material table), and the quadrature finds both a
-point's phase and its corrector corners through the slab mesh's one in-plane
-lookup (`_mesh.locate`), so the microscale phase layout seen by the energy is
-by construction the one the corrector was optimized for.
+The correctors come from the effective form's own cell solve, and the
+quadrature finds a point's phase and its corrector corners through the slab
+mesh's one in-plane lookup (`_mesh.locate`), so the energy sees by
+construction the microscale phase layout the corrector was optimized for.
 
 Evaluation works per node layer: the corrector is trilinear, so a plan
 gathers each point's in-plane corners once and stores, for every node layer
@@ -27,7 +26,8 @@ energy quadrature takes its points grouped by phase, in fixed-size blocks.
 import numpy as np
 
 from ._mesh import GAUSS, locate
-from .cellsolve import CellLoad, effective_form, qgamma_eval, solve_corrector
+from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
+    solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
 from .errors import ConfigError
 from .material import svk_energy
 from .microstructure import _tensor_points
@@ -171,7 +171,9 @@ class RecoveryConfig:
 
 
 class CellCorrectorSource:
-    """Caches cell correctors (and the effective form) for one RVE setup."""
+    """Effective form and bending correctors of one RVE setup, from one
+    `bending_solve` on first use: a load's corrector is the unit correctors
+    combined by linearity, with no solve of its own, and cached per load."""
 
     def __init__(self, grid, phases, materials, tol=1e-10):
         self.grid = grid
@@ -179,29 +181,24 @@ class CellCorrectorSource:
         self.materials = materials
         self.tol = float(tol)
         self._correctors = {}
-        self._form = None
+        self._form = self._units = None
 
     def corrector(self, G):
         """Corrector field for the pure bending load G (cached)."""
         G = np.asarray(G, dtype=float)
         key = np.round(G, 12).tobytes()
         if key not in self._correctors:
-            if np.max(np.abs(G)) < 1e-14:
-                values = np.zeros((self.grid.n1, self.grid.n2,
-                                   self.grid.n3 + 1, 3))
-                field = None
-            else:
-                field = solve_corrector(self.grid, self.phases, self.materials,
-                                        CellLoad(G=G), tol=self.tol)
-                values = field.values
-            self._correctors[key] = values
+            self.effective()                  # solves on the first call
+            v = sym2_to_voigt3(CellLoad(G=G).G)   # CellLoad checks G
+            self._correctors[key] = (self._units @ v).reshape(
+                self.grid.n1, self.grid.n2, -1, 3)
         return self._correctors[key]
 
     def effective(self):
         """Effective bending form of this setup (cached)."""
         if self._form is None:
-            self._form = effective_form(self.grid, self.phases, self.materials,
-                                        tol=self.tol)
+            self._form, self._units = bending_solve(
+                self.grid, self.phases, self.materials, tol=self.tol)
         return self._form
 
     def phase_of_points(self, ypts):
@@ -263,8 +260,7 @@ class RecoveryFamily:
             for b0, b1 in ys:
                 rect = (a0, b0, a1, b1)
                 load = self._patch_load(rect)
-                self.patches.append(
-                    _Patch(rect, load, source.corrector(load)))
+                self.patches.append(_Patch(rect, load, source.corrector(load)))
 
     def _patch_load(self, rect):
         """Frozen corrector load: minus the patch-averaged curvature form.

@@ -1,7 +1,9 @@
 """Cell problem: energies, correctors, effective tensors, rescaling identity."""
 
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +16,7 @@ from platecell import (
     ConvergenceError,
     CorrectorField,
     CoupledEffectiveTensor,
+    MicrostructureModel,
     PhaseGrid,
     RVEGrid,
     cell_energy,
@@ -25,6 +28,8 @@ from platecell import (
     isotropic_form,
     material_table,
     qgamma_eval,
+    rasterize,
+    sample_realization,
     solve_corrector,
     unit_loads,
 )
@@ -40,6 +45,7 @@ E2 = np.array([[0.0, 0.0], [0.0, 1.0]])
 I2 = np.eye(2)
 
 ONE_PHASE = material_table([(0, 1.0, 1.0)])
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def uniform_phases(n1, n2, box_side=1.0, phase=0):
@@ -68,6 +74,8 @@ def test_solvers_reject_tol_outside_unit_interval(tol):
                         CellLoad(G=I2), tol=tol)
     with pytest.raises(ConfigError):
         coupled_tensor(grid, uniform_phases(4, 4), ONE_PHASE, tol=tol)
+    with pytest.raises(ConfigError):
+        effective_form(grid, uniform_phases(4, 4), ONE_PHASE, tol=tol)
 
 
 def test_grid_validation():
@@ -371,6 +379,44 @@ def test_coupling_vanishes_for_thickness_constant_media():
     mats = material_table([(0, 1.0, 1.0), (1, 10.0, 10.0)])
     ct = coupled_tensor(grid, stripe_phases(8, 4), mats, tol=1e-10)
     assert np.max(np.abs(ct.matrix[:3, 3:])) < 1e-8
+
+
+def _reflection_cases():
+    """(grid, phases, materials): the shipped configs at their own n3 and at
+    n3 = 3, and a 20x20x2 Voronoi medium on L = 5 at three values of gamma."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        g = cfg["grid"]
+        r = sample_realization(MicrostructureModel.from_dict(cfg["model"]),
+                               cfg["seed"], g["L"])
+        for n3 in (g["n3"], 3):
+            yield (RVEGrid(g["n1"], g["n2"], n3, g["gamma"], g["L"]),
+                   rasterize(r, g["n1"], g["n2"]),
+                   material_table(cfg["materials"]))
+    r = sample_realization(MicrostructureModel("poisson_voronoi",
+                                               intensity=1.0), 11, 5.0)
+    for gamma in (0.5, 1.0, 2.0):
+        yield (RVEGrid(20, 20, 2, gamma, 5.0), rasterize(r, 20, 20),
+               material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)]))
+
+
+def test_reflection_symmetry_decouples_bending():
+    """The symmetry that lets effective_form solve only the bending loads.
+
+    Every phase is isotropic and constant through the thickness, and the
+    layers and Gauss points are symmetric about the midplane, so x3 -> -x3
+    flips the bending load and keeps the membrane load: the membrane/bending
+    block Q_BG vanishes and the Schur complement is the bending block.  If an
+    x3-dependent or anisotropic phase is ever added, this test must fail
+    first, and effective_form must go back to the Schur complement.
+    """
+    for grid, phases, mats in _reflection_cases():
+        Q = coupled_tensor(grid, phases, mats, tol=1e-8).matrix
+        assert np.max(np.abs(Q[:3, 3:])) <= 1e-14 * np.max(np.abs(Q)), grid
+        schur = effective_bending(CoupledEffectiveTensor(Q, grid, [], 0.0))
+        form = effective_form(grid, phases, mats, tol=1e-8)
+        assert np.max(np.abs(form.voigt3 - schur.voigt3)) \
+            <= 1e-14 * np.max(np.abs(schur.voigt3)), grid
 
 
 def test_contrast_one_equals_single_phase():

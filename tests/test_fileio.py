@@ -112,6 +112,9 @@ def test_realization_malformed():
             lambda d: d["points"][0].__setitem__(1, None),
             lambda d: d["points"][0].__setitem__(2, 0.7),
             lambda d: d["points"][0].__setitem__(2, True),
+            # non-positive box sides were loaded as given before
+            lambda d: d.update(box_side=-2.0),
+            lambda d: d.update(box_side=0.0),
     ):
         d = json.loads(canonical_json(good))
         breakage(d)
@@ -141,10 +144,10 @@ def test_phase_grid_malformed():
             with pytest.raises(ConfigError, match=key):
                 phase_grid_from_dict(dict(d, **{key: bad}))
     # read as 1.0, 1.5 and 0 before
-    for bad in (True, "1.5", float("nan")):
+    for bad in (True, "1.5", float("nan"), -1.0):    # -1.0 loaded before
         with pytest.raises(ConfigError, match="box_side"):
             phase_grid_from_dict(dict(d, box_side=bad))
-    for bad in (0.6, True, "1"):
+    for bad in (0.6, True, "1", -3):     # a -3 phase id loaded before
         with pytest.raises(ConfigError, match="cell_phase"):
             phase_grid_from_dict(dict(d, cell_phase=[0, 0, bad, 0]))
 

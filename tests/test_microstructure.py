@@ -329,6 +329,23 @@ def test_phase_grid_validation():
     assert pg.phase_ids() == [0, 1]
 
 
+@pytest.mark.parametrize("box_side", [-2.0, 0.0, -1.0, float("inf"),
+                                      float("nan")])
+def test_constructors_refuse_a_bad_box_side(box_side):
+    from platecell import PhaseGrid
+    with pytest.raises(ConfigError, match="box_side"):
+        PhaseGrid(2, 2, box_side, np.zeros((2, 2), dtype=int))
+    with pytest.raises(ConfigError, match="box_side"):
+        MicrostructureRealization(voronoi_model(), 0, box_side,
+                                  points=[[0.1, 0.2]], marks=[0])
+
+
+def test_phase_grid_refuses_negative_phase_ids():
+    from platecell import PhaseGrid
+    with pytest.raises(ConfigError, match="cell_phase"):
+        PhaseGrid(2, 2, 1.0, np.array([[0, 1], [-3, 0]]))
+
+
 def test_rasterize_rejects_empty_grid():
     r = sample_realization(voronoi_model(intensity=30.0), 1, 1.0)
     with pytest.raises(ConfigError):

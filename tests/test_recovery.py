@@ -9,6 +9,7 @@ import pytest
 
 from platecell import (
     CellCorrectorSource,
+    CellLoad,
     ConfigError,
     PhaseGrid,
     RVEGrid,
@@ -21,8 +22,9 @@ from platecell import (
     material_table,
     qgamma_eval,
     recovery_gaps,
+    solve_corrector,
 )
-from platecell import recovery
+from platecell import cellsolve, recovery
 from oracles import single_phase_bending_discrete
 
 ONE_PHASE = material_table([(0, 1.0, 1.0)])
@@ -180,6 +182,44 @@ def test_source_zero_load_and_caching():
     G = np.array([[1.0, 0.2], [0.2, -0.5]])
     assert src.corrector(G) is src.corrector(G.copy())
     assert src.effective() is src.effective()
+
+
+def test_source_corrector_is_the_direct_solve():
+    # the linear combination of the unit-load correctors is the corrector
+    # the load itself would get
+    src = checker_source()
+    G = np.array([[1.0, 0.2], [0.2, -0.5]])
+    direct = solve_corrector(src.grid, src.phases, src.materials,
+                             CellLoad(G=G), tol=1e-10).values
+    got = src.corrector(G)
+    assert got.shape == direct.shape
+    assert np.max(np.abs(got - direct)) <= 1e-8 * np.max(np.abs(direct))
+    with pytest.raises(ConfigError):        # as CellLoad refuses it
+        src.corrector(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_source_runs_one_three_column_solve(monkeypatch):
+    columns = []
+
+    def counting(matvec, precondition, project, rhs, *args, **kwargs):
+        columns.append(rhs.shape[1])
+        return block_pcg(matvec, precondition, project, rhs, *args, **kwargs)
+
+    block_pcg = cellsolve.block_pcg
+    monkeypatch.setattr(cellsolve, "block_pcg", counting)
+    src = checker_source()
+    build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+                   src)
+    src.effective()
+    assert columns == [3]
+
+
+def test_source_form_does_not_depend_on_call_order():
+    G = np.array([[1.0, 0.2], [0.2, -0.5]])
+    first = checker_source().effective().voigt3
+    src = checker_source()
+    src.corrector(G)
+    npt.assert_array_equal(src.effective().voigt3, first)
 
 
 def test_source_phase_lookup_wraps():

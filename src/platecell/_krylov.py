@@ -37,14 +37,14 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         ConvergenceError: some column is still above tol at the cap.
     """
     b = project(rhs.copy())
-    bnorm = np.linalg.norm(b, axis=0)
+    bnorm = np.sqrt(np.einsum("ij,ij->j", b, b))
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
     x = np.zeros_like(b)
     r = b.copy()
     z = project(precondition(r))
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
-    rel = np.linalg.norm(r, axis=0) / bnorm
+    rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
     history = [rel.copy()]
     active = rel > tol
     it = 0
@@ -61,7 +61,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         alpha = np.where(ok, rz / np.where(pq > 0, pq, 1.0), 0.0)
         x += alpha * p
         r -= alpha * q
-        rel = np.linalg.norm(r, axis=0) / bnorm
+        rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
         history.append(rel.copy())
         active = rel > tol
         z = project(precondition(r))

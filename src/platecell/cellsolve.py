@@ -14,18 +14,21 @@ strain matrices are the mesh's reference gradients scaled by the element
 sizes, with 1/(gamma hz) through the thickness.
 
 The stationarity system is solved matrix-free: one 24x24 element kernel per
-phase, gather -> batched GEMM -> the mesh's scatter, conjugate gradients
-with the 3-dimensional translation kernel projected out each iteration.  The
-preconditioner is the exact inverse of a homogeneous reference medium (Lame
-constants the geometric means of the phases present): its stiffness is
-block-circulant in the in-plane node indices, so a real 2D FFT splits it into
-one Hermitian 3(n3+1) x 3(n3+1) system per wavevector, inverted once per
-operator (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then
+phase on the elements sorted by phase, so a matvec is np.take -> one GEMM per
+phase -> the mesh's scatter, in conjugate gradients with the 3-dimensional
+translation kernel projected out each iteration.  The preconditioner is the
+exact inverse of a homogeneous reference medium (Lame constants the geometric
+means of the phases present): its stiffness is block-circulant in the in-plane
+node indices, so a real 2D FFT splits it into one Hermitian 3(n3+1) x 3(n3+1)
+system per wavevector, inverted once per grid and reference medium and shared
+read-only (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then
 depend on the phase contrast but not on the mesh.  Unit loads iterate
 together (block right-hand side) into one bilinear energy closure: the three
 bending loads give the bending form, since the reflection x3 -> -x3 decouples
 them from the membrane loads, and all six give the 6x6 tensor.
 """
+
+import functools
 
 import numpy as np
 
@@ -153,6 +156,52 @@ def _strain_matrices(grid):
     return B.reshape(8, 6, 24)
 
 
+def _apply_kernels(kernels, bounds, table, U):
+    """Apply kernels[p] to the element columns bounds[p]:bounds[p + 1] of
+    the (24, n_el) dof table: gather U, one GEMM per kernel, scatter back."""
+    m = U.shape[1]
+    Ue = np.take(U, table, axis=0).reshape(24, -1)   # (24, n_el * m)
+    Ve = np.empty_like(Ue)
+    for ke, a, b in zip(kernels, bounds[:-1], bounds[1:]):
+        np.matmul(ke, Ue[:, a * m:b * m], out=Ve[:, a * m:b * m])
+    return scatter(table, Ve.reshape(24, -1, m), len(U))
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam):
+    """Per-wavevector inverses of the stiffness of the isotropic medium
+    (mu, lam) on the grid; memoized, read-only and shared by the operators.
+
+    The stiffness applied to the M unit nodal fields at in-plane node (0, 0),
+    then transformed by rfft2, is the M x M symbol per wavevector.  The
+    zero-wavevector block is singular on the translations, which are lifted
+    by a multiple of their projector (project() removes them from every
+    iterate).  Each Hermitian block K = Kr + i Ki is inverted through its
+    real embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]]
+    with K^-1 = A + i B; only its left half is kept.
+
+    Returns:
+        (n1, n2 // 2 + 1, 2M, M) real array stacking A over B, M = 3 (n3 + 1).
+    """
+    grid = RVEGrid(n1, n2, n3, gamma, box_side)
+    m = 3 * (n3 + 1)
+    Bq = _strain_matrices(grid)
+    ke = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt, Bq) \
+        * (1.0 / (8.0 * grid.n_elements))
+    edof = (3 * nodes(n1, n2, n3)[..., None] + np.arange(3)).reshape(-1, 24)
+    near = edof[(edof < m).any(axis=1)].T   # elements touching node (0, 0)
+    units = np.eye(3 * grid.n_nodes, m)   # in-plane node (0, 0) holds dofs :m
+    columns = _apply_kernels([ke], [0, near.shape[1]], near, units)
+    symbol = np.fft.rfft2(columns.reshape(n1, n2, m, m), axes=(0, 1))
+    translations = np.kron(np.ones((m // 3, m // 3)), np.eye(3)) / (m // 3)
+    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * translations
+    embedded = np.block([[symbol.real, -symbol.imag],
+                         [symbol.imag, symbol.real]])
+    inverse = np.ascontiguousarray(np.linalg.inv(embedded)[..., :m])
+    inverse.flags.writeable = False
+    return inverse
+
+
 class CellOperator:
     """Matrix-free stiffness operator of one cell problem.
 
@@ -171,7 +220,6 @@ class CellOperator:
         if missing:
             raise ConfigError("material table lacks phase ids %s" % missing)
         self.grid = grid
-        self.materials = materials
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
         self.ndof = 3 * grid.n_nodes
 
@@ -181,12 +229,11 @@ class CellOperator:
         self.layer = np.tile(np.arange(n3), n1 * n2)  # thickness layer per element
 
         # phase per element (constant along the column)
-        self.phase_ids = [int(p) for p in present]
-        remap = {pid: n for n, pid in enumerate(self.phase_ids)}
-        col = np.vectorize(remap.get)(phases.cell_phase)
-        self.phase_el = np.repeat(col.reshape(-1), n3)
-        self.phase_groups = [np.flatnonzero(self.phase_el == p)
-                             for p in range(len(self.phase_ids))]
+        self.phase_el = np.repeat(np.searchsorted(present, phases.cell_phase), n3)
+        # phase-sorted elements: phase p owns order[bounds[p]:bounds[p + 1]]
+        self.order = np.argsort(self.phase_el, kind="stable")
+        self.table = self.edof[self.order].T.copy()   # (24, n_el) dof table
+        self.bounds = np.r_[0, np.cumsum(np.bincount(self.phase_el))]
 
         # --- element kernels ----------------------------------------------
         B = _strain_matrices(grid)
@@ -195,45 +242,15 @@ class CellOperator:
         hz = 1.0 / n3
         gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
         self.zq = -0.5 + (np.arange(n3)[:, None] + gz[None, :]) * hz   # (n3, 8)
-        self.forms = np.stack([materials[pid].q0.voigt for pid in self.phase_ids])
+        self.forms = np.stack([materials[p].q0.voigt for p in present])
         self.ke = np.einsum("qci,pcd,qdj->pij", B, self.forms, B) * self.wq
-        self.fft_inverse = self._reference_inverse()
+        lame = [(materials[p].lame_mu, materials[p].lame_lambda)
+                for p in present]
+        mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
+        self.fft_inverse = _reference_inverse(n1, n2, n3, grid.gamma,
+                                              grid.box_side, mu, lam)
 
     # --- in-plane FFT preconditioner -----------------------------------------
-    def _reference_inverse(self):
-        """Per-wavevector inverses of the reference-medium stiffness.
-
-        The reference medium is the isotropic phase whose Lame constants are
-        the geometric means of those of the phases present.  Its stiffness
-        applied to the M unit nodal fields at in-plane node (0, 0), then
-        transformed by rfft2, is the M x M symbol per wavevector.  The
-        zero-wavevector block is singular on the translations, which are
-        lifted by a multiple of their projector (project() removes them from
-        every iterate).  Each Hermitian block K = Kr + i Ki is inverted
-        through its real embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is
-        [[A, -B], [B, A]] with K^-1 = A + i B; only its left half is kept.
-
-        Returns:
-            (n1, n2 // 2 + 1, 2M, M) real array stacking A over B,
-            M = 3 (n3 + 1).
-        """
-        n1, n2, m = self.grid.n1, self.grid.n2, 3 * (self.grid.n3 + 1)
-        mus = [self.materials[pid].lame_mu for pid in self.phase_ids]
-        lams = [self.materials[pid].lame_lambda for pid in self.phase_ids]
-        form = isotropic_form(np.prod(mus) ** (1.0 / len(mus)),
-                              np.prod(lams) ** (1.0 / len(lams))).voigt
-        ke = np.einsum("qci,cd,qdj->ij", self.Bq, form, self.Bq) * self.wq
-        units = np.zeros((self.ndof, m))
-        units[:m] = np.eye(m)           # in-plane node (0, 0) holds dofs :m
-        near = self.edof[(self.edof < m).any(axis=1)]   # elements touching it
-        columns = self._apply_kernels([ke], [slice(None)], units, near)
-        symbol = np.fft.rfft2(columns.reshape(n1, n2, m, m), axes=(0, 1))
-        translations = np.kron(np.ones((m // 3, m // 3)), np.eye(3)) / (m // 3)
-        symbol[0, 0] += np.trace(symbol[0, 0].real) / m * translations
-        embedded = np.block([[symbol.real, -symbol.imag],
-                             [symbol.imag, symbol.real]])
-        return np.ascontiguousarray(np.linalg.inv(embedded)[..., :m])
-
     def precondition(self, R):
         """Apply the reference-medium inverse to residuals R: (ndof, k)."""
         n1, n2, m = self.grid.n1, self.grid.n2, 3 * (self.grid.n3 + 1)
@@ -256,16 +273,7 @@ class CellOperator:
     # --- operator application ----------------------------------------------
     def matvec(self, U):
         """Apply the stiffness operator to U of shape (ndof, m)."""
-        return self._apply_kernels(self.ke, self.phase_groups, U, self.edof)
-
-    def _apply_kernels(self, kernels, groups, U, edof):
-        """Gather U on the elements edof, apply kernels[g] on element set
-        groups[g] (indices into edof), scatter back."""
-        Ue = U[edof]                                 # (n_el, 24, m)
-        Ve = np.empty_like(Ue)
-        for ke, sel in zip(kernels, groups):
-            Ve[sel] = np.matmul(ke, Ue[sel])
-        return scatter(edof, Ve, self.ndof)
+        return _apply_kernels(self.ke, self.bounds, self.table, U)
 
     # --- loads ---------------------------------------------------------------
     def load_strains(self, load):
@@ -291,13 +299,14 @@ class CellOperator:
         """Gauss-point strains of load plus nodal field u: (n_el, 8, 6)."""
         eps = self.load_strains(load)[self.layer]
         if u is not None:
-            eps = eps + np.einsum("qck,ek->eqc", self.Bq, u[self.edof])
+            eps = eps + np.einsum("qck,ek->eqc", self.Bq,
+                                  np.take(u, self.edof, axis=0))
         return eps
 
     def energy_product(self, tau_a, tau_b):
         """Quadrature inner product tau_a : Q0 : tau_b over the cell."""
         total = 0.0
-        for p, sel in enumerate(self.phase_groups):
+        for p, sel in enumerate(np.split(self.order, self.bounds[1:-1])):
             total += np.einsum("eqc,cd,eqd->", tau_a[sel], self.forms[p],
                                tau_b[sel])
         return float(total * self.wq)
@@ -380,16 +389,16 @@ def _closed_solve(grid, phases, materials, loads, tol):
     op = CellOperator(grid, phases, materials)
     X, history = op.solve(op.rhs(loads), tol=tol)
     m = len(loads)
-    # total strains of all loads at once: (n_el, 8 gauss, 6 voigt, m loads);
-    # elements are numbered layer-fastest, so the load strains broadcast
-    taus = np.matmul(op.Bq, X[op.edof][:, None])
-    per_layer = taus.reshape(-1, grid.n3, 8, 6, m)
-    per_layer += np.stack([op.load_strains(ld) for ld in loads], axis=-1)
-    # M[a, b] = sum over phases of Q_p[c, d] * sum_eq tau[eq, c, a] tau[eq, d, b]
+    # total strains of all loads on the phase-sorted elements: (8, 6, n_el, m)
+    Xe = np.take(X, op.table, axis=0).reshape(24, -1)
+    taus = (op.Bq.reshape(48, 24) @ Xe).reshape(8, 6, -1, m)
+    eps = np.stack([op.load_strains(ld) for ld in loads], axis=-1)
+    taus += eps[op.layer[op.order]].transpose(1, 2, 0, 3)
+    # M[a, b] = sum_p Q_p[c, d] * sum_qe tau[q, c, e, a] tau[q, d, e, b]
     M = np.zeros((m, m))
-    for p, sel in enumerate(op.phase_groups):
-        T = taus[sel].reshape(-1, 6 * m)
-        gram = (T.T @ T).reshape(6, m, 6, m)
+    for p, (a, b) in enumerate(zip(op.bounds[:-1], op.bounds[1:])):
+        T = taus[:, :, a:b].transpose(1, 3, 0, 2).reshape(6 * m, -1)
+        gram = (T @ T.T).reshape(6, m, 6, m)
         M += np.einsum("cd,cadb->ab", op.forms[p], gram)
     M *= op.wq
     asym = float(np.max(np.abs(M - M.T)))

@@ -105,7 +105,8 @@ def to_gauss(field):
     if field.layout == "gauss":
         return field
     grid = field.grid
-    values = N @ field.values.reshape(-1, 3)[nodes(grid.n1, grid.n2, grid.n3)]
+    values = N @ np.take(field.values.reshape(-1, 3),
+                         nodes(grid.n1, grid.n2, grid.n3), axis=0)
     return MixedField(values, grid, layout="gauss")
 
 
@@ -135,7 +136,7 @@ def gradient_field(grid, scalar):
                           % ((grid.n1, grid.n2, grid.n3 + 1),))
     B, _ = _scalar_tables(grid)
     edof = nodes(grid.n1, grid.n2, grid.n3)
-    vals = scalar.reshape(-1)[edof] @ B.reshape(24, 8).T
+    vals = np.take(scalar.reshape(-1), edof, axis=0) @ B.reshape(24, 8).T
     return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
 
 
@@ -236,7 +237,7 @@ def decompose_mixed(field, tol=1e-10):
     psi = _poisson_solve(grid, rhs)
 
     ke = wq * (B.T @ B)
-    psi_e = psi[edof]
+    psi_e = np.take(psi, edof, axis=0)
     Kpsi = scatter(edof, psi_e @ ke, n_nodes)
     bnorm = np.linalg.norm(rhs)
     res = float(np.linalg.norm(rhs - Kpsi) / (bnorm if bnorm > 0 else 1.0))

@@ -33,6 +33,7 @@ from platecell import (
     solve_corrector,
     unit_loads,
 )
+import platecell.cellsolve as cellsolve
 from platecell._krylov import block_pcg
 from oracles import (
     laminate_bending_reference,
@@ -220,6 +221,29 @@ def test_nonconvergence_raises_with_history():
     assert len(err.value.residual_history) >= 2
 
 
+@pytest.mark.parametrize("n3", [2, 3])
+def test_matvec_matches_elementwise_assembly(n3):
+    # the phase-sorted gather/GEMM/scatter against a per-element assembly in
+    # natural element order, for one, three and six columns
+    grid = RVEGrid(6, 4, n3, 1.3, 1.5)
+    rng = np.random.default_rng(n3)
+    phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4)))
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    op = CellOperator(grid, phases, mats)
+    assert len(op.forms) == 3
+    kes = op.ke[op.phase_el]
+    for m in (1, 3, 6):
+        U = rng.standard_normal((op.ndof, m))
+        ref = np.zeros_like(U)
+        for e, dofs in enumerate(op.edof):
+            np.add.at(ref, dofs, kes[e] @ U[dofs])
+        AU = op.matvec(U)
+        assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), m
+    u, v = rng.standard_normal((2, op.ndof, 1))
+    uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
+    assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
+
+
 # ---------------------------------------------------------------------------
 # In-plane FFT preconditioner
 # ---------------------------------------------------------------------------
@@ -313,6 +337,35 @@ def test_operator_is_freed_without_gc():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_reference_inverse_is_memoized_per_grid_and_pair():
+    # the inverse depends only on the grid and the reference Lame pair, so
+    # operators on two media with the same phases present share one array
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    grid = RVEGrid(6, 4, 2, 1.0, 1.5)
+    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats)
+    b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
+                     mats)
+    assert a.fft_inverse is b.fft_inverse
+    assert not a.fft_inverse.flags.writeable
+    misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
+                           checker_phases(6, 4, 1.5), mats),
+              CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
+                           checker_phases(6, 4, 2.0), mats),
+              CellOperator(grid, checker_phases(6, 4, 1.5),
+                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]))]
+    for op in misses:
+        assert op.fft_inverse is not a.fft_inverse
+
+    # a cached inverse gives the tensor of a freshly computed one, bitwise
+    phases = checker_phases(6, 4, 1.5)
+    cellsolve._reference_inverse.cache_clear()
+    fresh = effective_form(grid, phases, mats).voigt3
+    hits = cellsolve._reference_inverse.cache_info().hits
+    cached = effective_form(grid, phases, mats).voigt3
+    assert cellsolve._reference_inverse.cache_info().hits == hits + 1
+    npt.assert_array_equal(cached, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +470,40 @@ def test_reflection_symmetry_decouples_bending():
         form = effective_form(grid, phases, mats, tol=1e-8)
         assert np.max(np.abs(form.voigt3 - schur.voigt3)) \
             <= 1e-14 * np.max(np.abs(schur.voigt3)), grid
+
+
+# PCG iterations of bending_solve at tol 1e-8, measured with the operator
+# and preconditioner of this package: a weakened preconditioner or a wrong
+# operator shows here as a changed count
+PINNED_ITERATIONS = {"checkerboard_contrast5": 11, "stripes_contrast10": 10,
+                     "voronoi_contrast4": 17}
+
+
+def test_bending_solve_iteration_counts_are_pinned(monkeypatch):
+    counts = []
+
+    def counting_pcg(*args, **kwargs):
+        x, history = block_pcg(*args, **kwargs)
+        counts.append(len(history) - 1)
+        return x, history
+
+    monkeypatch.setattr(cellsolve, "block_pcg", counting_pcg)
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        g = cfg["grid"]
+        r = sample_realization(MicrostructureModel.from_dict(cfg["model"]),
+                               cfg["seed"], g["L"])
+        cellsolve.bending_solve(
+            RVEGrid(g["n1"], g["n2"], g["n3"], g["gamma"], g["L"]),
+            rasterize(r, g["n1"], g["n2"]), material_table(cfg["materials"]))
+        assert counts.pop() == PINNED_ITERATIONS[path.stem], path.stem
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    for seed in range(6):
+        r = sample_realization(MicrostructureModel("poisson_voronoi",
+                                                   intensity=1.0), seed, 5.0)
+        cellsolve.bending_solve(RVEGrid(20, 20, 2, 1.0, 5.0),
+                                rasterize(r, 20, 20), mats)
+        assert counts.pop() == 17, seed
 
 
 def test_contrast_one_equals_single_phase():

@@ -14,8 +14,9 @@ strain matrices are the mesh's reference gradients scaled by the element
 sizes, with 1/(gamma hz) through the thickness.
 
 The stationarity system is solved matrix-free: one 24x24 element kernel per
-phase on the elements sorted by phase, so a matvec is np.take -> one GEMM per
-phase -> the mesh's scatter, in conjugate gradients with the 3-dimensional
+phase and one dof table of the elements sorted by phase, which serves the
+matvec (np.take -> one GEMM per phase -> the mesh's scatter), the right-hand
+sides and the energy closure, in conjugate gradients with the 3-dimensional
 translation kernel projected out each iteration.  The preconditioner is the
 exact inverse of a homogeneous reference medium (Lame constants the geometric
 means of the phases present): its stiffness is block-circulant in the in-plane
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._krylov import block_pcg
 from ._mesh import GAUSS, dN, nodes, scatter
-from .errors import ConfigError, NumericalError, as_index
+from .errors import ConfigError, NumericalError, as_index, as_real
 from .material import SQRT2, isotropic_form
 from .microstructure import PhaseGrid
 
@@ -50,8 +51,8 @@ class RVEGrid:
         self.n1 = as_index(n1, "grid: n1")
         self.n2 = as_index(n2, "grid: n2")
         self.n3 = as_index(n3, "grid: n3")
-        self.gamma = float(gamma)
-        self.box_side = float(box_side)
+        self.gamma = as_real(gamma, "grid: gamma")
+        self.box_side = as_real(box_side, "grid: box_side")
         if self.n1 < 2 or self.n2 < 2 or self.n1 % 2 or self.n2 % 2:
             raise ConfigError("grid: n1, n2 must be even and >= 2")
         if self.n3 < 2:
@@ -205,10 +206,10 @@ def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam):
 class CellOperator:
     """Matrix-free stiffness operator of one cell problem.
 
-    Holds the gather/scatter maps, the per-phase 24x24 kernels, the factored
-    in-plane FFT preconditioner, and the Gauss-point load strains; everything
-    downstream (corrector solves, energies, effective tensors) goes through
-    here.
+    Holds the phase-sorted dof table, the per-phase 24x24 kernels, the
+    factored in-plane FFT preconditioner, and the Gauss-point load strains;
+    everything downstream (corrector solves, energies, effective tensors)
+    goes through here.
     """
 
     def __init__(self, grid, phases, materials):
@@ -223,17 +224,15 @@ class CellOperator:
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
         self.ndof = 3 * grid.n_nodes
 
-        # --- connectivity -------------------------------------------------
-        self.edof = (3 * nodes(n1, n2, n3)[..., None]
-                     + np.arange(3)).reshape(-1, 24)
-        self.layer = np.tile(np.arange(n3), n1 * n2)  # thickness layer per element
-
-        # phase per element (constant along the column)
-        self.phase_el = np.repeat(np.searchsorted(present, phases.cell_phase), n3)
-        # phase-sorted elements: phase p owns order[bounds[p]:bounds[p + 1]]
-        self.order = np.argsort(self.phase_el, kind="stable")
-        self.table = self.edof[self.order].T.copy()   # (24, n_el) dof table
-        self.bounds = np.r_[0, np.cumsum(np.bincount(self.phase_el))]
+        # --- connectivity: elements stably sorted by phase -----------------
+        edof = (3 * nodes(n1, n2, n3)[..., None]
+                + np.arange(3)).reshape(-1, 24)
+        phase_el = np.repeat(np.searchsorted(present, phases.cell_phase), n3)
+        order = np.argsort(phase_el, kind="stable")
+        # phase p owns the columns bounds[p]:bounds[p + 1] of the dof table
+        self.table = edof[order].T.copy()             # (24, n_el)
+        self.bounds = np.r_[0, np.cumsum(np.bincount(phase_el))]
+        self.layer = order % n3                       # thickness layer
 
         # --- element kernels ----------------------------------------------
         B = _strain_matrices(grid)
@@ -292,28 +291,30 @@ class CellOperator:
         fe = np.stack([np.einsum("qci,pcd,kqd->pki", self.Bq, self.forms,
                                  self.load_strains(load)) * self.wq
                        for load in loads], axis=-1)
-        return -scatter(self.edof, fe[self.phase_el, self.layer], self.ndof)
+        phase = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
+        fe = fe.transpose(2, 0, 1, 3)[:, phase, self.layer]   # (24, n_el, m)
+        return -scatter(self.table, fe, self.ndof)
 
-    # --- strains and energies ------------------------------------------------
-    def total_strains(self, load, u=None):
-        """Gauss-point strains of load plus nodal field u: (n_el, 8, 6)."""
-        eps = self.load_strains(load)[self.layer]
-        if u is not None:
-            eps = eps + np.einsum("qck,ek->eqc", self.Bq,
-                                  np.take(u, self.edof, axis=0))
-        return eps
-
-    def energy_product(self, tau_a, tau_b):
-        """Quadrature inner product tau_a : Q0 : tau_b over the cell."""
-        total = 0.0
-        for p, sel in enumerate(np.split(self.order, self.bounds[1:-1])):
-            total += np.einsum("eqc,cd,eqd->", tau_a[sel], self.forms[p],
-                               tau_b[sel])
-        return float(total * self.wq)
+    # --- energies ------------------------------------------------------------
+    def closure(self, loads, X):
+        """Energy Gram matrix (m, m) of the loads plus their fields X (ndof, m):
+        entry (a, b) is the cell average of tau_a : Q0 : tau_b."""
+        m = len(loads)
+        # total strains on the phase-sorted elements: (8, 6, n_el, m)
+        Xe = np.take(X, self.table, axis=0).reshape(24, -1)
+        taus = (self.Bq.reshape(48, 24) @ Xe).reshape(8, 6, -1, m)
+        eps = np.stack([self.load_strains(ld) for ld in loads], axis=-1)
+        taus += eps[self.layer].transpose(1, 2, 0, 3)
+        # M[a, b] = sum_p Q_p[c, d] * sum_qe tau[q, c, e, a] tau[q, d, e, b]
+        M = np.zeros((m, m))
+        for form, a, b in zip(self.forms, self.bounds[:-1], self.bounds[1:]):
+            T = taus[:, :, a:b].transpose(1, 3, 0, 2).reshape(6 * m, -1)
+            M += np.einsum("cd,cadb->ab", form, (T @ T.T).reshape(6, m, 6, m))
+        return M * self.wq
 
     def energy(self, load, u=None):
-        tau = self.total_strains(load, u)
-        return self.energy_product(tau, tau)
+        u = np.zeros(self.ndof) if u is None else u
+        return float(self.closure([load], u)[0, 0])
 
     # --- solver ---------------------------------------------------------------
     def solve(self, rhs, tol=1e-8, max_iter=None, callback=None):
@@ -388,19 +389,7 @@ def _closed_solve(grid, phases, materials, loads, tol):
     """
     op = CellOperator(grid, phases, materials)
     X, history = op.solve(op.rhs(loads), tol=tol)
-    m = len(loads)
-    # total strains of all loads on the phase-sorted elements: (8, 6, n_el, m)
-    Xe = np.take(X, op.table, axis=0).reshape(24, -1)
-    taus = (op.Bq.reshape(48, 24) @ Xe).reshape(8, 6, -1, m)
-    eps = np.stack([op.load_strains(ld) for ld in loads], axis=-1)
-    taus += eps[op.layer[op.order]].transpose(1, 2, 0, 3)
-    # M[a, b] = sum_p Q_p[c, d] * sum_qe tau[q, c, e, a] tau[q, d, e, b]
-    M = np.zeros((m, m))
-    for p, (a, b) in enumerate(zip(op.bounds[:-1], op.bounds[1:])):
-        T = taus[:, :, a:b].transpose(1, 3, 0, 2).reshape(6 * m, -1)
-        gram = (T @ T.T).reshape(6, m, 6, m)
-        M += np.einsum("cd,cadb->ab", op.forms[p], gram)
-    M *= op.wq
+    M = op.closure(loads, X)
     asym = float(np.max(np.abs(M - M.T)))
     M = 0.5 * (M + M.T)
     w = np.linalg.eigvalsh(M)

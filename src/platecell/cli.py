@@ -13,6 +13,7 @@ of the same config are byte-identical regardless of --threads.
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -104,7 +105,11 @@ def _list_of(test, size=None):
 
 
 def _is_num(v):
-    return type(v) in (int, float)
+    """A JSON number that reads as a finite float, as in errors.as_real."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 # what a field must be -> the test of its JSON value; type() is exact, so no

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, as_index
+from .errors import ConfigError, as_index, as_real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -128,8 +128,8 @@ class PhaseMaterial:
 
     def __init__(self, phase_id, lame_mu, lame_lambda):
         self.phase_id = as_index(phase_id, "phase_id")
-        self.lame_mu = float(lame_mu)
-        self.lame_lambda = float(lame_lambda)
+        self.lame_mu = as_real(lame_mu, "mu")
+        self.lame_lambda = as_real(lame_lambda, "lambda")
         self.q0 = isotropic_form(self.lame_mu, self.lame_lambda)
 
     def __repr__(self):

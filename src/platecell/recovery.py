@@ -28,7 +28,7 @@ import numpy as np
 from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 from .material import svk_energy
 from .microstructure import _tensor_points
 
@@ -153,6 +153,8 @@ class RecoveryConfig:
         if not 0 < ramp_width < patch_size / 2.0:
             raise ConfigError("RecoveryConfig: ramp_width must lie in "
                               "(0, patch_size / 2)")
+        cells_per_scale = as_index(cells_per_scale,
+                                   "RecoveryConfig: cells_per_scale")
         if cells_per_scale < 2:
             raise ConfigError("RecoveryConfig: cells_per_scale must be >= 2")
         if h_schedule is not None:
@@ -165,7 +167,7 @@ class RecoveryConfig:
         self.gamma = float(gamma)
         self.patch_size = float(patch_size)
         self.ramp_width = float(ramp_width)
-        self.cells_per_scale = int(cells_per_scale)
+        self.cells_per_scale = cells_per_scale
         self.h_schedule = h_schedule
         self.corrector_tol = float(corrector_tol)
 
@@ -173,26 +175,20 @@ class RecoveryConfig:
 class CellCorrectorSource:
     """Effective form and bending correctors of one RVE setup, from one
     `bending_solve` on first use: a load's corrector is the unit correctors
-    combined by linearity, with no solve of its own, and cached per load."""
+    combined by linearity, with no solve of its own."""
 
     def __init__(self, grid, phases, materials, tol=1e-10):
         self.grid = grid
         self.phases = phases
         self.materials = materials
         self.tol = float(tol)
-        self._correctors = {}
         self._form = self._units = None
 
     def corrector(self, G):
-        """Corrector field for the pure bending load G (cached)."""
-        G = np.asarray(G, dtype=float)
-        key = np.round(G, 12).tobytes()
-        if key not in self._correctors:
-            self.effective()                  # solves on the first call
-            v = sym2_to_voigt3(CellLoad(G=G).G)   # CellLoad checks G
-            self._correctors[key] = (self._units @ v).reshape(
-                self.grid.n1, self.grid.n2, -1, 3)
-        return self._correctors[key]
+        """Corrector field (n1, n2, n3+1, 3) of the pure bending load G."""
+        self.effective()                      # solves on the first call
+        v = sym2_to_voigt3(CellLoad(G=G).G)   # CellLoad checks G
+        return (self._units @ v).reshape(self.grid.n1, self.grid.n2, -1, 3)
 
     def effective(self):
         """Effective bending form of this setup (cached)."""
@@ -232,10 +228,9 @@ def _ramp_1d(x, a, b, delta):
 
 
 class _Patch:
-    def __init__(self, rect, load, values):
+    def __init__(self, rect, load):
         self.rect = rect      # (x0, y0, x1, y1)
         self.load = load      # (2, 2) frozen bending load
-        self.values = values  # corrector nodal values (n1, n2, n3+1, 3)
 
 
 class RecoveryFamily:
@@ -259,8 +254,7 @@ class RecoveryFamily:
         for a0, a1 in xs:
             for b0, b1 in ys:
                 rect = (a0, b0, a1, b1)
-                load = self._patch_load(rect)
-                self.patches.append(_Patch(rect, load, source.corrector(load)))
+                self.patches.append(_Patch(rect, self._patch_load(rect)))
 
     def _patch_load(self, rect):
         """Frozen corrector load: minus the patch-averaged curvature form.
@@ -361,6 +355,10 @@ class DeformationSampler:
         self._hx = g.box_side / g.n1
         self._hy = g.box_side / g.n2
         self._n3 = g.n3
+        # the patch correctors as one (3, n3+1, patches*n1*n2) table
+        self._table = np.stack([family.source.corrector(p.load)
+                                for p in family.patches]).transpose(
+            4, 3, 0, 1, 2).reshape(3, g.n3 + 1, -1)
 
     # -- planning ----------------------------------------------------------
 
@@ -376,17 +374,12 @@ class DeformationSampler:
         F1 = np.zeros_like(F0)
         F1[:, 0], F1[:, 1] = f["d1n"].T, f["d2n"].T
         patch, chi, dchi = self.family.cutoff(xp)
-        # the distinct corrector tables as one (3, n3+1, tables*n1*n2) array;
-        # points outside every patch read patch 0's table with chi = 0
-        values = [p.values for p in self.family.patches]
-        distinct = list({id(v): v for v in values}.values())
-        slot = {id(v): k for k, v in enumerate(distinct)}
-        table = np.array([slot[id(v)] for v in values])[np.maximum(patch, 0)]
-        T = np.stack(distinct).transpose(4, 3, 0, 1, 2).reshape(
-            3, self._n3 + 1, -1)
+        # points outside every patch read patch 0's corrector with chi = 0
+        patch = np.maximum(patch, 0)
+        T = self._table
         (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps, grid)
         # in-plane corners, all node layers at once: (3, n3+1, M)
-        row0, row1 = (table * n1 + i0) * n2, (table * n1 + i1) * n2
+        row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
         c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
         c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
         d0, d1 = c10 - c00, c11 - c01            # steps along y1 at j0, j1

@@ -35,6 +35,7 @@ from platecell import (
 )
 import platecell.cellsolve as cellsolve
 from platecell._krylov import block_pcg
+from platecell._mesh import nodes
 from oracles import (
     laminate_bending_reference,
     plane_stress_form,
@@ -93,6 +94,11 @@ def test_grid_validation():
             RVEGrid(bad, 8, 4, 1.0, 1.0)   # no truncation or coercion
         with pytest.raises(ConfigError, match="must be an integer"):
             RVEGrid(8, 8, bad, 1.0, 1.0)
+    for bad in (True, "2.0", np.inf, np.nan, 10 ** 400):
+        with pytest.raises(ConfigError, match="gamma must be a finite number"):
+            RVEGrid(8, 8, 4, bad, 1.0)    # no coercion, no infinite gamma
+        with pytest.raises(ConfigError, match="box_side must be a finite"):
+            RVEGrid(8, 8, 4, 1.0, bad)
     g = RVEGrid(4, 6, 3, 2.0, 1.5)
     assert g.n_nodes == 4 * 6 * 4 and g.n_elements == 4 * 6 * 3
     g = RVEGrid(np.int64(4), np.int32(6), np.int16(3), 2.0, 1.5)
@@ -221,24 +227,48 @@ def test_nonconvergence_raises_with_history():
     assert len(err.value.residual_history) >= 2
 
 
+def natural_order(grid, phases):
+    """Dof table (n_el, 24), phase index and thickness layer per element, in
+    the mesh's natural element order (the operator keeps them phase-sorted)."""
+    n1, n2, n3 = grid.n1, grid.n2, grid.n3
+    edof = (3 * nodes(n1, n2, n3)[..., None] + np.arange(3)).reshape(-1, 24)
+    ids = np.unique(phases.cell_phase, return_inverse=True)[1]
+    return edof, np.repeat(ids, n3), np.tile(np.arange(n3), n1 * n2)
+
+
+def random_loads(rng, m):
+    sym = [A + A.T for A in rng.standard_normal((2 * m, 2, 2))]
+    return [CellLoad(B=B, G=G) for B, G in zip(sym[:m], sym[m:])]
+
+
 @pytest.mark.parametrize("n3", [2, 3])
 def test_matvec_matches_elementwise_assembly(n3):
-    # the phase-sorted gather/GEMM/scatter against a per-element assembly in
-    # natural element order, for one, three and six columns
+    # the phase-sorted gather/GEMM/scatter of the matvec and the right-hand
+    # sides against per-element assemblies in natural element order, for
+    # one, three and six columns
     grid = RVEGrid(6, 4, n3, 1.3, 1.5)
     rng = np.random.default_rng(n3)
     phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4)))
     mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
     op = CellOperator(grid, phases, mats)
     assert len(op.forms) == 3
-    kes = op.ke[op.phase_el]
+    edof, phase_el, layer = natural_order(grid, phases)
+    kes = op.ke[phase_el]
     for m in (1, 3, 6):
         U = rng.standard_normal((op.ndof, m))
         ref = np.zeros_like(U)
-        for e, dofs in enumerate(op.edof):
+        for e, dofs in enumerate(edof):
             np.add.at(ref, dofs, kes[e] @ U[dofs])
         AU = op.matvec(U)
         assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), m
+        loads = random_loads(rng, m)
+        ref = np.zeros_like(U)
+        for e, dofs in enumerate(edof):
+            eps = np.stack([op.load_strains(ld)[layer[e]] for ld in loads], -1)
+            np.add.at(ref, dofs, -op.wq * np.einsum(
+                "qci,cd,qdm->im", op.Bq, op.forms[phase_el[e]], eps))
+        f = op.rhs(loads)
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), m
     u, v = rng.standard_normal((2, op.ndof, 1))
     uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
     assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
@@ -254,12 +284,20 @@ def tile_checker_phases(n, tiles=4):
     return PhaseGrid(n, n, 1.0, (np.add.outer(t, t) % 2).astype(int))
 
 
-def pairwise_closure(op, X):
-    """Coupled 6x6 tensor of the unit-load solutions X, entry by entry."""
-    loads = unit_loads()
-    taus = [op.total_strains(loads[a], X[:, a]) for a in range(6)]
-    return np.array([[op.energy_product(ta, tb) for tb in taus]
-                     for ta in taus])
+def pairwise_closure(op, phases, X):
+    """Coupled 6x6 tensor of the unit-load solutions X, entry by entry: the
+    per-phase Gauss quadrature of tau_a : Q0 : tau_b in natural order."""
+    edof, phase_el, layer = natural_order(op.grid, phases)
+    taus = [op.load_strains(load)[layer]
+            + np.einsum("qck,ek->eqc", op.Bq, X[edof, a])
+            for a, load in enumerate(unit_loads())]
+
+    def product(ta, tb):
+        return op.wq * sum(
+            np.einsum("eqc,cd,eqd->", ta[phase_el == p], form,
+                      tb[phase_el == p]) for p, form in enumerate(op.forms))
+
+    return np.array([[product(ta, tb) for tb in taus] for ta in taus])
 
 
 def test_single_phase_reference_medium_is_exact():
@@ -296,12 +334,13 @@ def test_fft_preconditioned_tensor_matches_jacobi():
     form = effective_form(grid, phases, mats, tol=1e-10)
 
     op = CellOperator(grid, phases, mats)
-    diag = np.bincount(op.edof.ravel(),
-                       weights=np.einsum("pii->pi", op.ke)[op.phase_el].ravel(),
+    edof, phase_el, _ = natural_order(grid, phases)
+    diag = np.bincount(edof.ravel(),
+                       weights=np.einsum("pii->pi", op.ke)[phase_el].ravel(),
                        minlength=op.ndof)
     X, _ = block_pcg(op.matvec, lambda r: r / diag[:, None], op.project,
                      op.rhs(unit_loads()), 1e-10, 5000)
-    M = pairwise_closure(op, X)
+    M = pairwise_closure(op, phases, X)
     jacobi = effective_bending(CoupledEffectiveTensor(M, grid, [], 0.0))
     npt.assert_allclose(form.voigt3, jacobi.voigt3, rtol=1e-8, atol=1e-10)
 
@@ -316,7 +355,7 @@ def test_batched_closure_matches_pairwise_energy_products():
     ct = coupled_tensor(grid, phases, mats, tol=1e-9)
     op = CellOperator(grid, phases, mats)
     X, _ = op.solve(op.rhs(unit_loads()), tol=1e-9)
-    M = pairwise_closure(op, X)
+    M = pairwise_closure(op, phases, X)
     npt.assert_allclose(ct.matrix, M, rtol=0, atol=1e-13 * np.abs(M).max())
     assert ct.asymmetry <= 1e-13 * np.abs(M).max()
 

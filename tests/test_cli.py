@@ -25,9 +25,14 @@ VORONOI = {"kind": "poisson_voronoi", "intensity": 8.0}
 GRID = {"n1": 4, "n2": 4, "n3": 4, "gamma": 1.0, "L": 1.0}
 
 
+# written as the bare JSON literal 1e999, which json.load reads as inf
+# (json.dumps(inf) writes Infinity, which the CLI refuses before any field)
+RAW_1E999 = "raw 1e999"
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg).replace(json.dumps(RAW_1E999), "1e999"))
     return str(path)
 
 
@@ -432,6 +437,10 @@ PROBES = [
     ("decompose", "field", {"n1": 8.5, "n2": 8, "n3": 4}, "field: malformed"),
     ("ergodic", "f_table", {"0": 0, "1": 1, "5": 2}, "f_table"),
     ("recovery", "isometry", {"kind": "flat"}, "isometry"),
+    ("solve-cell", "load.G", [[RAW_1E999, 0], [0, 0]], "load.G"),
+    ("effective", "grid.gamma", RAW_1E999, "grid.gamma"),
+    ("effective", "materials[0].mu", RAW_1E999, "materials[0].mu"),
+    ("effective", "grid.L", 10 ** 400, "grid.L"),
 ]
 
 

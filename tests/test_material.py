@@ -99,6 +99,16 @@ def test_isotropic_rejects_bad_moduli():
         isotropic_form(0.0, 1.0)
     with pytest.raises(ConfigError):
         isotropic_form(1.0, -0.5)
+    for bad in (np.nan, np.inf, -np.inf, "2", True, 10 ** 400):
+        with pytest.raises(ConfigError, match="mu must be a finite number"):
+            PhaseMaterial(0, bad, 1.0)
+        with pytest.raises(ConfigError, match="lambda must be a finite"):
+            PhaseMaterial(0, 1.0, bad)
+        with pytest.raises(ConfigError):
+            material_table([{"phase_id": 0, "mu": bad, "lambda": 1.0}])
+    pm = PhaseMaterial(0, np.float32(2.0), 1)
+    assert (pm.lame_mu, pm.lame_lambda) == (2.0, 1.0)
+    assert type(pm.lame_mu) is float and type(pm.lame_lambda) is float
 
 
 def test_strain_form_rejects_asymmetry():

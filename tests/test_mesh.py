@@ -61,7 +61,11 @@ def test_vector_dofs_match_the_cell_operator():
     op = CellOperator(grid, phases, material_table([(0, 1.0, 1.0),
                                                     (1, 4.0, 2.0)]))
     edof = (3 * nodes(4, 6, 3)[..., None] + np.arange(3)).reshape(-1, 24)
-    npt.assert_array_equal(op.edof, edof)
+    phase_el = np.repeat(phases.cell_phase, 3)
+    order = np.argsort(phase_el, kind="stable")
+    npt.assert_array_equal(op.table, edof[order].T)
+    npt.assert_array_equal(op.bounds, [0, 36, 72])
+    npt.assert_array_equal(op.layer, order % 3)
 
 
 def test_scatter_sums_every_entry_per_column():

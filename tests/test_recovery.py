@@ -148,6 +148,10 @@ def test_recovery_config_validation():
         RecoveryConfig(ramp_width=0.0)
     with pytest.raises(ConfigError):
         RecoveryConfig(cells_per_scale=1)
+    for bad in (3.9, 4.0, "4", True, np.float64(4.0)):
+        with pytest.raises(ConfigError, match="cells_per_scale must be an int"):
+            RecoveryConfig(cells_per_scale=bad)     # no truncation
+    assert RecoveryConfig(cells_per_scale=np.int64(3)).cells_per_scale == 3
     with pytest.raises(ConfigError):
         RecoveryConfig(h_schedule=[0.1, 0.1])
     with pytest.raises(ConfigError):
@@ -179,8 +183,6 @@ def test_source_zero_load_and_caching():
     g0 = src.corrector(np.zeros((2, 2)))
     assert g0.shape == (4, 4, 5, 3)
     npt.assert_array_equal(g0, 0.0)
-    G = np.array([[1.0, 0.2], [0.2, -0.5]])
-    assert src.corrector(G) is src.corrector(G.copy())
     assert src.effective() is src.effective()
 
 
@@ -258,8 +260,11 @@ def test_constant_curvature_shares_one_corrector():
     for patch in fam.patches:
         npt.assert_allclose(np.abs(patch.load), np.diag([1.0, 0.0]),
                             atol=1e-13)
-    # identical frozen loads hit the corrector cache: one array, four patches
-    assert len({id(p.values) for p in fam.patches}) == 1
+    # identical frozen loads: one corrector, four patches
+    first = fam.source.corrector(fam.patches[0].load)
+    for patch in fam.patches[1:]:
+        npt.assert_allclose(fam.source.corrector(patch.load), first,
+                            rtol=0, atol=1e-13 * np.max(np.abs(first)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +320,7 @@ def _per_patch_reference(sampler, xp, x3):
     k0 = min(int(s3), n3 - 1)
     wz = (1.0 - (s3 - k0), s3 - k0)
     for patch in fam.patches:
+        values = fam.source.corrector(patch.load)
         a0, b0, a1, b1 = patch.rect
         idx = np.flatnonzero((xp[:, 0] >= a0) & (xp[:, 0] < a1)
                              & (xp[:, 1] >= b0) & (xp[:, 1] < b1))
@@ -334,7 +340,7 @@ def _per_patch_reference(sampler, xp, x3):
         g = np.zeros((idx.size, 3))
         dg = np.zeros((idx.size, 3, 3))
         for a, b, c in np.ndindex(2, 2, 2):
-            corner = patch.values[ii[a], jj[b], k0 + c]
+            corner = values[ii[a], jj[b], k0 + c]
             sa, sb, sc = (-1.0, 1.0)[a], (-1.0, 1.0)[b], (-1.0, 1.0)[c]
             g += (wx[a] * wy[b] * wz[c])[:, None] * corner
             dg[:, :, 0] += (sa / hx * wy[b] * wz[c])[:, None] * corner
@@ -355,14 +361,13 @@ def _per_patch_reference(sampler, xp, x3):
 
 
 def _distinct_tables(fam):
-    """Give each patch its own corrector, solved for a load of its own."""
+    """Give each patch a load, and so a corrector, of its own."""
     loads = [np.array([[1.0, 0.3], [0.3, -0.5]]),
              np.array([[-0.4, 0.0], [0.0, 0.9]]),
              np.array([[0.2, -0.7], [-0.7, 0.1]]),
              np.array([[0.0, 0.5], [0.5, 0.0]])]
     for patch, load in zip(fam.patches, loads):
-        patch.values = fam.source.corrector(load)
-    assert len({id(p.values) for p in fam.patches}) == len(fam.patches)
+        patch.load = load
     return fam
 
 

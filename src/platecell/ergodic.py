@@ -14,9 +14,9 @@ import concurrent.futures
 import numpy as np
 
 from .cellsolve import EffectiveBendingForm, effective_form, qgamma_eval
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, as_real
 from .material import SQRT2
-from .microstructure import _tensor_points, rasterize, sample_realization
+from .microstructure import phase_grid, rasterize, sample_realization
 
 _PROBES = (
     np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -70,21 +70,29 @@ def _phase_probabilities(model):
 def birkhoff_average(realization, f_table, window, epsilons, step=None):
     """Midpoint-rule window averages of x -> f(phase(x / eps)).
 
+    Each scale's midpoints form a tensor grid, whose phases come from one
+    `phase_grid` query.
+
     Args:
         realization: MicrostructureRealization.
         f_table: per-phase values, dict or array.
-        window: (x0, y0, x1, y1) averaging rectangle.
+        window: (x0, y0, x1, y1) averaging rectangle, finite numbers.
         epsilons: positive, strictly decreasing scale factors.
-        step: quadrature spacing target; default eps/8 per scale, and a
-            spacing coarser than the scale factor itself is rejected since
-            the integrand oscillates at scale eps.
+        step: quadrature spacing target, a positive finite number; default
+            eps/8 per scale, and a spacing coarser than the scale factor
+            itself is rejected since the integrand oscillates at scale eps.
 
     Returns:
         BirkhoffSeries with the model's ensemble mean as reference.
     """
-    x0, y0, x1, y1 = (float(v) for v in window)
+    x0, y0, x1, y1 = (as_real(v, "birkhoff_average: window[%d]" % k)
+                      for k, v in enumerate(window))
     if not (x1 > x0 and y1 > y0):
         raise ConfigError("birkhoff_average: empty window %r" % (window,))
+    if step is not None:
+        step = as_real(step, "birkhoff_average: step")
+        if not step > 0:
+            raise ConfigError("birkhoff_average: step must be > 0")
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or len(eps) == 0 or np.any(eps <= 0):
         raise ConfigError("birkhoff_average: epsilons must be positive")
@@ -98,7 +106,7 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
 
     averages = []
     for e in eps:
-        h = e / 8.0 if step is None else float(step)
+        h = e / 8.0 if step is None else step
         if h > e:
             raise ConfigError(
                 "birkhoff_average: step %g does not resolve scale %g" % (h, e))
@@ -106,7 +114,7 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
         my = max(int(np.ceil((y1 - y0) / h)), 1)
         xs = x0 + (np.arange(mx) + 0.5) * (x1 - x0) / mx
         ys = y0 + (np.arange(my) + 0.5) * (y1 - y0) / my
-        phases = realization.phase_at(_tensor_points(xs, ys) / e)
+        phases = phase_grid(realization, xs / e, ys / e)
         averages.append(float(values[phases].mean()))
     return BirkhoffSeries(eps, averages, reference)
 

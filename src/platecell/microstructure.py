@@ -10,9 +10,12 @@ Three media are supported:
 
 A realization is immutable and carries a translation offset implementing the
 shift action: shifting composes exactly (offsets add), and every query wraps
-into the periodic box.  Randomness comes from a counter-based Philox generator
-keyed by (seed, stream), with point positions and marks on separate streams so
-they stay independent.
+into the periodic box.  Voronoi lookups are exact, ties going to the least
+(x, y, index) site: `phase_at` serves scattered points, and `phase_grid` a
+tensor grid xs x ys, whose squared torus distances split into per-axis terms
+that each grid line computes once.  Randomness comes from a counter-based
+Philox generator keyed by (seed, stream), with point positions and marks on
+separate streams so they stay independent.
 """
 
 import numpy as np
@@ -22,8 +25,9 @@ from .errors import ConfigError, DegenerateRealizationError, as_index
 _PERIODIC_KINDS = ("periodic_texture", "checkerboard")
 _KINDS = _PERIODIC_KINDS + ("poisson_voronoi",)
 
-# Queries per distance pass in _BucketIndex.query: large enough that numpy's
-# per-call overhead is small, small enough that the temporaries stay a few MB.
+# Queries per distance pass in _BucketIndex.query, and grid points per pass in
+# _BucketIndex.grid: large enough that numpy's per-call overhead is small,
+# small enough that the temporaries stay a few MB.
 _BLOCK = 4096
 
 
@@ -135,12 +139,15 @@ class _BucketIndex:
 
     Sites are binned into nb x nb buckets of side bs = L / nb, nb =
     floor(sqrt(n)), and a table lists for each bucket the sites of its wrapped
-    3 x 3 block of buckets (padded with -1; all sites when nb <= 3).  Queries
-    take one torus distance pass over their bucket's row, in blocks of _BLOCK.
-    Sites outside the block lie at least bs away, so a best d^2 strictly below
+    3 x 3 block of buckets (padded with -1; all sites when nb <= 3).  Each row,
+    and the list of all sites, is ordered by (x, y, index), so the first
+    minimum of d^2 along it is the tie rule: minimum d^2, then minimum x, then
+    minimum y, then minimum index.  Scattered queries take one torus distance
+    pass over their bucket's row, in blocks of _BLOCK; the queries of a tensor
+    grid share their per-axis distance terms instead (`grid`).  Sites outside
+    the block lie at least bs away, so a best d^2 strictly below
     (bs (1 - 1e-12))^2 is certified (the margin covers floor(p / bs) rounding
-    at bucket edges); other queries fall back to a pass over all sites.  Ties
-    go to minimum d^2, then minimum x, then minimum y.
+    at bucket edges); other queries fall back to a pass over all sites.
     """
 
     def __init__(self, points, box_side):
@@ -150,17 +157,20 @@ class _BucketIndex:
         self.nb = max(1, int(np.sqrt(n)))
         self.bs = self.L / self.nb
         cells = np.floor(self.points / self.bs).astype(np.int64) % self.nb
-        # (row, site) pairs, sorted by row; np.unique drops the repeats that
-        # wrapping makes when nb < 3
+        self._sites = np.lexsort((self.points[:, 1], self.points[:, 0]))
+        rank = np.argsort(self._sites)
+        # (row, rank) pairs, sorted, so that each row lists its sites in
+        # (x, y, index) order; np.unique drops the repeats that wrapping makes
+        # when nb < 3
         block = np.arange(-1, 2)
         rows = (((cells[:, 0, None, None] + block[:, None]) % self.nb) * self.nb
                 + (cells[:, 1, None, None] + block) % self.nb)
-        row, site = np.divmod(np.unique(rows.reshape(n, 9) * n
-                                        + np.arange(n)[:, None]), n)
+        row, at = np.divmod(np.unique(rows.reshape(n, 9) * n
+                                      + rank[:, None]), n)
         counts = np.bincount(row, minlength=self.nb * self.nb)
         col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
         self._table = np.full((self.nb * self.nb, counts.max()), -1, np.int64)
-        self._table[row, col] = site
+        self._table[row, col] = self._sites[at]
         self._certified = (np.inf if self.nb <= 3
                            else (self.bs * (1.0 - 1e-12)) ** 2)
 
@@ -181,34 +191,56 @@ class _BucketIndex:
         for s in range(0, len(redo), step):
             at = redo[s:s + step]
             result[at] = self._nearest(
-                q[at], np.broadcast_to(np.arange(n), (len(at), n)))[0]
+                q[at], np.broadcast_to(self._sites, (len(at), n)))[0]
         return result
+
+    def grid(self, qx, qy):
+        """`query` of the tensor grid qx x qy (wrapped), as (len(qx), len(qy))
+        indices: each bucket column computes the x terms of d^2 for its rows
+        and qx, and the y terms for all qy, once, then adds them per point."""
+        px, py = self.points[:, 0], self.points[:, 1]
+        bx, by = (np.floor(v / self.bs).astype(np.int64) % self.nb
+                  for v in (qx, qy))
+        jj = np.arange(len(qy))
+        result = np.empty((len(qx), len(qy)), dtype=np.int64)
+        best = np.empty(result.shape)
+        step = max(1, _BLOCK // max(len(qy), 1))
+        for a in np.unique(bx):
+            rows = self._table[a * self.nb:(a + 1) * self.nb]
+            ry = rows[by]
+            dy = self._wrapped_sq(qy[:, None] - py[ry])
+            dy[ry < 0] = np.inf
+            col = np.flatnonzero(bx == a)
+            for s in range(0, len(col), step):
+                i = col[s:s + step]
+                d2 = self._wrapped_sq(qx[i, None, None] - px[rows])[:, by]
+                d2 += dy
+                k = np.argmin(d2, axis=2)
+                result[i] = ry[jj, k]
+                best[i] = d2[np.arange(len(i))[:, None], jj, k]
+        redo = np.flatnonzero(~(best < self._certified))
+        if len(redo):
+            i, j = np.divmod(redo, len(qy))
+            result.flat[redo] = self.query(np.column_stack((qx[i], qy[j])))
+        return result
+
+    def _wrapped_sq(self, d):
+        """In place: d = min(|d|, L - |d|)^2, the wrapped axis term of d^2."""
+        np.abs(d, out=d)
+        np.minimum(d, self.L - d, out=d)
+        d *= d
+        return d
 
     def _nearest(self, q, rows):
         """Site index and d^2 of each query's nearest site in its row of
         `rows` (M, w), where -1 pads."""
         px, py = self.points[:, 0], self.points[:, 1]
-        dx = q[:, 0, None] - px[rows]
-        dy = q[:, 1, None] - py[rows]
-        for d in (dx, dy):     # in place: d = min(|d|, L - |d|)^2
-            np.abs(d, out=d)
-            np.minimum(d, self.L - d, out=d)
-            d *= d
-        d2 = np.add(dx, dy, out=dx)
+        d2 = self._wrapped_sq(q[:, 0, None] - px[rows])
+        d2 += self._wrapped_sq(q[:, 1, None] - py[rows])
         d2[rows < 0] = np.inf
         k = np.argmin(d2, axis=1)
         at = np.arange(len(q))
-        best = d2[at, k]
-        tie = d2 == best[:, None]
-        t = np.flatnonzero(tie.sum(axis=1) > 1)
-        if len(t):
-            tie, cand = tie[t], rows[t]
-            X = np.where(tie, px[cand], np.inf)
-            tie &= X == X.min(axis=1, keepdims=True)
-            Y = np.where(tie, py[cand], np.inf)
-            tie &= Y == Y.min(axis=1, keepdims=True)
-            k[t] = np.argmax(tie, axis=1)
-        return rows[at, k], best
+        return rows[at, k], d2[at, k]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +377,18 @@ def _tensor_points(xs, ys):
     return pts.reshape(-1, 2)
 
 
+def phase_grid(r, xs, ys):
+    """Phase ids (len(xs), len(ys)) on the tensor grid xs x ys; point for point
+    equal to phase_at(r, _tensor_points(xs, ys)), without building the points."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if r.model.kind in _PERIODIC_KINDS:
+        return phase_at(r, _tensor_points(xs, ys)).reshape(len(xs), len(ys))
+    L = r.box_side
+    idx = r._bucket_index().grid(np.mod(xs + r.offset[0], L),
+                                 np.mod(ys + r.offset[1], L))
+    return r.marks[idx]
+
+
 def rasterize(r, n1, n2):
     """Phase ids at element centers ((i+1/2) L/n1, (j+1/2) L/n2)."""
     n1, n2 = as_index(n1, "rasterize: n1"), as_index(n2, "rasterize: n2")
@@ -353,5 +397,4 @@ def rasterize(r, n1, n2):
     L = r.box_side
     cx = (np.arange(n1) + 0.5) * (L / n1)
     cy = (np.arange(n2) + 0.5) * (L / n2)
-    phases = phase_at(r, _tensor_points(cx, cy)).reshape(n1, n2)
-    return PhaseGrid(n1, n2, L, phases)
+    return PhaseGrid(n1, n2, L, phase_grid(r, cx, cy))

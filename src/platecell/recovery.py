@@ -28,7 +28,7 @@ import numpy as np
 from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
-from .errors import ConfigError, as_index
+from .errors import ConfigError, as_index, as_real
 from .material import svk_energy
 from .microstructure import _tensor_points
 
@@ -57,13 +57,14 @@ class IsometrySpec:
     def __init__(self, kind, domain, radius=None):
         if kind not in ("flat", "cylinder"):
             raise ConfigError("IsometrySpec: unknown kind %r" % (kind,))
-        x0, y0, x1, y1 = (float(v) for v in domain)
+        x0, y0, x1, y1 = (as_real(v, "IsometrySpec: domain[%d]" % k)
+                          for k, v in enumerate(domain))
         if not (x1 > x0 and y1 > y0):
             raise ConfigError("IsometrySpec: empty domain %r" % (domain,))
         if kind == "cylinder":
-            if radius is None or not radius > 0:
+            radius = as_real(radius, "IsometrySpec: cylinder radius")
+            if not radius > 0:
                 raise ConfigError("IsometrySpec: cylinder needs radius > 0")
-            radius = float(radius)
         self.kind = kind
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
@@ -144,12 +145,14 @@ class RecoveryConfig:
 
     def __init__(self, gamma=1.0, patch_size=0.25, ramp_width=None,
                  cells_per_scale=4, h_schedule=None, corrector_tol=1e-10):
+        gamma = as_real(gamma, "RecoveryConfig: gamma")
         if not gamma > 0:
             raise ConfigError("RecoveryConfig: gamma must be > 0")
+        patch_size = as_real(patch_size, "RecoveryConfig: patch_size")
         if not patch_size > 0:
             raise ConfigError("RecoveryConfig: patch_size must be > 0")
-        if ramp_width is None:
-            ramp_width = patch_size / 8.0
+        ramp_width = (patch_size / 8.0 if ramp_width is None
+                      else as_real(ramp_width, "RecoveryConfig: ramp_width"))
         if not 0 < ramp_width < patch_size / 2.0:
             raise ConfigError("RecoveryConfig: ramp_width must lie in "
                               "(0, patch_size / 2)")
@@ -158,18 +161,20 @@ class RecoveryConfig:
         if cells_per_scale < 2:
             raise ConfigError("RecoveryConfig: cells_per_scale must be >= 2")
         if h_schedule is not None:
-            hs = [float(h) for h in h_schedule]
+            hs = [as_real(h, "RecoveryConfig: h_schedule[%d]" % k)
+                  for k, h in enumerate(h_schedule)]
             if not hs or any(h <= 0 for h in hs) or \
                     any(b >= a for a, b in zip(hs, hs[1:])):
                 raise ConfigError("RecoveryConfig: h_schedule must be "
                                   "positive and strictly decreasing")
             h_schedule = hs
-        self.gamma = float(gamma)
-        self.patch_size = float(patch_size)
-        self.ramp_width = float(ramp_width)
+        self.gamma = gamma
+        self.patch_size = patch_size
+        self.ramp_width = ramp_width
         self.cells_per_scale = cells_per_scale
         self.h_schedule = h_schedule
-        self.corrector_tol = float(corrector_tol)
+        self.corrector_tol = as_real(corrector_tol,
+                                     "RecoveryConfig: corrector_tol")
 
 
 class CellCorrectorSource:

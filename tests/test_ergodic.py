@@ -15,8 +15,11 @@ from platecell import (
     isotropy_defect,
     isotropy_report,
     material_table,
+    phase_at,
     sample_realization,
+    shift,
 )
+from platecell.microstructure import _tensor_points
 from oracles import checkerboard_window_average, single_phase_bending_discrete
 
 WINDOW = (0.37, 0.21, 1.50, 1.04)     # deliberately tile-incommensurate
@@ -73,6 +76,27 @@ def test_voronoi_mark_fraction_across_seeds():
     assert abs(vals.mean() - 0.7) <= 3.0 * sem
 
 
+def test_averages_match_phase_at_reference():
+    """The averages are bitwise those of phase_at on the tensor points."""
+    model = MicrostructureModel("poisson_voronoi", intensity=6.0,
+                                phase_count=3)
+    voronoi = shift(sample_realization(model, 2, 3.0), (0.9, -4.1))
+    x0, y0, x1, y1 = WINDOW
+    eps = [0.5, 0.25, 0.1]
+    for r, values in ((checkerboard_realization(), [0.3, 1.7]),
+                      (voronoi, [0.3, 1.7, -2.2])):
+        want = []
+        for e in eps:
+            mx = int(np.ceil((x1 - x0) / (e / 8.0)))
+            my = int(np.ceil((y1 - y0) / (e / 8.0)))
+            xs = x0 + (np.arange(mx) + 0.5) * (x1 - x0) / mx
+            ys = y0 + (np.arange(my) + 0.5) * (y1 - y0) / my
+            phases = phase_at(r, _tensor_points(xs, ys) / e)
+            want.append(float(np.asarray(values)[phases].mean()))
+        assert birkhoff_average(r, values, WINDOW, eps).averages.tolist() \
+            == want
+
+
 def test_birkhoff_validation():
     r = checkerboard_realization()
     with pytest.raises(ConfigError):
@@ -87,6 +111,13 @@ def test_birkhoff_validation():
         birkhoff_average(r, {0: 1.0}, WINDOW, [0.5])               # missing 1
     with pytest.raises(ConfigError):
         birkhoff_average(r, [1.0], WINDOW, [0.5])                  # too short
+    for window in (("0", 0, True, 1), (0.0, 0.0, np.inf, 1.0),
+                   (0.0, 0.0, 1.0, True), (0.0, 0.0, 1.0, "1")):
+        with pytest.raises(ConfigError, match="window"):
+            birkhoff_average(r, [0, 1], window, [0.5])
+    for step in ("0.01", True, np.nan, 0.0, -0.01):
+        with pytest.raises(ConfigError, match="step"):
+            birkhoff_average(r, [0, 1], WINDOW, [2.0], step=step)
     series = birkhoff_average(r, [0, 1], WINDOW, [0.5, 0.25, 0.125])
     with pytest.raises(ConfigError):
         birkhoff_rate(series, fit_count=3)                         # nothing left

@@ -10,10 +10,13 @@ from platecell import (
     MicrostructureModel,
     MicrostructureRealization,
     phase_at,
+    phase_grid,
     rasterize,
     sample_realization,
     shift,
 )
+from platecell import microstructure
+from platecell.microstructure import _tensor_points
 from oracles import brute_nearest, pooled_binomial_std
 
 
@@ -157,6 +160,10 @@ def test_equidistant_tie_breaks_lexicographically():
     assert phase_at(r, [0.5, 0.5]) == 0
     # (0.0, 0.5) ties again through the wrap: 0.25 direct vs 0.25 wrapped
     assert phase_at(r, [0.0, 0.5]) == 0
+    # sites 14 and 15 coincide, and the lower index wins: at (3, 3) the
+    # bucket table certifies it, at (7.5, 7.5) the all-sites pass decides
+    npt.assert_array_equal(phase_at(_twin_sites(), [[3.0, 3.0], [7.5, 7.5]]),
+                           [14, 14])
 
 
 def test_rasterize_matches_brute_force():
@@ -170,14 +177,51 @@ def test_rasterize_matches_brute_force():
             assert pg.cell_phase[i, j] == r.marks[k]
 
 
-def _assert_sites_match_brute_force(r, queries):
-    """phase_at's site for every query is the oracle's, index for index.
+def test_rasterize_matches_phase_at_on_centers():
+    checker = sample_realization(
+        MicrostructureModel("checkerboard", period_hint=0.5), 0, 2.0)
+    voronoi = shift(sample_realization(voronoi_model(intensity=20.0), 7, 2.0),
+                    (0.4, -2.3))
+    cx = (np.arange(13) + 0.5) * (2.0 / 13)
+    cy = (np.arange(10) + 0.5) * (2.0 / 10)
+    for r in (checker, voronoi):
+        want = phase_at(r, _tensor_points(cx, cy)).reshape(13, 10)
+        npt.assert_array_equal(rasterize(r, 13, 10).cell_phase, want)
 
-    Marks are set to the site indices, so a wrong site with the right mark
-    cannot pass."""
-    r = MicrostructureRealization(r.model, r.seed, r.box_side, points=r.points,
-                                  marks=np.arange(len(r.points)),
-                                  offset=r.offset)
+
+def _index_marks(r):
+    """r with its marks set to the site indices, so that a wrong site with
+    the right mark cannot pass."""
+    return MicrostructureRealization(r.model, r.seed, r.box_side,
+                                     points=r.points,
+                                     marks=np.arange(len(r.points)),
+                                     offset=r.offset)
+
+
+def _lattice():
+    """A 6 x 6 unit lattice on a box of side 6; queries at half-integers
+    tie 2 or 4 ways, some of them only through the wrap (x = 5.5 is 0.5 from
+    the sites at 5 and at 0).  The sites are listed in reverse so that index
+    order breaks no tie."""
+    grid = np.arange(6.0)
+    lattice = np.stack(np.meshgrid(grid, grid, indexing="ij"),
+                       -1).reshape(-1, 2)[::-1]
+    return MicrostructureRealization(voronoi_model(), 0, 6.0, points=lattice,
+                                     marks=np.zeros(36))
+
+
+def _twin_sites():
+    """14 sites in [0, 1)^2 and two at (1.5, 1.5) on a box of side 16 (4 x 4
+    buckets of side 4), marked by index."""
+    pts = np.vstack([np.random.default_rng(3).random((14, 2)),
+                     [[1.5, 1.5], [1.5, 1.5]]])
+    return MicrostructureRealization(voronoi_model(), 0, 16.0, points=pts,
+                                     marks=np.arange(16))
+
+
+def _assert_sites_match_brute_force(r, queries):
+    """phase_at's site for every query is the oracle's, index for index."""
+    r = _index_marks(r)
     wrapped = np.mod(queries + r.offset, r.box_side)
     want = [brute_nearest(r.points, r.box_side, q) for q in wrapped]
     npt.assert_array_equal(phase_at(r, queries), want)
@@ -192,17 +236,8 @@ def test_phase_at_brute_force_random_queries():
     npt.assert_array_equal(got, want)
     model = voronoi_model()
 
-    # a 6 x 6 unit lattice at half-integers: 2- and 4-way ties, some of them
-    # only through the wrap (x = 5.5 is 0.5 from the sites at 5 and at 0);
-    # the sites are listed in reverse so that index order breaks no tie
-    grid = np.arange(6.0)
-    lattice = np.stack(np.meshgrid(grid, grid, indexing="ij"),
-                       -1).reshape(-1, 2)[::-1]
     half = np.arange(12) * 0.5
-    ties = np.stack(np.meshgrid(half, half, indexing="ij"), -1).reshape(-1, 2)
-    _assert_sites_match_brute_force(
-        MicrostructureRealization(model, 0, 6.0, points=lattice,
-                                  marks=np.zeros(36)), ties)
+    _assert_sites_match_brute_force(_lattice(), _tensor_points(half, half))
 
     # at most 3 x 3 buckets: every query sees every site
     for n in (1, 2, 5, 9):
@@ -232,6 +267,49 @@ def test_phase_at_brute_force_random_queries():
     r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
     _assert_sites_match_brute_force(shift(r, (0.73, -1.91)),
                                     rng.random((500, 2)) * 6.0 - 3.0)
+
+
+@pytest.mark.parametrize("block", [4096, 7])
+def test_phase_grid_matches_phase_at(monkeypatch, block):
+    """phase_grid's site at every grid point is phase_at's, index for index,
+    on the media of test_phase_at_brute_force_random_queries and on twin
+    sites; a _BLOCK of 7 puts chunk edges inside the bucket columns."""
+    monkeypatch.setattr(microstructure, "_BLOCK", block)
+    rng = np.random.default_rng(14)
+    model = voronoi_model()
+
+    def check(r, xs, ys):
+        r = _index_marks(r)
+        got = phase_grid(r, xs, ys)
+        assert got.shape == (len(xs), len(ys))
+        npt.assert_array_equal(got.reshape(-1),
+                               phase_at(r, _tensor_points(xs, ys)))
+
+    half = np.arange(12) * 0.5
+    check(_lattice(), half, half)
+    check(_lattice(), half, half[:0])
+    check(_twin_sites(), np.array([3.0, 7.5, 3.0]), np.array([7.5, 3.0]))
+    for n in (1, 2, 5, 9):          # at most 3 x 3 buckets
+        pts = rng.random((n, 2)) * 3.0
+        check(MicrostructureRealization(model, 0, 3.0, points=pts,
+                                        marks=np.zeros(n)),
+              rng.random(31) * 3.0, rng.random(5) * 3.0)
+    r = sample_realization(voronoi_model(intensity=47.0), 5, 4.0)
+    assert 700 <= len(r.points) <= 800
+    check(r, rng.random(90) * 4.0, rng.random(110) * 4.0)
+
+    # clustered in one quadrant: some grid points go to the fallback
+    pts = rng.random((64, 2)) * 8.0
+    xs, ys = rng.random(40) * 16.0, rng.random(40) * 16.0
+    d = np.abs(_tensor_points(xs, ys)[:, None, :] - pts)
+    d = np.minimum(d, 16.0 - d)
+    assert np.sqrt((d * d).sum(axis=2).min(axis=1).max()) > 16.0 / 8
+    check(MicrostructureRealization(model, 0, 16.0, points=pts,
+                                    marks=np.zeros(64)), xs, ys)
+
+    r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
+    check(shift(r, (0.73, -1.91)), rng.random(25) * 6.0 - 3.0,
+          rng.random(35) * 6.0 - 3.0)
 
 
 def test_zero_point_draw_raises_or_resamples():

@@ -157,6 +157,27 @@ def test_recovery_config_validation():
     with pytest.raises(ConfigError):
         RecoveryConfig(h_schedule=[0.1, -0.05])
     assert RecoveryConfig(patch_size=0.4).ramp_width == pytest.approx(0.05)
+    inf, nan = float("inf"), float("nan")
+    for field, bad in (("gamma", {"gamma": inf}), ("gamma", {"gamma": "2"}),
+                       ("gamma", {"gamma": True}),
+                       ("patch_size", {"patch_size": True}),
+                       ("patch_size", {"patch_size": "0.25"}),
+                       ("ramp_width", {"patch_size": 4.0, "ramp_width": True}),
+                       ("ramp_width", {"ramp_width": "0.01"}),
+                       ("corrector_tol", {"corrector_tol": nan}),
+                       ("corrector_tol", {"corrector_tol": "1e-8"}),
+                       ("h_schedule", {"h_schedule": [inf, 1.0]}),
+                       ("h_schedule", {"h_schedule": [0.2, "0.1"]}),
+                       ("h_schedule", {"h_schedule": [True, 0.5]})):
+        with pytest.raises(ConfigError, match=field):
+            RecoveryConfig(**bad)
+    for radius in (inf, True, "1.0"):
+        with pytest.raises(ConfigError, match="radius"):
+            cylinder_isometry(radius)
+    for domain in ((0.0, 0.0, inf, 1.0), ("0", 0.0, 1.0, 1.0),
+                   (0.0, False, 1.0, 1.0)):
+        with pytest.raises(ConfigError, match="domain"):
+            cylinder_isometry(1.0, domain)
 
 
 def test_sampler_needs_positive_thickness():

@@ -13,20 +13,37 @@ form over 2x2x2 Gauss points (exact for the x3-quadratic load term).  The
 strain matrices are the mesh's reference gradients scaled by the element
 sizes, with 1/(gamma hz) through the thickness.
 
-The stationarity system is solved matrix-free: one 24x24 element kernel per
-phase and one dof table of the elements sorted by phase, which serves the
-matvec (np.take -> one GEMM per phase -> the mesh's scatter), the right-hand
-sides and the energy closure, in conjugate gradients with the 3-dimensional
-translation kernel projected out each iteration.  The preconditioner is the
-exact inverse of a homogeneous reference medium (Lame constants the geometric
-means of the phases present): its stiffness is block-circulant in the in-plane
-node indices, so a real 2D FFT splits it into one Hermitian 3(n3+1) x 3(n3+1)
-system per wavevector, inverted once per grid and reference medium and shared
-read-only (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then
-depend on the phase contrast but not on the mesh.  Unit loads iterate
-together (block right-hand side) into one bilinear energy closure: the three
-bending loads give the bending form, since the reflection x3 -> -x3 decouples
-them from the membrane loads, and all six give the 6x6 tensor.
+Every medium is isotropic and constant through the thickness, on layers and
+Gauss points symmetric about the midplane, so the problem commutes with the
+reflection x3 -> -x3 and every corrector has a parity: the signs s of
+(u1, u2, u3) under the reflection, (-, -, +) for the bending loads x3 G and
+(+, +, -) for the membrane loads B.  An operator solves in one parity, on the
+folded half-slab: node layer k sits on slot r = min(k, n3 - k) with
+coefficient 1/sqrt2 below the midplane and s_c/sqrt2 above it, and a midplane
+node (even n3) keeps coefficient 1 for an even component and 0 for an odd
+one, whose slot stays pinned at 0.  The slots are orthonormal, so the folded
+problem is the full one restricted to the parity's fields, and conjugate
+gradients take the same iterates on about half the dofs.  Only the element
+layers below the midplane are kept, with weight 2 for their mirror images;
+the self-mirrored straddling layer of odd n3 keeps weight 1, its top nodes
+aliasing its bottom slots with the signs s_c.
+
+The stationarity system is solved matrix-free: one folded 24x24 kernel
+w diag(sigma) K_p diag(sigma) per (phase, layer), sigma the slot coefficients
+of the local dofs, and one dof table of the kept elements sorted by (phase,
+layer), which serves the matvec (np.take -> one GEMM per kernel -> the mesh's
+scatter), the right-hand sides and the energy closure, in conjugate gradients
+with the translations of the even components projected out each iteration.
+The preconditioner is the exact inverse of a homogeneous reference medium
+(Lame constants the geometric means of the phases present): its folded
+stiffness is block-circulant in the in-plane node indices, so a real 2D FFT
+splits it into one Hermitian 3(n3//2 + 1)-square system per wavevector,
+inverted once per grid, parity and reference medium and shared read-only
+(Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then depend on
+the phase contrast but not on the mesh.  Unit loads iterate together (block
+right-hand side) into one bilinear energy closure: the three bending loads
+give the bending form, and with the three membrane loads, solved in the
+other parity, the 6x6 tensor, whose membrane/bending block is zero.
 """
 
 import functools
@@ -134,8 +151,13 @@ def sym2_to_voigt3(M):
 
 
 # ---------------------------------------------------------------------------
-# Element machinery
+# Element machinery on the folded half-slab
 # ---------------------------------------------------------------------------
+
+# The parities: signs of (u1, u2, u3) under the reflection x3 -> -x3.
+BENDING = (-1, -1, 1)
+MEMBRANE = (1, 1, -1)
+
 
 def _strain_matrices(grid):
     """B-matrices (8 gauss, 6 voigt, 24 dof) incl. the (1/gamma) d3 scaling."""
@@ -157,6 +179,53 @@ def _strain_matrices(grid):
     return B.reshape(8, 6, 24)
 
 
+def _fold(grid, parity):
+    """The fold of the slab onto the slots of one parity.
+
+    Returns:
+        fold: (n3 + 1, n3 // 2 + 1, 3) coefficient of component c of node
+            layer k on slot r, nonzero only at r = min(k, n3 - k).
+        weight: (layers,) 2 for each kept element layer e < ceil(n3 / 2),
+            1 for the straddling layer of odd n3.
+        edof: (n1 n2, layers, 24) folded dofs of the kept elements, in
+            natural order.
+        sigma: (layers, 24) slot coefficient of each local dof.
+    """
+    n1, n2, n3 = grid.n1, grid.n2, grid.n3
+    s = np.asarray(parity, dtype=float)
+    k = np.arange(n3 + 1)
+    below, above = (2 * k < n3)[:, None], (2 * k > n3)[:, None]
+    coef = np.where(below, 1.0 / SQRT2,
+                    np.where(above, s / SQRT2, (1.0 + s) / 2.0))
+    fold = np.zeros((n3 + 1, n3 // 2 + 1, 3))
+    fold[k, np.minimum(k, n3 - k)] = coef
+    e = np.arange((n3 + 1) // 2)
+    weight = np.where(2 * e + 1 == n3, 1.0, 2.0)
+    col, layer = np.divmod(
+        nodes(n1, n2, n3).reshape(n1 * n2, n3, 8)[:, :len(e)], n3 + 1)
+    slot = col * fold.shape[1] + np.minimum(layer, n3 - layer)
+    edof = 3 * slot[..., None] + np.arange(3)
+    kz = e[:, None] + (np.arange(8) >> 2)    # node layers of local nodes
+    sigma = fold[kz, np.minimum(kz, n3 - kz)].reshape(len(e), 24)
+    return fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
+
+
+def _folded_kernels(ke, sigma, weight):
+    """w diag(sigma) ke diag(sigma) for each of the kernels ke (p, 24, 24)
+    and kept layers: (p * layers, 24, 24), phase-major."""
+    scaled = weight[:, None] * sigma
+    return (sigma[:, :, None] * ke[:, None] * scaled[:, None, :]) \
+        .reshape(-1, 24, 24)
+
+
+def _translations(fold):
+    """Unit translation of each even component on the slots of one in-plane
+    node, (slots, 3); zero for the odd components, which have none."""
+    omega = fold.sum(axis=0)
+    norm = np.sqrt((omega ** 2).sum(axis=0))
+    return omega / np.where(norm > 0, norm, 1.0)
+
+
 def _apply_kernels(kernels, bounds, table, U):
     """Apply kernels[p] to the element columns bounds[p]:bounds[p + 1] of
     the (24, n_el) dof table: gather U, one GEMM per kernel, scatter back."""
@@ -168,34 +237,43 @@ def _apply_kernels(kernels, bounds, table, U):
     return scatter(table, Ve.reshape(24, -1, m), len(U))
 
 
-@functools.lru_cache(maxsize=4)
-def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam):
-    """Per-wavevector inverses of the stiffness of the isotropic medium
-    (mu, lam) on the grid; memoized, read-only and shared by the operators.
+@functools.lru_cache(maxsize=8)
+def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam, parity):
+    """Per-wavevector inverses of the folded stiffness of the isotropic medium
+    (mu, lam) in one parity on the grid; memoized, read-only and shared by
+    the operators.
 
-    The stiffness applied to the M unit nodal fields at in-plane node (0, 0),
-    then transformed by rfft2, is the M x M symbol per wavevector.  The
-    zero-wavevector block is singular on the translations, which are lifted
-    by a multiple of their projector (project() removes them from every
-    iterate).  Each Hermitian block K = Kr + i Ki is inverted through its
-    real embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]]
-    with K^-1 = A + i B; only its left half is kept.
+    The folded stiffness applied to the M unit slot fields at in-plane node
+    (0, 0), then transformed by rfft2, is the M x M symbol per wavevector.
+    The pinned slots get the identity.  The zero-wavevector block is singular
+    on the translations of the even components, which are lifted by a
+    multiple of their projector (project() removes them from every iterate).
+    Each Hermitian block K = Kr + i Ki is inverted through its real embedding
+    [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]] with
+    K^-1 = A + i B; only its left half is kept.
 
     Returns:
-        (n1, n2 // 2 + 1, 2M, M) real array stacking A over B, M = 3 (n3 + 1).
+        (n1, n2 // 2 + 1, 2M, M) real array stacking A over B,
+        M = 3 (n3 // 2 + 1).
     """
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
-    m = 3 * (n3 + 1)
+    fold, weight, edof, sigma = _fold(grid, parity)
+    m = fold[0].size
     Bq = _strain_matrices(grid)
     ke = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt, Bq) \
         * (1.0 / (8.0 * grid.n_elements))
-    edof = (3 * nodes(n1, n2, n3)[..., None] + np.arange(3)).reshape(-1, 24)
-    near = edof[(edof < m).any(axis=1)].T   # elements touching node (0, 0)
-    units = np.eye(3 * grid.n_nodes, m)   # in-plane node (0, 0) holds dofs :m
-    columns = _apply_kernels([ke], [0, near.shape[1]], near, units)
+    near = edof[(edof[:, 0] < m).any(axis=1)]   # columns touching node (0, 0)
+    table = near.transpose(1, 0, 2).reshape(-1, 24).T    # layer-major
+    units = np.eye(m * n1 * n2, m)   # in-plane node (0, 0) holds dofs :m
+    columns = _apply_kernels(_folded_kernels(ke[None], sigma, weight),
+                             np.arange(len(weight) + 1) * len(near), table,
+                             units)
     symbol = np.fft.rfft2(columns.reshape(n1, n2, m, m), axes=(0, 1))
-    translations = np.kron(np.ones((m // 3, m // 3)), np.eye(3)) / (m // 3)
+    t = _translations(fold)
+    translations = np.einsum("rc,sd,cd->rcsd", t, t, np.eye(3)).reshape(m, m)
     symbol[0, 0] += np.trace(symbol[0, 0].real) / m * translations
+    pinned = ~fold.any(axis=0).ravel()
+    symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
     inverse = np.ascontiguousarray(np.linalg.inv(embedded)[..., :m])
@@ -204,15 +282,17 @@ def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam):
 
 
 class CellOperator:
-    """Matrix-free stiffness operator of one cell problem.
+    """Matrix-free stiffness operator of one cell problem, on the folded
+    half-slab of one parity (`BENDING` or `MEMBRANE`).
 
-    Holds the phase-sorted dof table, the per-phase 24x24 kernels, the
-    factored in-plane FFT preconditioner, and the Gauss-point load strains;
-    everything downstream (corrector solves, energies, effective tensors)
-    goes through here.
+    Holds the (phase, layer)-sorted dof table of the kept elements, their
+    folded 24x24 kernels, the factored in-plane FFT preconditioner, and the
+    Gauss-point load strains.  Its fields are folded, (ndof, m); `expand` and
+    `restrict` map them to and from full-slab nodal fields.  Loads enter
+    through their part in the parity: x3 G for bending, B for membrane.
     """
 
-    def __init__(self, grid, phases, materials):
+    def __init__(self, grid, phases, materials, parity):
         if (phases.n1, phases.n2) != (grid.n1, grid.n2):
             raise ConfigError("phase grid is %dx%d but the RVE grid wants %dx%d"
                               % (phases.n1, phases.n2, grid.n1, grid.n2))
@@ -220,39 +300,51 @@ class CellOperator:
         missing = [int(p) for p in present if int(p) not in materials]
         if missing:
             raise ConfigError("material table lacks phase ids %s" % missing)
+        if parity not in (BENDING, MEMBRANE):
+            raise ConfigError("cell operator: parity must be BENDING or "
+                              "MEMBRANE, not %r" % (parity,))
         self.grid = grid
+        self.parity = parity
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
-        self.ndof = 3 * grid.n_nodes
+        self.fold, self.weight, edof, sigma = _fold(grid, parity)
+        layers = len(self.weight)
+        self.ndof = n1 * n2 * self.fold[0].size
 
-        # --- connectivity: elements stably sorted by phase -----------------
-        edof = (3 * nodes(n1, n2, n3)[..., None]
-                + np.arange(3)).reshape(-1, 24)
-        phase_el = np.repeat(np.searchsorted(present, phases.cell_phase), n3)
-        order = np.argsort(phase_el, kind="stable")
-        # phase p owns the columns bounds[p]:bounds[p + 1] of the dof table
-        self.table = edof[order].T.copy()             # (24, n_el)
-        self.bounds = np.r_[0, np.cumsum(np.bincount(phase_el))]
-        self.layer = order % n3                       # thickness layer
+        # --- connectivity: kept elements stably sorted by (phase, layer) ----
+        block = (np.searchsorted(present, phases.cell_phase).reshape(-1, 1)
+                 * layers + np.arange(layers)).ravel()
+        order = np.argsort(block, kind="stable")
+        # kernel b = phase * layers + layer owns bounds[b]:bounds[b + 1]
+        self.table = edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
+        self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
 
         # --- element kernels ----------------------------------------------
         B = _strain_matrices(grid)
         self.Bq = B                                  # (8, 6, 24)
+        self.Bs = B.reshape(48, 24) * sigma[:, None]  # per layer, on the slots
+        self.scale = self.weight[:, None] * sigma     # (layers, 24)
         self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
         hz = 1.0 / n3
         gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
-        self.zq = -0.5 + (np.arange(n3)[:, None] + gz[None, :]) * hz   # (n3, 8)
+        self.zq = -0.5 + (np.arange(layers)[:, None] + gz[None, :]) * hz
         self.forms = np.stack([materials[p].q0.voigt for p in present])
-        self.ke = np.einsum("qci,pcd,qdj->pij", B, self.forms, B) * self.wq
+        self.ke = _folded_kernels(
+            np.einsum("qci,pcd,qdj->pij", B, self.forms, B) * self.wq,
+            sigma, self.weight)
         lame = [(materials[p].lame_mu, materials[p].lame_lambda)
                 for p in present]
         mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
         self.fft_inverse = _reference_inverse(n1, n2, n3, grid.gamma,
-                                              grid.box_side, mu, lam)
+                                              grid.box_side, mu, lam,
+                                              self.parity)
+        # (slot, component) of the pinned slots; the even translations
+        self._pinned = np.nonzero(~self.fold.any(axis=0))
+        self._shift = _translations(self.fold)[..., None]
 
     # --- in-plane FFT preconditioner -----------------------------------------
     def precondition(self, R):
         """Apply the reference-medium inverse to residuals R: (ndof, k)."""
-        n1, n2, m = self.grid.n1, self.grid.n2, 3 * (self.grid.n3 + 1)
+        n1, n2, m = self.grid.n1, self.grid.n2, self.fft_inverse.shape[-1]
         k = R.shape[1]
         Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(0, 1))
         # [A; B] @ [Rr, Ri] = [[A Rr, A Ri], [B Rr, B Ri]]
@@ -264,9 +356,13 @@ class CellOperator:
 
     # --- kernel projection -------------------------------------------------
     def project(self, U):
-        """Remove the nodal mean of each displacement component (in place)."""
-        V = U.reshape(-1, 3, U.shape[-1]) if U.ndim == 2 else U.reshape(-1, 3)
-        V -= V.mean(axis=0, keepdims=True)
+        """Zero the pinned slots of U (ndof, m) and remove the translations of
+        its even components (in place)."""
+        V = U.reshape((self.grid.n1 * self.grid.n2,) + self.fold.shape[1:]
+                      + (-1,))
+        V[:, self._pinned[0], self._pinned[1]] = 0.0
+        V -= self._shift * ((self._shift * V.sum(axis=0)).sum(axis=0)
+                            / len(V))
         return U
 
     # --- operator application ----------------------------------------------
@@ -274,45 +370,74 @@ class CellOperator:
         """Apply the stiffness operator to U of shape (ndof, m)."""
         return _apply_kernels(self.ke, self.bounds, self.table, U)
 
+    # --- full-slab fields ----------------------------------------------------
+    def expand(self, U):
+        """Full-slab nodal fields (3 n_nodes, m) of the folded U (ndof, m)."""
+        V = U.reshape((self.grid.n1 * self.grid.n2,) + self.fold.shape[1:]
+                      + (-1,))
+        full = np.einsum("krc,srcm->skcm", self.fold, V)
+        return full.reshape(-1, V.shape[-1])
+
+    def restrict(self, u):
+        """Folded coordinates (ndof, m) of the orthogonal projection of the
+        full-slab nodal fields u (3 n_nodes, m) onto this parity."""
+        V = u.reshape(self.grid.n1 * self.grid.n2, self.grid.n3 + 1, 3, -1)
+        folded = np.einsum("krc,skcm->srcm", self.fold, V)
+        return folded.reshape(-1, V.shape[-1])
+
     # --- loads ---------------------------------------------------------------
     def load_strains(self, load):
-        """Voigt load strain iota(B + x3 G) per (layer, gauss): (n3, 8, 6)."""
-        eps = np.zeros((self.grid.n3, 8, 6))
-        B, G = load.B, load.G
-        z = self.zq
-        eps[..., 0] = B[0, 0] + z * G[0, 0]
-        eps[..., 1] = B[1, 1] + z * G[1, 1]
-        eps[..., 5] = SQRT2 * (B[0, 1] + z * G[0, 1])
+        """Voigt strain per (kept layer, gauss) of the load's part in this
+        parity, iota(x3 G) or iota(B): (layers, 8, 6).  The other part is
+        orthogonal to every field of the parity."""
+        if self.parity == BENDING:
+            M, z = load.G, self.zq
+        else:
+            M, z = load.B, np.ones_like(self.zq)
+        eps = np.zeros(self.zq.shape + (6,))
+        eps[..., 0] = z * M[0, 0]
+        eps[..., 1] = z * M[1, 1]
+        eps[..., 5] = SQRT2 * (z * M[0, 1])
         return eps
 
     def rhs(self, loads):
-        """Right-hand sides -f for a list of loads: (ndof, m)."""
-        # per (phase, layer) element load vectors, (n_phases, n3, 24, m)
+        """Folded right-hand sides -f for a list of loads: (ndof, m)."""
+        # per (phase, layer) element load vectors, (n_phases * layers, 24, m)
         fe = np.stack([np.einsum("qci,pcd,kqd->pki", self.Bq, self.forms,
                                  self.load_strains(load)) * self.wq
                        for load in loads], axis=-1)
-        phase = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
-        fe = fe.transpose(2, 0, 1, 3)[:, phase, self.layer]   # (24, n_el, m)
+        fe = (fe * self.scale[..., None]).reshape(-1, 24, len(loads))
+        kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
+        fe = fe.transpose(1, 0, 2)[:, kernel]       # (24, n_kept, m)
         return -scatter(self.table, fe, self.ndof)
 
     # --- energies ------------------------------------------------------------
     def closure(self, loads, X):
-        """Energy Gram matrix (m, m) of the loads plus their fields X (ndof, m):
-        entry (a, b) is the cell average of tau_a : Q0 : tau_b."""
+        """Energy Gram matrix (m, m) of the loads plus their folded fields X
+        (ndof, m): entry (a, b) is the cell average of tau_a : Q0 : tau_b
+        over the loads' parts in this parity."""
         m = len(loads)
-        # total strains on the phase-sorted elements: (8, 6, n_el, m)
-        Xe = np.take(X, self.table, axis=0).reshape(24, -1)
-        taus = (self.Bq.reshape(48, 24) @ Xe).reshape(8, 6, -1, m)
-        eps = np.stack([self.load_strains(ld) for ld in loads], axis=-1)
-        taus += eps[self.layer].transpose(1, 2, 0, 3)
-        # M[a, b] = sum_p Q_p[c, d] * sum_qe tau[q, c, e, a] tau[q, d, e, b]
+        layers = len(self.weight)
+        XT = np.ascontiguousarray(X.reshape(len(X), -1).T)
+        Xe = np.take(XT, self.table, axis=1)          # (m, 24, n_kept)
+        eps = np.stack([self.load_strains(ld) for ld in loads])[..., None]
+        # M[a, b] = sum_(p, l) w_l sum_qe tau_a[q, :, e] . Q_p tau_b[q, :, e],
+        # each block summed pairwise over its contiguous points: the running
+        # sum of a matrix product over thousands of points left the tensors
+        # up to 8e-15 relative off an exact sum
         M = np.zeros((m, m))
-        for form, a, b in zip(self.forms, self.bounds[:-1], self.bounds[1:]):
-            T = taus[:, :, a:b].transpose(1, 3, 0, 2).reshape(6 * m, -1)
-            M += np.einsum("cd,cadb->ab", form, (T @ T.T).reshape(6, m, 6, m))
+        for b, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            p, l = divmod(b, layers)
+            taus = (self.Bs[l] @ Xe[:, :, lo:hi]).reshape(m, 8, 6, -1)
+            taus += eps[:, l]
+            stress = self.forms[p] @ taus
+            for i in range(m):
+                for j in range(m):
+                    M[i, j] += self.weight[l] * (taus[i] * stress[j]).sum()
         return M * self.wq
 
     def energy(self, load, u=None):
+        """Cell energy of the load's part in this parity plus the folded u."""
         u = np.zeros(self.ndof) if u is None else u
         return float(self.closure([load], u)[0, 0])
 
@@ -321,13 +446,14 @@ class CellOperator:
         """Block PCG, FFT-preconditioned, with per-iteration kernel projection.
 
         Args:
-            rhs: (ndof, m) right-hand sides (solved simultaneously).
+            rhs: (ndof, m) folded right-hand sides (solved simultaneously).
             tol: relative residual target per column, in (0, 1).
-            max_iter: iteration cap; default 20*sqrt(ndof).
+            max_iter: iteration cap; default 20*sqrt(3 n_nodes), the full
+                slab's, since the fold leaves the iterates unchanged.
             callback: optional f(iteration, x) hook (e.g. energy tracing).
 
         Returns:
-            (x, history): solution (ndof, m) and per-iteration list of
+            (x, history): folded solution (ndof, m) and per-iteration list of
             per-column relative residuals.
 
         Raises:
@@ -337,7 +463,7 @@ class CellOperator:
         if not 0 < tol < 1:
             raise ConfigError("cell solve: tol must lie in (0, 1)")
         if max_iter is None:
-            max_iter = int(20.0 * np.sqrt(self.ndof)) + 10
+            max_iter = int(20.0 * np.sqrt(3 * self.grid.n_nodes)) + 10
         return block_pcg(self.matvec, self.precondition, self.project, rhs,
                          tol, max_iter, callback=callback)
 
@@ -347,17 +473,43 @@ class CellOperator:
 # ---------------------------------------------------------------------------
 
 def cell_energy(grid, phases, materials, load, phi=None):
-    """Volume-averaged cell energy of a load plus (optional) corrector."""
-    u = None if phi is None else phi.values.reshape(-1)
-    return CellOperator(grid, phases, materials).energy(load, u)
+    """Volume-averaged cell energy of a load plus (optional) corrector.
+
+    Each parity takes its part of the load and the projection of phi; the
+    cross terms of the two parities vanish on the reflection-symmetric cell.
+    """
+    u = np.zeros((3 * grid.n_nodes, 1)) if phi is None \
+        else phi.values.reshape(-1, 1)
+    energy = 0.0
+    for parity in (MEMBRANE, BENDING):
+        op = CellOperator(grid, phases, materials, parity)
+        energy += op.closure([load], op.restrict(u))[0, 0]
+    return float(energy)
 
 
-def solve_corrector(grid, phases, materials, load, tol=1e-8, callback=None):
-    """Minimize the cell energy over correctors for one fixed load."""
-    op = CellOperator(grid, phases, materials)
-    x, history = op.solve(op.rhs([load]), tol=tol, callback=callback)
-    values = x[:, 0].reshape(grid.n1, grid.n2, grid.n3 + 1, 3)
-    return CorrectorField(values, grid, residuals=[h[0] for h in history])
+def solve_corrector(grid, phases, materials, load, tol=1e-8):
+    """Minimize the cell energy over correctors for one fixed load.
+
+    The membrane part B and the bending part G solve in their own parities.
+    The residuals are the full slab's: per iteration, the root of the summed
+    squared residuals of the two parts over that of their right-hand sides.
+    """
+    values = np.zeros((3 * grid.n_nodes, 1))
+    norms, histories = [], []
+    for parity in (MEMBRANE, BENDING):
+        op = CellOperator(grid, phases, materials, parity)
+        b = op.rhs([load])
+        x, history = op.solve(b, tol=tol)
+        values += op.expand(x)
+        norms.append(float(np.sum(b * b)))
+        histories.append([float(h[0]) for h in history])
+    n = max(map(len, histories))
+    squares = sum(w * np.square(h + h[-1:] * (n - len(h)))
+                  for w, h in zip(norms, histories))
+    total = sum(norms)
+    residuals = np.sqrt(squares / (total if total > 0 else 1.0))
+    return CorrectorField(values.reshape(grid.n1, grid.n2, grid.n3 + 1, 3),
+                          grid, residuals=residuals.tolist())
 
 
 class CoupledEffectiveTensor:
@@ -380,16 +532,9 @@ class EffectiveBendingForm:
         self.voigt3 = 0.5 * (voigt3 + voigt3.T)
 
 
-def _closed_solve(grid, phases, materials, loads, tol):
-    """Solve the loads in one block and close the energy bilinearly.
-
-    Entry (a,b) equals (E(load_a + load_b) - E(load_a) - E(load_b)) / 2 by
-    the polarization identity; since the minimizer is linear in the load the
-    closure uses the stored minimizers directly; returns (M, asym, X, history).
-    """
-    op = CellOperator(grid, phases, materials)
-    X, history = op.solve(op.rhs(loads), tol=tol)
-    M = op.closure(loads, X)
+def _symmetrized(M):
+    """(M + M^T) / 2 and the asymmetry max |M - M^T| of a closed tensor,
+    checked positive definite."""
     asym = float(np.max(np.abs(M - M.T)))
     M = 0.5 * (M + M.T)
     w = np.linalg.eigvalsh(M)
@@ -397,23 +542,37 @@ def _closed_solve(grid, phases, materials, loads, tol):
         raise NumericalError("coupled tensor is not positive definite "
                              "(min eigenvalue %g); the solve is under-resolved "
                              "or the material table is invalid" % w[0])
-    return M, asym, X, history
+    return M, asym
 
 
 def coupled_tensor(grid, phases, materials, tol=1e-8):
-    """6x6 membrane/bending tensor of the six unit loads (for `effective`)."""
-    M, asym, _, hist = _closed_solve(grid, phases, materials, unit_loads(), tol)
-    return CoupledEffectiveTensor(M, grid, [float(h) for h in hist[-1]], asym)
+    """6x6 membrane/bending tensor of the six unit loads (for `effective`).
+
+    The membrane and the bending loads solve in their own parities, so the
+    membrane/bending block is zero.
+    """
+    loads, M, residuals = unit_loads(), np.zeros((6, 6)), []
+    for parity, part in ((MEMBRANE, slice(0, 3)), (BENDING, slice(3, 6))):
+        op = CellOperator(grid, phases, materials, parity)
+        X, history = op.solve(op.rhs(loads[part]), tol=tol)
+        M[part, part] = op.closure(loads[part], X)
+        residuals += [float(h) for h in history[-1]]
+    M, asym = _symmetrized(M)
+    return CoupledEffectiveTensor(M, grid, residuals, asym)
 
 
 def bending_solve(grid, phases, materials, tol=1e-8):
-    """Effective bending form and the (ndof, 3) bending unit correctors X.
+    """Effective bending form and the (3 n_nodes, 3) bending unit correctors X.
 
     By the reflection symmetry the form is the closure of the three bending
-    loads alone; the corrector of a bending load G is X @ sym2_to_voigt3(G).
+    loads alone, solved in the bending parity; the corrector of a bending
+    load G is X @ sym2_to_voigt3(G).
     """
-    M, _, X, _ = _closed_solve(grid, phases, materials, unit_loads()[3:], tol)
-    return EffectiveBendingForm(M), X
+    op = CellOperator(grid, phases, materials, BENDING)
+    loads = unit_loads()[3:]
+    X, _ = op.solve(op.rhs(loads), tol=tol)
+    M, _ = _symmetrized(op.closure(loads, X))
+    return EffectiveBendingForm(M), op.expand(X)
 
 
 def effective_bending(ct):

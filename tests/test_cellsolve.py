@@ -2,14 +2,19 @@
 
 import gc
 import json
+import math
 import weakref
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from platecell import (
+    BENDING,
+    MEMBRANE,
     CellLoad,
     CellOperator,
     ConfigError,
@@ -35,7 +40,8 @@ from platecell import (
 )
 import platecell.cellsolve as cellsolve
 from platecell._krylov import block_pcg
-from platecell._mesh import nodes
+from platecell._mesh import GAUSS, nodes
+from platecell.material import SQRT2
 from oracles import (
     laminate_bending_reference,
     plane_stress_form,
@@ -117,9 +123,12 @@ def test_load_validation():
 def test_operator_rejects_mismatched_inputs():
     grid = RVEGrid(4, 4, 2, 1.0, 1.0)
     with pytest.raises(ConfigError, match="6x4"):
-        CellOperator(grid, uniform_phases(6, 4), ONE_PHASE)
+        CellOperator(grid, uniform_phases(6, 4), ONE_PHASE, BENDING)
     with pytest.raises(ConfigError, match="phase ids"):
-        CellOperator(grid, uniform_phases(4, 4, phase=3), ONE_PHASE)
+        CellOperator(grid, uniform_phases(4, 4, phase=3), ONE_PHASE,
+                     BENDING)
+    with pytest.raises(ConfigError, match="parity"):
+        CellOperator(grid, uniform_phases(4, 4), ONE_PHASE, (1, 1, 1))
 
 
 def test_corrector_field_shape_checked():
@@ -202,7 +211,7 @@ def test_energy_monotone_along_iterations():
     phases = checker_phases(6, 6)
     mats = material_table([(0, 1.0, 1.0), (1, 8.0, 2.0)])
     load = CellLoad(G=I2)
-    op = CellOperator(grid, phases, mats)
+    op = CellOperator(grid, phases, mats, BENDING)
     energies = []
 
     def track(it, x):
@@ -220,7 +229,7 @@ def test_nonconvergence_raises_with_history():
     rng = np.random.default_rng(2)
     phases = PhaseGrid(6, 6, 1.0, rng.integers(0, 2, size=(6, 6)))
     op = CellOperator(grid, phases,
-                      material_table([(0, 1.0, 1.0), (1, 8.0, 2.0)]))
+                      material_table([(0, 1.0, 1.0), (1, 8.0, 2.0)]), BENDING)
     load = CellLoad(G=np.array([[1.0, 0.4], [0.4, -0.2]]))
     with pytest.raises(ConvergenceError) as err:
         op.solve(op.rhs([load]), tol=1e-12, max_iter=1)
@@ -229,7 +238,7 @@ def test_nonconvergence_raises_with_history():
 
 def natural_order(grid, phases):
     """Dof table (n_el, 24), phase index and thickness layer per element, in
-    the mesh's natural element order (the operator keeps them phase-sorted)."""
+    the mesh's natural element order (the operator keeps its own order)."""
     n1, n2, n3 = grid.n1, grid.n2, grid.n3
     edof = (3 * nodes(n1, n2, n3)[..., None] + np.arange(3)).reshape(-1, 24)
     ids = np.unique(phases.cell_phase, return_inverse=True)[1]
@@ -241,37 +250,167 @@ def random_loads(rng, m):
     return [CellLoad(B=B, G=G) for B, G in zip(sym[:m], sym[m:])]
 
 
+class FullSlab:
+    """Full-slab reference of a cell problem, independent of the fold: the
+    stiffness assembled in scipy.sparse over every element in natural order,
+    load vectors and energies by per-element quadrature, and a direct solve
+    with node 0 pinned, re-centred to zero mean."""
+
+    def __init__(self, grid, phases, mats):
+        self.edof, self.phase_el, layer = natural_order(grid, phases)
+        present = np.unique(phases.cell_phase)
+        forms = np.stack([mats[p].q0.voigt for p in present])
+        self.Bq = cellsolve._strain_matrices(grid)
+        self.wq = 1.0 / (8.0 * grid.n_elements)
+        self.Q = forms[self.phase_el]                         # (n_el, 6, 6)
+        self.z = -0.5 + (layer[:, None] + np.repeat(GAUSS, 4)) / grid.n3
+        self.ndof = 3 * grid.n_nodes
+        kes = (np.einsum("qci,pcd,qdj->pij", self.Bq, forms, self.Bq)
+               * self.wq)[self.phase_el]
+        rows = np.repeat(self.edof, 24, axis=1).ravel()
+        cols = np.tile(self.edof, (1, 24)).ravel()
+        self.K = sp.csr_matrix((kes.ravel(), (rows, cols)),
+                               shape=(self.ndof, self.ndof))
+
+    def strains(self, loads):
+        """Load strains iota(B + x3 G) per (element, gauss, voigt, load)."""
+        eps = np.zeros(self.z.shape + (6, len(loads)))
+        for a, ld in enumerate(loads):
+            eps[..., 0, a] = ld.B[0, 0] + self.z * ld.G[0, 0]
+            eps[..., 1, a] = ld.B[1, 1] + self.z * ld.G[1, 1]
+            eps[..., 5, a] = SQRT2 * (ld.B[0, 1] + self.z * ld.G[0, 1])
+        return eps
+
+    def rhs(self, loads):
+        fe = -self.wq * np.einsum("qci,ecd,eqdm->eim", self.Bq, self.Q,
+                                  self.strains(loads))
+        f = np.zeros((self.ndof, len(loads)))
+        np.add.at(f, self.edof, fe)
+        return f
+
+    def gram(self, loads, X):
+        """Energy Gram matrix of the loads plus the full fields X (ndof, m)."""
+        taus = self.strains(loads) \
+            + np.einsum("qci,eim->eqcm", self.Bq, X[self.edof])
+        per = np.einsum("eqca,ecd,eqdb->abe", taus, self.Q, taus)
+        # summed exactly over the elements: the tensors are compared at
+        # 1e-13, near the rounding of a plain sum over thousands of elements
+        return self.wq * np.array([[math.fsum(v) for v in row] for row in per])
+
+    def solve(self, loads):
+        """Mean-free minimizers (ndof, m) of the loads."""
+        lu = spla.splu(self.K[3:, 3:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        X = np.zeros((self.ndof, len(loads)))
+        X[3:] = lu.solve(self.rhs(loads)[3:])
+        V = X.reshape(-1, 3, len(loads))
+        V -= V.mean(axis=0)
+        return X
+
+    def tensor(self):
+        loads = unit_loads()
+        return self.gram(loads, self.solve(loads))
+
+
+def fold_matrix(grid, parity):
+    """The fold P (full ndof, folded ndof), entry by entry: component c of
+    node layer k sits on slot min(k, n3 - k) with 1/sqrt2 below the midplane
+    and s_c/sqrt2 above it; on the midplane with 1 if s_c = +1, else 0."""
+    n3, slots, cols = grid.n3, grid.n3 // 2 + 1, grid.n1 * grid.n2
+    P = np.zeros((3 * cols * (n3 + 1), 3 * cols * slots))
+    for col in range(cols):
+        for k in range(n3 + 1):
+            for c, s in enumerate(parity):
+                v = (1.0 / np.sqrt(2.0) if 2 * k < n3 else
+                     s / np.sqrt(2.0) if 2 * k > n3 else (1.0 + s) / 2.0)
+                P[3 * (col * (n3 + 1) + k) + c,
+                  3 * (col * slots + min(k, n3 - k)) + c] = v
+    return P
+
+
 @pytest.mark.parametrize("n3", [2, 3])
 def test_matvec_matches_elementwise_assembly(n3):
-    # the phase-sorted gather/GEMM/scatter of the matvec and the right-hand
-    # sides against per-element assemblies in natural element order, for
-    # one, three and six columns
+    # the folded gather/GEMM/scatter of the matvec and the right-hand sides
+    # against P^T (per-element assembly in natural element order) P, for one,
+    # three and six columns, in both parities
     grid = RVEGrid(6, 4, n3, 1.3, 1.5)
     rng = np.random.default_rng(n3)
     phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4)))
     mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
-    op = CellOperator(grid, phases, mats)
-    assert len(op.forms) == 3
-    edof, phase_el, layer = natural_order(grid, phases)
-    kes = op.ke[phase_el]
-    for m in (1, 3, 6):
-        U = rng.standard_normal((op.ndof, m))
-        ref = np.zeros_like(U)
-        for e, dofs in enumerate(edof):
-            np.add.at(ref, dofs, kes[e] @ U[dofs])
-        AU = op.matvec(U)
-        assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), m
-        loads = random_loads(rng, m)
-        ref = np.zeros_like(U)
-        for e, dofs in enumerate(edof):
-            eps = np.stack([op.load_strains(ld)[layer[e]] for ld in loads], -1)
-            np.add.at(ref, dofs, -op.wq * np.einsum(
-                "qci,cd,qdm->im", op.Bq, op.forms[phase_el[e]], eps))
-        f = op.rhs(loads)
-        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), m
-    u, v = rng.standard_normal((2, op.ndof, 1))
-    uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
-    assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
+    full = FullSlab(grid, phases, mats)
+    for parity in (BENDING, MEMBRANE):
+        op = CellOperator(grid, phases, mats, parity)
+        assert len(op.forms) == 3
+        P = fold_matrix(grid, parity)
+        assert op.ndof == P.shape[1]
+        A = P.T @ (full.K @ P)
+        for m in (1, 3, 6):
+            U = rng.standard_normal((op.ndof, m))
+            ref = A @ U
+            AU = op.matvec(U)
+            assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), m
+            loads = random_loads(rng, m)
+            ref = P.T @ full.rhs(loads)
+            f = op.rhs(loads)
+            assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), m
+            npt.assert_allclose(op.expand(U), P @ U, rtol=0, atol=1e-15)
+            u = rng.standard_normal((full.ndof, m))
+            npt.assert_allclose(op.restrict(u), P.T @ u, rtol=0, atol=1e-15)
+        u, v = rng.standard_normal((2, op.ndof, 1))
+        uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
+        assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
+        # the kernel of P^T K P: the folded translations and the pinned slots
+        T = np.kron(np.ones((grid.n_nodes, 1)), np.eye(3)) \
+            / np.sqrt(grid.n_nodes)
+        kernel = np.hstack([P.T @ T, np.eye(op.ndof)[:, ~P.any(axis=0)]])
+        kernel = kernel[:, np.abs(kernel).sum(axis=0) > 1e-12]
+        npt.assert_allclose(kernel.T @ kernel, np.eye(kernel.shape[1]),
+                            atol=1e-14)
+        assert np.max(np.abs(A @ kernel)) <= 1e-14 * np.max(np.abs(A))
+        U = rng.standard_normal((op.ndof, 3))
+        npt.assert_allclose(op.project(U.copy()),
+                            U - kernel @ (kernel.T @ U), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n3", [2, 3])
+def test_parity_split_matches_full_slab(n3):
+    # solve_corrector splits a mixed load into its B and G parts, and
+    # cell_energy splits a field without symmetry into its two parities
+    grid = RVEGrid(6, 4, n3, 1.3, 1.5)
+    rng = np.random.default_rng(10 + n3)
+    phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4)))
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    full = FullSlab(grid, phases, mats)
+    load = random_loads(rng, 1)[0]
+    phi = solve_corrector(grid, phases, mats, load, tol=1e-13)
+    want = full.solve([load])[:, 0]
+    assert np.max(np.abs(phi.values.ravel() - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+    assert abs(phi.residuals[0] - 1.0) <= 1e-15
+    assert phi.residuals[-1] <= 1e-13
+    values = rng.standard_normal(phi.values.shape)
+    e = cell_energy(grid, phases, mats, load, CorrectorField(values, grid))
+    ref = full.gram([load], values.reshape(-1, 1))[0, 0]
+    assert abs(e - ref) <= 1e-12 * abs(ref)
+
+
+def test_default_iteration_cap_is_the_full_slabs(monkeypatch):
+    # the fold keeps the iterates, so it keeps the full slab's cap; one from
+    # the folded ndof would be about sqrt(2) lower and fail solves that
+    # converge on the full slab
+    caps = []
+
+    def capturing_pcg(*args, **kwargs):
+        caps.append(args[5])
+        return block_pcg(*args, **kwargs)
+
+    monkeypatch.setattr(cellsolve, "block_pcg", capturing_pcg)
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    for n3 in (2, 3):
+        grid = RVEGrid(4, 4, n3, 1.0, 1.0)
+        for parity in (BENDING, MEMBRANE):
+            op = CellOperator(grid, checker_phases(4, 4), mats, parity)
+            op.solve(op.rhs(unit_loads()))
+            assert caps.pop() == int(20.0 * np.sqrt(3 * grid.n_nodes)) + 10
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +423,19 @@ def tile_checker_phases(n, tiles=4):
     return PhaseGrid(n, n, 1.0, (np.add.outer(t, t) % 2).astype(int))
 
 
-def pairwise_closure(op, phases, X):
-    """Coupled 6x6 tensor of the unit-load solutions X, entry by entry: the
-    per-phase Gauss quadrature of tau_a : Q0 : tau_b in natural order."""
-    edof, phase_el, layer = natural_order(op.grid, phases)
-    taus = [op.load_strains(load)[layer]
-            + np.einsum("qck,ek->eqc", op.Bq, X[edof, a])
-            for a, load in enumerate(unit_loads())]
-
-    def product(ta, tb):
-        return op.wq * sum(
-            np.einsum("eqc,cd,eqd->", ta[phase_el == p], form,
-                      tb[phase_el == p]) for p, form in enumerate(op.forms))
-
-    return np.array([[product(ta, tb) for tb in taus] for ta in taus])
-
-
 def test_single_phase_reference_medium_is_exact():
-    # one phase: the reference medium is the medium, so the preconditioner
-    # inverts the operator on the mean-free fields
+    # one phase: the reference medium is the medium, so each parity's
+    # preconditioner inverts its operator on the mean-free fields
     grid = RVEGrid(8, 6, 3, 1.5, 2.0)
-    op = CellOperator(grid, uniform_phases(8, 6, 2.0),
-                      material_table([(0, 2.0, 0.7)]))
-    _, history = op.solve(op.rhs(unit_loads()), tol=1e-10)
-    assert len(history) - 1 <= 2
-    u = op.project(np.random.default_rng(0).standard_normal((op.ndof, 2)))
-    npt.assert_allclose(op.project(op.precondition(op.matvec(u))), u,
-                        atol=1e-10)
+    for parity, loads in ((BENDING, unit_loads()[3:]),
+                          (MEMBRANE, unit_loads()[:3])):
+        op = CellOperator(grid, uniform_phases(8, 6, 2.0),
+                          material_table([(0, 2.0, 0.7)]), parity)
+        _, history = op.solve(op.rhs(loads), tol=1e-10)
+        assert len(history) - 1 <= 2, parity
+        u = op.project(np.random.default_rng(0).standard_normal((op.ndof, 2)))
+        npt.assert_allclose(op.project(op.precondition(op.matvec(u))), u,
+                            atol=1e-10)
 
 
 def test_iterations_do_not_grow_with_the_mesh():
@@ -320,10 +445,12 @@ def test_iterations_do_not_grow_with_the_mesh():
     bound = 40
     mats = material_table([(0, 1.0, 1.0), (1, 10.0, 10.0)])
     for n in (8, 16, 32):
-        op = CellOperator(RVEGrid(n, n, 2, 1.0, 1.0), tile_checker_phases(n),
-                          mats)
-        _, history = op.solve(op.rhs(unit_loads()), tol=1e-8)
-        assert len(history) - 1 <= bound, n
+        for parity, loads in ((BENDING, unit_loads()[3:]),
+                              (MEMBRANE, unit_loads()[:3])):
+            op = CellOperator(RVEGrid(n, n, 2, 1.0, 1.0),
+                              tile_checker_phases(n), mats, parity)
+            _, history = op.solve(op.rhs(loads), tol=1e-8)
+            assert len(history) - 1 <= bound, (n, parity)
 
 
 def test_fft_preconditioned_tensor_matches_jacobi():
@@ -333,29 +460,37 @@ def test_fft_preconditioned_tensor_matches_jacobi():
     mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
     form = effective_form(grid, phases, mats, tol=1e-10)
 
-    op = CellOperator(grid, phases, mats)
-    edof, phase_el, _ = natural_order(grid, phases)
-    diag = np.bincount(edof.ravel(),
-                       weights=np.einsum("pii->pi", op.ke)[phase_el].ravel(),
-                       minlength=op.ndof)
-    X, _ = block_pcg(op.matvec, lambda r: r / diag[:, None], op.project,
-                     op.rhs(unit_loads()), 1e-10, 5000)
-    M = pairwise_closure(op, phases, X)
+    # Jacobi-preconditioned PCG on the full slab, no fold and no FFT
+    full = FullSlab(grid, phases, mats)
+    diag = full.K.diagonal()
+
+    def center(U):
+        V = U.reshape(-1, 3, U.shape[1])
+        V -= V.mean(axis=0)
+        return U
+
+    X, _ = block_pcg(full.K.dot, lambda r: r / diag[:, None], center,
+                     full.rhs(unit_loads()), 1e-10, 5000)
+    M = full.gram(unit_loads(), X)
     jacobi = effective_bending(CoupledEffectiveTensor(M, grid, [], 0.0))
     npt.assert_allclose(form.voigt3, jacobi.voigt3, rtol=1e-8, atol=1e-10)
 
 
 def test_batched_closure_matches_pairwise_energy_products():
-    # coupled_tensor closes all 36 entries in one pass; the reference is the
-    # entry-by-entry quadrature of the same (bitwise identical) solve
+    # coupled_tensor closes each parity's block in one pass; the reference is
+    # the per-element quadrature, in natural order on the full slab, of the
+    # same (bitwise identical) solves
     grid = RVEGrid(6, 4, 3, 1.7, 1.5)
     rng = np.random.default_rng(9)
     phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 2, size=(6, 4)))
     mats = material_table([(0, 1.0, 0.5), (1, 7.0, 3.0)])
     ct = coupled_tensor(grid, phases, mats, tol=1e-9)
-    op = CellOperator(grid, phases, mats)
-    X, _ = op.solve(op.rhs(unit_loads()), tol=1e-9)
-    M = pairwise_closure(op, phases, X)
+    loads = unit_loads()
+    X = []
+    for parity, part in ((MEMBRANE, loads[:3]), (BENDING, loads[3:])):
+        op = CellOperator(grid, phases, mats, parity)
+        X.append(op.expand(op.solve(op.rhs(part), tol=1e-9)[0]))
+    M = FullSlab(grid, phases, mats).gram(loads, np.hstack(X))
     npt.assert_allclose(ct.matrix, M, rtol=0, atol=1e-13 * np.abs(M).max())
     assert ct.asymmetry <= 1e-13 * np.abs(M).max()
 
@@ -368,7 +503,7 @@ def test_operator_is_freed_without_gc():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        op = CellOperator(grid, checker_phases(4, 4), mats)
+        op = CellOperator(grid, checker_phases(4, 4), mats, BENDING)
         op.solve(op.rhs([CellLoad(G=I2)]))
         ref = weakref.ref(op)
         del op
@@ -379,21 +514,23 @@ def test_operator_is_freed_without_gc():
 
 
 def test_reference_inverse_is_memoized_per_grid_and_pair():
-    # the inverse depends only on the grid and the reference Lame pair, so
-    # operators on two media with the same phases present share one array
+    # the inverse depends only on the grid, the parity and the reference Lame
+    # pair, so operators on two media with the same phases present share one
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
     grid = RVEGrid(6, 4, 2, 1.0, 1.5)
-    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats)
+    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
     b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
-                     mats)
+                     mats, BENDING)
     assert a.fft_inverse is b.fft_inverse
     assert not a.fft_inverse.flags.writeable
     misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
-                           checker_phases(6, 4, 1.5), mats),
+                           checker_phases(6, 4, 1.5), mats, BENDING),
               CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
-                           checker_phases(6, 4, 2.0), mats),
+                           checker_phases(6, 4, 2.0), mats, BENDING),
               CellOperator(grid, checker_phases(6, 4, 1.5),
-                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]))]
+                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]),
+                           BENDING),
+              CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
     for op in misses:
         assert op.fft_inverse is not a.fft_inverse
 
@@ -493,22 +630,24 @@ def _reflection_cases():
 
 
 def test_reflection_symmetry_decouples_bending():
-    """The symmetry that lets effective_form solve only the bending loads.
+    """The symmetry the folded operator rests on, checked on the full slab.
 
     Every phase is isotropic and constant through the thickness, and the
     layers and Gauss points are symmetric about the midplane, so x3 -> -x3
-    flips the bending load and keeps the membrane load: the membrane/bending
-    block Q_BG vanishes and the Schur complement is the bending block.  If an
-    x3-dependent or anisotropic phase is ever added, this test must fail
-    first, and effective_form must go back to the Schur complement.
+    flips the bending load and keeps the membrane load: on the full-slab
+    reference the membrane/bending block Q_BG vanishes, and the folded solves,
+    which set it to zero, reproduce the 6x6 tensor and the bending form.  If
+    an x3-dependent or anisotropic phase is ever added, this test must fail
+    first, and the cell solve must go back to the full slab.
     """
     for grid, phases, mats in _reflection_cases():
-        Q = coupled_tensor(grid, phases, mats, tol=1e-8).matrix
-        assert np.max(np.abs(Q[:3, 3:])) <= 1e-14 * np.max(np.abs(Q)), grid
-        schur = effective_bending(CoupledEffectiveTensor(Q, grid, [], 0.0))
+        Q = FullSlab(grid, phases, mats).tensor()
+        scale = np.max(np.abs(Q))
+        assert np.max(np.abs(Q[:3, 3:])) <= 1e-14 * scale, grid
+        ct = coupled_tensor(grid, phases, mats, tol=1e-8)
+        assert np.max(np.abs(ct.matrix - Q)) <= 1e-13 * scale, grid
         form = effective_form(grid, phases, mats, tol=1e-8)
-        assert np.max(np.abs(form.voigt3 - schur.voigt3)) \
-            <= 1e-14 * np.max(np.abs(schur.voigt3)), grid
+        assert np.max(np.abs(form.voigt3 - Q[3:, 3:])) <= 1e-13 * scale, grid
 
 
 # PCG iterations of bending_solve at tol 1e-8, measured with the operator

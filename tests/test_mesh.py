@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 
 from platecell import (
+    BENDING,
     CellCorrectorSource,
     CellOperator,
     PhaseGrid,
@@ -56,16 +57,23 @@ def test_connectivity_wraps_in_plane_and_joins_adjacent_layers():
 
 
 def test_vector_dofs_match_the_cell_operator():
-    grid = RVEGrid(4, 6, 3, 1.3, 1.7)
+    # the operator keeps the element layers below the midplane (and the
+    # straddling one of odd n3), with node layer k on slot min(k, n3 - k),
+    # sorted stably by (phase, layer)
+    n3, slots, layers = 3, 2, 2
+    grid = RVEGrid(4, 6, n3, 1.3, 1.7)
     phases = PhaseGrid(4, 6, 1.7, np.arange(24).reshape(4, 6) % 2)
     op = CellOperator(grid, phases, material_table([(0, 1.0, 1.0),
-                                                    (1, 4.0, 2.0)]))
-    edof = (3 * nodes(4, 6, 3)[..., None] + np.arange(3)).reshape(-1, 24)
-    phase_el = np.repeat(phases.cell_phase, 3)
-    order = np.argsort(phase_el, kind="stable")
+                                                    (1, 4.0, 2.0)]), BENDING)
+    col, k = np.divmod(nodes(4, 6, n3).reshape(24, n3, 8)[:, :layers], n3 + 1)
+    slot = col * slots + np.minimum(k, n3 - k)
+    edof = (3 * slot[..., None] + np.arange(3)).reshape(-1, 24)
+    key = np.repeat(phases.cell_phase.ravel(), layers) * layers \
+        + np.tile(np.arange(layers), 24)
+    order = np.argsort(key, kind="stable")
     npt.assert_array_equal(op.table, edof[order].T)
-    npt.assert_array_equal(op.bounds, [0, 36, 72])
-    npt.assert_array_equal(op.layer, order % 3)
+    npt.assert_array_equal(op.bounds, [0, 12, 24, 36, 48])
+    assert op.ndof == 3 * 24 * slots
 
 
 def test_scatter_sums_every_entry_per_column():

@@ -110,6 +110,9 @@ class CellLoad:
         M = np.asarray(M, dtype=float)
         if M.shape != (2, 2):
             raise ConfigError("load.%s must be 2x2" % name)
+        if not np.all(np.isfinite(M)):
+            raise ConfigError("load.%s must be finite, got %r"
+                              % (name, M.tolist()))
         if np.max(np.abs(M - M.T)) > 1e-14 * max(1.0, np.max(np.abs(M))):
             raise ConfigError("load.%s must be symmetric within 1e-14" % name)
         return 0.5 * (M + M.T)

@@ -19,8 +19,22 @@ construction the microscale phase layout the corrector was optimized for.
 Evaluation works per node layer: the corrector is trilinear, so a plan
 gathers each point's in-plane corners once and stores, for every node layer
 of the cell grid, the corrector's rotated and cut-off part of the scaled
-gradient; the gradient at any height then blends two stored layers.  The
-energy quadrature takes its points grouped by phase, in fixed-size blocks.
+gradient; the gradient at any height then blends two stored layers.  A plan
+computes each quantity only as often as it varies:
+
+- The quadrature points form a tensor grid, so the cell lookup, the patch
+  lookup and the 1D cutoff ramps run once per axis value; only their
+  products (the cutoff chi = cx cy and its gradient) are formed per point.
+- A bending corrector is mirror-symmetric across the midplane: node layer
+  n3 - k is diag(-1, -1, 1) times layer k, bit for bit.  So only the n3//2 + 1
+  lower slots are gathered, interpolated and rotated, and each rotation is
+  split into its in-plane part P and transverse part Q: the lower layers are
+  P + Q and the upper ones Q - P, the same sums in the same order.
+- The isometry's frames are built point index last, the layout the plan
+  reads, so nothing is transposed per point.
+
+The energy quadrature takes its points grouped by phase, in fixed-size
+blocks; the energies are the same bits as a point-by-point evaluation's.
 """
 
 import numpy as np
@@ -28,7 +42,7 @@ import numpy as np
 from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
-from .errors import ConfigError, as_index, as_real
+from .errors import ConfigError, NumericalError, as_index, as_real
 from .material import svk_energy
 from .microstructure import _tensor_points
 
@@ -69,6 +83,43 @@ class IsometrySpec:
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
 
+    def frames(self, xp):
+        """Immersion and rotation frame at points, point index last.
+
+        Args:
+            xp: (M, 2) midplane points.
+
+        Returns:
+            (y, F0, F1, dR): the immersion y (3, M); the rotation F0 (3, 3, M)
+            with columns d1y, d2y, n; F1 (3, 3, M) with columns d1n, d2n, 0;
+            and dR (2, 3, 3, M) with dR[a] = d_a F0.
+        """
+        xp = np.asarray(xp, dtype=float)
+        m = xp.shape[0]
+        y = np.zeros((3, m))
+        F0, F1 = np.zeros((3, 3, m)), np.zeros((3, 3, m))
+        dR = np.zeros((2, 3, 3, m))
+        y[0] = xp[:, 0]
+        y[1] = xp[:, 1]
+        F0[1, 1] = 1.0
+        if self.kind == "flat":
+            F0[0, 0] = F0[2, 2] = 1.0
+            return y, F0, F1, dR
+        # one store per statement: fewer temporaries alive at once
+        r = self.radius
+        u = xp[:, 0] / r
+        cu, su = np.cos(u), np.sin(u)
+        y[0] = r * su
+        y[2] = r * cu
+        F0[0, 0] = F0[2, 2] = cu
+        F0[0, 2] = su
+        F0[2, 0] = -su
+        F1[0, 0] = dR[0, 0, 2] = cu / r
+        F1[2, 0] = dR[0, 2, 2] = -su / r
+        dR[0, 0, 0] = -su / r
+        dR[0, 2, 0] = -cu / r
+        return y, F0, F1, dR
+
     def frame_fields(self, xp):
         """Immersion, tangent frame, normal and their derivatives at points.
 
@@ -77,41 +128,22 @@ class IsometrySpec:
 
         Returns:
             dict with keys y, d1y, d2y, n, d1n, d2n -- each (M, 3) -- and
-            ddy: (M, 2, 2, 3) second derivatives of the immersion.
+            ddy: (M, 2, 2, 3) second derivatives of the immersion; all are
+            views of the arrays `frames` returns.
         """
-        xp = np.asarray(xp, dtype=float)
-        m = xp.shape[0]
-        out = {k: np.zeros((m, 3)) for k in
-               ("y", "d1y", "d2y", "n", "d1n", "d2n")}
-        out["ddy"] = np.zeros((m, 2, 2, 3))
-        if self.kind == "flat":
-            out["y"][:, 0] = xp[:, 0]
-            out["y"][:, 1] = xp[:, 1]
-            out["d1y"][:, 0] = 1.0
-            out["d2y"][:, 1] = 1.0
-            out["n"][:, 2] = 1.0
-            return out
-        r = self.radius
-        u = xp[:, 0] / r
-        cu, su = np.cos(u), np.sin(u)
-        out["y"][:, 0] = r * su
-        out["y"][:, 1] = xp[:, 1]
-        out["y"][:, 2] = r * cu
-        out["d1y"][:, 0] = cu
-        out["d1y"][:, 2] = -su
-        out["d2y"][:, 1] = 1.0
-        out["n"][:, 0] = su
-        out["n"][:, 2] = cu
-        out["d1n"][:, 0] = cu / r
-        out["d1n"][:, 2] = -su / r
-        out["ddy"][:, 0, 0, 0] = -su / r
-        out["ddy"][:, 0, 0, 2] = -cu / r
-        return out
+        return _field_views(*self.frames(xp))
 
     def second_form(self, xp):
         """Second fundamental form (M, 2, 2) at midplane points."""
         f = self.frame_fields(xp)
         return np.einsum("mabc,mc->mab", f["ddy"], f["n"])
+
+
+def _field_views(y, F0, F1, dR):
+    """`frame_fields`' dict of (M, ...) views of `frames`' arrays."""
+    return {"y": y.T, "d1y": F0[:, 0].T, "d2y": F0[:, 1].T, "n": F0[:, 2].T,
+            "d1n": F1[:, 0].T, "d2n": F1[:, 1].T,
+            "ddy": dR[:, :, :2].transpose(3, 0, 2, 1)}
 
 
 def cylinder_isometry(radius, domain=(0.0, 0.0, 1.0, 1.0)):
@@ -156,18 +188,9 @@ class RecoveryConfig:
         if not 0 < ramp_width < patch_size / 2.0:
             raise ConfigError("RecoveryConfig: ramp_width must lie in "
                               "(0, patch_size / 2)")
-        cells_per_scale = as_index(cells_per_scale,
-                                   "RecoveryConfig: cells_per_scale")
-        if cells_per_scale < 2:
-            raise ConfigError("RecoveryConfig: cells_per_scale must be >= 2")
+        cells_per_scale = _cells_per_scale(cells_per_scale, "RecoveryConfig")
         if h_schedule is not None:
-            hs = [as_real(h, "RecoveryConfig: h_schedule[%d]" % k)
-                  for k, h in enumerate(h_schedule)]
-            if not hs or any(h <= 0 for h in hs) or \
-                    any(b >= a for a, b in zip(hs, hs[1:])):
-                raise ConfigError("RecoveryConfig: h_schedule must be "
-                                  "positive and strictly decreasing")
-            h_schedule = hs
+            h_schedule = _h_schedule(h_schedule, "RecoveryConfig")
         self.gamma = gamma
         self.patch_size = patch_size
         self.ramp_width = ramp_width
@@ -175,6 +198,31 @@ class RecoveryConfig:
         self.h_schedule = h_schedule
         self.corrector_tol = as_real(corrector_tol,
                                      "RecoveryConfig: corrector_tol")
+
+
+def _cells_per_scale(value, owner):
+    """In-plane quadrature cells per microscale: an integer >= 2, so that
+    the oscillation is resolved."""
+    value = as_index(value, "%s: cells_per_scale" % owner)
+    if value < 2:
+        raise ConfigError("%s: cells_per_scale must be >= 2" % owner)
+    return value
+
+
+def _h_schedule(value, owner):
+    """Thicknesses of a sweep as floats: finite, positive and strictly
+    decreasing."""
+    name = "%s: h_schedule" % owner
+    try:
+        hs = [as_real(h, "%s[%d]" % (name, k)) for k, h in enumerate(value)]
+    except TypeError:
+        raise ConfigError("%s must be a list of numbers, got %r"
+                          % (name, value)) from None
+    if not hs or any(h <= 0 for h in hs) or \
+            any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ConfigError("%s must be positive and strictly decreasing"
+                          % name)
+    return hs
 
 
 class CellCorrectorSource:
@@ -278,30 +326,32 @@ class RecoveryFamily:
         A = -II.mean(axis=0)
         return 0.5 * (A + A.T)
 
-    def cutoff(self, xp):
+    def cutoff(self, xs, ys, ix, iy):
         """Patch holding each point, and that patch's cutoff there.
 
-        Patches are half-open rectangles [a0, a1) x [b0, b1).
+        Patches are half-open rectangles [a0, a1) x [b0, b1).  Point m is
+        (xs[ix[m]], ys[iy[m]]): the patch lookup and the 1D ramps run once
+        per axis value, and only their products once per point.
 
         Returns:
             (patch, chi, dchi): index into `patches` per point (-1 where no
             patch holds it), the cutoff (M,) and its gradient (dchi1, dchi2),
             all zero outside the patches.
         """
-        xs, ys = self._sides
-        i = np.searchsorted(xs[:, 0], xp[:, 0], side="right") - 1
-        j = np.searchsorted(ys[:, 0], xp[:, 1], side="right") - 1
-        inside = (i >= 0) & (j >= 0)
-        a0, a1 = xs[np.maximum(i, 0)].T
-        b0, b1 = ys[np.maximum(j, 0)].T
-        inside &= (xp[:, 0] < a1) & (xp[:, 1] < b1)
         delta = self.cfg.ramp_width
-        cx, dcx = _ramp_1d(xp[:, 0], a0, a1, delta)
-        cy, dcy = _ramp_1d(xp[:, 1], b0, b1, delta)
+        axes = []
+        for sides, t, idx in zip(self._sides, (xs, ys), (ix, iy)):
+            i = np.searchsorted(sides[:, 0], t, side="right") - 1
+            a0, a1 = sides[np.maximum(i, 0)].T
+            c, dc = _ramp_1d(t, a0, a1, delta)
+            inside = (i >= 0) & (t < a1)
+            axes.append((i[idx], inside[idx], c[idx], dc[idx]))
+        (i, in_x, cx, dcx), (j, in_y, cy, dcy) = axes
+        inside = in_x & in_y
         chi = np.where(inside, cx * cy, 0.0)
         dchi = (np.where(inside, dcx * cy, 0.0),
                 np.where(inside, cx * dcy, 0.0))
-        return np.where(inside, i * len(ys) + j, -1), chi, dchi
+        return np.where(inside, i * len(self._sides[1]) + j, -1), chi, dchi
 
     def sampler(self, h):
         return DeformationSampler(self, h)
@@ -322,6 +372,11 @@ class _Plan:
     terms), column 2 eps chi R g_l itself, whose layer difference times n3 is
     the x3 derivative.  The frame part of the gradient is F0 + (h x3) F1.
     Arrays keep the point index last, so every operation runs along it.
+
+    Only the corrector's folded slots, node layers k <= n3/2, are gathered,
+    interpolated and rotated: the upper layers are their mirror images (see
+    `_rotate`).  On the quadrature's tensor grid the cell and patch lookups
+    and the cutoff ramps run once per axis value, not once per point.
     """
 
     def __init__(self, frames, F0, F1, layers):
@@ -331,9 +386,44 @@ class _Plan:
         self.layers = layers  # (3, 3, n3+1, M) per node layer
 
 
-def _rotate(A, g):
-    """Per-point matrices A (3, 3, M) applied to vectors g (3, L, M)."""
-    return np.einsum("ijm,jlm->ilm", A, g)
+def _rotate(A, g, out):
+    """Per-point matrices A (3, 3, M) applied to a bending corrector on every
+    node layer, from its folded slots g (3, n3//2 + 1, M), into out
+    (3, n3+1, M).
+
+    Node layer n3 - k is diag(-1, -1, 1) times layer k.  So with
+    P = A[:, :2] g[:2] and Q = A[:, 2] g[2], the lower layers are P + Q and
+    the mirrored upper ones Q - P: the sums of A g term for term, in the
+    same order, and so the same bits.
+    """
+    P = A[:, 0, None] * g[0]
+    P += A[:, 1, None] * g[1]
+    Q = A[:, 2, None] * g[2]
+    k = g.shape[1]
+    up = out.shape[1] - k    # layers n3, n3-1, ..., k mirror slots 0, 1, ...
+    np.add(P, Q, out=out[:, :k])
+    np.subtract(Q[:, up - 1::-1], P[:, up - 1::-1], out=out[:, k:])
+    return out
+
+
+def _locate_axes(xs, ys, eps, grid):
+    """`locate` of the tensor-grid points (xs[i], ys[j]) / eps, per axis.
+
+    Returns:
+        ((lo, hi, t) along xs, (lo, hi, t) along ys): the cell-grid corners
+        and offsets of each axis value, those of every point on its line.
+    """
+    y = np.zeros((max(len(xs), len(ys)), 2))
+    y[:len(xs), 0] = xs / eps
+    y[:len(ys), 1] = ys / eps
+    lo, hi, t = locate(y, grid)
+    return ((lo[0, :len(xs)], hi[0, :len(xs)], t[0, :len(xs)]),
+            (lo[1, :len(ys)], hi[1, :len(ys)], t[1, :len(ys)]))
+
+
+# Reflection x3 -> -x3 of a bending corrector's components: in-plane odd,
+# transverse even.
+_MIRROR = np.array([-1.0, -1.0, 1.0])
 
 
 class DeformationSampler:
@@ -351,39 +441,54 @@ class DeformationSampler:
     """
 
     def __init__(self, family, h):
+        h = as_real(h, "DeformationSampler: h")
         if not h > 0:
             raise ConfigError("DeformationSampler: h must be > 0")
         self.family = family
-        self.h = float(h)
-        self.eps = float(h) / family.cfg.gamma
+        self.h = h
+        self.eps = h / family.cfg.gamma
         g = family.source.grid
         self._hx = g.box_side / g.n1
         self._hy = g.box_side / g.n2
         self._n3 = g.n3
-        # the patch correctors as one (3, n3+1, patches*n1*n2) table
-        self._table = np.stack([family.source.corrector(p.load)
-                                for p in family.patches]).transpose(
+        # the patch correctors as one (3, n3+1, patches*n1*n2) table, of
+        # which the slots k <= n3/2 are kept: the rest is their mirror image
+        table = np.stack([family.source.corrector(p.load)
+                          for p in family.patches]).transpose(
             4, 3, 0, 1, 2).reshape(3, g.n3 + 1, -1)
+        if not np.array_equal(table[:, ::-1] * _MIRROR[:, None, None], table):
+            raise NumericalError("DeformationSampler: the correctors are not "
+                                 "mirror images across the midplane")
+        self._table = np.ascontiguousarray(table[:, :g.n3 // 2 + 1])
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, xp):
-        """Frame part and per-node-layer corrector part of the gradient."""
+    def plan(self, xp, axes=None):
+        """Frame part and per-node-layer corrector part of the gradient.
+
+        Args:
+            xp: (M, 2) midplane points.
+            axes: (xs, ys, ix, iy) when the points lie on a tensor grid,
+                xp[m] = (xs[ix[m]], ys[iy[m]]); the per-axis work then runs
+                once per axis value.  By default every point is its own.
+        """
         xp = np.asarray(xp, dtype=float)
-        f = self.family.iso.frame_fields(xp)
+        if axes is None:
+            every = np.arange(xp.shape[0])
+            axes = (xp[:, 0], xp[:, 1], every, every)
+        xs, ys, ix, iy = axes
+        y, F0, F1, dR = self.family.iso.frames(xp)
         grid = self.family.source.grid
-        n1, n2 = grid.n1, grid.n2
+        n1, n2, n3 = grid.n1, grid.n2, self._n3
         h, eps = self.h, self.eps
-        F0 = np.empty((3, 3, xp.shape[0]))
-        F0[:, 0], F0[:, 1], F0[:, 2] = f["d1y"].T, f["d2y"].T, f["n"].T
-        F1 = np.zeros_like(F0)
-        F1[:, 0], F1[:, 1] = f["d1n"].T, f["d2n"].T
-        patch, chi, dchi = self.family.cutoff(xp)
+        patch, chi, dchi = self.family.cutoff(xs, ys, ix, iy)
         # points outside every patch read patch 0's corrector with chi = 0
         patch = np.maximum(patch, 0)
+        (i0, i1, tx), (j0, j1, ty) = _locate_axes(xs, ys, eps, grid)
+        i0, i1, tx = i0[ix], i1[ix], tx[ix]
+        j0, j1, ty = j0[iy], j1[iy], ty[iy]
         T = self._table
-        (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps, grid)
-        # in-plane corners, all node layers at once: (3, n3+1, M)
+        # in-plane corners, all folded slots at once: (3, n3//2 + 1, M)
         row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
         c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
         c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
@@ -392,19 +497,16 @@ class DeformationSampler:
         step2 = c01 + tx * d1 - lo               # step along y2
         g = lo + ty * step2
         step1 = (1.0 - ty) * d0 + ty * d1
-        # dR[a] = d_a R: columns d_a d1y, d_a d2y, d_a n
-        dR = np.empty((2,) + F0.shape)
-        dR[:, :, :2] = f["ddy"].transpose(1, 3, 2, 0)
-        dR[:, :, 2] = F1[:, :2].transpose(1, 0, 2)
         # frames with the cutoff folded in: (h chi / cell size) R on the
         # steps, h eps (dchi_a R + chi dR_a) and eps chi R on g
-        layers = np.empty((3, 3) + g.shape[1:])
+        layers = np.empty((3, 3, n3 + 1, xp.shape[0]))
+        spare = np.empty(layers.shape[1:])
         for a, step, side in ((0, step1, self._hx), (1, step2, self._hy)):
             Q = (h * eps) * (dchi[a] * F0 + chi * dR[a])
-            layers[:, a] = _rotate((h / side * chi) * F0, step) \
-                + _rotate(Q, g)
-        layers[:, 2] = _rotate((eps * chi) * F0, g)
-        return _Plan(f, F0, F1, layers)
+            _rotate((h / side * chi) * F0, step, layers[:, a])
+            layers[:, a] += _rotate(Q, g, spare)
+        _rotate((eps * chi) * F0, g, layers[:, 2])
+        return _Plan(_field_views(y, F0, F1, dR), F0, F1, layers)
 
     def _layer(self, x3):
         """Thickness element k0 holding height x3 and the offset tz in it."""
@@ -450,28 +552,33 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
 
     The points are grouped by phase and taken in blocks of _BLOCK: each block
     gets one plan, then every thickness layer's gradients and densities, so
-    the temporaries stay bounded whatever the number of points.
+    the temporaries stay bounded whatever the number of points.  The points
+    form a tensor grid, so the phase lookup, and each plan's per-axis work,
+    runs on its two axes.
 
     Returns:
         float: (1/h^2) integral of W(phase, scaled gradient).
+
+    Raises:
+        NumericalError: the energy is not finite.
     """
     family = sampler.family
-    if cells_per_scale is None:
-        cells_per_scale = family.cfg.cells_per_scale
+    cells_per_scale = _cells_per_scale(
+        family.cfg.cells_per_scale if cells_per_scale is None
+        else cells_per_scale, "evaluate_scaled_energy")
     x0, y0, x1, y1 = family.iso.domain
     eps = sampler.eps
     ncx = max(int(np.ceil((x1 - x0) * cells_per_scale / eps)), 1)
     ncy = max(int(np.ceil((y1 - y0) * cells_per_scale / eps)), 1)
-    if (x1 - x0) / ncx > eps / 2.0 or (y1 - y0) / ncy > eps / 2.0:
-        raise ConfigError("evaluate_scaled_energy: in-plane quadrature does "
-                          "not resolve the microscale")
     gx = (np.arange(ncx)[:, None] + np.asarray(GAUSS)).ravel() * (x1 - x0) / ncx
     gy = (np.arange(ncy)[:, None] + np.asarray(GAUSS)).ravel() * (y1 - y0) / ncy
-    xp = _tensor_points(x0 + gx, y0 + gy)
+    xs, ys = x0 + gx, y0 + gy
+    xp = _tensor_points(xs, ys)
     w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
 
     source = family.source
-    phases = source.phase_of_points(xp / eps)
+    (i, _, _), (j, _, _) = _locate_axes(xs, ys, eps, source.grid)
+    phases = source.phases.cell_phase[i[:, None], j].ravel()
     order = np.argsort(phases, kind="stable")
     cuts = np.flatnonzero(np.diff(phases[order])) + 1
     n3 = source.grid.n3
@@ -480,12 +587,21 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     for group in np.split(order, cuts):
         mat = source.materials[int(phases[group[0]])]
         for start in range(0, group.size, _BLOCK):
-            xb = xp[group[start:start + _BLOCK]]
-            plan = sampler.plan(xb)
+            block = group[start:start + _BLOCK]
+            xb = xp[block]
+            plan = sampler.plan(xb, axes=(xs, ys, block // len(ys),
+                                          block % len(ys)))
             for x3 in heights:
                 F = sampler.scaled_gradient(xb, x3, plan=plan)
                 total += float(np.sum(svk_energy(mat, F)))
-    return total / (2.0 * n3) * w_area / sampler.h ** 2
+    # numpy's h ** 2 is the same libm pow as Python's, but overflows to inf
+    # instead of raising
+    with np.errstate(over="ignore"):
+        energy = total / (2.0 * n3) * w_area / np.float64(sampler.h) ** 2
+    if not np.isfinite(energy):
+        raise NumericalError("evaluate_scaled_energy: the energy at h = %r "
+                             "is %r" % (sampler.h, float(energy)))
+    return float(energy)
 
 
 def limit_energy(form, iso, resolution=32):
@@ -494,6 +610,9 @@ def limit_energy(form, iso, resolution=32):
     Midpoint rule on a resolution^2 grid (exact for the constant-curvature
     isometries shipped here).
     """
+    resolution = as_index(resolution, "limit_energy: resolution")
+    if resolution < 1:
+        raise ConfigError("limit_energy: resolution must be >= 1")
     x0, y0, x1, y1 = iso.domain
     xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
     ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
@@ -504,6 +623,11 @@ def limit_energy(form, iso, resolution=32):
 def recovery_gaps(family, h_schedule=None):
     """Scaled energies, the limit energy, and relative gaps per thickness.
 
+    Args:
+        family: the recovery family.
+        h_schedule: thicknesses, finite, positive and strictly decreasing;
+            default the family config's.
+
     Returns:
         dict with h_schedule, scaled (list), limit (float), gaps (list of
         (scaled - limit) / limit).
@@ -512,9 +636,12 @@ def recovery_gaps(family, h_schedule=None):
         ConfigError: the limit energy is 0 (a flat isometry), where relative
             gaps are undefined.
     """
-    hs = h_schedule if h_schedule is not None else family.cfg.h_schedule
-    if not hs:
-        raise ConfigError("recovery_gaps: no h_schedule given")
+    if h_schedule is None:
+        hs = family.cfg.h_schedule
+        if not hs:
+            raise ConfigError("recovery_gaps: no h_schedule given")
+    else:
+        hs = _h_schedule(h_schedule, "recovery_gaps")
     limit = limit_energy(family.source.effective(), family.iso)
     if limit == 0:
         raise ConfigError("isometry: the limit energy of kind %r is 0, so "

@@ -11,6 +11,7 @@ from platecell import (
     CellCorrectorSource,
     CellLoad,
     ConfigError,
+    NumericalError,
     PhaseGrid,
     RVEGrid,
     RecoveryConfig,
@@ -25,6 +26,8 @@ from platecell import (
     solve_corrector,
 )
 from platecell import cellsolve, recovery
+from platecell._mesh import locate
+from platecell.material import svk_energy
 from oracles import single_phase_bending_discrete
 
 ONE_PHASE = material_table([(0, 1.0, 1.0)])
@@ -187,6 +190,24 @@ def test_sampler_needs_positive_thickness():
         fam.sampler(0.0)
     with pytest.raises(ConfigError):
         fam.sampler(-0.1)
+
+
+def test_sampler_reads_thickness_strictly():
+    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    for bad in (float("inf"), float("nan"), True, "0.3", None):
+        with pytest.raises(ConfigError, match="h must be a finite number"):
+            fam.sampler(bad)
+    assert fam.sampler(np.float64(0.3)).h == 0.3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_energy_raises():
+    # at h = 1e300 the gradients overflow: no inf or nan energy is returned
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    with pytest.raises(NumericalError, match="energy at h = 1e\\+300"):
+        evaluate_scaled_energy(fam.sampler(1e300))
 
 
 def test_midplane_displacement_not_supported():
@@ -449,6 +470,155 @@ def test_rows_do_not_depend_on_the_other_points():
             npt.assert_array_equal(sampler.deformation(xp[sub], x3), v[sub])
 
 
+def _per_point_plan(sampler, xp):
+    """The node-layer plan evaluated point by point, as reference.
+
+    Every point gets its own cell and patch lookup and cutoff ramps, and
+    every node layer of the full, unfolded corrector table is gathered,
+    interpolated and rotated (by einsum), with the same operations in the
+    same order as the plan.  So the two agree bit for bit.
+    """
+    fam, h, eps = sampler.family, sampler.h, sampler.eps
+    grid = fam.source.grid
+    n1, n2, n3 = grid.n1, grid.n2, grid.n3
+    f = fam.iso.frame_fields(xp)
+    F0 = np.stack([f["d1y"], f["d2y"], f["n"]], axis=2).transpose(1, 2, 0)
+    F1 = np.stack([f["d1n"], f["d2n"], np.zeros_like(f["n"])],
+                  axis=2).transpose(1, 2, 0)
+    dR = np.stack([np.stack([f["ddy"][:, a, 0], f["ddy"][:, a, 1],
+                             f["d%dn" % (a + 1)]], axis=2)
+                   for a in (0, 1)]).transpose(0, 2, 3, 1)
+    every = np.arange(len(xp))
+    patch, chi, dchi = fam.cutoff(xp[:, 0], xp[:, 1], every, every)
+    patch = np.maximum(patch, 0)
+    T = np.stack([fam.source.corrector(p.load) for p in fam.patches]
+                 ).transpose(4, 3, 0, 1, 2).reshape(3, n3 + 1, -1)
+    (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps, grid)
+    row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
+    c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
+    c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
+    d0, d1 = c10 - c00, c11 - c01
+    lo = c00 + tx * d0
+    step2 = c01 + tx * d1 - lo
+    g = lo + ty * step2
+    step1 = (1.0 - ty) * d0 + ty * d1
+
+    def rotate(A, v):
+        return np.einsum("ijm,jlm->ilm", A, v)
+
+    layers = np.empty((3, 3, n3 + 1, len(xp)))
+    for a, step, side in ((0, step1, grid.box_side / n1),
+                          (1, step2, grid.box_side / n2)):
+        Q = (h * eps) * (dchi[a] * F0 + chi * dR[a])
+        layers[:, a] = rotate((h / side * chi) * F0, step) + rotate(Q, g)
+    layers[:, 2] = rotate((eps * chi) * F0, g)
+    return recovery._Plan(f, F0, F1, layers)
+
+
+def _per_point_energy(sampler):
+    """evaluate_scaled_energy's quadrature with per-point plans and a
+    per-point phase lookup: same points, groups, blocks and sums."""
+    fam = sampler.family
+    cells = fam.cfg.cells_per_scale
+    x0, y0, x1, y1 = fam.iso.domain
+    eps = sampler.eps
+    ncx = max(int(np.ceil((x1 - x0) * cells / eps)), 1)
+    ncy = max(int(np.ceil((y1 - y0) * cells / eps)), 1)
+    gauss = np.asarray(recovery.GAUSS)
+    gx = (np.arange(ncx)[:, None] + gauss).ravel() * (x1 - x0) / ncx
+    gy = (np.arange(ncy)[:, None] + gauss).ravel() * (y1 - y0) / ncy
+    xp = np.array([(x, y) for x in x0 + gx for y in y0 + gy])
+    phases = fam.source.phase_of_points(xp / eps)
+    order = np.argsort(phases, kind="stable")
+    n3 = fam.source.grid.n3
+    total = 0.0
+    for group in np.split(order, np.flatnonzero(np.diff(phases[order])) + 1):
+        mat = fam.source.materials[int(phases[group[0]])]
+        for start in range(0, group.size, recovery._BLOCK):
+            xb = xp[group[start:start + recovery._BLOCK]]
+            plan = _per_point_plan(sampler, xb)
+            for k in range(n3):
+                for gq in recovery.GAUSS:
+                    F = sampler.scaled_gradient(xb, -0.5 + (k + gq) / n3,
+                                                plan=plan)
+                    total += float(np.sum(svk_energy(mat, F)))
+    w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
+    return total / (2.0 * n3) * w_area / sampler.h ** 2
+
+
+def _family(kind, n3, domain, patch_size):
+    iso = cylinder_isometry(1.0, domain) if kind == "cylinder" \
+        else flat_isometry(domain)
+    src = CellCorrectorSource(RVEGrid(4, 4, n3, 2.0, 1.0),
+                              checker_phases(4, 4), CONTRAST5, tol=1e-10)
+    return _distinct_tables(build_recovery(
+        iso, RecoveryConfig(gamma=2.0, patch_size=patch_size), src))
+
+
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["flat", "cylinder"])
+def test_energy_equals_per_point_reference(kind, n3, monkeypatch):
+    # small blocks, so that each phase group spans several plans
+    monkeypatch.setattr(recovery, "_BLOCK", 700)
+    for domain, patch_size, h in (((0.0, 0.0, 1.0, 1.0), 0.5, 0.3),
+                                  ((0.13, -0.2, 0.9, 0.71), 0.3, 0.25)):
+        sampler = _family(kind, n3, domain, patch_size).sampler(h)
+        energy = evaluate_scaled_energy(sampler)
+        assert energy > 0.0
+        assert energy == _per_point_energy(sampler)
+
+
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
+def test_tensor_axes_plan_equals_per_point_plan(n3):
+    # the axes run past the domain on every side, so some points lie in no
+    # patch, and some on a patch edge or in a cutoff collar
+    fam = _family("cylinder", n3, (0.13, -0.2, 0.9, 0.71), 0.3)
+    sampler = fam.sampler(0.2)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 37), [0.13, 0.43, 0.9]])
+    ys = np.concatenate([np.linspace(-0.3, 0.8, 29), [-0.2, 0.1, 0.71]])
+    block = np.random.default_rng(4).permutation(len(xs) * len(ys))[:900]
+    ix, iy = block // len(ys), block % len(ys)
+    xp = np.column_stack([xs[ix], ys[iy]])
+    patch, _, _ = fam.cutoff(xs, ys, ix, iy)
+    assert np.any(patch < 0) and np.any(patch >= 0)
+    ref = _per_point_plan(sampler, xp)
+    for plan in (sampler.plan(xp, axes=(xs, ys, ix, iy)), sampler.plan(xp)):
+        npt.assert_array_equal(plan.F0, ref.F0)
+        npt.assert_array_equal(plan.F1, ref.F1)
+        npt.assert_array_equal(plan.layers, ref.layers)
+        for key, value in ref.frames.items():
+            npt.assert_array_equal(plan.frames[key], value)
+
+
+@pytest.mark.parametrize("n3", [2, 3, 4, 5, 6])
+def test_corrector_table_is_mirror_exact(n3):
+    # node layer n3 - k is diag(-1, -1, 1) times layer k, bit for bit: the
+    # sampler keeps the slots k <= n3/2 only
+    src = CellCorrectorSource(RVEGrid(4, 4, n3, 2.0, 1.0),
+                              checker_phases(4, 4), CONTRAST5, tol=1e-10)
+    for G in ([[1.0, 0.3], [0.3, -0.5]], [[0.0, 0.5], [0.5, 0.0]]):
+        values = src.corrector(G)
+        assert np.max(np.abs(values)) > 0.0
+        npt.assert_array_equal(values[:, :, ::-1] * [-1.0, -1.0, 1.0],
+                               values)
+
+
+def test_sampler_refuses_correctors_without_the_mirror_symmetry(monkeypatch):
+    # the folded plan would silently misread such a table
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    exact = fam.source.corrector
+
+    def tilted(G):
+        values = exact(G)
+        values[..., 2] += np.linspace(0.0, 1e-9, values.shape[2])
+        return values
+
+    monkeypatch.setattr(fam.source, "corrector", tilted)
+    with pytest.raises(NumericalError, match="mirror images"):
+        fam.sampler(0.2)
+
+
 def _fd_gradient(sampler, xp, x3, s, s3):
     G = np.empty((len(xp), 3, 3))
     for a in range(2):
@@ -538,6 +708,20 @@ def test_quadrature_must_resolve_microscale():
         evaluate_scaled_energy(fam.sampler(0.4), cells_per_scale=1)
 
 
+def test_cells_per_scale_is_read_as_in_the_config():
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    sampler = fam.sampler(0.4)
+    for bad in (2.5, 4.0, True, "4"):
+        with pytest.raises(ConfigError, match="cells_per_scale must be an int"):
+            evaluate_scaled_energy(sampler, cells_per_scale=bad)
+    for bad in (1, 0, -3):
+        with pytest.raises(ConfigError, match="cells_per_scale must be >= 2"):
+            evaluate_scaled_energy(sampler, cells_per_scale=bad)
+    assert evaluate_scaled_energy(sampler, cells_per_scale=np.int64(4)) \
+        == evaluate_scaled_energy(sampler)
+
+
 class _RotatedSampler:
     """Wraps a sampler, rigidly rotating every deformation gradient."""
 
@@ -548,8 +732,8 @@ class _RotatedSampler:
         self.h = inner.h
         self.eps = inner.eps
 
-    def plan(self, xp):
-        return self.inner.plan(xp)
+    def plan(self, xp, axes=None):
+        return self.inner.plan(xp, axes=axes)
 
     def scaled_gradient(self, xp, x3, plan=None):
         F = self.inner.scaled_gradient(xp, x3, plan=plan)
@@ -584,6 +768,19 @@ def test_limit_energy_closed_forms():
     # constant curvature: any resolution integrates exactly
     npt.assert_allclose(limit_energy(M, cylinder_isometry(1.0), resolution=5),
                         limit_energy(M, cylinder_isometry(1.0)), rtol=1e-13)
+
+
+def test_limit_energy_resolution_is_a_positive_index():
+    M = np.diag([0.5, 0.5, 0.4])
+    iso = cylinder_isometry(1.0)
+    for bad in (2.5, 3.0, True, "32"):
+        with pytest.raises(ConfigError, match="resolution must be an int"):
+            limit_energy(M, iso, resolution=bad)
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="resolution must be >= 1"):
+            limit_energy(M, iso, resolution=bad)
+    assert limit_energy(M, iso, resolution=np.int64(32)) \
+        == limit_energy(M, iso)
 
 
 def test_limit_energy_is_the_pointwise_midpoint_rule():
@@ -654,6 +851,28 @@ def test_recovery_gaps_needs_schedule():
         recovery_gaps(fam)
     out = recovery_gaps(fam, h_schedule=[0.4])
     assert set(out) == {"h_schedule", "scaled", "limit", "gaps"}
+
+
+def test_recovery_gaps_validate_their_schedule():
+    # the rule of RecoveryConfig.h_schedule: finite, positive, decreasing
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+                         checker_source())
+    for bad in ([float("inf")], [0.4, 0.8], [0.4, 0.4], [0.4, -0.1], [],
+                [0.4, "0.2"], [True], 0.4):
+        with pytest.raises(ConfigError, match="recovery_gaps: h_schedule"):
+            recovery_gaps(fam, h_schedule=bad)
+    out = recovery_gaps(fam, h_schedule=(np.float64(0.4),))
+    assert out["h_schedule"] == [0.4]
+    assert type(out["h_schedule"][0]) is float
+
+
+def test_corrector_load_must_be_finite():
+    src = checker_source()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="load.G must be finite"):
+            src.corrector([[bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(ConfigError, match="load.B must be finite"):
+            CellLoad(B=[[0.0, bad], [bad, 0.0]])
 
 
 def test_recovery_gaps_refuse_a_zero_limit():

@@ -43,7 +43,8 @@ inverted once per grid, parity and reference medium and shared read-only
 the phase contrast but not on the mesh.  Unit loads iterate together (block
 right-hand side) into one bilinear energy closure: the three bending loads
 give the bending form, and with the three membrane loads, solved in the
-other parity, the 6x6 tensor, whose membrane/bending block is zero.
+other parity, the 6x6 tensor, whose membrane/bending block is zero and whose
+bending block is therefore the bending form.
 """
 
 import functools
@@ -439,11 +440,6 @@ class CellOperator:
                     M[i, j] += self.weight[l] * (taus[i] * stress[j]).sum()
         return M * self.wq
 
-    def energy(self, load, u=None):
-        """Cell energy of the load's part in this parity plus the folded u."""
-        u = np.zeros(self.ndof) if u is None else u
-        return float(self.closure([load], u)[0, 0])
-
     # --- solver ---------------------------------------------------------------
     def solve(self, rhs, tol=1e-8, max_iter=None, callback=None):
         """Block PCG, FFT-preconditioned, with per-iteration kernel projection.
@@ -490,6 +486,16 @@ def cell_energy(grid, phases, materials, load, phi=None):
     return float(energy)
 
 
+def _solve(grid, phases, materials, parity, loads, tol):
+    """Solve the loads' parts in one parity: (op, b, X, history), the
+    operator, its folded right-hand sides and correctors (ndof, m), and the
+    per-iteration, per-column relative residuals."""
+    op = CellOperator(grid, phases, materials, parity)
+    b = op.rhs(loads)
+    X, history = op.solve(b, tol=tol)
+    return op, b, X, history
+
+
 def solve_corrector(grid, phases, materials, load, tol=1e-8):
     """Minimize the cell energy over correctors for one fixed load.
 
@@ -500,9 +506,8 @@ def solve_corrector(grid, phases, materials, load, tol=1e-8):
     values = np.zeros((3 * grid.n_nodes, 1))
     norms, histories = [], []
     for parity in (MEMBRANE, BENDING):
-        op = CellOperator(grid, phases, materials, parity)
-        b = op.rhs([load])
-        x, history = op.solve(b, tol=tol)
+        op, b, x, history = _solve(grid, phases, materials, parity, [load],
+                                   tol)
         values += op.expand(x)
         norms.append(float(np.sum(b * b)))
         histories.append([float(h[0]) for h in history])
@@ -518,9 +523,8 @@ def solve_corrector(grid, phases, materials, load, tol=1e-8):
 class CoupledEffectiveTensor:
     """6x6 coupled membrane/bending tensor with provenance."""
 
-    def __init__(self, matrix, grid, residuals, asymmetry):
+    def __init__(self, matrix, residuals, asymmetry):
         self.matrix = matrix
-        self.grid = grid
         self.residuals = residuals
         self.asymmetry = asymmetry
 
@@ -535,16 +539,16 @@ class EffectiveBendingForm:
         self.voigt3 = 0.5 * (voigt3 + voigt3.T)
 
 
-def _symmetrized(M):
-    """(M + M^T) / 2 and the asymmetry max |M - M^T| of a closed tensor,
-    checked positive definite."""
+def _symmetrized(M, name):
+    """(M + M^T) / 2 and the asymmetry max |M - M^T| of the closed tensor
+    `name`, checked positive definite."""
     asym = float(np.max(np.abs(M - M.T)))
     M = 0.5 * (M + M.T)
     w = np.linalg.eigvalsh(M)
     if w[0] <= 0:
-        raise NumericalError("coupled tensor is not positive definite "
-                             "(min eigenvalue %g); the solve is under-resolved "
-                             "or the material table is invalid" % w[0])
+        raise NumericalError("%s is not positive definite (min eigenvalue %g); "
+                             "the solve is under-resolved or the material "
+                             "table is invalid" % (name, w[0]))
     return M, asym
 
 
@@ -552,16 +556,17 @@ def coupled_tensor(grid, phases, materials, tol=1e-8):
     """6x6 membrane/bending tensor of the six unit loads (for `effective`).
 
     The membrane and the bending loads solve in their own parities, so the
-    membrane/bending block is zero.
+    membrane/bending block is zero and the bending block is the effective
+    bending form: minimizing over the membrane offset leaves it unchanged.
     """
     loads, M, residuals = unit_loads(), np.zeros((6, 6)), []
     for parity, part in ((MEMBRANE, slice(0, 3)), (BENDING, slice(3, 6))):
-        op = CellOperator(grid, phases, materials, parity)
-        X, history = op.solve(op.rhs(loads[part]), tol=tol)
+        op, _, X, history = _solve(grid, phases, materials, parity,
+                                   loads[part], tol)
         M[part, part] = op.closure(loads[part], X)
         residuals += [float(h) for h in history[-1]]
-    M, asym = _symmetrized(M)
-    return CoupledEffectiveTensor(M, grid, residuals, asym)
+    M, asym = _symmetrized(M, "coupled tensor")
+    return CoupledEffectiveTensor(M, residuals, asym)
 
 
 def bending_solve(grid, phases, materials, tol=1e-8):
@@ -571,27 +576,10 @@ def bending_solve(grid, phases, materials, tol=1e-8):
     loads alone, solved in the bending parity; the corrector of a bending
     load G is X @ sym2_to_voigt3(G).
     """
-    op = CellOperator(grid, phases, materials, BENDING)
     loads = unit_loads()[3:]
-    X, _ = op.solve(op.rhs(loads), tol=tol)
-    M, _ = _symmetrized(op.closure(loads, X))
+    op, _, X, _ = _solve(grid, phases, materials, BENDING, loads, tol)
+    M, _ = _symmetrized(op.closure(loads, X), "effective bending form")
     return EffectiveBendingForm(M), op.expand(X)
-
-
-def effective_bending(ct):
-    """Schur complement of the bending block: Q_GG - Q_GB Q_BB^-1 Q_BG.
-
-    This realizes the exact minimization over the membrane offset B.
-    """
-    M = ct.matrix
-    Qbb, Qbg, Qgg = M[:3, :3], M[:3, 3:], M[3:, 3:]
-    try:
-        c = np.linalg.cholesky(Qbb)
-    except np.linalg.LinAlgError:
-        raise NumericalError("membrane block of the coupled tensor is not SPD; "
-                             "cannot reduce over the membrane offset")
-    y = np.linalg.solve(c, Qbg)
-    return EffectiveBendingForm(Qgg - y.T @ y)
 
 
 def effective_form(grid, phases, materials, tol=1e-8):
@@ -638,11 +626,6 @@ def _resample_axis(arr, target, axis):
     return np.moveaxis(blocks[:, 0], 0, axis)
 
 
-def _block_resample(cell_phase, n1b, n2b):
-    """Exact block refinement/coarsening of a phase grid to (n1b, n2b)."""
-    return _resample_axis(_resample_axis(cell_phase, n1b, 0), n2b, 1)
-
-
 def gamma_rescale_check(grid, phases, materials, tol=1e-8):
     """Frobenius distance between the two equivalent cell formulations.
 
@@ -663,7 +646,7 @@ def gamma_rescale_check(grid, phases, materials, tol=1e-8):
     qa = effective_form(grid, phases, materials, tol=tol).voigt3
 
     grid_b = RVEGrid(n1b, n2b, grid.n3, 1.0, grid.box_side / g)
-    phases_b = PhaseGrid(n1b, n2b, grid_b.box_side,
-                         _block_resample(phases.cell_phase, n1b, n2b))
+    phases_b = PhaseGrid(n1b, n2b, grid_b.box_side, _resample_axis(
+        _resample_axis(phases.cell_phase, n1b, 0), n2b, 1))
     qb = effective_form(grid_b, phases_b, materials, tol=tol).voigt3
     return float(np.linalg.norm(qa - qb))

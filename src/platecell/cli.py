@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .cellsolve import CellLoad, RVEGrid, coupled_tensor, effective_bending, \
-    effective_form, gamma_rescale_check, solve_corrector
+from .cellsolve import CellLoad, EffectiveBendingForm, RVEGrid, \
+    coupled_tensor, effective_form, gamma_rescale_check, solve_corrector
 from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
     random_mixed_field, to_gauss
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
@@ -265,7 +265,7 @@ def _cmd_effective(args, cfg, started):
     tol, rescale = _read(cfg, "tol"), _read(cfg, "rescale_check")
     grid, materials, seed, phases = _cell(cfg)
     ct = coupled_tensor(grid, phases, materials, tol=tol)
-    form = effective_bending(ct)
+    form = EffectiveBendingForm(ct.matrix[3:, 3:])
     payload = fileio.tensor_result_dict(ct, form, grid, extra={"seed": seed})
     if rescale:
         payload["rescale_discrepancy"] = gamma_rescale_check(

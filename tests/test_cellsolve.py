@@ -20,14 +20,13 @@ from platecell import (
     ConfigError,
     ConvergenceError,
     CorrectorField,
-    CoupledEffectiveTensor,
     MicrostructureModel,
+    NumericalError,
     PhaseGrid,
     RVEGrid,
     cell_energy,
     coercivity_constants,
     coupled_tensor,
-    effective_bending,
     effective_form,
     gamma_rescale_check,
     isotropic_form,
@@ -215,10 +214,10 @@ def test_energy_monotone_along_iterations():
     energies = []
 
     def track(it, x):
-        energies.append(op.energy(load, x[:, 0]))
+        energies.append(op.closure([load], x)[0, 0])
 
     x, _ = op.solve(op.rhs([load]), tol=1e-9, callback=track)
-    e0 = op.energy(load)
+    e0 = op.closure([load], np.zeros(op.ndof))[0, 0]
     assert energies[-1] <= e0  # beats the zero corrector
     diffs = np.diff([e0] + energies)
     assert np.all(diffs <= 1e-12 * (1.0 + e0))
@@ -472,8 +471,7 @@ def test_fft_preconditioned_tensor_matches_jacobi():
     X, _ = block_pcg(full.K.dot, lambda r: r / diag[:, None], center,
                      full.rhs(unit_loads()), 1e-10, 5000)
     M = full.gram(unit_loads(), X)
-    jacobi = effective_bending(CoupledEffectiveTensor(M, grid, [], 0.0))
-    npt.assert_allclose(form.voigt3, jacobi.voigt3, rtol=1e-8, atol=1e-10)
+    npt.assert_allclose(form.voigt3, M[3:, 3:], rtol=1e-8, atol=1e-10)
 
 
 def test_batched_closure_matches_pairwise_energy_products():
@@ -568,7 +566,7 @@ def test_stripe_corrector_x2_independent_and_matches_reduced():
 
 
 # ---------------------------------------------------------------------------
-# coupled_tensor / effective_bending
+# coupled_tensor / effective_form
 # ---------------------------------------------------------------------------
 
 def test_single_phase_coupled_tensor_blocks():
@@ -581,6 +579,19 @@ def test_single_phase_coupled_tensor_blocks():
     assert np.max(np.abs(M[:3, 3:])) < 1e-8
     assert ct.asymmetry <= 1e-12
     assert np.linalg.eigvalsh(M)[0] > 0
+
+
+@pytest.mark.parametrize("solve,name", [(coupled_tensor, "coupled tensor"),
+                                        (effective_form,
+                                         "effective bending form")])
+def test_indefinite_closure_raises_naming_the_tensor(monkeypatch, solve, name):
+    # validated materials cannot make the closure indefinite, so force it
+    monkeypatch.setattr(CellOperator, "closure",
+                        lambda self, loads, X: -np.eye(len(loads)))
+    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
+    with pytest.raises(NumericalError, match="^%s is not positive definite"
+                       % name):
+        solve(grid, uniform_phases(4, 4), ONE_PHASE)
 
 
 def test_polarization_consistency():
@@ -708,13 +719,6 @@ def test_single_phase_gamma_invariance(gamma):
     q = effective_form(grid, uniform_phases(4, 4), mats, tol=1e-11)
     npt.assert_allclose(q.voigt3, single_phase_bending_discrete(2.0, 0.5, 4),
                         atol=1e-9)
-
-
-def test_schur_equals_raw_block_when_uncoupled():
-    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
-    ct = coupled_tensor(grid, uniform_phases(4, 4), ONE_PHASE, tol=1e-10)
-    q = effective_bending(ct)
-    npt.assert_allclose(q.voigt3, ct.matrix[3:, 3:], atol=1e-8)
 
 
 def test_coercivity_sandwich_sampled():

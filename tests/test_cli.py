@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from platecell import cli, decomposition
+from platecell import cellsolve, cli, decomposition
 from platecell.cli import main
 from platecell.fileio import phase_grid_from_dict, read_field, read_json
 from oracles import single_phase_bending_discrete
@@ -151,6 +151,24 @@ def test_effective_single_phase_matches_analytic(tmp_path):
     assert len(payload["voigt6"]) == 36
     assert "wall_time" in payload               # no --deterministic flag
     assert payload["asymmetry"] <= 1e-12
+    # the parities decouple exactly: voigt3 is the bending block of voigt6
+    voigt6 = np.asarray(payload["voigt6"]).reshape(6, 6)
+    assert (got == voigt6[3:, 3:]).all()
+    assert (voigt6[:3, 3:] == 0.0).all() and (voigt6[3:, :3] == 0.0).all()
+
+
+def test_indefinite_tensor_exits_1_without_traceback(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cellsolve.CellOperator, "closure",
+                        lambda self, loads, X: -np.eye(len(loads)))
+    cfg = write_cfg(tmp_path, {"model": CHECKER, "grid": GRID, "seed": 0,
+                               "materials": MATS_TWO})
+    out = tmp_path / "eff.json"
+    assert run("effective", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: coupled tensor is not positive definite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_effective_accepts_box_side_alias(tmp_path):

@@ -11,11 +11,11 @@ import pytest
 from platecell import (
     BirkhoffSeries,
     ConfigError,
+    EffectiveBendingForm,
     MicrostructureModel,
     PhaseGrid,
     RVEGrid,
     coupled_tensor,
-    effective_bending,
     material_table,
     rasterize,
     sample_realization,
@@ -212,7 +212,8 @@ def test_tensor_result_dict():
     phases = PhaseGrid(2, 2, 1.0, np.zeros((2, 2), dtype=int))
     ct = coupled_tensor(grid, phases, material_table([(0, 1.0, 1.0)]),
                         tol=1e-10)
-    d = tensor_result_dict(ct, effective_bending(ct), grid, extra={"seed": 7})
+    d = tensor_result_dict(ct, EffectiveBendingForm(ct.matrix[3:, 3:]), grid,
+                           extra={"seed": 7})
     assert set(d) == {"grid", "gamma", "voigt6", "voigt3", "cg_residuals",
                       "asymmetry", "seed"}
     assert len(d["voigt6"]) == 36

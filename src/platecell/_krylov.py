@@ -6,7 +6,8 @@ independent step sizes, and a projection callback removes the operator
 kernel (rigid translations) from every iterate, which is the gauge fixing of
 the methods that call this.  The preconditioner is a callable supplied by
 the caller; the cell problems pass an in-plane FFT solve with a homogeneous
-reference medium.
+reference medium.  The loop updates its vectors in place, with the roundings
+of the plain expressions x + alpha p, r - alpha q and z + beta p.
 """
 
 import numpy as np
@@ -17,6 +18,10 @@ from .errors import ConvergenceError
 def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
               callback=None):
     """Solve A x = rhs column-wise with a symmetric positive preconditioner.
+
+    The loop updates its iterates in place and overwrites the array that
+    `matvec` returns, so matvec must return a fresh (or scratch) array it
+    does not read again; `rhs` is left unchanged.
 
     Args:
         matvec: function (n, m) -> (n, m) applying the operator.
@@ -43,6 +48,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
     r = b.copy()
     z = project(precondition(r))
     p = z.copy()
+    step = np.empty_like(b)
     rz = np.einsum("ij,ij->j", r, z)
     rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
     history = [rel.copy()]
@@ -59,15 +65,16 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         pq = np.einsum("ij,ij->j", p, q)
         ok = active & (pq > 0)
         alpha = np.where(ok, rz / np.where(pq > 0, pq, 1.0), 0.0)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=q)
         rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
         history.append(rel.copy())
         active = rel > tol
         z = project(precondition(r))
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
         it += 1
         if callback is not None:

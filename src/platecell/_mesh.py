@@ -53,26 +53,29 @@ def nodes(n1, n2, n3):
     return out
 
 
-def scatter(edof, values, n):
-    """Sum element contributions into n global entries.
+def column_keys(edof, m):
+    """Keys of `scatter` for m columns: edof * m + c for every local entry of
+    the global index table edof (..., a) and column c, (..., a, m)."""
+    return edof[..., None] * m + np.arange(m)
+
+
+def scatter(keys, values, shape):
+    """Sum element contributions into global entries.
 
     Args:
-        edof: (n_elements, a) global index of each local entry.
-        values: (n_elements, a) for one column, or (n_elements, a, m).
-        n: number of global entries.
+        keys: flat output index of each contribution, the global index table
+            edof (n_elements, a) itself for one column, `column_keys(edof, m)`
+            for m columns.
+        values: the contributions, keys.shape.
+        shape: n for one column, (n, m) for m.
 
     Returns:
-        (n,) or (n, m): out[edof[e, l]] summed over all (e, l), one
-        np.bincount per column, so the summation order is fixed.
+        array of `shape`: out[edof[e, l], c] summed over all (e, l) by one
+        np.bincount in the order of the entries, so every column sums in the
+        order of a bincount of that column alone.
     """
-    flat = edof.ravel()
-    if values.ndim == edof.ndim:
-        return np.bincount(flat, weights=values.ravel(), minlength=n)
-    out = np.empty((n, values.shape[-1]))
-    for c in range(values.shape[-1]):
-        out[:, c] = np.bincount(flat, weights=values[..., c].ravel(),
-                                minlength=n)
-    return out
+    return np.bincount(keys.ravel(), weights=values.ravel(),
+                       minlength=np.prod(shape)).reshape(shape)
 
 
 def locate(y, grid):

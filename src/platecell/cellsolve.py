@@ -21,30 +21,33 @@ reflection x3 -> -x3 and every corrector has a parity: the signs s of
 folded half-slab: node layer k sits on slot r = min(k, n3 - k) with
 coefficient 1/sqrt2 below the midplane and s_c/sqrt2 above it, and a midplane
 node (even n3) keeps coefficient 1 for an even component and 0 for an odd
-one, whose slot stays pinned at 0.  The slots are orthonormal, so the folded
-problem is the full one restricted to the parity's fields, and conjugate
-gradients take the same iterates on about half the dofs.  Only the element
-layers below the midplane are kept, with weight 2 for their mirror images;
-the self-mirrored straddling layer of odd n3 keeps weight 1, its top nodes
-aliasing its bottom slots with the signs s_c.
+one.  The slots are orthonormal, so the folded problem is the full one
+restricted to the parity's fields, and conjugate gradients take the same
+iterates on about half the dofs.  The unknowns are the free (slot,
+component) pairs only: an odd component at the midplane is identically 0
+and has no dof.  Only the element layers below the midplane are kept, with
+weight 2 for their mirror images; the self-mirrored straddling layer of odd
+n3 keeps weight 1, its top nodes aliasing its bottom slots with the signs
+s_c.
 
 The stationarity system is solved matrix-free: one folded 24x24 kernel
 w diag(sigma) K_p diag(sigma) per (phase, layer), sigma the slot coefficients
 of the local dofs, and one dof table of the kept elements sorted by (phase,
 layer), which serves the matvec (np.take -> one GEMM per kernel -> the mesh's
-scatter), the right-hand sides and the energy closure, in conjugate gradients
-with the translations of the even components projected out each iteration.
+scatter, one bincount over all columns), the right-hand sides and the energy
+closure, in conjugate gradients that update in place, with the translations
+of the even components projected out each iteration.
 The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
 stiffness is block-circulant in the in-plane node indices, so a real 2D FFT
-splits it into one Hermitian 3(n3//2 + 1)-square system per wavevector,
-inverted once per grid, parity and reference medium and shared read-only
-(Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration counts then depend on
-the phase contrast but not on the mesh.  Unit loads iterate together (block
-right-hand side) into one bilinear energy closure: the three bending loads
-give the bending form, and with the three membrane loads, solved in the
-other parity, the 6x6 tensor, whose membrane/bending block is zero and whose
-bending block is therefore the bending form.
+splits it into one Hermitian system per wavevector on the free pairs of an
+in-plane node, inverted once per grid, parity and reference medium and
+shared read-only (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
+counts then depend on the phase contrast but not on the mesh.  Unit loads
+iterate together (block right-hand side) into one bilinear energy closure:
+the three bending loads give the bending form, and with the three membrane
+loads, solved in the other parity, the 6x6 tensor, whose membrane/bending
+block is zero and whose bending block is therefore the bending form.
 """
 
 import functools
@@ -52,7 +55,7 @@ import functools
 import numpy as np
 
 from ._krylov import block_pcg
-from ._mesh import GAUSS, dN, nodes, scatter
+from ._mesh import GAUSS, column_keys, dN, nodes, scatter
 from .errors import ConfigError, NumericalError, as_index, as_real
 from .material import SQRT2, isotropic_form
 from .microstructure import PhaseGrid
@@ -184,7 +187,15 @@ def _strain_matrices(grid):
 
 
 def _fold(grid, parity):
-    """The fold of the slab onto the slots of one parity.
+    """The fold of the slab onto the free unknowns of one parity.
+
+    A (slot, component) pair is free unless its coefficient is 0 at every
+    node layer: the odd components at the midplane of even n3.  The free
+    pairs of in-plane node j are dofs j f, ..., j f + f - 1, in (slot,
+    component) order.  A local dof on a pair that is not free takes the free
+    dof before it on its in-plane node; its coefficient sigma = 0 makes its
+    folded kernel row and column, its load entries and its strain column
+    exact zeros, so it never reads or writes that dof.
 
     Returns:
         fold: (n3 + 1, n3 // 2 + 1, 3) coefficient of component c of node
@@ -203,12 +214,14 @@ def _fold(grid, parity):
                     np.where(above, s / SQRT2, (1.0 + s) / 2.0))
     fold = np.zeros((n3 + 1, n3 // 2 + 1, 3))
     fold[k, np.minimum(k, n3 - k)] = coef
+    free = fold.any(axis=0).ravel()
+    rank = np.cumsum(free) - 1         # dof of each pair on its in-plane node
     e = np.arange((n3 + 1) // 2)
     weight = np.where(2 * e + 1 == n3, 1.0, 2.0)
     col, layer = np.divmod(
         nodes(n1, n2, n3).reshape(n1 * n2, n3, 8)[:, :len(e)], n3 + 1)
-    slot = col * fold.shape[1] + np.minimum(layer, n3 - layer)
-    edof = 3 * slot[..., None] + np.arange(3)
+    pair = 3 * np.minimum(layer, n3 - layer)[..., None] + np.arange(3)
+    edof = col[..., None] * free.sum() + rank[pair]
     kz = e[:, None] + (np.arange(8) >> 2)    # node layers of local nodes
     sigma = fold[kz, np.minimum(kz, n3 - kz)].reshape(len(e), 24)
     return fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
@@ -223,22 +236,26 @@ def _folded_kernels(ke, sigma, weight):
 
 
 def _translations(fold):
-    """Unit translation of each even component on the slots of one in-plane
-    node, (slots, 3); zero for the odd components, which have none."""
+    """Unit translation of each even component on the (slot, component)
+    pairs of one in-plane node, (pairs, even components); the odd components
+    have none."""
     omega = fold.sum(axis=0)
-    norm = np.sqrt((omega ** 2).sum(axis=0))
-    return omega / np.where(norm > 0, norm, 1.0)
+    even = omega.any(axis=0)
+    norm = np.sqrt((omega[:, even] ** 2).sum(axis=0))
+    return (omega[..., None] * np.eye(3)[:, even]).reshape(-1, even.sum()) \
+        / norm
 
 
-def _apply_kernels(kernels, bounds, table, U):
+def _apply_kernels(kernels, bounds, table, keys, U):
     """Apply kernels[p] to the element columns bounds[p]:bounds[p + 1] of
-    the (24, n_el) dof table: gather U, one GEMM per kernel, scatter back."""
+    the (24, n_el) dof table: gather U, one GEMM per kernel, scatter back
+    through the table's `column_keys` for U's columns."""
     m = U.shape[1]
     Ue = np.take(U, table, axis=0).reshape(24, -1)   # (24, n_el * m)
     Ve = np.empty_like(Ue)
     for ke, a, b in zip(kernels, bounds[:-1], bounds[1:]):
         np.matmul(ke, Ue[:, a * m:b * m], out=Ve[:, a * m:b * m])
-    return scatter(table, Ve.reshape(24, -1, m), len(U))
+    return scatter(keys, Ve, U.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,40 +264,47 @@ def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam, parity):
     (mu, lam) in one parity on the grid; memoized, read-only and shared by
     the operators.
 
-    The folded stiffness applied to the M unit slot fields at in-plane node
-    (0, 0), then transformed by rfft2, is the M x M symbol per wavevector.
-    The pinned slots get the identity.  The zero-wavevector block is singular
-    on the translations of the even components, which are lifted by a
-    multiple of their projector (project() removes them from every iterate).
-    Each Hermitian block K = Kr + i Ki is inverted through its real embedding
-    [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]] with
-    K^-1 = A + i B; only its left half is kept.
+    The folded stiffness applied to the f unit fields of the free dofs at
+    in-plane node (0, 0), then transformed by rfft2, is the symbol per
+    wavevector, set into the M x M symbol of all the (slot, component) pairs
+    with the identity on the pinned others, the odd components at the
+    midplane.
+    The zero-wavevector block is singular on the translations of the even
+    components, which are lifted by a multiple of their projector (project()
+    removes them from every iterate).  Each Hermitian block K = Kr + i Ki is
+    inverted through its real embedding [[Kr, -Ki], [Ki, Kr]], whose inverse
+    is [[A, -B], [B, A]] with K^-1 = A + i B; only the free rows and columns
+    of its left half are kept, so they hold the values of the full inverse
+    bit for bit.
 
     Returns:
-        (n1, n2 // 2 + 1, 2M, M) real array stacking A over B,
-        M = 3 (n3 // 2 + 1).
+        (n1, n2 // 2 + 1, 2f, f) real array stacking A over B, f the free
+        pairs of M = 3 (n3 // 2 + 1).
     """
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
     fold, weight, edof, sigma = _fold(grid, parity)
-    m = fold[0].size
+    pinned = ~fold.any(axis=0).ravel()
+    free = np.flatnonzero(~pinned)
+    m, f = pinned.size, len(free)
     Bq = _strain_matrices(grid)
     ke = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt, Bq) \
         * (1.0 / (8.0 * grid.n_elements))
-    near = edof[(edof[:, 0] < m).any(axis=1)]   # columns touching node (0, 0)
+    near = edof[(edof[:, 0] < f).any(axis=1)]   # columns touching node (0, 0)
     table = near.transpose(1, 0, 2).reshape(-1, 24).T    # layer-major
-    units = np.eye(m * n1 * n2, m)   # in-plane node (0, 0) holds dofs :m
+    units = np.eye(f * n1 * n2, f)   # in-plane node (0, 0) holds dofs :f
     columns = _apply_kernels(_folded_kernels(ke[None], sigma, weight),
                              np.arange(len(weight) + 1) * len(near), table,
-                             units)
-    symbol = np.fft.rfft2(columns.reshape(n1, n2, m, m), axes=(0, 1))
+                             column_keys(table, f), units)
+    symbol = np.zeros((n1, n2 // 2 + 1, m, m), dtype=complex)
+    symbol[:, :, free[:, None], free] = np.fft.rfft2(
+        columns.reshape(n1, n2, f, f), axes=(0, 1))
     t = _translations(fold)
-    translations = np.einsum("rc,sd,cd->rcsd", t, t, np.eye(3)).reshape(m, m)
-    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * translations
-    pinned = ~fold.any(axis=0).ravel()
+    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
     symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
-    inverse = np.ascontiguousarray(np.linalg.inv(embedded)[..., :m])
+    inverse = np.ascontiguousarray(
+        np.linalg.inv(embedded)[..., np.r_[free, m + free][:, None], free])
     inverse.flags.writeable = False
     return inverse
 
@@ -312,7 +336,8 @@ class CellOperator:
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
         self.fold, self.weight, edof, sigma = _fold(grid, parity)
         layers = len(self.weight)
-        self.ndof = n1 * n2 * self.fold[0].size
+        self._free = self.fold.any(axis=0).ravel()    # free (slot, component)
+        self.ndof = n1 * n2 * int(self._free.sum())
 
         # --- connectivity: kept elements stably sorted by (phase, layer) ----
         block = (np.searchsorted(present, phases.cell_phase).reshape(-1, 1)
@@ -341,53 +366,62 @@ class CellOperator:
         self.fft_inverse = _reference_inverse(n1, n2, n3, grid.gamma,
                                               grid.box_side, mu, lam,
                                               self.parity)
-        # (slot, component) of the pinned slots; the even translations
-        self._pinned = np.nonzero(~self.fold.any(axis=0))
-        self._shift = _translations(self.fold)[..., None]
+        self._shift = _translations(self.fold)[self._free]
+        self._keys = {}     # column count -> column_keys of the dof table
 
     # --- in-plane FFT preconditioner -----------------------------------------
     def precondition(self, R):
         """Apply the reference-medium inverse to residuals R: (ndof, k)."""
-        n1, n2, m = self.grid.n1, self.grid.n2, self.fft_inverse.shape[-1]
-        k = R.shape[1]
-        Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(0, 1))
-        # [A; B] @ [Rr, Ri] = [[A Rr, A Ri], [B Rr, B Ri]]
-        Y = np.matmul(self.fft_inverse,
-                      np.concatenate([Rh.real, Rh.imag], axis=3))
-        Zh = (Y[:, :, :m, :k] - Y[:, :, m:, k:]) \
-            + 1j * (Y[:, :, m:, :k] + Y[:, :, :m, k:])
+        n1, n2, f = self.grid.n1, self.grid.n2, self.fft_inverse.shape[-1]
+        Rh = np.fft.rfft2(R.reshape(n1, n2, f, -1), axes=(0, 1))
+        # [A; B] times the interleaved (Rr, Ri) columns: A Rr, A Ri over
+        # B Rr, B Ri, recombined into Zh = (A Rr - B Ri) + i (B Rr + A Ri)
+        Y = np.matmul(self.fft_inverse, Rh.view(float))
+        Zh = np.empty_like(Rh)
+        Z = Zh.view(float)
+        np.subtract(Y[:, :, :f, ::2], Y[:, :, f:, 1::2], out=Z[..., ::2])
+        np.add(Y[:, :, f:, ::2], Y[:, :, :f, 1::2], out=Z[..., 1::2])
         return np.fft.irfft2(Zh, s=(n1, n2), axes=(0, 1)).reshape(R.shape)
 
     # --- kernel projection -------------------------------------------------
     def project(self, U):
-        """Zero the pinned slots of U (ndof, m) and remove the translations of
-        its even components (in place)."""
-        V = U.reshape((self.grid.n1 * self.grid.n2,) + self.fold.shape[1:]
-                      + (-1,))
-        V[:, self._pinned[0], self._pinned[1]] = 0.0
-        V -= self._shift * ((self._shift * V.sum(axis=0)).sum(axis=0)
-                            / len(V))
+        """Remove the translations of the even components from U (ndof, m),
+        in place."""
+        V = U.reshape(self.grid.n1 * self.grid.n2, len(self._shift), -1)
+        # each translation's coefficient, summed over the pairs in order
+        coef = (self._shift[..., None] * V.sum(axis=0)[:, None]).sum(axis=0)
+        V -= self._shift @ (coef / len(V))
         return U
 
     # --- operator application ----------------------------------------------
     def matvec(self, U):
         """Apply the stiffness operator to U of shape (ndof, m)."""
-        return _apply_kernels(self.ke, self.bounds, self.table, U)
+        return _apply_kernels(self.ke, self.bounds, self.table,
+                              self._column_keys(U.shape[1]), U)
+
+    def _column_keys(self, m):
+        """`column_keys` of the dof table for m columns, built once per m."""
+        if m not in self._keys:
+            self._keys[m] = column_keys(self.table, m)
+        return self._keys[m]
 
     # --- full-slab fields ----------------------------------------------------
     def expand(self, U):
         """Full-slab nodal fields (3 n_nodes, m) of the folded U (ndof, m)."""
-        V = U.reshape((self.grid.n1 * self.grid.n2,) + self.fold.shape[1:]
-                      + (-1,))
-        full = np.einsum("krc,srcm->skcm", self.fold, V)
-        return full.reshape(-1, V.shape[-1])
+        n, m = self.grid.n1 * self.grid.n2, U.shape[-1]
+        V = np.zeros((n, self._free.size, m))
+        V[:, self._free] = U.reshape(n, -1, m)
+        full = np.einsum("krc,srcm->skcm", self.fold,
+                         V.reshape((n,) + self.fold.shape[1:] + (m,)))
+        return full.reshape(-1, m)
 
     def restrict(self, u):
         """Folded coordinates (ndof, m) of the orthogonal projection of the
         full-slab nodal fields u (3 n_nodes, m) onto this parity."""
-        V = u.reshape(self.grid.n1 * self.grid.n2, self.grid.n3 + 1, 3, -1)
+        n, m = self.grid.n1 * self.grid.n2, u.shape[-1]
+        V = u.reshape(n, self.grid.n3 + 1, 3, m)
         folded = np.einsum("krc,skcm->srcm", self.fold, V)
-        return folded.reshape(-1, V.shape[-1])
+        return folded.reshape(n, -1, m)[:, self._free].reshape(-1, m)
 
     # --- loads ---------------------------------------------------------------
     def load_strains(self, load):
@@ -412,8 +446,9 @@ class CellOperator:
                        for load in loads], axis=-1)
         fe = (fe * self.scale[..., None]).reshape(-1, 24, len(loads))
         kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
-        fe = fe.transpose(1, 0, 2)[:, kernel]       # (24, n_kept, m)
-        return -scatter(self.table, fe, self.ndof)
+        fe = np.take(fe.transpose(1, 0, 2), kernel, axis=1)  # (24, n_kept, m)
+        return -scatter(self._column_keys(len(loads)), fe,
+                        (self.ndof, len(loads)))
 
     # --- energies ------------------------------------------------------------
     def closure(self, loads, X):
@@ -626,6 +661,21 @@ def _resample_axis(arr, target, axis):
     return np.moveaxis(blocks[:, 0], 0, axis)
 
 
+def _formulation_b(grid, phases):
+    """Grid and phase grid of formulation B of `gamma_rescale_check`."""
+    g = grid.gamma
+    n1b, n2b = g * grid.n1, g * grid.n2
+    if abs(n1b - round(n1b)) > 1e-9 or abs(n2b - round(n2b)) > 1e-9:
+        raise ConfigError("gamma_rescale_check: gamma*n1 and gamma*n2 must be "
+                          "integral (gamma=%g, n1=%d, n2=%d)"
+                          % (g, grid.n1, grid.n2))
+    n1b, n2b = int(round(n1b)), int(round(n2b))
+    grid_b = RVEGrid(n1b, n2b, grid.n3, 1.0, grid.box_side / g)
+    phases_b = PhaseGrid(n1b, n2b, grid_b.box_side, _resample_axis(
+        _resample_axis(phases.cell_phase, n1b, 0), n2b, 1))
+    return grid_b, phases_b
+
+
 def gamma_rescale_check(grid, phases, materials, tol=1e-8):
     """Frobenius distance between the two equivalent cell formulations.
 
@@ -637,16 +687,15 @@ def gamma_rescale_check(grid, phases, materials, tol=1e-8):
     distance must shrink under mesh refinement and vanish identically at
     gamma = 1.
     """
-    g = grid.gamma
-    n1b, n2b = g * grid.n1, g * grid.n2
-    if abs(n1b - round(n1b)) > 1e-9 or abs(n2b - round(n2b)) > 1e-9:
-        raise ConfigError("gamma_rescale_check: gamma*n1 and gamma*n2 must be "
-                          "integral (gamma=%g, n1=%d, n2=%d)" % (g, grid.n1, grid.n2))
-    n1b, n2b = int(round(n1b)), int(round(n2b))
-    qa = effective_form(grid, phases, materials, tol=tol).voigt3
+    _formulation_b(grid, phases)     # refuse a non-integral mesh unsolved
+    form = effective_form(grid, phases, materials, tol=tol)
+    return rescale_discrepancy(form, grid, phases, materials, tol=tol)
 
-    grid_b = RVEGrid(n1b, n2b, grid.n3, 1.0, grid.box_side / g)
-    phases_b = PhaseGrid(n1b, n2b, grid_b.box_side, _resample_axis(
-        _resample_axis(phases.cell_phase, n1b, 0), n2b, 1))
+
+def rescale_discrepancy(form, grid, phases, materials, tol=1e-8):
+    """`gamma_rescale_check` given formulation A's bending form on the grid,
+    e.g. the bending block of `coupled_tensor`, which is bit-identical to
+    `effective_form`; only formulation B is solved."""
+    grid_b, phases_b = _formulation_b(grid, phases)
     qb = effective_form(grid_b, phases_b, materials, tol=tol).voigt3
-    return float(np.linalg.norm(qa - qb))
+    return float(np.linalg.norm(form.voigt3 - qb))

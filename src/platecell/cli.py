@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cellsolve import CellLoad, EffectiveBendingForm, RVEGrid, \
-    coupled_tensor, effective_form, gamma_rescale_check, solve_corrector
+    coupled_tensor, effective_form, rescale_discrepancy, solve_corrector
 from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
     random_mixed_field, to_gauss
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
@@ -268,8 +268,8 @@ def _cmd_effective(args, cfg, started):
     form = EffectiveBendingForm(ct.matrix[3:, 3:])
     payload = fileio.tensor_result_dict(ct, form, grid, extra={"seed": seed})
     if rescale:
-        payload["rescale_discrepancy"] = gamma_rescale_check(
-            grid, phases, materials, tol=tol)
+        payload["rescale_discrepancy"] = rescale_discrepancy(
+            form, grid, phases, materials, tol=tol)
     return _finish(args, payload, started, cfg)
 
 

@@ -235,6 +235,101 @@ def test_nonconvergence_raises_with_history():
     assert len(err.value.residual_history) >= 2
 
 
+def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
+                   callback=None):
+    """The block PCG loop as it was before it updated in place, verbatim:
+    every update allocates its result."""
+    b = project(rhs.copy())
+    bnorm = np.sqrt(np.einsum("ij,ij->j", b, b))
+    bnorm = np.where(bnorm > 0, bnorm, 1.0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = project(precondition(r))
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
+    history = [rel.copy()]
+    active = rel > tol
+    it = 0
+    while active.any():
+        if it >= max_iter:
+            raise ConvergenceError(
+                "PCG: %d of %d columns above tol=%g after %d iterations "
+                "(worst relative residual %.3e)"
+                % (int(active.sum()), rhs.shape[1], tol, it, float(rel.max())),
+                residual_history=[h.tolist() for h in history])
+        q = matvec(p)
+        pq = np.einsum("ij,ij->j", p, q)
+        ok = active & (pq > 0)
+        alpha = np.where(ok, rz / np.where(pq > 0, pq, 1.0), 0.0)
+        x += alpha * p
+        r -= alpha * q
+        rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
+        history.append(rel.copy())
+        active = rel > tol
+        z = project(precondition(r))
+        rz_new = np.einsum("ij,ij->j", r, z)
+        beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+        p = z + beta * p
+        rz = rz_new
+        it += 1
+        if callback is not None:
+            callback(it, x)
+    return project(x), history
+
+
+def concatenating_precondition(op, R):
+    """The reference-medium inverse applied through the concatenated real
+    and imaginary spectra, as before it multiplied their interleaved view."""
+    n1, n2, m = op.grid.n1, op.grid.n2, op.fft_inverse.shape[-1]
+    k = R.shape[1]
+    Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(0, 1))
+    Y = np.matmul(op.fft_inverse, np.concatenate([Rh.real, Rh.imag], axis=3))
+    Zh = (Y[:, :, :m, :k] - Y[:, :, m:, k:]) \
+        + 1j * (Y[:, :, m:, :k] + Y[:, :, :m, k:])
+    return np.fft.irfft2(Zh, s=(n1, n2), axes=(0, 1)).reshape(R.shape)
+
+
+def copy_free_cases():
+    """The bench's 20x20x2 Voronoi bending solve, and the 8x8x4 checkerboard
+    of checkerboard_contrast5.json in both parities."""
+    r = sample_realization(MicrostructureModel("poisson_voronoi",
+                                               intensity=1.0), 0, 5.0)
+    yield (RVEGrid(20, 20, 2, 1.0, 5.0), rasterize(r, 20, 20),
+           material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)]), BENDING)
+    cfg = json.loads((CONFIGS / "checkerboard_contrast5.json").read_text())
+    g = cfg["grid"]
+    r = sample_realization(MicrostructureModel.from_dict(cfg["model"]),
+                           cfg["seed"], g["L"])
+    for parity in (BENDING, MEMBRANE):
+        yield (RVEGrid(g["n1"], g["n2"], g["n3"], g["gamma"], g["L"]),
+               rasterize(r, g["n1"], g["n2"]),
+               material_table(cfg["materials"]), parity)
+
+
+def test_copy_free_pcg_keeps_every_rounding():
+    # the in-place loop and the interleaved preconditioner against their
+    # allocating forms: the same iterates bit for bit, and the right-hand
+    # sides untouched
+    for grid, phases, mats, parity in copy_free_cases():
+        op = CellOperator(grid, phases, mats, parity)
+        part = slice(3, 6) if parity == BENDING else slice(0, 3)
+        b = op.rhs(unit_loads()[part])
+        b0 = b.copy()
+        R = np.random.default_rng(1).standard_normal(b.shape)
+        npt.assert_array_equal(op.precondition(R),
+                               concatenating_precondition(op, R))
+        x, history = block_pcg(op.matvec, op.precondition, op.project, b,
+                               1e-8, 200)
+        npt.assert_array_equal(b, b0)
+        want, want_history = allocating_pcg(op.matvec, op.precondition,
+                                            op.project, b, 1e-8, 200)
+        assert np.array_equal(x, want), (grid, parity)
+        assert len(history) == len(want_history), (grid, parity)
+        for h, w in zip(history, want_history):
+            assert np.array_equal(h, w), (grid, parity)
+
+
 def natural_order(grid, phases):
     """Dof table (n_el, 24), phase index and thickness layer per element, in
     the mesh's natural element order (the operator keeps its own order)."""
@@ -311,9 +406,10 @@ class FullSlab:
 
 
 def fold_matrix(grid, parity):
-    """The fold P (full ndof, folded ndof), entry by entry: component c of
+    """The fold P (full ndof, 3 n1 n2 slots), entry by entry: component c of
     node layer k sits on slot min(k, n3 - k) with 1/sqrt2 below the midplane
-    and s_c/sqrt2 above it; on the midplane with 1 if s_c = +1, else 0."""
+    and s_c/sqrt2 above it; on the midplane with 1 if s_c = +1, else 0.  Its
+    nonzero columns, in order, are the operator's free dofs."""
     n3, slots, cols = grid.n3, grid.n3 // 2 + 1, grid.n1 * grid.n2
     P = np.zeros((3 * cols * (n3 + 1), 3 * cols * slots))
     for col in range(cols):
@@ -340,6 +436,7 @@ def test_matvec_matches_elementwise_assembly(n3):
         op = CellOperator(grid, phases, mats, parity)
         assert len(op.forms) == 3
         P = fold_matrix(grid, parity)
+        P = P[:, P.any(axis=0)]
         assert op.ndof == P.shape[1]
         A = P.T @ (full.K @ P)
         for m in (1, 3, 6):
@@ -357,10 +454,11 @@ def test_matvec_matches_elementwise_assembly(n3):
         u, v = rng.standard_normal((2, op.ndof, 1))
         uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
         assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
-        # the kernel of P^T K P: the folded translations and the pinned slots
+        # the kernel of P^T K P: the folded translations of the even
+        # components, the odd ones having none
         T = np.kron(np.ones((grid.n_nodes, 1)), np.eye(3)) \
             / np.sqrt(grid.n_nodes)
-        kernel = np.hstack([P.T @ T, np.eye(op.ndof)[:, ~P.any(axis=0)]])
+        kernel = P.T @ T
         kernel = kernel[:, np.abs(kernel).sum(axis=0) > 1e-12]
         npt.assert_allclose(kernel.T @ kernel, np.eye(kernel.shape[1]),
                             atol=1e-14)
@@ -368,6 +466,34 @@ def test_matvec_matches_elementwise_assembly(n3):
         U = rng.standard_normal((op.ndof, 3))
         npt.assert_allclose(op.project(U.copy()),
                             U - kernel @ (kernel.T @ U), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("parity", [BENDING, MEMBRANE])
+@pytest.mark.parametrize("n3", [2, 3, 4])
+def test_free_layout_drops_only_the_pinned_pairs(n3, parity):
+    # one dof per free (slot, component) pair of each in-plane node: at even
+    # n3 the odd components of the midplane slot are not unknowns, and the
+    # full-slab fields keep them at exactly 0.0
+    grid = RVEGrid(4, 6, n3, 1.3, 1.5)
+    op = CellOperator(grid, checker_phases(4, 6, 1.5),
+                      material_table([(0, 1.0, 1.0), (1, 4.0, 2.0)]), parity)
+    free = op.fold.any(axis=0)
+    assert op.ndof == 4 * 6 * free.sum()
+    assert free.sum() == free.size - (n3 % 2 == 0) * parity.count(-1)
+    U = np.random.default_rng(n3).standard_normal((op.ndof, 3))
+    full = op.expand(U).reshape(4, 6, n3 + 1, 3, 3)
+    odd = [c for c, s in enumerate(parity) if s < 0]
+    if n3 % 2 == 0:
+        mid = full[:, :, n3 // 2][:, :, odd]
+        assert (mid == 0.0).all() and not np.signbit(mid).any()
+    # the midplane's coefficient 1 round-trips exactly; the others multiply
+    # by fl(1/sqrt2) twice, whose square is not 1/2 in floating point
+    back = op.restrict(op.expand(U))
+    exact = (np.abs(op.fold).max(axis=0) == 1.0)[free]
+    per_node = back.reshape(4 * 6, -1, 3)
+    npt.assert_array_equal(per_node[:, exact],
+                           U.reshape(4 * 6, -1, 3)[:, exact])
+    npt.assert_array_max_ulp(back, U, maxulp=2)
 
 
 @pytest.mark.parametrize("n3", [2, 3])

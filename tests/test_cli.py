@@ -186,6 +186,37 @@ def test_effective_rescale_check_at_unit_gamma(tmp_path):
     assert read_json(out)["rescale_discrepancy"] == 0.0
 
 
+def test_rescale_check_reuses_the_coupled_bending_block(tmp_path,
+                                                        monkeypatch):
+    # formulation A of the check is the coupled tensor's bending block, so
+    # `effective` builds one operator per parity plus formulation B's, and
+    # writes the payload of the check solving A again on its own
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "demos"
+                      / "configs" / "checkerboard_contrast5.json").read_text())
+    path = write_cfg(tmp_path, dict(cfg, rescale_check=True))
+    out = tmp_path / "eff.json"
+    built = []
+    init = cellsolve.CellOperator.__init__
+
+    def counting_init(self, grid, *args):
+        built.append((grid.n1, grid.n2))
+        init(self, grid, *args)
+
+    monkeypatch.setattr(cellsolve.CellOperator, "__init__", counting_init)
+    assert run("effective", path, out, "--deterministic") == 0
+    assert built == [(8, 8), (8, 8), (16, 16)]
+    reused = out.read_bytes()
+
+    def solving_again(form, grid, phases, materials, tol):
+        return cellsolve.gamma_rescale_check(grid, phases, materials, tol=tol)
+
+    built.clear()
+    monkeypatch.setattr(cli, "rescale_discrepancy", solving_again)
+    assert run("effective", path, out, "--deterministic") == 0
+    assert built == [(8, 8), (8, 8), (8, 8), (16, 16)]
+    assert out.read_bytes() == reused
+
+
 def test_sweep_gamma_single_phase_is_flat(tmp_path):
     grid = {"n1": 4, "n2": 4, "n3": 2, "gamma": 1.0, "L": 1.0}
     cfg = write_cfg(tmp_path, {"model": CHECKER, "grid": grid, "seed": 0,

@@ -11,7 +11,7 @@ from platecell import (
     RVEGrid,
     material_table,
 )
-from platecell._mesh import GAUSS, N, dN, locate, nodes, scatter
+from platecell._mesh import GAUSS, N, dN, column_keys, locate, nodes, scatter
 
 # reference-cube corners and Gauss points, both in the order ix + 2 iy + 4 iz
 CORNERS = (np.arange(8)[:, None] >> np.arange(3)) & 1
@@ -83,10 +83,15 @@ def test_scatter_sums_every_entry_per_column():
     values = rng.standard_normal(conn.shape + (3,))
     want = np.zeros((n, 3))
     np.add.at(want, conn, values)
-    got = scatter(conn, values, n)
+    got = scatter(column_keys(conn, 3), values, (n, 3))
     npt.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    # one bincount over the column keys sums each column in the order of a
+    # bincount of that column alone
     for c in range(3):
         npt.assert_array_equal(scatter(conn, values[..., c], n), got[:, c])
+        npt.assert_array_equal(np.bincount(conn.ravel(),
+                                           weights=values[..., c].ravel(),
+                                           minlength=n), got[:, c])
 
 
 def test_locate_wraps_and_matches_the_phase_lookup():

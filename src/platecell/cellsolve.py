@@ -186,8 +186,10 @@ def _strain_matrices(grid):
     return B.reshape(8, 6, 24)
 
 
-def _fold(grid, parity):
-    """The fold of the slab onto the free unknowns of one parity.
+@functools.lru_cache(maxsize=8)
+def _fold(n1, n2, n3, parity):
+    """The fold of the n1 x n2 x n3 slab onto the free unknowns of one parity;
+    memoized, read-only and shared by the operators.
 
     A (slot, component) pair is free unless its coefficient is 0 at every
     node layer: the odd components at the midplane of even n3.  The free
@@ -206,7 +208,6 @@ def _fold(grid, parity):
             natural order.
         sigma: (layers, 24) slot coefficient of each local dof.
     """
-    n1, n2, n3 = grid.n1, grid.n2, grid.n3
     s = np.asarray(parity, dtype=float)
     k = np.arange(n3 + 1)
     below, above = (2 * k < n3)[:, None], (2 * k > n3)[:, None]
@@ -224,7 +225,10 @@ def _fold(grid, parity):
     edof = col[..., None] * free.sum() + rank[pair]
     kz = e[:, None] + (np.arange(8) >> 2)    # node layers of local nodes
     sigma = fold[kz, np.minimum(kz, n3 - kz)].reshape(len(e), 24)
-    return fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
+    out = fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _folded_kernels(ke, sigma, weight):
@@ -282,7 +286,7 @@ def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam, parity):
         pairs of M = 3 (n3 // 2 + 1).
     """
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
-    fold, weight, edof, sigma = _fold(grid, parity)
+    fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
     pinned = ~fold.any(axis=0).ravel()
     free = np.flatnonzero(~pinned)
     m, f = pinned.size, len(free)
@@ -334,7 +338,7 @@ class CellOperator:
         self.grid = grid
         self.parity = parity
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
-        self.fold, self.weight, edof, sigma = _fold(grid, parity)
+        self.fold, self.weight, edof, sigma = _fold(n1, n2, n3, parity)
         layers = len(self.weight)
         self._free = self.fold.any(axis=0).ravel()    # free (slot, component)
         self.ndof = n1 * n2 * int(self._free.sum())

@@ -10,13 +10,16 @@ Three media are supported:
 
 A realization is immutable and carries a translation offset implementing the
 shift action: shifting composes exactly (offsets add), and every query wraps
-into the periodic box.  Voronoi lookups are exact, ties going to the least
-(x, y, index) site: `phase_at` serves scattered points, and `phase_grid` a
-tensor grid xs x ys, whose squared torus distances split into per-axis terms
-that each grid line computes once.  Randomness comes from a counter-based
+into the periodic box.  A Voronoi lookup is one exact pass over all sites,
+taken in (x, y, index) order so that the first nearest site is the tie-broken
+one: `phase_at` serves scattered points, and `phase_grid` a tensor grid
+xs x ys, whose squared torus distances split into per-axis terms that each
+grid line computes once.  Randomness comes from a counter-based
 Philox generator keyed by (seed, stream), with point positions and marks on
 separate streams so they stay independent.
 """
+
+import copy
 
 import numpy as np
 
@@ -25,10 +28,9 @@ from .errors import ConfigError, DegenerateRealizationError, as_index
 _PERIODIC_KINDS = ("periodic_texture", "checkerboard")
 _KINDS = _PERIODIC_KINDS + ("poisson_voronoi",)
 
-# Queries per distance pass in _BucketIndex.query, and grid points per pass in
-# _BucketIndex.grid: large enough that numpy's per-call overhead is small,
-# small enough that the temporaries stay a few MB.
-_BLOCK = 4096
+# Distances (queries x sites) per pass of _nearest: large enough that numpy's
+# per-call overhead is small, small enough that a pass takes about half a MB.
+_ENTRIES = 16 * 4096
 
 
 def _rng(seed, stream):
@@ -131,116 +133,46 @@ class PhaseGrid:
 
 
 # ---------------------------------------------------------------------------
-# Nearest-point index: uniform bucket grid with wrap-around
+# Nearest-site lookup on the torus
 # ---------------------------------------------------------------------------
 
-class _BucketIndex:
-    """Torus nearest-neighbour queries over [0, L)^2.
+def _wrapped_sq(d, L):
+    """In place: d = min(|d|, L - |d|)^2, the wrapped axis term of d^2."""
+    np.abs(d, out=d)
+    np.minimum(d, L - d, out=d)
+    d *= d
+    return d
 
-    Sites are binned into nb x nb buckets of side bs = L / nb, nb =
-    floor(sqrt(n)), and a table lists for each bucket the sites of its wrapped
-    3 x 3 block of buckets (padded with -1; all sites when nb <= 3).  Each row,
-    and the list of all sites, is ordered by (x, y, index), so the first
-    minimum of d^2 along it is the tie rule: minimum d^2, then minimum x, then
-    minimum y, then minimum index.  Scattered queries take one torus distance
-    pass over their bucket's row, in blocks of _BLOCK; the queries of a tensor
-    grid share their per-axis distance terms instead (`grid`).  Sites outside
-    the block lie at least bs away, so a best d^2 strictly below
-    (bs (1 - 1e-12))^2 is certified (the margin covers floor(p / bs) rounding
-    at bucket edges); other queries fall back to a pass over all sites.
+
+def _nearest(r, qx, qy, grid):
+    """Indices of the sites of r nearest to wrapped queries: the points
+    (qx[m], qy[m]), or the tensor grid qx x qy as (len(qx), len(qy)) when
+    `grid`.
+
+    Each query takes one pass over all sites in r's (x, y, index) order, so
+    the first minimum of d^2 = wrapped_sq(dx) + wrapped_sq(dy) is the tie
+    rule.  A grid computes its per-axis terms once per grid line and adds
+    them by broadcasting; scattered points pair them point by point.  Each
+    pass holds at most _ENTRIES distances, or one grid line if that is more.
     """
-
-    def __init__(self, points, box_side):
-        self.points = np.asarray(points, dtype=float)
-        self.L = float(box_side)
-        n = len(self.points)
-        self.nb = max(1, int(np.sqrt(n)))
-        self.bs = self.L / self.nb
-        cells = np.floor(self.points / self.bs).astype(np.int64) % self.nb
-        self._sites = np.lexsort((self.points[:, 1], self.points[:, 0]))
-        rank = np.argsort(self._sites)
-        # (row, rank) pairs, sorted, so that each row lists its sites in
-        # (x, y, index) order; np.unique drops the repeats that wrapping makes
-        # when nb < 3
-        block = np.arange(-1, 2)
-        rows = (((cells[:, 0, None, None] + block[:, None]) % self.nb) * self.nb
-                + (cells[:, 1, None, None] + block) % self.nb)
-        row, at = np.divmod(np.unique(rows.reshape(n, 9) * n
-                                      + rank[:, None]), n)
-        counts = np.bincount(row, minlength=self.nb * self.nb)
-        col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self._table = np.full((self.nb * self.nb, counts.max()), -1, np.int64)
-        self._table[row, col] = self._sites[at]
-        self._certified = (np.inf if self.nb <= 3
-                           else (self.bs * (1.0 - 1e-12)) ** 2)
-
-    def query(self, q):
-        """Nearest-point indices for query points q (M, 2), already wrapped."""
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        cells = np.floor(q / self.bs).astype(np.int64) % self.nb
-        flat = cells[:, 0] * self.nb + cells[:, 1]
-        result = np.empty(len(q), dtype=np.int64)
-        best = np.empty(len(q))
-        for s in range(0, len(q), _BLOCK):
-            at = slice(s, s + _BLOCK)
-            result[at], best[at] = self._nearest(q[at], self._table[flat[at]])
-        n = len(self.points)
-        # fallback blocks hold as many elements as the table pass's
-        step = max(1, _BLOCK * self._table.shape[1] // n)
-        redo = np.flatnonzero(~(best < self._certified))
-        for s in range(0, len(redo), step):
-            at = redo[s:s + step]
-            result[at] = self._nearest(
-                q[at], np.broadcast_to(self._sites, (len(at), n)))[0]
-        return result
-
-    def grid(self, qx, qy):
-        """`query` of the tensor grid qx x qy (wrapped), as (len(qx), len(qy))
-        indices: each bucket column computes the x terms of d^2 for its rows
-        and qx, and the y terms for all qy, once, then adds them per point."""
-        px, py = self.points[:, 0], self.points[:, 1]
-        bx, by = (np.floor(v / self.bs).astype(np.int64) % self.nb
-                  for v in (qx, qy))
-        jj = np.arange(len(qy))
-        result = np.empty((len(qx), len(qy)), dtype=np.int64)
-        best = np.empty(result.shape)
-        step = max(1, _BLOCK // max(len(qy), 1))
-        for a in np.unique(bx):
-            rows = self._table[a * self.nb:(a + 1) * self.nb]
-            ry = rows[by]
-            dy = self._wrapped_sq(qy[:, None] - py[ry])
-            dy[ry < 0] = np.inf
-            col = np.flatnonzero(bx == a)
-            for s in range(0, len(col), step):
-                i = col[s:s + step]
-                d2 = self._wrapped_sq(qx[i, None, None] - px[rows])[:, by]
-                d2 += dy
-                k = np.argmin(d2, axis=2)
-                result[i] = ry[jj, k]
-                best[i] = d2[np.arange(len(i))[:, None], jj, k]
-        redo = np.flatnonzero(~(best < self._certified))
-        if len(redo):
-            i, j = np.divmod(redo, len(qy))
-            result.flat[redo] = self.query(np.column_stack((qx[i], qy[j])))
-        return result
-
-    def _wrapped_sq(self, d):
-        """In place: d = min(|d|, L - |d|)^2, the wrapped axis term of d^2."""
-        np.abs(d, out=d)
-        np.minimum(d, self.L - d, out=d)
-        d *= d
-        return d
-
-    def _nearest(self, q, rows):
-        """Site index and d^2 of each query's nearest site in its row of
-        `rows` (M, w), where -1 pads."""
-        px, py = self.points[:, 0], self.points[:, 1]
-        d2 = self._wrapped_sq(q[:, 0, None] - px[rows])
-        d2 += self._wrapped_sq(q[:, 1, None] - py[rows])
-        d2[rows < 0] = np.inf
-        k = np.argmin(d2, axis=1)
-        at = np.arange(len(q))
-        return rows[at, k], d2[at, k]
+    order, L = r._order, r.box_side
+    px, py = r.points[order, 0], r.points[order, 1]
+    n = len(order)
+    if grid:
+        dx = _wrapped_sq(qx[:, None] - px, L)
+        dy = _wrapped_sq(qy[:, None] - py, L)
+        k = np.empty((len(qx), len(qy)), dtype=np.int64)
+        step = max(1, _ENTRIES // (n * max(len(qy), 1)))
+        for s in range(0, len(qx), step):
+            k[s:s + step] = np.argmin(dx[s:s + step, None] + dy, axis=2)
+    else:
+        k = np.empty(len(qx), dtype=np.int64)
+        step = max(1, _ENTRIES // n)
+        for s in range(0, len(qx), step):
+            d2 = _wrapped_sq(qx[s:s + step, None] - px, L)
+            d2 += _wrapped_sq(qy[s:s + step, None] - py, L)
+            k[s:s + step] = np.argmin(d2, axis=1)
+    return order[k]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +180,8 @@ class _BucketIndex:
 # ---------------------------------------------------------------------------
 
 class MicrostructureRealization:
-    """A frozen sample of the medium; supports queries, shifts, rasterization."""
+    """A frozen sample of the medium, queried through `phase_at`,
+    `phase_grid`, `shift` and `rasterize`."""
 
     def __init__(self, model, seed, box_side, points=None, marks=None,
                  offset=(0.0, 0.0), stream_base=0):
@@ -261,22 +194,11 @@ class MicrostructureRealization:
         self.marks = None if marks is None else np.asarray(marks, dtype=np.int64)
         self.offset = np.asarray(offset, dtype=float).reshape(2).copy()
         self.stream_base = int(stream_base)
-        self._index = None
-
-    def _bucket_index(self):
-        if self._index is None:
-            self._index = _BucketIndex(self.points, self.box_side)
-        return self._index
-
-    # Convenience method forms of the module-level operations.
-    def phase_at(self, x):
-        return phase_at(self, x)
-
-    def shift(self, x):
-        return shift(self, x)
-
-    def rasterize(self, n1, n2):
-        return rasterize(self, n1, n2)
+        # site indices in (x, y, index) order, read-only; shifts share it
+        self._order = None
+        if self.points is not None:
+            self._order = np.lexsort((self.points[:, 1], self.points[:, 0]))
+            self._order.flags.writeable = False
 
 
 def sample_realization(model, seed, box_side):
@@ -354,18 +276,14 @@ def phase_at(r, x):
             out = (i + j) % 2
     else:
         qw = np.mod(q, L)
-        idx = r._bucket_index().query(qw)
-        out = r.marks[idx]
+        out = r.marks[_nearest(r, qw[:, 0], qw[:, 1], grid=False)]
     return int(out[0]) if scalar else out
 
 
 def shift(r, x):
     """Translation action: the result's phase map is phase_at(r, . + x)."""
-    x = np.asarray(x, dtype=float).reshape(2)
-    s = MicrostructureRealization(r.model, r.seed, r.box_side, points=r.points,
-                                  marks=r.marks, offset=r.offset + x,
-                                  stream_base=r.stream_base)
-    s._index = r._index  # immutable, safe to share
+    s = copy.copy(r)    # shares the immutable points, marks and site order
+    s.offset = r.offset + np.asarray(x, dtype=float).reshape(2)
     return s
 
 
@@ -384,9 +302,8 @@ def phase_grid(r, xs, ys):
     if r.model.kind in _PERIODIC_KINDS:
         return phase_at(r, _tensor_points(xs, ys)).reshape(len(xs), len(ys))
     L = r.box_side
-    idx = r._bucket_index().grid(np.mod(xs + r.offset[0], L),
-                                 np.mod(ys + r.offset[1], L))
-    return r.marks[idx]
+    return r.marks[_nearest(r, np.mod(xs + r.offset[0], L),
+                            np.mod(ys + r.offset[1], L), grid=True)]
 
 
 def rasterize(r, n1, n2):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 
 from platecell import (
     BENDING,
+    MEMBRANE,
     CellCorrectorSource,
     CellOperator,
     PhaseGrid,
@@ -12,6 +13,7 @@ from platecell import (
     material_table,
 )
 from platecell._mesh import GAUSS, N, dN, column_keys, locate, nodes, scatter
+from platecell.cellsolve import _fold
 
 # reference-cube corners and Gauss points, both in the order ix + 2 iy + 4 iz
 CORNERS = (np.arange(8)[:, None] >> np.arange(3)) & 1
@@ -118,5 +120,8 @@ def test_locate_wraps_and_matches_the_phase_lookup():
 def test_cached_arrays_are_read_only_and_shared():
     assert nodes(4, 6, 3) is nodes(4, 6, 3)
     assert nodes(4, 6, 3) is not nodes(6, 4, 3)
-    for arr in (N, dN, nodes(4, 6, 3)):
+    # the cell solve's fold of the slab, per grid and parity
+    assert _fold(4, 6, 3, BENDING) is _fold(4, 6, 3, BENDING)
+    assert _fold(4, 6, 3, BENDING) is not _fold(4, 6, 3, MEMBRANE)
+    for arr in (N, dN, nodes(4, 6, 3), *_fold(4, 6, 3, BENDING)):
         assert not arr.flags.writeable

@@ -160,8 +160,8 @@ def test_equidistant_tie_breaks_lexicographically():
     assert phase_at(r, [0.5, 0.5]) == 0
     # (0.0, 0.5) ties again through the wrap: 0.25 direct vs 0.25 wrapped
     assert phase_at(r, [0.0, 0.5]) == 0
-    # sites 14 and 15 coincide, and the lower index wins: at (3, 3) the
-    # bucket table certifies it, at (7.5, 7.5) the all-sites pass decides
+    # sites 14 and 15 coincide, and the lower index wins, both near them at
+    # (3, 3) and at (7.5, 7.5), far from every site
     npt.assert_array_equal(phase_at(_twin_sites(), [[3.0, 3.0], [7.5, 7.5]]),
                            [14, 14])
 
@@ -211,8 +211,8 @@ def _lattice():
 
 
 def _twin_sites():
-    """14 sites in [0, 1)^2 and two at (1.5, 1.5) on a box of side 16 (4 x 4
-    buckets of side 4), marked by index."""
+    """14 sites in [0, 1)^2 and two coincident ones at (1.5, 1.5) on a box of
+    side 16, marked by index."""
     pts = np.vstack([np.random.default_rng(3).random((14, 2)),
                      [[1.5, 1.5], [1.5, 1.5]]])
     return MicrostructureRealization(voronoi_model(), 0, 16.0, points=pts,
@@ -239,7 +239,7 @@ def test_phase_at_brute_force_random_queries():
     half = np.arange(12) * 0.5
     _assert_sites_match_brute_force(_lattice(), _tensor_points(half, half))
 
-    # at most 3 x 3 buckets: every query sees every site
+    # few sites: 1 to 9 on a box of side 3
     for n in (1, 2, 5, 9):
         pts = rng.random((n, 2)) * 3.0
         _assert_sites_match_brute_force(
@@ -252,8 +252,8 @@ def test_phase_at_brute_force_random_queries():
     assert 700 <= len(r.points) <= 800
     _assert_sites_match_brute_force(r, rng.random((20000, 2)) * 4.0)
 
-    # clustered in one quadrant of a 16 x 16 box (8 x 8 buckets of side 2):
-    # far queries' nearest site lies more than one bucket side away
+    # clustered in one quadrant of a 16 x 16 box: the far queries lie more
+    # than L / 8 from every site
     pts = rng.random((64, 2)) * 8.0
     queries = rng.random((2000, 2)) * 16.0
     d = np.abs(queries[:, None, :] - pts)
@@ -273,8 +273,9 @@ def test_phase_at_brute_force_random_queries():
 def test_phase_grid_matches_phase_at(monkeypatch, block):
     """phase_grid's site at every grid point is phase_at's, index for index,
     on the media of test_phase_at_brute_force_random_queries and on twin
-    sites; a _BLOCK of 7 puts chunk edges inside the bucket columns."""
-    monkeypatch.setattr(microstructure, "_BLOCK", block)
+    sites; _ENTRIES of 7 makes every pass one query or one grid line, so
+    pass edges fall between all of them."""
+    monkeypatch.setattr(microstructure, "_ENTRIES", block)
     rng = np.random.default_rng(14)
     model = voronoi_model()
 
@@ -289,7 +290,7 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     check(_lattice(), half, half)
     check(_lattice(), half, half[:0])
     check(_twin_sites(), np.array([3.0, 7.5, 3.0]), np.array([7.5, 3.0]))
-    for n in (1, 2, 5, 9):          # at most 3 x 3 buckets
+    for n in (1, 2, 5, 9):          # few sites
         pts = rng.random((n, 2)) * 3.0
         check(MicrostructureRealization(model, 0, 3.0, points=pts,
                                         marks=np.zeros(n)),
@@ -298,7 +299,8 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     assert 700 <= len(r.points) <= 800
     check(r, rng.random(90) * 4.0, rng.random(110) * 4.0)
 
-    # clustered in one quadrant: some grid points go to the fallback
+    # clustered in one quadrant: some grid points lie more than L / 8 from
+    # every site
     pts = rng.random((64, 2)) * 8.0
     xs, ys = rng.random(40) * 16.0, rng.random(40) * 16.0
     d = np.abs(_tensor_points(xs, ys)[:, None, :] - pts)
@@ -373,6 +375,8 @@ def test_shift_matches_translated_queries():
     pts = rng.random((50, 2))
     x = np.array([0.21, 0.55])
     npt.assert_array_equal(phase_at(shift(r, x), pts), phase_at(r, pts + x))
+    # the shift shares the realization's read-only (x, y, index) site order
+    assert shift(r, x)._order is r._order and not r._order.flags.writeable
 
 
 def test_stationarity_histogram():

@@ -3,7 +3,10 @@
 Every subcommand reads one JSON config (--config), runs one pipeline, and
 writes canonical JSON (plus CSV / binary field sidecars where natural).
 Exit codes: 0 success, 1 numerical failure (non-convergence, degenerate
-random draws, indefinite tensors), 2 configuration/usage errors.
+random draws, indefinite tensors), 2 configuration/usage errors.  A
+non-convergence writes its residual history to `<out>.residuals.json`; any
+other numerical failure writes `<out>.failure.json` with the error's class
+name and message.
 
 With --deterministic the primary artifacts contain no timing or other
 run-varying data (wall time goes to a .timing.json sidecar), so repeated runs
@@ -466,11 +469,26 @@ def main(argv=None):
         print("platecell: numerical failure: %s" % exc, file=sys.stderr)
         return 1
     except DegenerateRealizationError as exc:
+        _write_failure(args.out, exc)
         print("platecell: degenerate realization: %s" % exc, file=sys.stderr)
         return 1
     except NumericalError as exc:
+        _write_failure(args.out, exc)
         print("platecell: numerical failure: %s" % exc, file=sys.stderr)
         return 1
+
+
+def _write_failure(out, exc):
+    """The `<out>.failure.json` sidecar of a numerical failure: the error's
+    class name and message.  The failure itself is reported even when the
+    sidecar cannot be written."""
+    path = out + ".failure.json"
+    try:
+        fileio.write_json(path, {"error": type(exc).__name__,
+                                 "message": str(exc)})
+        print("platecell: failure details in %s" % path, file=sys.stderr)
+    except OSError:
+        pass
 
 
 if __name__ == "__main__":

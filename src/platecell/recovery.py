@@ -35,6 +35,11 @@ computes each quantity only as often as it varies:
 
 The energy quadrature takes its points grouped by phase, in fixed-size
 blocks; the energies are the same bits as a point-by-point evaluation's.
+Each `evaluate_scaled_energy` call keeps one workspace (`_Workspace`) and
+builds every block's plan into it, so the blocks reuse the same pages
+instead of faulting in fresh ones.  A plan built into a workspace aliases it
+and is valid only until the next plan into the same workspace; `plan`
+without one returns arrays of the plan's own.
 """
 
 import numpy as np
@@ -83,11 +88,13 @@ class IsometrySpec:
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
 
-    def frames(self, xp):
+    def frames(self, xp, out=None):
         """Immersion and rotation frame at points, point index last.
 
         Args:
             xp: (M, 2) midplane points.
+            out: optional arrays (y, F0, F1, dR) of the shapes below to
+                fill; by default fresh ones.
 
         Returns:
             (y, F0, F1, dR): the immersion y (3, M); the rotation F0 (3, 3, M)
@@ -96,9 +103,12 @@ class IsometrySpec:
         """
         xp = np.asarray(xp, dtype=float)
         m = xp.shape[0]
-        y = np.zeros((3, m))
-        F0, F1 = np.zeros((3, 3, m)), np.zeros((3, 3, m))
-        dR = np.zeros((2, 3, 3, m))
+        if out is None:
+            out = (np.empty((3, m)), np.empty((3, 3, m)),
+                   np.empty((3, 3, m)), np.empty((2, 3, 3, m)))
+        y, F0, F1, dR = out
+        for a in out:
+            a.fill(0.0)
         y[0] = xp[:, 0]
         y[1] = xp[:, 1]
         F0[1, 1] = 1.0
@@ -196,8 +206,8 @@ class RecoveryConfig:
         self.ramp_width = ramp_width
         self.cells_per_scale = cells_per_scale
         self.h_schedule = h_schedule
-        self.corrector_tol = as_real(corrector_tol,
-                                     "RecoveryConfig: corrector_tol")
+        self.corrector_tol = _tolerance(corrector_tol,
+                                        "RecoveryConfig: corrector_tol")
 
 
 def _cells_per_scale(value, owner):
@@ -207,6 +217,14 @@ def _cells_per_scale(value, owner):
     if value < 2:
         raise ConfigError("%s: cells_per_scale must be >= 2" % owner)
     return value
+
+
+def _tolerance(value, name):
+    """A cell solve's tolerance as a float: a finite number in (0, 1)."""
+    tol = as_real(value, name)
+    if not 0 < tol < 1:
+        raise ConfigError("%s must lie in (0, 1), got %r" % (name, value))
+    return tol
 
 
 def _h_schedule(value, owner):
@@ -234,7 +252,7 @@ class CellCorrectorSource:
         self.grid = grid
         self.phases = phases
         self.materials = materials
-        self.tol = float(tol)
+        self.tol = _tolerance(tol, "CellCorrectorSource: tol")
         self._form = self._units = None
 
     def corrector(self, G):
@@ -386,6 +404,27 @@ class _Plan:
         self.layers = layers  # (3, 3, n3+1, M) per node layer
 
 
+class _Workspace:
+    """Named scratch arrays that successive plans write into.
+
+    `work(name, shape)` is a float array of that shape on the storage kept
+    under `name`, which grows when a larger shape asks for it.  So plans of
+    blocks of up to the same size reuse the same pages instead of faulting in
+    fresh ones, and a plan built into a workspace aliases it: it is valid
+    until the next plan into the same workspace.
+    """
+
+    def __init__(self):
+        self._store = {}
+
+    def __call__(self, name, shape):
+        size = int(np.prod(shape))
+        buf = self._store.get(name)
+        if buf is None or buf.size < size:
+            buf = self._store[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _rotate(A, g, out):
     """Per-point matrices A (3, 3, M) applied to a bending corrector on every
     node layer, from its folded slots g (3, n3//2 + 1, M), into out
@@ -463,7 +502,7 @@ class DeformationSampler:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, xp, axes=None):
+    def plan(self, xp, axes=None, work=None):
         """Frame part and per-node-layer corrector part of the gradient.
 
         Args:
@@ -471,13 +510,21 @@ class DeformationSampler:
             axes: (xs, ys, ix, iy) when the points lie on a tensor grid,
                 xp[m] = (xs[ix[m]], ys[iy[m]]); the per-axis work then runs
                 once per axis value.  By default every point is its own.
+            work: a `_Workspace` to build the plan in: the plan then aliases
+                it and is valid until the next plan into it.  By default the
+                plan's arrays are fresh and its own.
         """
         xp = np.asarray(xp, dtype=float)
+        m = xp.shape[0]
         if axes is None:
-            every = np.arange(xp.shape[0])
+            every = np.arange(m)
             axes = (xp[:, 0], xp[:, 1], every, every)
+        if work is None:
+            work = _Workspace()
         xs, ys, ix, iy = axes
-        y, F0, F1, dR = self.family.iso.frames(xp)
+        y, F0, F1, dR = self.family.iso.frames(xp, out=(
+            work("y", (3, m)), work("F0", (3, 3, m)), work("F1", (3, 3, m)),
+            work("dR", (2, 3, 3, m))))
         grid = self.family.source.grid
         n1, n2, n3 = grid.n1, grid.n2, self._n3
         h, eps = self.h, self.eps
@@ -488,24 +535,39 @@ class DeformationSampler:
         i0, i1, tx = i0[ix], i1[ix], tx[ix]
         j0, j1, ty = j0[iy], j1[iy], ty[iy]
         T = self._table
-        # in-plane corners, all folded slots at once: (3, n3//2 + 1, M)
+        # in-plane corners, all folded slots at once: (3, n3//2 + 1, M).
+        # Every row is in range; take's default mode would copy through a
+        # fresh buffer of its own
         row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
-        c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
-        c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
-        d0, d1 = c10 - c00, c11 - c01            # steps along y1 at j0, j1
-        lo = c00 + tx * d0
-        step2 = c01 + tx * d1 - lo               # step along y2
-        g = lo + ty * step2
-        step1 = (1.0 - ty) * d0 + ty * d1
+        slots = (3, T.shape[1], m)
+        c00, c10, c01, c11 = (
+            T.take(rows, axis=2, out=work(name, slots), mode="clip")
+            for name, rows in (("c00", row0 + j0), ("c10", row1 + j0),
+                               ("c01", row0 + j1), ("c11", row1 + j1)))
+        # the interpolants in place, every sum with its operands and grouping
+        d0 = np.subtract(c10, c00, out=c10)     # steps along y1 at j0, j1
+        d1 = np.subtract(c11, c01, out=c11)
+        lo = np.multiply(tx, d0, out=work("lo", slots))
+        lo += c00                               # c00 + tx d0
+        step2 = np.multiply(tx, d1, out=work("step2", slots))
+        step2 += c01
+        step2 -= lo                             # along y2: c01 + tx d1 - lo
+        g = np.multiply(ty, step2, out=work("g", slots))
+        g += lo                                 # lo + ty step2
+        step1 = np.multiply(1.0 - ty, d0, out=work("step1", slots))
+        step1 += np.multiply(ty, d1, out=c00)   # + ty d1, into the spent c00
         # frames with the cutoff folded in: (h chi / cell size) R on the
         # steps, h eps (dchi_a R + chi dR_a) and eps chi R on g
-        layers = np.empty((3, 3, n3 + 1, xp.shape[0]))
-        spare = np.empty(layers.shape[1:])
+        layers = work("layers", (3, 3, n3 + 1, m))
+        spare = work("spare", layers.shape[1:])
+        A, Q = work("A", (3, 3, m)), work("Q", (3, 3, m))
         for a, step, side in ((0, step1, self._hx), (1, step2, self._hy)):
-            Q = (h * eps) * (dchi[a] * F0 + chi * dR[a])
-            _rotate((h / side * chi) * F0, step, layers[:, a])
+            np.multiply(dchi[a], F0, out=Q)
+            Q += np.multiply(chi, dR[a], out=A)
+            Q *= h * eps
+            _rotate(np.multiply(h / side * chi, F0, out=A), step, layers[:, a])
             layers[:, a] += _rotate(Q, g, spare)
-        _rotate((eps * chi) * F0, g, layers[:, 2])
+        _rotate(np.multiply(eps * chi, F0, out=A), g, layers[:, 2])
         return _Plan(_field_views(y, F0, F1, dR), F0, F1, layers)
 
     def _layer(self, x3):
@@ -554,7 +616,9 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     gets one plan, then every thickness layer's gradients and densities, so
     the temporaries stay bounded whatever the number of points.  The points
     form a tensor grid, so the phase lookup, and each plan's per-axis work,
-    runs on its two axes.
+    runs on its two axes.  The call keeps one workspace, and every block's
+    plan is built into it: the blocks reuse the same pages, and a block's
+    plan is valid only until the next block's is built.
 
     Returns:
         float: (1/h^2) integral of W(phase, scaled gradient).
@@ -584,13 +648,14 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     n3 = source.grid.n3
     heights = [-0.5 + (k + gq) / n3 for k in range(n3) for gq in GAUSS]
     total = 0.0
+    work = _Workspace()
     for group in np.split(order, cuts):
         mat = source.materials[int(phases[group[0]])]
         for start in range(0, group.size, _BLOCK):
             block = group[start:start + _BLOCK]
             xb = xp[block]
             plan = sampler.plan(xb, axes=(xs, ys, block // len(ys),
-                                          block % len(ys)))
+                                          block % len(ys)), work=work)
             for x3 in heights:
                 F = sampler.scaled_gradient(xb, x3, plan=plan)
                 total += float(np.sum(svk_energy(mat, F)))

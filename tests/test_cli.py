@@ -169,6 +169,27 @@ def test_indefinite_tensor_exits_1_without_traceback(tmp_path, capsys,
     assert "numerical failure: coupled tensor is not positive definite" in err
     assert "Traceback" not in err
     assert not out.exists()
+    failure = read_json(str(out) + ".failure.json")
+    assert failure["error"] == "NumericalError"
+    assert failure["message"].startswith(
+        "coupled tensor is not positive definite")
+    assert failure["message"] in err
+    assert not os.path.exists(str(out) + ".residuals.json")
+
+
+def test_zero_point_draw_exits_1_with_failure_sidecar(tmp_path, capsys):
+    model = {"kind": "poisson_voronoi", "intensity": 1e-12}
+    cfg = write_cfg(tmp_path, {"model": model, "seed": 0, "L": 1.0})
+    out = tmp_path / "gen.json"
+    assert run("generate", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert "degenerate realization: Poisson draw returned zero points" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    failure = read_json(str(out) + ".failure.json")
+    assert failure["error"] == "DegenerateRealizationError"
+    assert failure["message"].startswith("Poisson draw returned zero points")
+    assert not os.path.exists(str(out) + ".residuals.json")
 
 
 def test_effective_accepts_box_side_alias(tmp_path):
@@ -252,6 +273,7 @@ def test_solver_failure_exits_1_with_residual_history(tmp_path, capsys):
     assert "numerical failure" in err
     sidecar = read_json(str(out) + ".residuals.json")
     assert len(sidecar["residual_history"]) > 1
+    assert not os.path.exists(str(out) + ".failure.json")
 
 
 def test_ergodic_command(tmp_path):

@@ -183,6 +183,31 @@ def test_recovery_config_validation():
             cylinder_isometry(1.0, domain)
 
 
+BAD_TOLERANCES = [2.0, 1.0, 0.0, -1.0, "0.1", True, float("nan")]
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_recovery_config_reads_corrector_tol_strictly(bad):
+    # no string, bool or out-of-range tolerance is coerced into a solve
+    with pytest.raises(ConfigError, match="RecoveryConfig: corrector_tol"):
+        RecoveryConfig(corrector_tol=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_corrector_source_reads_tol_strictly(bad):
+    with pytest.raises(ConfigError, match="CellCorrectorSource: tol"):
+        CellCorrectorSource(RVEGrid(4, 4, 4, 1.0, 1.0), checker_phases(4, 4),
+                            TWO_PHASE, tol=bad)
+
+
+def test_tolerances_read_numpy_numbers_as_floats():
+    assert RecoveryConfig(corrector_tol=np.float32(0.5)).corrector_tol == 0.5
+    src = CellCorrectorSource(RVEGrid(4, 4, 4, 1.0, 1.0),
+                              checker_phases(4, 4), TWO_PHASE,
+                              tol=np.float64(1e-9))
+    assert type(src.tol) is float and src.tol == 1e-9
+
+
 def test_sampler_needs_positive_thickness():
     fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
                          checker_source())
@@ -590,6 +615,69 @@ def test_tensor_axes_plan_equals_per_point_plan(n3):
             npt.assert_array_equal(plan.frames[key], value)
 
 
+def _plan_arrays(plan):
+    """Every array a plan holds, by name, frame views included."""
+    arrays = {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
+    arrays.update(("frames." + k, v) for k, v in plan.frames.items())
+    return arrays
+
+
+def _assert_plans_equal(plan, ref):
+    got, want = _plan_arrays(plan), _plan_arrays(ref)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        npt.assert_array_equal(got[name], value, err_msg=name)
+
+
+def test_public_plan_is_not_overwritten_by_later_plans():
+    # a plan built without a workspace owns its arrays: neither a whole
+    # energy quadrature nor another plan may write into them
+    fam = _family("cylinder", 4, (0.0, 0.0, 1.0, 1.0), 0.5)
+    sampler = fam.sampler(0.25)
+    xp = _quadrature_like_points(fam)
+    held = sampler.plan(xp)
+    before = {k: v.copy() for k, v in _plan_arrays(held).items()}
+    assert evaluate_scaled_energy(sampler) > 0.0
+    sampler.plan(xp[::-1] * 0.5)
+    for name, value in _plan_arrays(held).items():
+        npt.assert_array_equal(value, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("n3", [2, 3, 4])
+def test_workspace_plans_equal_fresh_plans_as_blocks_grow_and_shrink(n3):
+    fam = _family("cylinder", n3, (0.13, -0.2, 0.9, 0.71), 0.3)
+    sampler = fam.sampler(0.2)
+    xs = np.linspace(0.0, 1.0, 37)
+    ys = np.linspace(-0.3, 0.8, 29)
+    order = np.random.default_rng(8).permutation(len(xs) * len(ys))
+    work = recovery._Workspace()
+    layers = []
+    # smaller, then larger (the storage grows), then smaller again (a prefix
+    # of the grown storage), then as large again (the same storage)
+    for block in (order[:100], order[100:700], order[:7], order[-600:]):
+        axes = (xs, ys, block // len(ys), block % len(ys))
+        xp = np.column_stack([xs[axes[2]], ys[axes[3]]])
+        plan = sampler.plan(xp, axes=axes, work=work)
+        _assert_plans_equal(plan, sampler.plan(xp, axes=axes))
+        _assert_plans_equal(plan, sampler.plan(xp))
+        layers.append(plan.layers)
+    assert not np.shares_memory(layers[0], layers[1])
+    assert np.shares_memory(layers[1], layers[2])
+    assert np.shares_memory(layers[1], layers[3])
+
+
+def test_frames_fill_the_given_arrays():
+    iso = cylinder_isometry(0.7, (0.0, 0.0, 3.0, 2.0))
+    xp = np.random.default_rng(3).uniform([0, 0], [3, 2], size=(50, 2))
+    # stale values in the given arrays must not leak into the frames
+    out = tuple(np.full(shape, np.nan) for shape in
+                ((3, 50), (3, 3, 50), (3, 3, 50), (2, 3, 3, 50)))
+    got = iso.frames(xp, out=out)
+    for filled, given, fresh in zip(got, out, iso.frames(xp)):
+        assert filled is given
+        npt.assert_array_equal(filled, fresh)
+
+
 @pytest.mark.parametrize("n3", [2, 3, 4, 5, 6])
 def test_corrector_table_is_mirror_exact(n3):
     # node layer n3 - k is diag(-1, -1, 1) times layer k, bit for bit: the
@@ -732,8 +820,8 @@ class _RotatedSampler:
         self.h = inner.h
         self.eps = inner.eps
 
-    def plan(self, xp, axes=None):
-        return self.inner.plan(xp, axes=axes)
+    def plan(self, xp, axes=None, work=None):
+        return self.inner.plan(xp, axes=axes, work=work)
 
     def scaled_gradient(self, xp, x3, plan=None):
         F = self.inner.scaled_gradient(xp, x3, plan=plan)

@@ -93,9 +93,6 @@ _FIELDS = {
     "isometry.domain": ("a list of 4 numbers", (0.0, 0.0, 1.0, 1.0)),
     "isometry.radius": ("a number", None),
     "recovery": ("an object", ...),
-    "recovery.patch_size": ("a number", 0.25),
-    "recovery.ramp_width": ("a number", None),
-    "recovery.cells_per_scale": ("an integer", 4),
     "recovery.h_schedule": ("a list of numbers", ...),
     "recovery.corrector_tol": ("a number in (0, 1)", 1e-10),
 }

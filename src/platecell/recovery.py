@@ -3,44 +3,35 @@
 Given a smooth isometric immersion of the midplane and a microstructured
 material, this module builds the classical two-scale deformation family: the
 plate is bent along the isometry, fibers follow the rotated normal, and a
-small-amplitude cell corrector -- rotated into the local frame and cut off
-near patch boundaries by smooth ramps -- lets the material relax exactly as
-in the periodic cell problem.  `evaluate_scaled_energy` integrates the
-thickness-scaled elastic energy of one member of the family;
-`limit_energy` integrates the homogenized bending form over the midplane.
-Their gap shrinks as the thickness does, up to the fixed cost of the cutoff
-collars where the corrector is suppressed.
+small-amplitude cell corrector, rotated into the local frame, lets the
+material relax exactly as in the periodic cell problem.  The corrector's load
+is minus the second fundamental form II of the isometry, so it relaxes the
+bending strain the fibers carry.  `evaluate_scaled_energy` integrates the
+thickness-scaled elastic energy of one member of the family; `limit_energy`
+integrates the homogenized bending form over the midplane.  Their gap is
+O(h^2): the family attains the cell solve's own discrete limit.
 
-The correctors come from the effective form's own cell solve, and the
-quadrature finds a point's phase and its corrector corners through the slab
-mesh's one in-plane lookup (`_mesh.locate`), so the energy sees by
-construction the microscale phase layout the corrector was optimized for.
+The energy is evaluated on one cell.  Both shipped isometries, flat and
+cylinder, have a constant connection R^T d_a R and a constant II, and the
+St. Venant-Kirchhoff density depends on the gradient F only through F^T F.
+So the density is periodic in x' with the period eps L of the cell.  The
+quadrature is the cell solve's own rule, per axis in cell units: the domain
+is cut at the element boundaries; whole elements count by their integer
+multiplicity per element column at the 2 Gauss points, and the at most two
+partial end pieces get a 2-point Gauss rule of their own.  Every distinct
+point is evaluated once, placed in the first period.  Through the thickness
+the rule is 2-point Gauss per corrector layer.  So the energy is a weighted
+sum over at most (2 n1 + 4)(2 n2 + 4) in-plane points, whatever the domain.
 
-Evaluation works per node layer: the corrector is trilinear, so a plan
-gathers each point's in-plane corners once and stores, for every node layer
-of the cell grid, the corrector's rotated and cut-off part of the scaled
-gradient; the gradient at any height then blends two stored layers.  A plan
-computes each quantity only as often as it varies:
-
-- The quadrature points form a tensor grid, so the cell lookup, the patch
-  lookup and the 1D cutoff ramps run once per axis value; only their
-  products (the cutoff chi = cx cy and its gradient) are formed per point.
-- A bending corrector is mirror-symmetric across the midplane: node layer
-  n3 - k is diag(-1, -1, 1) times layer k, bit for bit.  So only the n3//2 + 1
-  lower slots are gathered, interpolated and rotated, and each rotation is
-  split into its in-plane part P and transverse part Q: the lower layers are
-  P + Q and the upper ones Q - P, the same sums in the same order.
-- The isometry's frames are built point index last, the layout the plan
-  reads, so nothing is transposed per point.
-
-The energy quadrature takes its points grouped by phase, in fixed-size
-blocks; the energies are the same bits as a point-by-point evaluation's.
-Each `evaluate_scaled_energy` call keeps one workspace (`_Workspace`) and
-builds every block's plan into it, so the blocks reuse the same pages
-instead of faulting in fresh ones.  A plan built into a workspace aliases it
-and is valid only until the next plan into the same workspace; `plan`
-without one returns arrays of the plan's own.
+The corrector comes from the effective form's own cell solve, and each
+quadrature point is read with the phase of its cell element, so the energy
+sees by construction the microscale phase layout the corrector was
+optimized for.  The sampler finds a point's corrector corners through the
+slab mesh's one in-plane lookup (`_mesh.locate`).
 """
+
+import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -50,11 +41,6 @@ from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
 from .errors import ConfigError, NumericalError, as_index, as_real
 from .material import svk_energy
 from .microstructure import _tensor_points
-
-# Quadrature points per plan in evaluate_scaled_energy: large enough that
-# numpy's per-call overhead is small, small enough that a plan's node-layer
-# tables stay a few MB.
-_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +74,11 @@ class IsometrySpec:
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
 
-    def frames(self, xp, out=None):
+    def frames(self, xp):
         """Immersion and rotation frame at points, point index last.
 
         Args:
             xp: (M, 2) midplane points.
-            out: optional arrays (y, F0, F1, dR) of the shapes below to
-                fill; by default fresh ones.
 
         Returns:
             (y, F0, F1, dR): the immersion y (3, M); the rotation F0 (3, 3, M)
@@ -103,19 +87,14 @@ class IsometrySpec:
         """
         xp = np.asarray(xp, dtype=float)
         m = xp.shape[0]
-        if out is None:
-            out = (np.empty((3, m)), np.empty((3, 3, m)),
-                   np.empty((3, 3, m)), np.empty((2, 3, 3, m)))
-        y, F0, F1, dR = out
-        for a in out:
-            a.fill(0.0)
+        y, F0, F1, dR = (np.zeros((3, m)), np.zeros((3, 3, m)),
+                         np.zeros((3, 3, m)), np.zeros((2, 3, 3, m)))
         y[0] = xp[:, 0]
         y[1] = xp[:, 1]
         F0[1, 1] = 1.0
         if self.kind == "flat":
             F0[0, 0] = F0[2, 2] = 1.0
             return y, F0, F1, dR
-        # one store per statement: fewer temporaries alive at once
         r = self.radius
         u = xp[:, 0] / r
         cu, su = np.cos(u), np.sin(u)
@@ -148,6 +127,13 @@ class IsometrySpec:
         f = self.frame_fields(xp)
         return np.einsum("mabc,mc->mab", f["ddy"], f["n"])
 
+    @property
+    def constant_connection(self):
+        """Whether the connection R^T d_a R and the second form are the same
+        at every point: then the recovery energy density is periodic in x'
+        with the cell's period.  True of both shipped kinds."""
+        return self.kind in ("flat", "cylinder")
+
 
 def _field_views(y, F0, F1, dR):
     """`frame_fields`' dict of (M, ...) views of `frames`' arrays."""
@@ -174,49 +160,21 @@ class RecoveryConfig:
     Args:
         gamma: thickness-to-microscale ratio; the microscale of the h-member
             is eps = h / gamma.
-        patch_size: side of the square patches on which the corrector load is
-            frozen to the local average of the second fundamental form.
-        ramp_width: collar width of the smooth cutoff (zero within one width
-            of a patch boundary, one beyond twice that); default patch_size/8.
-        cells_per_scale: in-plane quadrature cells per microscale length
-            (>= 2 so the oscillation is resolved).
         h_schedule: optional strictly decreasing thicknesses, for drivers
             that sweep the family.
         corrector_tol: CG tolerance of the cell solves behind the correctors.
     """
 
-    def __init__(self, gamma=1.0, patch_size=0.25, ramp_width=None,
-                 cells_per_scale=4, h_schedule=None, corrector_tol=1e-10):
+    def __init__(self, gamma=1.0, h_schedule=None, corrector_tol=1e-10):
         gamma = as_real(gamma, "RecoveryConfig: gamma")
         if not gamma > 0:
             raise ConfigError("RecoveryConfig: gamma must be > 0")
-        patch_size = as_real(patch_size, "RecoveryConfig: patch_size")
-        if not patch_size > 0:
-            raise ConfigError("RecoveryConfig: patch_size must be > 0")
-        ramp_width = (patch_size / 8.0 if ramp_width is None
-                      else as_real(ramp_width, "RecoveryConfig: ramp_width"))
-        if not 0 < ramp_width < patch_size / 2.0:
-            raise ConfigError("RecoveryConfig: ramp_width must lie in "
-                              "(0, patch_size / 2)")
-        cells_per_scale = _cells_per_scale(cells_per_scale, "RecoveryConfig")
         if h_schedule is not None:
             h_schedule = _h_schedule(h_schedule, "RecoveryConfig")
         self.gamma = gamma
-        self.patch_size = patch_size
-        self.ramp_width = ramp_width
-        self.cells_per_scale = cells_per_scale
         self.h_schedule = h_schedule
         self.corrector_tol = _tolerance(corrector_tol,
                                         "RecoveryConfig: corrector_tol")
-
-
-def _cells_per_scale(value, owner):
-    """In-plane quadrature cells per microscale: an integer >= 2, so that
-    the oscillation is resolved."""
-    value = as_index(value, "%s: cells_per_scale" % owner)
-    if value < 2:
-        raise ConfigError("%s: cells_per_scale must be >= 2" % owner)
-    return value
 
 
 def _tolerance(value, name):
@@ -278,98 +236,34 @@ class CellCorrectorSource:
 # The recovery family
 # ---------------------------------------------------------------------------
 
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def _smoothstep_d(t):
-    inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, 6.0 * t * (1.0 - t), 0.0)
-
-
-def _ramp_1d(x, a, b, delta):
-    """C^1 cutoff on [a, b]: 0 within delta of the ends, 1 beyond 2*delta."""
-    d = np.minimum(x - a, b - x)
-    t = (d - delta) / delta
-    chi = _smoothstep(t)
-    sign = np.where(x - a < b - x, 1.0, -1.0)
-    dchi = _smoothstep_d(t) * sign / delta
-    return chi, dchi
-
-
-class _Patch:
-    def __init__(self, rect, load):
-        self.rect = rect      # (x0, y0, x1, y1)
-        self.load = load      # (2, 2) frozen bending load
-
-
 class RecoveryFamily:
-    """Patchwork of frozen-load correctors over the midplane domain."""
+    """The bent plate plus one rotated cell corrector, of load minus II."""
 
     def __init__(self, iso, cfg, source, V=None):
         if V is not None:
             raise ConfigError("build_recovery: only the zero midplane "
                               "displacement is supported")
+        if not iso.constant_connection:
+            raise ConfigError("build_recovery: isometry kind %r has no "
+                              "constant connection, which the one-cell "
+                              "energy needs" % (iso.kind,))
         self.iso = iso
         self.cfg = cfg
         self.source = source
-        x0, y0, x1, y1 = iso.domain
-        eta = cfg.patch_size
-        nx = max(int(np.ceil((x1 - x0) / eta - 1e-12)), 1)
-        ny = max(int(np.ceil((y1 - y0) / eta - 1e-12)), 1)
-        xs = [(x0 + i * eta, min(x0 + (i + 1) * eta, x1)) for i in range(nx)]
-        ys = [(y0 + j * eta, min(y0 + (j + 1) * eta, y1)) for j in range(ny)]
-        self._sides = (np.array(xs), np.array(ys))    # patch intervals
-        self.patches = []
-        for a0, a1 in xs:
-            for b0, b1 in ys:
-                rect = (a0, b0, a1, b1)
-                self.patches.append(_Patch(rect, self._patch_load(rect)))
+        self.load = self._load()
 
-    def _patch_load(self, rect):
-        """Frozen corrector load: minus the patch-averaged curvature form.
+    def _load(self):
+        """The corrector load: minus the second fundamental form.
 
         The fiber term y + h x3 n carries the first-order strain
         -x3 * (second fundamental form) by the Weingarten relation
         (d_a n = -II_ab d_b y), so that is the bending load the corrector
         has to relax.  The sign is immaterial for the limit energy (the
-        form is even) but not for the cross term here.
+        form is even) but not for the cross term here.  II is constant, so
+        one point reads it.
         """
-        a0, b0, a1, b1 = rect
-        gx = [a0 + g * (a1 - a0) for g in GAUSS]
-        gy = [b0 + g * (b1 - b0) for g in GAUSS]
-        pts = np.array([(x, y) for x in gx for y in gy])
-        II = self.iso.second_form(pts)
-        A = -II.mean(axis=0)
-        return 0.5 * (A + A.T)
-
-    def cutoff(self, xs, ys, ix, iy):
-        """Patch holding each point, and that patch's cutoff there.
-
-        Patches are half-open rectangles [a0, a1) x [b0, b1).  Point m is
-        (xs[ix[m]], ys[iy[m]]): the patch lookup and the 1D ramps run once
-        per axis value, and only their products once per point.
-
-        Returns:
-            (patch, chi, dchi): index into `patches` per point (-1 where no
-            patch holds it), the cutoff (M,) and its gradient (dchi1, dchi2),
-            all zero outside the patches.
-        """
-        delta = self.cfg.ramp_width
-        axes = []
-        for sides, t, idx in zip(self._sides, (xs, ys), (ix, iy)):
-            i = np.searchsorted(sides[:, 0], t, side="right") - 1
-            a0, a1 = sides[np.maximum(i, 0)].T
-            c, dc = _ramp_1d(t, a0, a1, delta)
-            inside = (i >= 0) & (t < a1)
-            axes.append((i[idx], inside[idx], c[idx], dc[idx]))
-        (i, in_x, cx, dcx), (j, in_y, cy, dcy) = axes
-        inside = in_x & in_y
-        chi = np.where(inside, cx * cy, 0.0)
-        dchi = (np.where(inside, dcx * cy, 0.0),
-                np.where(inside, cx * dcy, 0.0))
-        return np.where(inside, i * len(self._sides[1]) + j, -1), chi, dchi
+        II = self.iso.second_form(np.array([self.iso.domain[:2]]))[0]
+        return -0.5 * (II + II.T)
 
     def sampler(self, h):
         return DeformationSampler(self, h)
@@ -380,84 +274,23 @@ def build_recovery(iso, cfg, source, V=None):
     return RecoveryFamily(iso, cfg, source, V=V)
 
 
-class _Plan:
-    """Per-point data reused across the thickness quadrature layers.
-
-    The corrector is trilinear, so at height x3 in thickness element k its
-    value and gradient blend those of node layers k and k+1.  Node layer l's
-    corrector part of the scaled gradient is `layers[:, :, l]`: columns 0-1
-    the in-plane derivatives of h eps chi R g_l (its R dg, dR g and dchi
-    terms), column 2 eps chi R g_l itself, whose layer difference times n3 is
-    the x3 derivative.  The frame part of the gradient is F0 + (h x3) F1.
-    Arrays keep the point index last, so every operation runs along it.
-
-    Only the corrector's folded slots, node layers k <= n3/2, are gathered,
-    interpolated and rotated: the upper layers are their mirror images (see
-    `_rotate`).  On the quadrature's tensor grid the cell and patch lookups
-    and the cutoff ramps run once per axis value, not once per point.
-    """
-
-    def __init__(self, frames, F0, F1, layers):
-        self.frames = frames  # isometry frame fields at the points
-        self.F0 = F0          # (3, 3, M) columns d1y, d2y, n
-        self.F1 = F1          # (3, 3, M) columns d1n, d2n, 0
-        self.layers = layers  # (3, 3, n3+1, M) per node layer
+# Per-point data reused across the thickness quadrature layers: the isometry
+# frame fields at the points, F0 (3, 3, M) with columns d1y, d2y, n, F1
+# (3, 3, M) with columns d1n, d2n, 0, and layers (3, 3, n3+1, M).  The
+# corrector is trilinear, so at height x3 in thickness element k its value
+# and gradient blend those of node layers k and k+1.  Node layer l's
+# corrector part of the scaled gradient is layers[:, :, l]: columns 0-1 the
+# in-plane derivatives of h eps R g_l (its R dg and dR g terms), column 2
+# eps R g_l itself, whose layer difference times n3 is the x3 derivative.
+# The frame part of the gradient is F0 + (h x3) F1.  Arrays keep the point
+# index last, so every operation runs along it.
+_Plan = namedtuple("_Plan", "frames F0 F1 layers")
 
 
-class _Workspace:
-    """Named scratch arrays that successive plans write into.
-
-    `work(name, shape)` is a float array of that shape on the storage kept
-    under `name`, which grows when a larger shape asks for it.  So plans of
-    blocks of up to the same size reuse the same pages instead of faulting in
-    fresh ones, and a plan built into a workspace aliases it: it is valid
-    until the next plan into the same workspace.
-    """
-
-    def __init__(self):
-        self._store = {}
-
-    def __call__(self, name, shape):
-        size = int(np.prod(shape))
-        buf = self._store.get(name)
-        if buf is None or buf.size < size:
-            buf = self._store[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
-def _rotate(A, g, out):
-    """Per-point matrices A (3, 3, M) applied to a bending corrector on every
-    node layer, from its folded slots g (3, n3//2 + 1, M), into out
-    (3, n3+1, M).
-
-    Node layer n3 - k is diag(-1, -1, 1) times layer k.  So with
-    P = A[:, :2] g[:2] and Q = A[:, 2] g[2], the lower layers are P + Q and
-    the mirrored upper ones Q - P: the sums of A g term for term, in the
-    same order, and so the same bits.
-    """
-    P = A[:, 0, None] * g[0]
-    P += A[:, 1, None] * g[1]
-    Q = A[:, 2, None] * g[2]
-    k = g.shape[1]
-    up = out.shape[1] - k    # layers n3, n3-1, ..., k mirror slots 0, 1, ...
-    np.add(P, Q, out=out[:, :k])
-    np.subtract(Q[:, up - 1::-1], P[:, up - 1::-1], out=out[:, k:])
-    return out
-
-
-def _locate_axes(xs, ys, eps, grid):
-    """`locate` of the tensor-grid points (xs[i], ys[j]) / eps, per axis.
-
-    Returns:
-        ((lo, hi, t) along xs, (lo, hi, t) along ys): the cell-grid corners
-        and offsets of each axis value, those of every point on its line.
-    """
-    y = np.zeros((max(len(xs), len(ys)), 2))
-    y[:len(xs), 0] = xs / eps
-    y[:len(ys), 1] = ys / eps
-    lo, hi, t = locate(y, grid)
-    return ((lo[0, :len(xs)], hi[0, :len(xs)], t[0, :len(xs)]),
-            (lo[1, :len(ys)], hi[1, :len(ys)], t[1, :len(ys)]))
+def _rotate(A, g):
+    """Per-point matrices A (3, 3, M) applied to a corrector on every node
+    layer, g (3, n3+1, M): (3, n3+1, M)."""
+    return A[:, 0, None] * g[0] + A[:, 1, None] * g[1] + A[:, 2, None] * g[2]
 
 
 # Reflection x3 -> -x3 of a bending corrector's components: in-plane odd,
@@ -471,12 +304,11 @@ class DeformationSampler:
     The deformation of the plate point (x', x3) (midplane coordinates and
     unit-thickness coordinate) is
 
-        v(x', x3) = y(x') + h x3 n(x')
-                    + h eps sum_i chi_i(x') R(x') g_i(x'/eps, x3)
+        v(x', x3) = y(x') + h x3 n(x') + h eps R(x') g(x'/eps, x3)
 
-    with R the rotation (d1y, d2y, n), g_i the patch correctors sampled
-    trilinearly on the cell grid, and eps = h / gamma.  `scaled_gradient`
-    returns (d1 v, d2 v, (1/h) d3 v).
+    with R the rotation (d1y, d2y, n), g the corrector of the family's load
+    sampled trilinearly on the cell grid, and eps = h / gamma.
+    `scaled_gradient` returns (d1 v, d2 v, (1/h) d3 v).
     """
 
     def __init__(self, family, h):
@@ -490,84 +322,37 @@ class DeformationSampler:
         self._hx = g.box_side / g.n1
         self._hy = g.box_side / g.n2
         self._n3 = g.n3
-        # the patch correctors as one (3, n3+1, patches*n1*n2) table, of
-        # which the slots k <= n3/2 are kept: the rest is their mirror image
-        table = np.stack([family.source.corrector(p.load)
-                          for p in family.patches]).transpose(
-            4, 3, 0, 1, 2).reshape(3, g.n3 + 1, -1)
-        if not np.array_equal(table[:, ::-1] * _MIRROR[:, None, None], table):
+        values = family.source.corrector(family.load)
+        # the parity solve builds a bending corrector mirror-symmetric across
+        # the midplane, bit for bit; a table that is not did not come from it
+        if not np.array_equal(values[:, :, ::-1] * _MIRROR, values):
             raise NumericalError("DeformationSampler: the correctors are not "
                                  "mirror images across the midplane")
-        self._table = np.ascontiguousarray(table[:, :g.n3 // 2 + 1])
+        # one (3, n3+1, n1*n2) table, the in-plane node index last
+        self._table = np.ascontiguousarray(
+            values.transpose(3, 2, 0, 1).reshape(3, g.n3 + 1, -1))
 
-    # -- planning ----------------------------------------------------------
-
-    def plan(self, xp, axes=None, work=None):
-        """Frame part and per-node-layer corrector part of the gradient.
-
-        Args:
-            xp: (M, 2) midplane points.
-            axes: (xs, ys, ix, iy) when the points lie on a tensor grid,
-                xp[m] = (xs[ix[m]], ys[iy[m]]); the per-axis work then runs
-                once per axis value.  By default every point is its own.
-            work: a `_Workspace` to build the plan in: the plan then aliases
-                it and is valid until the next plan into it.  By default the
-                plan's arrays are fresh and its own.
-        """
+    def plan(self, xp):
+        """Frame part and per-node-layer corrector part of the gradient at
+        midplane points xp (M, 2)."""
         xp = np.asarray(xp, dtype=float)
-        m = xp.shape[0]
-        if axes is None:
-            every = np.arange(m)
-            axes = (xp[:, 0], xp[:, 1], every, every)
-        if work is None:
-            work = _Workspace()
-        xs, ys, ix, iy = axes
-        y, F0, F1, dR = self.family.iso.frames(xp, out=(
-            work("y", (3, m)), work("F0", (3, 3, m)), work("F1", (3, 3, m)),
-            work("dR", (2, 3, 3, m))))
-        grid = self.family.source.grid
-        n1, n2, n3 = grid.n1, grid.n2, self._n3
-        h, eps = self.h, self.eps
-        patch, chi, dchi = self.family.cutoff(xs, ys, ix, iy)
-        # points outside every patch read patch 0's corrector with chi = 0
-        patch = np.maximum(patch, 0)
-        (i0, i1, tx), (j0, j1, ty) = _locate_axes(xs, ys, eps, grid)
-        i0, i1, tx = i0[ix], i1[ix], tx[ix]
-        j0, j1, ty = j0[iy], j1[iy], ty[iy]
+        y, F0, F1, dR = self.family.iso.frames(xp)
+        h, eps, n2 = self.h, self.eps, self.family.source.grid.n2
+        (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps,
+                                              self.family.source.grid)
         T = self._table
-        # in-plane corners, all folded slots at once: (3, n3//2 + 1, M).
-        # Every row is in range; take's default mode would copy through a
-        # fresh buffer of its own
-        row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
-        slots = (3, T.shape[1], m)
-        c00, c10, c01, c11 = (
-            T.take(rows, axis=2, out=work(name, slots), mode="clip")
-            for name, rows in (("c00", row0 + j0), ("c10", row1 + j0),
-                               ("c01", row0 + j1), ("c11", row1 + j1)))
-        # the interpolants in place, every sum with its operands and grouping
-        d0 = np.subtract(c10, c00, out=c10)     # steps along y1 at j0, j1
-        d1 = np.subtract(c11, c01, out=c11)
-        lo = np.multiply(tx, d0, out=work("lo", slots))
-        lo += c00                               # c00 + tx d0
-        step2 = np.multiply(tx, d1, out=work("step2", slots))
-        step2 += c01
-        step2 -= lo                             # along y2: c01 + tx d1 - lo
-        g = np.multiply(ty, step2, out=work("g", slots))
-        g += lo                                 # lo + ty step2
-        step1 = np.multiply(1.0 - ty, d0, out=work("step1", slots))
-        step1 += np.multiply(ty, d1, out=c00)   # + ty d1, into the spent c00
-        # frames with the cutoff folded in: (h chi / cell size) R on the
-        # steps, h eps (dchi_a R + chi dR_a) and eps chi R on g
-        layers = work("layers", (3, 3, n3 + 1, m))
-        spare = work("spare", layers.shape[1:])
-        A, Q = work("A", (3, 3, m)), work("Q", (3, 3, m))
+        c00, c10 = T[:, :, i0 * n2 + j0], T[:, :, i1 * n2 + j0]
+        c01, c11 = T[:, :, i0 * n2 + j1], T[:, :, i1 * n2 + j1]
+        d0, d1 = c10 - c00, c11 - c01           # steps along y1 at j0, j1
+        lo = c00 + tx * d0
+        step2 = c01 + tx * d1 - lo              # step along y2
+        g = lo + ty * step2
+        step1 = (1.0 - ty) * d0 + ty * d1
+        layers = np.empty((3, 3, self._n3 + 1, len(xp)))
         for a, step, side in ((0, step1, self._hx), (1, step2, self._hy)):
-            np.multiply(dchi[a], F0, out=Q)
-            Q += np.multiply(chi, dR[a], out=A)
-            Q *= h * eps
-            _rotate(np.multiply(h / side * chi, F0, out=A), step, layers[:, a])
-            layers[:, a] += _rotate(Q, g, spare)
-        _rotate(np.multiply(eps * chi, F0, out=A), g, layers[:, 2])
+            layers[:, a] = _rotate((h / side) * F0, step) \
+                + _rotate((h * eps) * dR[a], g)
+        layers[:, 2] = _rotate(eps * F0, g)
         return _Plan(_field_views(y, F0, F1, dR), F0, F1, layers)
 
     def _layer(self, x3):
@@ -576,8 +361,6 @@ class DeformationSampler:
         s = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
         k0 = min(int(s), n3 - 1)
         return k0, s - k0
-
-    # -- evaluation --------------------------------------------------------
 
     def deformation(self, xp, x3):
         """Deformed positions (M, 3) of midplane points at one fiber height."""
@@ -604,21 +387,51 @@ class DeformationSampler:
 # Energies
 # ---------------------------------------------------------------------------
 
-def evaluate_scaled_energy(sampler, cells_per_scale=None):
+def _axis_rule(a, b, n):
+    """The aligned quadrature rule of [a, b], in element units, along a cell
+    axis of n elements.
+
+    Whole elements count at the Gauss points of their column (index mod n),
+    weighted by how many of them [a, b] holds; each partial end piece gets a
+    2-point Gauss rule of its own.
+
+    Returns:
+        (t, w, col): the distinct points as offsets in element units in the
+        first period [0, n), their weights in element units, and the element
+        column holding each.
+    """
+    # an end within rounding of an element boundary lies on it, instead of
+    # leaving a partial piece of width 1e-15
+    snap = 1e-12 * max(abs(a), abs(b))
+    k0, k1 = math.ceil(a - snap), math.floor(b + snap)
+    # the whole elements k0, ..., k1 - 1 per column c = k mod n, counted in
+    # O(n) whatever their number
+    counts = np.array([max((k1 - 1 - c) // n - (k0 - 1 - c) // n, 0)
+                       for c in range(n)], dtype=float)
+    cols = np.flatnonzero(counts)
+    gauss = np.asarray(GAUSS)
+    t, w, col = [(cols[:, None] + gauss).ravel()], \
+        [np.repeat(counts[cols] / 2.0, 2)], [np.repeat(cols, 2)]
+    ends = [(a, b)] if k0 > k1 else [(a, k0), (k1, b)]
+    for p, q in ends:
+        if q - p > snap:
+            e = math.floor(p)     # the element holding the piece
+            t.append(e % n + (p - e) + (q - p) * gauss)
+            w.append(np.full(2, (q - p) / 2.0))
+            col.append(np.full(2, e % n))
+    return np.concatenate(t), np.concatenate(w), np.concatenate(col)
+
+
+def evaluate_scaled_energy(sampler):
     """Thickness-scaled elastic energy of one recovery member.
 
-    Composite 2x2 Gauss quadrature in-plane with cells no coarser than half
-    the microscale, and per-corrector-layer 2-point Gauss through the
-    thickness (matching the cell solve's rule, so the discrete corrector is
-    credited exactly the relaxation it earned there).
-
-    The points are grouped by phase and taken in blocks of _BLOCK: each block
-    gets one plan, then every thickness layer's gradients and densities, so
-    the temporaries stay bounded whatever the number of points.  The points
-    form a tensor grid, so the phase lookup, and each plan's per-axis work,
-    runs on its two axes.  The call keeps one workspace, and every block's
-    plan is built into it: the blocks reuse the same pages, and a block's
-    plan is valid only until the next block's is built.
+    The cell solve's own rule, on one cell (see the module docstring): 2x2
+    Gauss points per element in-plane, each weighted by how often the domain
+    holds its element, plus the partial end pieces' own Gauss points, and
+    2-point Gauss per corrector layer through the thickness.  So the
+    discrete corrector is credited exactly the relaxation it earned in the
+    cell solve.  Every point gets one plan; each thickness height then one
+    gradient evaluation, and each phase one density evaluation.
 
     Returns:
         float: (1/h^2) integral of W(phase, scaled gradient).
@@ -626,43 +439,31 @@ def evaluate_scaled_energy(sampler, cells_per_scale=None):
     Raises:
         NumericalError: the energy is not finite.
     """
-    family = sampler.family
-    cells_per_scale = _cells_per_scale(
-        family.cfg.cells_per_scale if cells_per_scale is None
-        else cells_per_scale, "evaluate_scaled_energy")
-    x0, y0, x1, y1 = family.iso.domain
-    eps = sampler.eps
-    ncx = max(int(np.ceil((x1 - x0) * cells_per_scale / eps)), 1)
-    ncy = max(int(np.ceil((y1 - y0) * cells_per_scale / eps)), 1)
-    gx = (np.arange(ncx)[:, None] + np.asarray(GAUSS)).ravel() * (x1 - x0) / ncx
-    gy = (np.arange(ncy)[:, None] + np.asarray(GAUSS)).ravel() * (y1 - y0) / ncy
-    xs, ys = x0 + gx, y0 + gy
-    xp = _tensor_points(xs, ys)
-    w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
-
+    family, eps = sampler.family, sampler.eps
     source = family.source
-    (i, _, _), (j, _, _) = _locate_axes(xs, ys, eps, source.grid)
+    grid = source.grid
+    x0, y0, x1, y1 = family.iso.domain
+    s1, s2 = eps * grid.box_side / grid.n1, eps * grid.box_side / grid.n2
+    (t1, w1, i), (t2, w2, j) = (_axis_rule(a / s, b / s, n) for a, b, s, n in
+                                ((x0, x1, s1, grid.n1), (y0, y1, s2, grid.n2)))
+    xp = _tensor_points(s1 * t1, s2 * t2)
+    weights = np.outer(w1, w2).ravel()
     phases = source.phases.cell_phase[i[:, None], j].ravel()
-    order = np.argsort(phases, kind="stable")
-    cuts = np.flatnonzero(np.diff(phases[order])) + 1
-    n3 = source.grid.n3
-    heights = [-0.5 + (k + gq) / n3 for k in range(n3) for gq in GAUSS]
+    groups = [(phases == p, source.materials[int(p)])
+              for p in np.unique(phases)]
+    n3 = grid.n3
+    plan = sampler.plan(xp)
     total = 0.0
-    work = _Workspace()
-    for group in np.split(order, cuts):
-        mat = source.materials[int(phases[group[0]])]
-        for start in range(0, group.size, _BLOCK):
-            block = group[start:start + _BLOCK]
-            xb = xp[block]
-            plan = sampler.plan(xb, axes=(xs, ys, block // len(ys),
-                                          block % len(ys)), work=work)
-            for x3 in heights:
-                F = sampler.scaled_gradient(xb, x3, plan=plan)
-                total += float(np.sum(svk_energy(mat, F)))
+    for k in range(n3):
+        for gq in GAUSS:
+            F = sampler.scaled_gradient(xp, -0.5 + (k + gq) / n3, plan=plan)
+            for rows, mat in groups:
+                total += float(np.sum(weights[rows]
+                                      * svk_energy(mat, F[rows])))
     # numpy's h ** 2 is the same libm pow as Python's, but overflows to inf
     # instead of raising
     with np.errstate(over="ignore"):
-        energy = total / (2.0 * n3) * w_area / np.float64(sampler.h) ** 2
+        energy = total / (2.0 * n3) * (s1 * s2) / np.float64(sampler.h) ** 2
     if not np.isfinite(energy):
         raise NumericalError("evaluate_scaled_energy: the energy at h = %r "
                              "is %r" % (sampler.h, float(energy)))

@@ -279,8 +279,7 @@ def test_criterion_09_recovery_gap_trend():
     src = CellCorrectorSource(grid,
                               PhaseGrid(4, 4, 1.0, np.zeros((4, 4), dtype=int)),
                               material_table([(0, 1.0, 1.0)]), tol=1e-10)
-    cfg = RecoveryConfig(gamma=1.0, patch_size=0.25,
-                         h_schedule=[0.08, 0.04, 0.02])
+    cfg = RecoveryConfig(gamma=1.0, h_schedule=[0.08, 0.04, 0.02])
     out = recovery_gaps(build_recovery(cylinder_isometry(1.0), cfg, src))
     elapsed = time.perf_counter() - t0
     gaps = out["gaps"]

@@ -43,21 +43,20 @@ def test_cell_solve_hooks_fire(monkeypatch):
 
 def test_recovery_hooks_fire(monkeypatch):
     # recovery.quad_points and recovery.plan_s read these spans: every
-    # quadrature point passes through scaled_gradient once per thickness
-    # Gauss point, with the points as its second, positional argument
+    # distinct quadrature point of the cell passes through scaled_gradient
+    # once per thickness Gauss point, with the points as its second,
+    # positional argument
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     from platecell import CellCorrectorSource, PhaseGrid, RVEGrid, \
         RecoveryConfig, material_table, recovery
 
-    monkeypatch.setattr(recovery, "_BLOCK", 100)   # several plans per phase
     grid = RVEGrid(4, 4, 2, 1.0, 1.0)
     phases = PhaseGrid(4, 4, 1.0, np.indices((4, 4)).sum(axis=0) % 2)
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
     source = CellCorrectorSource(grid, phases, mats)
     iso = recovery.cylinder_isometry(1.0)
-    family = recovery.build_recovery(
-        iso, RecoveryConfig(patch_size=0.5, cells_per_scale=4), source)
+    family = recovery.build_recovery(iso, RecoveryConfig(), source)
     sampler = family.sampler(0.5)
     form = source.effective()
     tracer = spans.Tracer()
@@ -70,11 +69,12 @@ def test_recovery_hooks_fire(monkeypatch):
     recorded = [span[0] for span in tracer.spans]
     assert {"plan", "scaled_gradient", "svk_energy", "evaluate_scaled_energy",
             "limit_energy"} <= set(recorded)
-    # eps = h / gamma = 0.5 and 4 cells per eps: 8 x 8 cells of 2 x 2 points
-    quad_points = (2 * 8) ** 2
+    # eps = h / gamma = 0.5: the unit domain holds 2 x 2 periods of the
+    # 4 x 4 cell, whose 16 elements give 2 x 2 distinct points each
+    quad_points = (2 * 4) ** 2
     points = [span[5]["points"] for span in tracer.spans
               if span[0] == "scaled_gradient"]
-    assert sum(points) == quad_points * 2 * grid.n3
-    assert recorded.count("svk_energy") == len(points)
-    # two phases of 128 points each, in blocks of at most 100
-    assert recorded.count("plan") == 4
+    assert points == [quad_points] * (2 * grid.n3)
+    # one plan; each gradient's points, split into the two phases
+    assert recorded.count("plan") == 1
+    assert recorded.count("svk_energy") == 2 * len(points)

@@ -364,7 +364,7 @@ def test_recovery_command(tmp_path):
     cfg_dict = {"model": CHECKER, "grid": grid, "seed": 0,
                 "materials": MATS_ONE,
                 "isometry": {"kind": "cylinder", "radius": 1.0},
-                "recovery": {"patch_size": 0.5, "h_schedule": [0.4, 0.2]}}
+                "recovery": {"h_schedule": [0.4, 0.2]}}
     cfg = write_cfg(tmp_path, cfg_dict)
     out = tmp_path / "rec.json"
     assert run("recovery", cfg, out) == 0
@@ -447,8 +447,7 @@ def probe_base(command):
         "isotropy": {"seeds": [0, 1]},
         "sweep-gamma": {"gammas": [1, 2]},
         "recovery": {"isometry": {"kind": "cylinder", "radius": 1},
-                     "recovery": {"h_schedule": [0.4, 0.2],
-                                  "patch_size": 0.5}},
+                     "recovery": {"h_schedule": [0.4, 0.2]}},
     }.get(command, {}))
     return cfg
 
@@ -495,7 +494,7 @@ PROBES = [
     ("generate", "raster.n1", 8.5, "raster.n1"),
     ("sweep-gamma", "gammas", [True, 2], "gammas"),
     ("effective", "rescale_check", "false", "rescale_check"),
-    ("recovery", "recovery.cells_per_scale", 4.5, "recovery.cells_per_scale"),
+    ("recovery", "recovery.h_schedule", [0.2, 0.4], "strictly decreasing"),
     ("recovery", "recovery.corrector_tol", "1e-10", "recovery.corrector_tol"),
     ("effective", "materials[0].phase_id", 0.5, "materials[0].phase_id"),
     ("effective", "model.period_hint", "0.5", "model.period_hint"),

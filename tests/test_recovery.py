@@ -1,7 +1,9 @@
-"""Recovery family: isometry frames, patch correctors, scaled vs limit energy."""
+"""Recovery family: isometry frames, the corrector, scaled vs limit energy."""
 
 import gc
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +13,7 @@ from platecell import (
     CellCorrectorSource,
     CellLoad,
     ConfigError,
+    MicrostructureModel,
     NumericalError,
     PhaseGrid,
     RVEGrid,
@@ -22,13 +25,16 @@ from platecell import (
     limit_energy,
     material_table,
     qgamma_eval,
+    rasterize,
     recovery_gaps,
+    sample_realization,
     solve_corrector,
 )
 from platecell import cellsolve, recovery
-from platecell._mesh import locate
 from platecell.material import svk_energy
 from oracles import single_phase_bending_discrete
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 ONE_PHASE = material_table([(0, 1.0, 1.0)])
 TWO_PHASE = material_table([(0, 1.0, 1.0), (1, 3.0, 2.0)])
@@ -144,29 +150,12 @@ def test_recovery_config_validation():
     with pytest.raises(ConfigError):
         RecoveryConfig(gamma=0.0)
     with pytest.raises(ConfigError):
-        RecoveryConfig(patch_size=-0.25)
-    with pytest.raises(ConfigError):
-        RecoveryConfig(patch_size=0.25, ramp_width=0.125)   # = patch / 2
-    with pytest.raises(ConfigError):
-        RecoveryConfig(ramp_width=0.0)
-    with pytest.raises(ConfigError):
-        RecoveryConfig(cells_per_scale=1)
-    for bad in (3.9, 4.0, "4", True, np.float64(4.0)):
-        with pytest.raises(ConfigError, match="cells_per_scale must be an int"):
-            RecoveryConfig(cells_per_scale=bad)     # no truncation
-    assert RecoveryConfig(cells_per_scale=np.int64(3)).cells_per_scale == 3
-    with pytest.raises(ConfigError):
         RecoveryConfig(h_schedule=[0.1, 0.1])
     with pytest.raises(ConfigError):
         RecoveryConfig(h_schedule=[0.1, -0.05])
-    assert RecoveryConfig(patch_size=0.4).ramp_width == pytest.approx(0.05)
     inf, nan = float("inf"), float("nan")
     for field, bad in (("gamma", {"gamma": inf}), ("gamma", {"gamma": "2"}),
                        ("gamma", {"gamma": True}),
-                       ("patch_size", {"patch_size": True}),
-                       ("patch_size", {"patch_size": "0.25"}),
-                       ("ramp_width", {"patch_size": 4.0, "ramp_width": True}),
-                       ("ramp_width", {"ramp_width": "0.01"}),
                        ("corrector_tol", {"corrector_tol": nan}),
                        ("corrector_tol", {"corrector_tol": "1e-8"}),
                        ("h_schedule", {"h_schedule": [inf, 1.0]}),
@@ -209,8 +198,7 @@ def test_tolerances_read_numpy_numbers_as_floats():
 
 
 def test_sampler_needs_positive_thickness():
-    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
-                         checker_source())
+    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
     with pytest.raises(ConfigError):
         fam.sampler(0.0)
     with pytest.raises(ConfigError):
@@ -218,8 +206,7 @@ def test_sampler_needs_positive_thickness():
 
 
 def test_sampler_reads_thickness_strictly():
-    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
-                         checker_source())
+    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
     for bad in (float("inf"), float("nan"), True, "0.3", None):
         with pytest.raises(ConfigError, match="h must be a finite number"):
             fam.sampler(bad)
@@ -229,7 +216,7 @@ def test_sampler_reads_thickness_strictly():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_energy_raises():
     # at h = 1e300 the gradients overflow: no inf or nan energy is returned
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     with pytest.raises(NumericalError, match="energy at h = 1e\\+300"):
         evaluate_scaled_energy(fam.sampler(1e300))
@@ -237,7 +224,7 @@ def test_non_finite_energy_raises():
 
 def test_midplane_displacement_not_supported():
     with pytest.raises(ConfigError):
-        build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
+        build_recovery(flat_isometry(), RecoveryConfig(),
                        checker_source(), V=np.zeros(3))
 
 
@@ -277,7 +264,7 @@ def test_source_runs_one_three_column_solve(monkeypatch):
     block_pcg = cellsolve.block_pcg
     monkeypatch.setattr(cellsolve, "block_pcg", counting)
     src = checker_source()
-    build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                    src)
     src.effective()
     assert columns == [3]
@@ -302,36 +289,30 @@ def test_source_phase_lookup_wraps():
 
 
 # ---------------------------------------------------------------------------
-# Patch layout
+# The corrector load
 # ---------------------------------------------------------------------------
 
-def test_patch_tiling_unit_square():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
-                         checker_source())
-    rects = sorted(p.rect for p in fam.patches)
-    assert rects == [(0.0, 0.0, 0.5, 0.5), (0.0, 0.5, 0.5, 1.0),
-                     (0.5, 0.0, 1.0, 0.5), (0.5, 0.5, 1.0, 1.0)]
-
-
-def test_patch_tiling_clips_to_domain():
-    fam = build_recovery(flat_isometry((0.0, 0.0, 0.8, 0.5)),
-                         RecoveryConfig(patch_size=0.5, ramp_width=0.05),
-                         checker_source())
-    rects = sorted(p.rect for p in fam.patches)
-    assert rects == [(0.0, 0.0, 0.5, 0.5), (0.5, 0.0, 0.8, 0.5)]
-
-
 def test_constant_curvature_shares_one_corrector():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    # the load is minus the second form, the same at every point: one
+    # corrector serves the whole midplane
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
-    for patch in fam.patches:
-        npt.assert_allclose(np.abs(patch.load), np.diag([1.0, 0.0]),
-                            atol=1e-13)
-    # identical frozen loads: one corrector, four patches
-    first = fam.source.corrector(fam.patches[0].load)
-    for patch in fam.patches[1:]:
-        npt.assert_allclose(fam.source.corrector(patch.load), first,
-                            rtol=0, atol=1e-13 * np.max(np.abs(first)))
+    npt.assert_allclose(np.abs(fam.load), np.diag([1.0, 0.0]), atol=1e-13)
+    xp = np.random.default_rng(6).uniform(0, 1, size=(50, 2))
+    npt.assert_allclose(-fam.iso.second_form(xp),
+                        np.broadcast_to(fam.load, (50, 2, 2)),
+                        rtol=0, atol=1e-15)
+
+
+def test_family_needs_a_constant_connection():
+    # the one-cell energy rests on a periodic density, which a kind whose
+    # connection varies does not have
+    iso = cylinder_isometry(1.0)
+    assert iso.constant_connection and flat_isometry().constant_connection
+    iso.kind = "sphere"
+    assert not iso.constant_connection
+    with pytest.raises(ConfigError, match="constant connection"):
+        build_recovery(iso, RecoveryConfig(), checker_source())
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +320,8 @@ def test_constant_curvature_shares_one_corrector():
 # ---------------------------------------------------------------------------
 
 def test_flat_family_is_identity():
-    # zero curvature -> zero patch loads -> zero correctors: v = (x', h x3)
-    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
-                         checker_source())
+    # zero curvature -> zero load -> zero corrector: v = (x', h x3)
+    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
     sampler = fam.sampler(0.3)
     xp = np.random.default_rng(11).uniform(0, 1, size=(30, 2))
     for x3 in (-0.4, 0.0, 0.25):
@@ -352,33 +332,19 @@ def test_flat_family_is_identity():
         npt.assert_array_equal(F, np.broadcast_to(np.eye(3), (30, 3, 3)))
 
 
-def test_cutoff_collar_suppresses_corrector():
-    iso = cylinder_isometry(1.0)
-    fam = build_recovery(iso, RecoveryConfig(patch_size=0.5), checker_source())
-    sampler = fam.sampler(0.2)
-    delta = fam.cfg.ramp_width
-    # within one ramp width of a patch edge the cutoff (and its slope) is zero
-    collar = np.array([[0.5 + 0.4 * delta, 0.3], [0.25, 0.5 * delta],
-                       [1.0 - 0.9 * delta, 0.7], [0.5 - 0.99 * delta, 0.9]])
-    for x3 in (-0.31, 0.17):
-        v_kl, F_kl = kirchhoff_love(iso, sampler.h, collar, x3)
-        npt.assert_array_equal(sampler.deformation(collar, x3), v_kl)
-        npt.assert_array_equal(sampler.scaled_gradient(collar, x3), F_kl)
-    # sanity: at a patch center the corrector is actually engaged
-    center = np.array([[0.25, 0.25]])
-    v_kl, _ = kirchhoff_love(iso, sampler.h, center, 0.17)
-    assert np.max(np.abs(sampler.deformation(center, 0.17) - v_kl)) > 1e-6
+# a load other than minus II, so that the flat family has a corrector too
+GENERAL_LOAD = np.array([[1.0, 0.3], [0.3, -0.5]])
 
 
-def _per_patch_reference(sampler, xp, x3):
-    """Positions and scaled gradients by the per-patch, 8-corner formula.
+def _eight_corner_reference(sampler, xp, x3):
+    """Positions and scaled gradients by the 8-corner formula.
 
-    Each patch's points are interpolated trilinearly from the eight cell
-    corners around them at height x3, then rotated and cut off; this is the
-    evaluation the node-layer plan replaces, kept here as its reference.
+    The points are interpolated trilinearly from the eight cell corners
+    around them at height x3, then rotated; this is the evaluation the
+    node-layer plan replaces, kept here as its reference.
     """
     fam, h, eps = sampler.family, sampler.h, sampler.eps
-    grid, delta = fam.source.grid, fam.cfg.ramp_width
+    grid = fam.source.grid
     hx, hy, n3 = grid.box_side / grid.n1, grid.box_side / grid.n2, grid.n3
     f = fam.iso.frame_fields(xp)
     v = f["y"] + h * x3 * f["n"]
@@ -386,84 +352,63 @@ def _per_patch_reference(sampler, xp, x3):
     s3 = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
     k0 = min(int(s3), n3 - 1)
     wz = (1.0 - (s3 - k0), s3 - k0)
-    for patch in fam.patches:
-        values = fam.source.corrector(patch.load)
-        a0, b0, a1, b1 = patch.rect
-        idx = np.flatnonzero((xp[:, 0] >= a0) & (xp[:, 0] < a1)
-                             & (xp[:, 1] >= b0) & (xp[:, 1] < b1))
-        px = xp[idx]
-        cx, dcx = recovery._ramp_1d(px[:, 0], a0, a1, delta)
-        cy, dcy = recovery._ramp_1d(px[:, 1], b0, b1, delta)
-        chi = (cx * cy)[:, None]
-        dchi = (dcx * cy)[:, None], (cx * dcy)[:, None]
-        yw = np.mod(px / eps, grid.box_side)
-        sx, sy = yw[:, 0] / hx, yw[:, 1] / hy
-        i0 = np.floor(sx).astype(np.int64) % grid.n1
-        j0 = np.floor(sy).astype(np.int64) % grid.n2
-        ii = (i0, (i0 + 1) % grid.n1)
-        jj = (j0, (j0 + 1) % grid.n2)
-        wx = (1.0 - (sx - np.floor(sx)), sx - np.floor(sx))
-        wy = (1.0 - (sy - np.floor(sy)), sy - np.floor(sy))
-        g = np.zeros((idx.size, 3))
-        dg = np.zeros((idx.size, 3, 3))
-        for a, b, c in np.ndindex(2, 2, 2):
-            corner = values[ii[a], jj[b], k0 + c]
-            sa, sb, sc = (-1.0, 1.0)[a], (-1.0, 1.0)[b], (-1.0, 1.0)[c]
-            g += (wx[a] * wy[b] * wz[c])[:, None] * corner
-            dg[:, :, 0] += (sa / hx * wy[b] * wz[c])[:, None] * corner
-            dg[:, :, 1] += (wx[a] * sb / hy * wz[c])[:, None] * corner
-            dg[:, :, 2] += (wx[a] * wy[b] * sc * n3)[:, None] * corner
-        R = np.stack([f["d1y"][idx], f["d2y"][idx], f["n"][idx]], axis=2)
-        Rg = np.einsum("mij,mj->mi", R, g)
-        Rdg = np.einsum("mij,mjc->mic", R, dg)
-        v[idx] += h * eps * chi * Rg
-        for a in (0, 1):
-            dR = np.stack([f["ddy"][idx, a, 0], f["ddy"][idx, a, 1],
-                           f["d%dn" % (a + 1)][idx]], axis=2)
-            dRg = np.einsum("mij,mj->mi", dR, g)
-            F[idx, :, a] += h * chi * Rdg[:, :, a] \
-                + h * eps * (dchi[a] * Rg + chi * dRg)
-        F[idx, :, 2] += eps * chi * Rdg[:, :, 2]
+    values = fam.source.corrector(fam.load)
+    yw = np.mod(xp / eps, grid.box_side)
+    sx, sy = yw[:, 0] / hx, yw[:, 1] / hy
+    i0 = np.floor(sx).astype(np.int64) % grid.n1
+    j0 = np.floor(sy).astype(np.int64) % grid.n2
+    ii = (i0, (i0 + 1) % grid.n1)
+    jj = (j0, (j0 + 1) % grid.n2)
+    wx = (1.0 - (sx - np.floor(sx)), sx - np.floor(sx))
+    wy = (1.0 - (sy - np.floor(sy)), sy - np.floor(sy))
+    g = np.zeros((len(xp), 3))
+    dg = np.zeros((len(xp), 3, 3))
+    for a, b, c in np.ndindex(2, 2, 2):
+        corner = values[ii[a], jj[b], k0 + c]
+        sa, sb, sc = (-1.0, 1.0)[a], (-1.0, 1.0)[b], (-1.0, 1.0)[c]
+        g += (wx[a] * wy[b] * wz[c])[:, None] * corner
+        dg[:, :, 0] += (sa / hx * wy[b] * wz[c])[:, None] * corner
+        dg[:, :, 1] += (wx[a] * sb / hy * wz[c])[:, None] * corner
+        dg[:, :, 2] += (wx[a] * wy[b] * sc * n3)[:, None] * corner
+    R = np.stack([f["d1y"], f["d2y"], f["n"]], axis=2)
+    Rg = np.einsum("mij,mj->mi", R, g)
+    Rdg = np.einsum("mij,mjc->mic", R, dg)
+    v += h * eps * Rg
+    for a in (0, 1):
+        dR = np.stack([f["ddy"][:, a, 0], f["ddy"][:, a, 1],
+                       f["d%dn" % (a + 1)]], axis=2)
+        F[:, :, a] += h * Rdg[:, :, a] \
+            + h * eps * np.einsum("mij,mj->mi", dR, g)
+    F[:, :, 2] += eps * Rdg[:, :, 2]
     return v, F
 
 
-def _distinct_tables(fam):
-    """Give each patch a load, and so a corrector, of its own."""
-    loads = [np.array([[1.0, 0.3], [0.3, -0.5]]),
-             np.array([[-0.4, 0.0], [0.0, 0.9]]),
-             np.array([[0.2, -0.7], [-0.7, 0.1]]),
-             np.array([[0.0, 0.5], [0.5, 0.0]])]
-    for patch, load in zip(fam.patches, loads):
-        patch.load = load
-    return fam
-
-
 def _quadrature_like_points(fam, count=400):
-    """Random points, patch edges, collars, and the domain's far corner."""
+    """Random points, element and period edges, and the domain's corners."""
     x0, y0, x1, y1 = fam.iso.domain
     pts = np.random.default_rng(21).uniform([x0, y0], [x1, y1],
                                             size=(count, 2))
-    delta = fam.cfg.ramp_width
-    edges = [(0.5, 0.3), (0.5 - 1.5 * delta, 0.6), (0.25, 0.5 + delta),
-             (0.0, 0.0), (x1, 0.4), (0.7, y1)]
+    edges = [(0.5, 0.3), (0.0125, 0.6), (0.25, 0.05), (x0, y0), (x1, 0.4),
+             (0.7, y1), (x1, y1)]
     return np.vstack([pts, edges])
 
 
 @pytest.mark.parametrize("case", ["flat", "cylinder", "cylinder_distinct",
                                   "flat_distinct"])
 def test_node_layer_plan_matches_per_patch_formula(case):
+    # the reference is the 8-corner formula, on the family's one corrector
+    # over the whole midplane; the distinct cases swap in a load of their own
     iso = cylinder_isometry(1.0) if case.startswith("cylinder") \
         else flat_isometry()
-    fam = build_recovery(iso, RecoveryConfig(gamma=2.0, patch_size=0.5),
-                         contrast5_source(4))
+    fam = build_recovery(iso, RecoveryConfig(gamma=2.0), contrast5_source(4))
     if case.endswith("distinct"):
-        _distinct_tables(fam)
+        fam.load = GENERAL_LOAD
     xp = _quadrature_like_points(fam)
     for h in (0.3, 0.1):
         sampler = fam.sampler(h)
         plan = sampler.plan(xp)
         for x3 in (-0.5, -0.31, -0.25, 0.0, 0.06, 0.37, 0.5):
-            v_ref, F_ref = _per_patch_reference(sampler, xp, x3)
+            v_ref, F_ref = _eight_corner_reference(sampler, xp, x3)
             F = sampler.scaled_gradient(xp, x3, plan=plan)
             v = sampler.deformation(xp, x3)
             npt.assert_allclose(F, F_ref, rtol=0,
@@ -476,11 +421,10 @@ def test_node_layer_plan_matches_per_patch_formula(case):
 
 
 def test_rows_do_not_depend_on_the_other_points():
-    # blocking the quadrature changes nothing per point: any subset's rows
-    # are the full call's rows, bit for bit
-    fam = _distinct_tables(build_recovery(
-        cylinder_isometry(1.0), RecoveryConfig(gamma=2.0, patch_size=0.5),
-        contrast5_source(4)))
+    # a point's rows are the same bits whatever other points share the call
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(gamma=2.0),
+                         contrast5_source(4))
+    fam.load = GENERAL_LOAD
     sampler = fam.sampler(0.1)
     xp = _quadrature_like_points(fam)
     rng = np.random.default_rng(2)
@@ -495,144 +439,96 @@ def test_rows_do_not_depend_on_the_other_points():
             npt.assert_array_equal(sampler.deformation(xp[sub], x3), v[sub])
 
 
-def _per_point_plan(sampler, xp):
-    """The node-layer plan evaluated point by point, as reference.
-
-    Every point gets its own cell and patch lookup and cutoff ramps, and
-    every node layer of the full, unfolded corrector table is gathered,
-    interpolated and rotated (by einsum), with the same operations in the
-    same order as the plan.  So the two agree bit for bit.
-    """
-    fam, h, eps = sampler.family, sampler.h, sampler.eps
-    grid = fam.source.grid
-    n1, n2, n3 = grid.n1, grid.n2, grid.n3
-    f = fam.iso.frame_fields(xp)
-    F0 = np.stack([f["d1y"], f["d2y"], f["n"]], axis=2).transpose(1, 2, 0)
-    F1 = np.stack([f["d1n"], f["d2n"], np.zeros_like(f["n"])],
-                  axis=2).transpose(1, 2, 0)
-    dR = np.stack([np.stack([f["ddy"][:, a, 0], f["ddy"][:, a, 1],
-                             f["d%dn" % (a + 1)]], axis=2)
-                   for a in (0, 1)]).transpose(0, 2, 3, 1)
-    every = np.arange(len(xp))
-    patch, chi, dchi = fam.cutoff(xp[:, 0], xp[:, 1], every, every)
-    patch = np.maximum(patch, 0)
-    T = np.stack([fam.source.corrector(p.load) for p in fam.patches]
-                 ).transpose(4, 3, 0, 1, 2).reshape(3, n3 + 1, -1)
-    (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps, grid)
-    row0, row1 = (patch * n1 + i0) * n2, (patch * n1 + i1) * n2
-    c00, c10 = T.take(row0 + j0, axis=2), T.take(row1 + j0, axis=2)
-    c01, c11 = T.take(row0 + j1, axis=2), T.take(row1 + j1, axis=2)
-    d0, d1 = c10 - c00, c11 - c01
-    lo = c00 + tx * d0
-    step2 = c01 + tx * d1 - lo
-    g = lo + ty * step2
-    step1 = (1.0 - ty) * d0 + ty * d1
-
-    def rotate(A, v):
-        return np.einsum("ijm,jlm->ilm", A, v)
-
-    layers = np.empty((3, 3, n3 + 1, len(xp)))
-    for a, step, side in ((0, step1, grid.box_side / n1),
-                          (1, step2, grid.box_side / n2)):
-        Q = (h * eps) * (dchi[a] * F0 + chi * dR[a])
-        layers[:, a] = rotate((h / side * chi) * F0, step) + rotate(Q, g)
-    layers[:, 2] = rotate((eps * chi) * F0, g)
-    return recovery._Plan(f, F0, F1, layers)
+def _pieces(a, b, size):
+    """[a, b] cut at the multiples of `size`: the pieces' (lo, hi) ends."""
+    cuts = np.arange(np.ceil(a / size), np.floor(b / size) + 1) * size
+    edges = np.concatenate([[a], cuts[(cuts > a) & (cuts < b)], [b]])
+    return edges[:-1], edges[1:]
 
 
 def _per_point_energy(sampler):
-    """evaluate_scaled_energy's quadrature with per-point plans and a
-    per-point phase lookup: same points, groups, blocks and sums."""
-    fam = sampler.family
-    cells = fam.cfg.cells_per_scale
+    """The aligned rule over the whole domain, point by point.
+
+    Every element piece of the domain gets its own 2x2 Gauss points, in its
+    own place, the 8-corner formula and a per-point phase lookup: nothing is
+    folded into one period or counted by multiplicity.
+    """
+    fam, eps = sampler.family, sampler.eps
+    grid = fam.source.grid
     x0, y0, x1, y1 = fam.iso.domain
-    eps = sampler.eps
-    ncx = max(int(np.ceil((x1 - x0) * cells / eps)), 1)
-    ncy = max(int(np.ceil((y1 - y0) * cells / eps)), 1)
     gauss = np.asarray(recovery.GAUSS)
-    gx = (np.arange(ncx)[:, None] + gauss).ravel() * (x1 - x0) / ncx
-    gy = (np.arange(ncy)[:, None] + gauss).ravel() * (y1 - y0) / ncy
-    xp = np.array([(x, y) for x in x0 + gx for y in y0 + gy])
+    axes = []
+    for a, b, n in ((x0, x1, grid.n1), (y0, y1, grid.n2)):
+        lo, hi = _pieces(a, b, eps * grid.box_side / n)
+        axes.append(((lo[:, None] + (hi - lo)[:, None] * gauss).ravel(),
+                     np.repeat((hi - lo) / 2.0, 2)))
+    (xs, wx), (ys, wy) = axes
+    xp = np.array([(x, y) for x in xs for y in ys])
+    w = np.outer(wx, wy).ravel()
     phases = fam.source.phase_of_points(xp / eps)
-    order = np.argsort(phases, kind="stable")
-    n3 = fam.source.grid.n3
+    n3 = grid.n3
     total = 0.0
-    for group in np.split(order, np.flatnonzero(np.diff(phases[order])) + 1):
-        mat = fam.source.materials[int(phases[group[0]])]
-        for start in range(0, group.size, recovery._BLOCK):
-            xb = xp[group[start:start + recovery._BLOCK]]
-            plan = _per_point_plan(sampler, xb)
-            for k in range(n3):
-                for gq in recovery.GAUSS:
-                    F = sampler.scaled_gradient(xb, -0.5 + (k + gq) / n3,
-                                                plan=plan)
-                    total += float(np.sum(svk_energy(mat, F)))
-    w_area = (x1 - x0) * (y1 - y0) / (4.0 * ncx * ncy)
-    return total / (2.0 * n3) * w_area / sampler.h ** 2
+    for k in range(n3):
+        for gq in recovery.GAUSS:
+            _, F = _eight_corner_reference(sampler, xp, -0.5 + (k + gq) / n3)
+            for p in np.unique(phases):
+                mine = phases == p
+                total += np.sum(w[mine] * svk_energy(fam.source.materials[p],
+                                                     F[mine]))
+    return total / (2.0 * n3) / sampler.h ** 2
 
 
-def _family(kind, n3, domain, patch_size):
+def _family(kind, n3, domain, load=None):
     iso = cylinder_isometry(1.0, domain) if kind == "cylinder" \
         else flat_isometry(domain)
     src = CellCorrectorSource(RVEGrid(4, 4, n3, 2.0, 1.0),
                               checker_phases(4, 4), CONTRAST5, tol=1e-10)
-    return _distinct_tables(build_recovery(
-        iso, RecoveryConfig(gamma=2.0, patch_size=patch_size), src))
+    fam = build_recovery(iso, RecoveryConfig(gamma=2.0), src)
+    if load is not None:
+        fam.load = load
+    return fam
 
 
 @pytest.mark.parametrize("n3", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["flat", "cylinder"])
-def test_energy_equals_per_point_reference(kind, n3, monkeypatch):
-    # small blocks, so that each phase group spans several plans
-    monkeypatch.setattr(recovery, "_BLOCK", 700)
-    for domain, patch_size, h in (((0.0, 0.0, 1.0, 1.0), 0.5, 0.3),
-                                  ((0.13, -0.2, 0.9, 0.71), 0.3, 0.25)):
-        sampler = _family(kind, n3, domain, patch_size).sampler(h)
-        energy = evaluate_scaled_energy(sampler)
-        assert energy > 0.0
-        assert energy == _per_point_energy(sampler)
+def test_energy_equals_per_point_reference(kind, n3):
+    # the one-cell energy is the whole-domain quadrature: the density is
+    # periodic, so folding the points into one period and counting them
+    # changes only the rounding.  Both domains end in partial elements, and
+    # the second also starts in one and holds partial periods
+    for domain, h in (((0.0, 0.0, 1.0, 1.0), 0.3),
+                      ((0.13, -0.2, 0.9, 0.71), 0.25)):
+        for load in (None, GENERAL_LOAD):
+            sampler = _family(kind, n3, domain, load).sampler(h)
+            energy = evaluate_scaled_energy(sampler)
+            want = _per_point_energy(sampler)
+            assert abs(energy - want) <= 1e-12 * want
+            # the flat family's own load, minus II, is zero
+            assert energy > 0.0 or (kind == "flat" and load is None)
 
 
-@pytest.mark.parametrize("n3", [2, 3, 4, 5])
-def test_tensor_axes_plan_equals_per_point_plan(n3):
-    # the axes run past the domain on every side, so some points lie in no
-    # patch, and some on a patch edge or in a cutoff collar
-    fam = _family("cylinder", n3, (0.13, -0.2, 0.9, 0.71), 0.3)
-    sampler = fam.sampler(0.2)
-    xs = np.concatenate([np.linspace(0.0, 1.0, 37), [0.13, 0.43, 0.9]])
-    ys = np.concatenate([np.linspace(-0.3, 0.8, 29), [-0.2, 0.1, 0.71]])
-    block = np.random.default_rng(4).permutation(len(xs) * len(ys))[:900]
-    ix, iy = block // len(ys), block % len(ys)
-    xp = np.column_stack([xs[ix], ys[iy]])
-    patch, _, _ = fam.cutoff(xs, ys, ix, iy)
-    assert np.any(patch < 0) and np.any(patch >= 0)
-    ref = _per_point_plan(sampler, xp)
-    for plan in (sampler.plan(xp, axes=(xs, ys, ix, iy)), sampler.plan(xp)):
-        npt.assert_array_equal(plan.F0, ref.F0)
-        npt.assert_array_equal(plan.F1, ref.F1)
-        npt.assert_array_equal(plan.layers, ref.layers)
-        for key, value in ref.frames.items():
-            npt.assert_array_equal(plan.frames[key], value)
-
-
-def _plan_arrays(plan):
-    """Every array a plan holds, by name, frame views included."""
-    arrays = {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
-    arrays.update(("frames." + k, v) for k, v in plan.frames.items())
-    return arrays
-
-
-def _assert_plans_equal(plan, ref):
-    got, want = _plan_arrays(plan), _plan_arrays(ref)
-    assert got.keys() == want.keys()
-    for name, value in want.items():
-        npt.assert_array_equal(got[name], value, err_msg=name)
+def test_axis_rule_covers_the_interval_with_the_cell_points():
+    n = 4
+    gauss = np.asarray(recovery.GAUSS)
+    for a, b in ((0.0, 8.0), (0.0, 21.0), (1.3, 2.7), (-3.25, 9.5),
+                 (0.2, 0.6), (5.0, 5.5), (-1.0, 3.0)):
+        t, w, col = recovery._axis_rule(a, b, n)
+        npt.assert_allclose(w.sum(), b - a, rtol=1e-14)
+        assert np.all(w > 0) and len(t) <= 2 * n + 4
+        # every point lies in the first period, inside its element column
+        assert np.all((col == np.floor(t)) & (0 <= t) & (t < n))
+    # whole elements only: the standard Gauss points, weighted by the count
+    t, w, col = recovery._axis_rule(-1.0, 9.0, n)
+    npt.assert_array_equal(t, (np.arange(n)[:, None] + gauss).ravel())
+    npt.assert_array_equal(w, np.repeat([1.5, 1.0, 1.0, 1.5], 2))
+    # an end off a boundary by rounding only lies on it: no sliver piece
+    assert len(recovery._axis_rule(0.0, 0.3 / (0.1 * 0.25), n)[0]) == 2 * n
 
 
 def test_public_plan_is_not_overwritten_by_later_plans():
-    # a plan built without a workspace owns its arrays: neither a whole
-    # energy quadrature nor another plan may write into them
-    fam = _family("cylinder", 4, (0.0, 0.0, 1.0, 1.0), 0.5)
+    # a plan owns its arrays: neither a whole energy quadrature nor another
+    # plan may write into them
+    fam = _family("cylinder", 4, (0.0, 0.0, 1.0, 1.0))
     sampler = fam.sampler(0.25)
     xp = _quadrature_like_points(fam)
     held = sampler.plan(xp)
@@ -643,45 +539,16 @@ def test_public_plan_is_not_overwritten_by_later_plans():
         npt.assert_array_equal(value, before[name], err_msg=name)
 
 
-@pytest.mark.parametrize("n3", [2, 3, 4])
-def test_workspace_plans_equal_fresh_plans_as_blocks_grow_and_shrink(n3):
-    fam = _family("cylinder", n3, (0.13, -0.2, 0.9, 0.71), 0.3)
-    sampler = fam.sampler(0.2)
-    xs = np.linspace(0.0, 1.0, 37)
-    ys = np.linspace(-0.3, 0.8, 29)
-    order = np.random.default_rng(8).permutation(len(xs) * len(ys))
-    work = recovery._Workspace()
-    layers = []
-    # smaller, then larger (the storage grows), then smaller again (a prefix
-    # of the grown storage), then as large again (the same storage)
-    for block in (order[:100], order[100:700], order[:7], order[-600:]):
-        axes = (xs, ys, block // len(ys), block % len(ys))
-        xp = np.column_stack([xs[axes[2]], ys[axes[3]]])
-        plan = sampler.plan(xp, axes=axes, work=work)
-        _assert_plans_equal(plan, sampler.plan(xp, axes=axes))
-        _assert_plans_equal(plan, sampler.plan(xp))
-        layers.append(plan.layers)
-    assert not np.shares_memory(layers[0], layers[1])
-    assert np.shares_memory(layers[1], layers[2])
-    assert np.shares_memory(layers[1], layers[3])
-
-
-def test_frames_fill_the_given_arrays():
-    iso = cylinder_isometry(0.7, (0.0, 0.0, 3.0, 2.0))
-    xp = np.random.default_rng(3).uniform([0, 0], [3, 2], size=(50, 2))
-    # stale values in the given arrays must not leak into the frames
-    out = tuple(np.full(shape, np.nan) for shape in
-                ((3, 50), (3, 3, 50), (3, 3, 50), (2, 3, 3, 50)))
-    got = iso.frames(xp, out=out)
-    for filled, given, fresh in zip(got, out, iso.frames(xp)):
-        assert filled is given
-        npt.assert_array_equal(filled, fresh)
+def _plan_arrays(plan):
+    """Every array a plan holds, by name, frame views included."""
+    arrays = {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
+    arrays.update(("frames." + k, v) for k, v in plan.frames.items())
+    return arrays
 
 
 @pytest.mark.parametrize("n3", [2, 3, 4, 5, 6])
 def test_corrector_table_is_mirror_exact(n3):
-    # node layer n3 - k is diag(-1, -1, 1) times layer k, bit for bit: the
-    # sampler keeps the slots k <= n3/2 only
+    # node layer n3 - k is diag(-1, -1, 1) times layer k, bit for bit
     src = CellCorrectorSource(RVEGrid(4, 4, n3, 2.0, 1.0),
                               checker_phases(4, 4), CONTRAST5, tol=1e-10)
     for G in ([[1.0, 0.3], [0.3, -0.5]], [[0.0, 0.5], [0.5, 0.0]]):
@@ -692,8 +559,8 @@ def test_corrector_table_is_mirror_exact(n3):
 
 
 def test_sampler_refuses_correctors_without_the_mirror_symmetry(monkeypatch):
-    # the folded plan would silently misread such a table
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    # such a table is no bending corrector of the parity solve
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     exact = fam.source.corrector
 
@@ -720,22 +587,17 @@ def _fd_gradient(sampler, xp, x3, s, s3):
 
 
 def _smooth_points(eps, hx, count=100):
-    """Random midplane points whose FD stencils dodge interpolation breaks
-    and cutoff-ramp kinks, so the centered difference sees a smooth map."""
+    """Random midplane points whose FD stencils dodge interpolation breaks,
+    so the centered difference sees a smooth map."""
     pts = np.random.default_rng(7).uniform(0.02, 0.98, size=(400, 2))
     frac = (pts / (eps * hx)) % 1.0
-    keep = np.all((frac > 0.1) & (frac < 0.9), axis=1)
-    for edge in (0.0, 0.5, 1.0):
-        for dist in (1.0 / 16.0, 2.0 / 16.0):
-            for k in (0, 1):
-                keep &= np.abs(np.abs(pts[:, k] - edge) - dist) > 6e-3
-    pts = pts[keep]
+    pts = pts[np.all((frac > 0.1) & (frac < 0.9), axis=1)]
     assert len(pts) >= count
     return pts[:count]
 
 
 def test_scaled_gradient_matches_finite_difference():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     sampler = fam.sampler(0.2)
     grid = fam.source.grid
@@ -754,7 +616,7 @@ def test_scaled_gradient_matches_finite_difference():
 
 
 def test_gradient_is_rotation_plus_order_h():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     sampler_c = fam.sampler(0.08)
     xp = _smooth_points(sampler_c.eps, 0.25, count=60)
@@ -775,13 +637,12 @@ def test_gradient_is_rotation_plus_order_h():
 # ---------------------------------------------------------------------------
 
 def test_flat_energy_is_zero():
-    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
-                         checker_source())
+    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
     assert evaluate_scaled_energy(fam.sampler(0.3)) == 0.0
 
 
 def test_energy_deterministic():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     sampler = fam.sampler(0.4)
     first = evaluate_scaled_energy(sampler)
@@ -790,24 +651,21 @@ def test_energy_deterministic():
 
 
 def test_quadrature_must_resolve_microscale():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
-                         checker_source())
-    with pytest.raises(ConfigError):
-        evaluate_scaled_energy(fam.sampler(0.4), cells_per_scale=1)
-
-
-def test_cells_per_scale_is_read_as_in_the_config():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
-                         checker_source())
-    sampler = fam.sampler(0.4)
-    for bad in (2.5, 4.0, True, "4"):
-        with pytest.raises(ConfigError, match="cells_per_scale must be an int"):
-            evaluate_scaled_energy(sampler, cells_per_scale=bad)
-    for bad in (1, 0, -3):
-        with pytest.raises(ConfigError, match="cells_per_scale must be >= 2"):
-            evaluate_scaled_energy(sampler, cells_per_scale=bad)
-    assert evaluate_scaled_energy(sampler, cells_per_scale=np.int64(4)) \
-        == evaluate_scaled_energy(sampler)
+    # the in-plane points are the cell solve's own: on a domain of whole
+    # periods, the 2x2 Gauss points of every cell element, once each, placed
+    # in the first period
+    fam = build_recovery(cylinder_isometry(1.0, (0.0, 0.0, 0.3, 0.2)),
+                         RecoveryConfig(gamma=2.0), contrast5_source(4))
+    sampler = fam.sampler(0.2)          # eps = 0.1: 3 x 2 periods
+    planned = []
+    plan = sampler.plan
+    sampler.plan = lambda xp: planned.append(xp) or plan(xp)
+    assert evaluate_scaled_energy(sampler) > 0.0
+    got = planned[0][np.lexsort(planned[0].T[::-1])]
+    axis = (np.arange(4)[:, None] + np.asarray(recovery.GAUSS)).ravel() \
+        * sampler.eps / 4
+    want = np.array([(x, y) for x in axis for y in axis])
+    npt.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 class _RotatedSampler:
@@ -820,8 +678,8 @@ class _RotatedSampler:
         self.h = inner.h
         self.eps = inner.eps
 
-    def plan(self, xp, axes=None, work=None):
-        return self.inner.plan(xp, axes=axes, work=work)
+    def plan(self, xp):
+        return self.inner.plan(xp)
 
     def scaled_gradient(self, xp, x3, plan=None):
         F = self.inner.scaled_gradient(xp, x3, plan=plan)
@@ -834,7 +692,7 @@ def test_energy_objectivity():
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
     R = np.eye(3) + np.sin(0.7) * K + (1.0 - np.cos(0.7)) * (K @ K)
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     sampler = fam.sampler(0.4)
     plain = evaluate_scaled_energy(sampler)
@@ -914,19 +772,58 @@ def test_limit_energy_retains_no_objects():
 
 
 def test_workload_checkerboard_energy_is_pinned():
-    # 8x8x4 checkerboard of contrast 5, cylinder r = 1, h = 0.1; the value
-    # was computed by the per-patch, per-layer evaluation
+    # 8x8x4 checkerboard of contrast 5, cylinder r = 1, h = 0.1: the bench's
+    # recovery op at r = 1.  The whole-domain point-by-point quadrature
+    # agrees with the one-cell value
     fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(gamma=2.0),
                          contrast5_source(8))
-    npt.assert_allclose(evaluate_scaled_energy(fam.sampler(0.1)),
-                        0.6373825732229864, rtol=1e-12)
+    sampler = fam.sampler(0.1)
+    energy = evaluate_scaled_energy(sampler)
+    npt.assert_allclose(energy, 0.4814717209889517, rtol=1e-12)
+    npt.assert_allclose(_per_point_energy(sampler), energy, rtol=1e-12)
+
+
+def config_source(name):
+    """Corrector source of a shipped config's cell."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    g = cfg["grid"]
+    grid = RVEGrid(g["n1"], g["n2"], g["n3"], g["gamma"], g["L"])
+    r = sample_realization(MicrostructureModel.from_dict(cfg["model"]),
+                           cfg["seed"], grid.box_side)
+    return CellCorrectorSource(grid, rasterize(r, grid.n1, grid.n2),
+                               material_table(cfg["materials"]), tol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["checkerboard_contrast5.json",
+                                  "voronoi_contrast4.json"])
+def test_gaps_fall_at_second_order_to_zero(name):
+    # a side of 0.4 holds whole periods eps L at every h: the gaps are
+    # positive, fall 4x per halving of h, and extrapolate to zero, since
+    # the family attains the cell solve's own discrete limit
+    src = config_source(name)
+    fam = build_recovery(cylinder_isometry(1.0, (0.0, 0.0, 0.4, 0.4)),
+                         RecoveryConfig(gamma=src.grid.gamma), src)
+    gaps = recovery_gaps(fam, h_schedule=[0.1, 0.05, 0.025, 0.0125])["gaps"]
+    assert all(g > 0.0 for g in gaps)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.9 <= coarse / fine <= 4.1, gaps
+    assert abs(4.0 * gaps[-1] - gaps[-2]) / 3.0 <= 1e-6, gaps
+
+
+def test_bench_recovery_gap_is_positive():
+    # the bench's recovery op: checkerboard of contrast 5 on the unit domain
+    # at h = 0.1, radii in [0.8, 1.25]; its check wants scaled > limit
+    src = contrast5_source(8)
+    for radius in (0.8, 1.0, 1.25):
+        fam = build_recovery(cylinder_isometry(radius),
+                             RecoveryConfig(gamma=2.0), src)
+        assert recovery_gaps(fam, h_schedule=[0.1])["gaps"][0] > 0.0
 
 
 def test_gap_trend_single_phase():
     grid = RVEGrid(4, 4, 4, 1.0, 1.0)
     src = CellCorrectorSource(grid, uniform_phases(4, 4), ONE_PHASE, tol=1e-10)
-    cfg = RecoveryConfig(gamma=1.0, patch_size=0.5,
-                         h_schedule=[0.4, 0.2, 0.1])
+    cfg = RecoveryConfig(gamma=1.0, h_schedule=[0.4, 0.2, 0.1])
     out = recovery_gaps(build_recovery(cylinder_isometry(1.0), cfg, src))
     # the limit is the discrete effective form at giving curvature diag(1, 0)
     M = single_phase_bending_discrete(1.0, 1.0, 4)
@@ -939,7 +836,7 @@ def test_gap_trend_single_phase():
 
 
 def test_recovery_gaps_needs_schedule():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     with pytest.raises(ConfigError):
         recovery_gaps(fam)
@@ -949,7 +846,7 @@ def test_recovery_gaps_needs_schedule():
 
 def test_recovery_gaps_validate_their_schedule():
     # the rule of RecoveryConfig.h_schedule: finite, positive, decreasing
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(patch_size=0.5),
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     for bad in ([float("inf")], [0.4, 0.8], [0.4, 0.4], [0.4, -0.1], [],
                 [0.4, "0.2"], [True], 0.4):
@@ -972,7 +869,6 @@ def test_corrector_load_must_be_finite():
 def test_recovery_gaps_refuse_a_zero_limit():
     """A flat isometry's limit energy is exactly 0: relative gaps are
     undefined there, so the gaps are refused instead of dividing by 0."""
-    fam = build_recovery(flat_isometry(), RecoveryConfig(patch_size=0.5),
-                         checker_source())
+    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
     with pytest.raises(ConfigError, match="isometry"):
         recovery_gaps(fam, h_schedule=[0.4])

@@ -50,11 +50,11 @@ def checker_phases(n1, n2, box_side=1.0):
     return PhaseGrid(n1, n2, box_side, ids)
 
 
-def contrast5_source(n, tol=1e-10):
+def contrast5_source(n, tol=1e-10, n3=4):
     """Checkerboard of two n/2-element blocks a side, phase contrast 5."""
     ids = ((np.arange(n)[:, None] // (n // 2) + np.arange(n) // (n // 2))
            % 2).astype(int)
-    return CellCorrectorSource(RVEGrid(n, n, 4, 2.0, 1.0),
+    return CellCorrectorSource(RVEGrid(n, n, n3, 2.0, 1.0),
                                PhaseGrid(n, n, 1.0, ids), CONTRAST5, tol=tol)
 
 
@@ -523,6 +523,43 @@ def test_axis_rule_covers_the_interval_with_the_cell_points():
     npt.assert_array_equal(w, np.repeat([1.5, 1.0, 1.0, 1.5], 2))
     # an end off a boundary by rounding only lies on it: no sliver piece
     assert len(recovery._axis_rule(0.0, 0.3 / (0.1 * 0.25), n)[0]) == 2 * n
+
+
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
+def test_tensor_axes_plan_equals_per_point_plan(n3):
+    # the energy plans the tensor grid of its two axis rules in one call.
+    # At every thickness height it uses, each point's gradient must be the
+    # bits of the point's own one-point plan, and the 8-corner formula's
+    # value.  The domain starts and ends in partial elements along x2 and
+    # starts in one along x1, so the end pieces' own points are planned too.
+    # Block checkerboard: the element checkerboard's corrector is too
+    # symmetric to tell the two in-plane steps apart
+    iso = cylinder_isometry(1.0, (0.13, -0.2, 0.9, 0.71))
+    fam = build_recovery(iso, RecoveryConfig(gamma=2.0),
+                         contrast5_source(4, n3=n3))
+    fam.load = GENERAL_LOAD
+    sampler = fam.sampler(0.3)
+    grid = fam.source.grid
+    x0, y0, x1, y1 = fam.iso.domain
+    s1 = sampler.eps * grid.box_side / grid.n1
+    s2 = sampler.eps * grid.box_side / grid.n2
+    t1 = recovery._axis_rule(x0 / s1, x1 / s1, grid.n1)[0]
+    t2 = recovery._axis_rule(y0 / s2, y1 / s2, grid.n2)[0]
+    assert (len(t1), len(t2)) == (2 * grid.n1 + 2, 2 * grid.n2 + 4)
+    xp = np.array([(x, y) for x in s1 * t1 for y in s2 * t2])
+    plan = sampler.plan(xp)
+    singles = [sampler.plan(xp[m:m + 1]) for m in range(len(xp))]
+    for k in range(n3):
+        for gq in recovery.GAUSS:
+            x3 = -0.5 + (k + gq) / n3
+            F = sampler.scaled_gradient(xp, x3, plan=plan)
+            for m, one in enumerate(singles):
+                npt.assert_array_equal(
+                    sampler.scaled_gradient(xp[m:m + 1], x3, plan=one),
+                    F[m:m + 1])
+            _, F_ref = _eight_corner_reference(sampler, xp, x3)
+            npt.assert_allclose(F, F_ref, rtol=0,
+                                atol=1e-13 * np.max(np.abs(F_ref)))
 
 
 def test_public_plan_is_not_overwritten_by_later_plans():

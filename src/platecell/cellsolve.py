@@ -43,7 +43,12 @@ stiffness is block-circulant in the in-plane node indices, so a real 2D FFT
 splits it into one Hermitian system per wavevector on the free pairs of an
 in-plane node, inverted once per grid, parity and reference medium and
 shared read-only (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
-counts then depend on the phase contrast but not on the mesh.  Unit loads
+counts then depend on the phase contrast but not on the mesh.  The phase
+kernels, strain matrices and forms likewise depend only on the grid, the
+parity and the Lame pairs of the phases present, and the element load
+vectors also on the loads' parts in the parity, so each is built once and
+shared read-only by every operator on them, whatever its phase layout; the
+layout enters through the dof table alone.  Unit loads
 iterate together (block right-hand side) into one bilinear energy closure:
 the three bending loads give the bending form, and with the three membrane
 loads, solved in the other parity, the 6x6 tensor, whose membrane/bending
@@ -239,6 +244,78 @@ def _folded_kernels(ke, sigma, weight):
         .reshape(-1, 24, 24)
 
 
+def _heights(n3, layers):
+    """x3 of each (kept layer, Gauss point): (layers, 8)."""
+    hz = 1.0 / n3
+    gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
+    return -0.5 + (np.arange(layers)[:, None] + gz[None, :]) * hz
+
+
+def _part(load, parity):
+    """The load's part in the parity: G (of x3 G) for bending, B for
+    membrane."""
+    return load.G if parity == BENDING else load.B
+
+
+def _load_strains(M, zq, parity):
+    """Voigt strain per (kept layer, gauss) of the part M in the parity,
+    iota(x3 M) or iota(M), at the heights zq: (layers, 8, 6)."""
+    z = zq if parity == BENDING else np.ones_like(zq)
+    eps = np.zeros(zq.shape + (6,))
+    eps[..., 0] = z * M[0, 0]
+    eps[..., 1] = z * M[1, 1]
+    eps[..., 5] = SQRT2 * (z * M[0, 1])
+    return eps
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_tables(n1, n2, n3, gamma, box_side, lame, parity):
+    """Strain matrices, forms and folded kernels of the phases with the Lame
+    pairs `lame`, in that order, in one parity on the grid; memoized,
+    read-only and shared by the operators.
+
+    Returns:
+        Bq: (8, 6, 24) strain matrices.
+        Bs: (layers, 48, 24) the strain matrices on the slots of each kept
+            layer.
+        forms: (phases, 6, 6) the phases' Voigt forms.
+        ke: (phases * layers, 24, 24) folded kernels, phase-major.
+    """
+    grid = RVEGrid(n1, n2, n3, gamma, box_side)
+    _, weight, _, sigma = _fold(n1, n2, n3, parity)
+    Bq = _strain_matrices(grid)
+    forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
+    ke = _folded_kernels(np.einsum("qci,pcd,qdj->pij", Bq, forms, Bq)
+                         * (1.0 / (8.0 * grid.n_elements)), sigma, weight)
+    out = Bq, Bq.reshape(48, 24) * sigma[:, None], forms, ke
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _load_vectors(n1, n2, n3, gamma, box_side, lame, parity, parts):
+    """Folded element load vectors per (phase, kept layer) of the loads
+    whose parts in the parity are `parts`, the bytes of their (m, 2, 2)
+    stack; otherwise keyed as `_phase_tables`, memoized and read-only.
+
+    Returns:
+        (phases * layers, 24, m) array, phase-major.
+    """
+    Bq, _, forms, _ = _phase_tables(n1, n2, n3, gamma, box_side, lame,
+                                    parity)
+    _, weight, _, sigma = _fold(n1, n2, n3, parity)
+    zq, wq = _heights(n3, len(weight)), 1.0 / (8.0 * (n1 * n2 * n3))
+    parts = np.frombuffer(parts).reshape(-1, 2, 2)
+    fe = np.stack([np.einsum("qci,pcd,kqd->pki", Bq, forms,
+                             _load_strains(M, zq, parity)) * wq
+                   for M in parts], axis=-1)
+    scale = weight[:, None] * sigma                      # (layers, 24)
+    fe = (fe * scale[..., None]).reshape(-1, 24, len(parts))
+    fe.flags.writeable = False
+    return fe
+
+
 def _translations(fold):
     """Unit translation of each even component on the (slot, component)
     pairs of one in-plane node, (pairs, even components); the odd components
@@ -338,7 +415,7 @@ class CellOperator:
         self.grid = grid
         self.parity = parity
         n1, n2, n3 = grid.n1, grid.n2, grid.n3
-        self.fold, self.weight, edof, sigma = _fold(n1, n2, n3, parity)
+        self.fold, self.weight, edof, _ = _fold(n1, n2, n3, parity)
         layers = len(self.weight)
         self._free = self.fold.any(axis=0).ravel()    # free (slot, component)
         self.ndof = n1 * n2 * int(self._free.sum())
@@ -351,21 +428,13 @@ class CellOperator:
         self.table = edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
         self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
 
-        # --- element kernels ----------------------------------------------
-        B = _strain_matrices(grid)
-        self.Bq = B                                  # (8, 6, 24)
-        self.Bs = B.reshape(48, 24) * sigma[:, None]  # per layer, on the slots
-        self.scale = self.weight[:, None] * sigma     # (layers, 24)
+        # --- element kernels, shared by the media of the same phases --------
+        lame = tuple((materials[p].lame_mu, materials[p].lame_lambda)
+                     for p in present)
+        self._key = (n1, n2, n3, grid.gamma, grid.box_side, lame, parity)
+        _, self.Bs, self.forms, self.ke = _phase_tables(*self._key)
         self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
-        hz = 1.0 / n3
-        gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
-        self.zq = -0.5 + (np.arange(layers)[:, None] + gz[None, :]) * hz
-        self.forms = np.stack([materials[p].q0.voigt for p in present])
-        self.ke = _folded_kernels(
-            np.einsum("qci,pcd,qdj->pij", B, self.forms, B) * self.wq,
-            sigma, self.weight)
-        lame = [(materials[p].lame_mu, materials[p].lame_lambda)
-                for p in present]
+        self.zq = _heights(n3, layers)
         mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
         self.fft_inverse = _reference_inverse(n1, n2, n3, grid.gamma,
                                               grid.box_side, mu, lam,
@@ -377,7 +446,8 @@ class CellOperator:
     def precondition(self, R):
         """Apply the reference-medium inverse to residuals R: (ndof, k)."""
         n1, n2, f = self.grid.n1, self.grid.n2, self.fft_inverse.shape[-1]
-        Rh = np.fft.rfft2(R.reshape(n1, n2, f, -1), axes=(0, 1))
+        # rfft2 and irfft2 are these 1-D passes, without their wrappers
+        Rh = np.fft.fft(np.fft.rfft(R.reshape(n1, n2, f, -1), axis=1), axis=0)
         # [A; B] times the interleaved (Rr, Ri) columns: A Rr, A Ri over
         # B Rr, B Ri, recombined into Zh = (A Rr - B Ri) + i (B Rr + A Ri)
         Y = np.matmul(self.fft_inverse, Rh.view(float))
@@ -385,7 +455,8 @@ class CellOperator:
         Z = Zh.view(float)
         np.subtract(Y[:, :, :f, ::2], Y[:, :, f:, 1::2], out=Z[..., ::2])
         np.add(Y[:, :, f:, ::2], Y[:, :, :f, 1::2], out=Z[..., 1::2])
-        return np.fft.irfft2(Zh, s=(n1, n2), axes=(0, 1)).reshape(R.shape)
+        return np.fft.irfft(np.fft.ifft(Zh, axis=0), n2, axis=1) \
+            .reshape(R.shape)
 
     # --- kernel projection -------------------------------------------------
     def project(self, U):
@@ -432,23 +503,12 @@ class CellOperator:
         """Voigt strain per (kept layer, gauss) of the load's part in this
         parity, iota(x3 G) or iota(B): (layers, 8, 6).  The other part is
         orthogonal to every field of the parity."""
-        if self.parity == BENDING:
-            M, z = load.G, self.zq
-        else:
-            M, z = load.B, np.ones_like(self.zq)
-        eps = np.zeros(self.zq.shape + (6,))
-        eps[..., 0] = z * M[0, 0]
-        eps[..., 1] = z * M[1, 1]
-        eps[..., 5] = SQRT2 * (z * M[0, 1])
-        return eps
+        return _load_strains(_part(load, self.parity), self.zq, self.parity)
 
     def rhs(self, loads):
         """Folded right-hand sides -f for a list of loads: (ndof, m)."""
-        # per (phase, layer) element load vectors, (n_phases * layers, 24, m)
-        fe = np.stack([np.einsum("qci,pcd,kqd->pki", self.Bq, self.forms,
-                                 self.load_strains(load)) * self.wq
-                       for load in loads], axis=-1)
-        fe = (fe * self.scale[..., None]).reshape(-1, 24, len(loads))
+        parts = np.stack([_part(load, self.parity) for load in loads])
+        fe = _load_vectors(*self._key, parts.tobytes())
         kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
         fe = np.take(fe.transpose(1, 0, 2), kernel, axis=1)  # (24, n_kept, m)
         return -scatter(self._column_keys(len(loads)), fe,
@@ -608,6 +668,16 @@ def coupled_tensor(grid, phases, materials, tol=1e-8):
     return CoupledEffectiveTensor(M, residuals, asym)
 
 
+def _bending(grid, phases, materials, tol):
+    """Effective bending form, the operator and the folded bending unit
+    correctors X (ndof, 3) of the three bending loads, solved in the bending
+    parity."""
+    loads = unit_loads()[3:]
+    op, _, X, _ = _solve(grid, phases, materials, BENDING, loads, tol)
+    M, _ = _symmetrized(op.closure(loads, X), "effective bending form")
+    return EffectiveBendingForm(M), op, X
+
+
 def bending_solve(grid, phases, materials, tol=1e-8):
     """Effective bending form and the (3 n_nodes, 3) bending unit correctors X.
 
@@ -615,15 +685,14 @@ def bending_solve(grid, phases, materials, tol=1e-8):
     loads alone, solved in the bending parity; the corrector of a bending
     load G is X @ sym2_to_voigt3(G).
     """
-    loads = unit_loads()[3:]
-    op, _, X, _ = _solve(grid, phases, materials, BENDING, loads, tol)
-    M, _ = _symmetrized(op.closure(loads, X), "effective bending form")
-    return EffectiveBendingForm(M), op.expand(X)
+    form, op, X = _bending(grid, phases, materials, tol)
+    return form, op.expand(X)
 
 
 def effective_form(grid, phases, materials, tol=1e-8):
-    """Effective bending form from the three bending solves (bending_solve)."""
-    return bending_solve(grid, phases, materials, tol=tol)[0]
+    """Effective bending form of `bending_solve`, without expanding its
+    correctors to the full slab."""
+    return _bending(grid, phases, materials, tol)[0]
 
 
 def qgamma_eval(q, G):

@@ -161,13 +161,19 @@ def _block(cfg, name):
 
 
 def _under(path, build, *args, **kwargs):
-    """build(*args, **kwargs), a ConfigError from its checks put under `path`."""
+    """build(*args, **kwargs), a ConfigError from its checks put under `path`,
+    or under `path.key` when the check, past its owner's name ("Owner: key
+    must be ..."), is on the keyword argument `key`."""
     try:
         return build(*args, **kwargs)
     except ConfigError as exc:
         msg = str(exc)
-        raise ConfigError(msg if msg.startswith(path) else
-                          "%s: %s" % (path, msg)) from exc
+        if not msg.startswith(path):
+            rest = msg.partition(": ")[2]
+            key, _, tail = rest.partition(" ")
+            msg = "%s.%s: %s" % (path, key, tail) if key in kwargs \
+                else "%s: %s" % (path, msg)
+        raise ConfigError(msg) from exc
 
 
 def _grid(cfg):

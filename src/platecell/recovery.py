@@ -61,15 +61,16 @@ class IsometrySpec:
 
     def __init__(self, kind, domain, radius=None):
         if kind not in ("flat", "cylinder"):
-            raise ConfigError("IsometrySpec: unknown kind %r" % (kind,))
+            raise ConfigError("IsometrySpec: kind %r is unknown" % (kind,))
         x0, y0, x1, y1 = (as_real(v, "IsometrySpec: domain[%d]" % k)
                           for k, v in enumerate(domain))
         if not (x1 > x0 and y1 > y0):
-            raise ConfigError("IsometrySpec: empty domain %r" % (domain,))
+            raise ConfigError("IsometrySpec: domain %r is empty" % (domain,))
         if kind == "cylinder":
-            radius = as_real(radius, "IsometrySpec: cylinder radius")
+            radius = as_real(radius, "IsometrySpec: radius")
             if not radius > 0:
-                raise ConfigError("IsometrySpec: cylinder needs radius > 0")
+                raise ConfigError("IsometrySpec: radius must be > 0 for a "
+                                  "cylinder")
         self.kind = kind
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
@@ -453,13 +454,18 @@ def evaluate_scaled_energy(sampler):
               for p in np.unique(phases)]
     n3 = grid.n3
     plan = sampler.plan(xp)
+    F = np.stack([sampler.scaled_gradient(xp, -0.5 + (k + gq) / n3, plan=plan)
+                  for k in range(n3) for gq in GAUSS])     # (2 n3, M, 3, 3)
+    # one density evaluation per phase, (2 n3, rows) C-contiguous; each
+    # height's row is summed on its own, in (height, phase) order, as the
+    # density of that height alone would be: sum(axis=1) and strided rows
+    # pair the terms differently and change the last bit
+    terms = [weights[rows] * svk_energy(mat, F[:, rows])
+             for rows, mat in groups]
     total = 0.0
-    for k in range(n3):
-        for gq in GAUSS:
-            F = sampler.scaled_gradient(xp, -0.5 + (k + gq) / n3, plan=plan)
-            for rows, mat in groups:
-                total += float(np.sum(weights[rows]
-                                      * svk_energy(mat, F[rows])))
+    for k in range(len(F)):
+        for term in terms:
+            total += float(np.sum(term[k]))
     # numpy's h ** 2 is the same libm pow as Python's, but overflows to inf
     # instead of raising
     with np.errstate(over="ignore"):

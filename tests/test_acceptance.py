@@ -286,7 +286,7 @@ def test_criterion_09_recovery_gap_trend():
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.15
     assert elapsed < 300.0
-    report(9, "relative gaps %.4f > %.4f > %.4f, %.1fs total"
+    report(9, "relative gaps %.3e > %.3e > %.3e, %.1fs total"
               % (gaps[0], gaps[1], gaps[2], elapsed))
 
 

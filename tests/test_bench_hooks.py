@@ -75,6 +75,6 @@ def test_recovery_hooks_fire(monkeypatch):
     points = [span[5]["points"] for span in tracer.spans
               if span[0] == "scaled_gradient"]
     assert points == [quad_points] * (2 * grid.n3)
-    # one plan; each gradient's points, split into the two phases
+    # one plan; one density evaluation per phase, over every height
     assert recorded.count("plan") == 1
-    assert recorded.count("svk_energy") == 2 * len(points)
+    assert recorded.count("svk_energy") == 2

@@ -668,6 +668,50 @@ def test_reference_inverse_is_memoized_per_grid_and_pair():
     npt.assert_array_equal(cached, fresh)
 
 
+def test_phase_tables_are_memoized_per_grid_and_pair():
+    # the kernels and the element load vectors depend only on the grid, the
+    # parity, the Lame pairs of the phases present (and the loads' parts), so
+    # operators on two media with the same phases present share them
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    grid = RVEGrid(6, 4, 2, 1.0, 1.5)
+    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
+    b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
+                     mats, BENDING)
+    for name in ("Bs", "forms", "ke"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    loads = unit_loads()[3:]
+    a.rhs(loads)
+    hits = cellsolve._load_vectors.cache_info().hits
+    b.rhs(loads)
+    assert cellsolve._load_vectors.cache_info().hits == hits + 1
+    parts = np.stack([ld.G for ld in loads]).tobytes()
+    assert not cellsolve._load_vectors(*a._key, parts).flags.writeable
+    misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
+                           checker_phases(6, 4, 1.5), mats, BENDING),
+              CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
+                           checker_phases(6, 4, 2.0), mats, BENDING),
+              CellOperator(grid, checker_phases(6, 4, 1.5),
+                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]),
+                           BENDING),
+              CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
+    for op in misses:
+        assert op.ke is not a.ke
+        hits = cellsolve._load_vectors.cache_info().hits
+        op.rhs(loads)
+        assert cellsolve._load_vectors.cache_info().hits == hits
+
+    # cached tables give the tensors of freshly computed ones, bitwise
+    phases = checker_phases(6, 4, 1.5)
+    cellsolve._phase_tables.cache_clear()
+    cellsolve._load_vectors.cache_clear()
+    fresh = coupled_tensor(grid, phases, mats).matrix
+    hits = cellsolve._phase_tables.cache_info().hits
+    cached = coupled_tensor(grid, phases, mats).matrix
+    assert cellsolve._phase_tables.cache_info().hits > hits
+    npt.assert_array_equal(cached, fresh)
+
+
 # ---------------------------------------------------------------------------
 # Laminate corrector against the reduced direct solve
 # ---------------------------------------------------------------------------

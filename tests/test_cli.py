@@ -494,7 +494,7 @@ PROBES = [
     ("generate", "raster.n1", 8.5, "raster.n1"),
     ("sweep-gamma", "gammas", [True, 2], "gammas"),
     ("effective", "rescale_check", "false", "rescale_check"),
-    ("recovery", "recovery.h_schedule", [0.2, 0.4], "strictly decreasing"),
+    ("recovery", "recovery.h_schedule", [0.2, 0.4], "recovery.h_schedule"),
     ("recovery", "recovery.corrector_tol", "1e-10", "recovery.corrector_tol"),
     ("effective", "materials[0].phase_id", 0.5, "materials[0].phase_id"),
     ("effective", "model.period_hint", "0.5", "model.period_hint"),
@@ -511,6 +511,7 @@ PROBES = [
     ("effective", "grid.gamma", RAW_1E999, "grid.gamma"),
     ("effective", "materials[0].mu", RAW_1E999, "materials[0].mu"),
     ("effective", "grid.L", 10 ** 400, "grid.L"),
+    ("recovery", "isometry.radius", -1.0, "isometry.radius"),
 ]
 
 

@@ -507,6 +507,35 @@ def test_energy_equals_per_point_reference(kind, n3):
             assert energy > 0.0 or (kind == "flat" and load is None)
 
 
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
+def test_batched_density_matches_per_height_loop_bitwise(n3):
+    # one density evaluation per phase over all heights, summed per height
+    # in (height, phase) order, is bit for bit the per-(height, phase) loop
+    sampler = _family("cylinder", n3, (0.13, -0.2, 0.9, 0.71),
+                      GENERAL_LOAD).sampler(0.25)
+    fam, eps = sampler.family, sampler.eps
+    grid = fam.source.grid
+    x0, y0, x1, y1 = fam.iso.domain
+    s1, s2 = eps * grid.box_side / grid.n1, eps * grid.box_side / grid.n2
+    (t1, w1, i), (t2, w2, j) = (recovery._axis_rule(a / s, b / s, n)
+                                for a, b, s, n in ((x0, x1, s1, grid.n1),
+                                                   (y0, y1, s2, grid.n2)))
+    xp = recovery._tensor_points(s1 * t1, s2 * t2)
+    w = np.outer(w1, w2).ravel()
+    phases = fam.source.phases.cell_phase[i[:, None], j].ravel()
+    plan = sampler.plan(xp)
+    total = 0.0
+    for k in range(n3):
+        for gq in recovery.GAUSS:
+            F = sampler.scaled_gradient(xp, -0.5 + (k + gq) / n3, plan=plan)
+            for p in np.unique(phases):
+                mine = phases == p
+                total += float(np.sum(w[mine] * svk_energy(
+                    fam.source.materials[int(p)], F[mine])))
+    want = total / (2.0 * n3) * (s1 * s2) / np.float64(sampler.h) ** 2
+    assert evaluate_scaled_energy(sampler) == float(want)
+
+
 def test_axis_rule_covers_the_interval_with_the_cell_points():
     n = 4
     gauss = np.asarray(recovery.GAUSS)

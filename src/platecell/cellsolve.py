@@ -41,14 +41,14 @@ The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
 stiffness is block-circulant in the in-plane node indices, so a real 2D FFT
 splits it into one Hermitian system per wavevector on the free pairs of an
-in-plane node, inverted once per grid, parity and reference medium and
-shared read-only (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
-counts then depend on the phase contrast but not on the mesh.  The phase
-kernels, strain matrices and forms likewise depend only on the grid, the
-parity and the Lame pairs of the phases present, and the element load
-vectors also on the loads' parts in the parity, so each is built once and
-shared read-only by every operator on them, whatever its phase layout; the
-layout enters through the dof table alone.  Unit loads
+in-plane node (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
+counts then depend on the phase contrast but not on the mesh.  That
+inverse, the fold, the strain matrices, the phase forms and kernels depend
+only on the grid, the parity and the Lame pairs of the phases present, so
+they make one set-up, built once per (grid, parity, Lame pairs) and shared
+read-only by every operator on them, whatever its phase layout; the layout
+enters through the dof table alone.  One more table holds the element load
+vectors, which depend also on the loads' parts in the parity.  Unit loads
 iterate together (block right-hand side) into one bilinear energy closure:
 the three bending loads give the bending form, and with the three membrane
 loads, solved in the other parity, the 6x6 tensor, whose membrane/bending
@@ -56,6 +56,7 @@ block is zero and whose bending block is therefore the bending form.
 """
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -191,10 +192,9 @@ def _strain_matrices(grid):
     return B.reshape(8, 6, 24)
 
 
-@functools.lru_cache(maxsize=8)
 def _fold(n1, n2, n3, parity):
-    """The fold of the n1 x n2 x n3 slab onto the free unknowns of one parity;
-    memoized, read-only and shared by the operators.
+    """The fold of the n1 x n2 x n3 slab onto the free unknowns of one
+    parity.
 
     A (slot, component) pair is free unless its coefficient is 0 at every
     node layer: the odd components at the midplane of even n3.  The free
@@ -230,10 +230,7 @@ def _fold(n1, n2, n3, parity):
     edof = col[..., None] * free.sum() + rank[pair]
     kz = e[:, None] + (np.arange(8) >> 2)    # node layers of local nodes
     sigma = fold[kz, np.minimum(kz, n3 - kz)].reshape(len(e), 24)
-    out = fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
 
 
 def _folded_kernels(ke, sigma, weight):
@@ -242,13 +239,6 @@ def _folded_kernels(ke, sigma, weight):
     scaled = weight[:, None] * sigma
     return (sigma[:, :, None] * ke[:, None] * scaled[:, None, :]) \
         .reshape(-1, 24, 24)
-
-
-def _heights(n3, layers):
-    """x3 of each (kept layer, Gauss point): (layers, 8)."""
-    hz = 1.0 / n3
-    gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
-    return -0.5 + (np.arange(layers)[:, None] + gz[None, :]) * hz
 
 
 def _part(load, parity):
@@ -266,54 +256,6 @@ def _load_strains(M, zq, parity):
     eps[..., 1] = z * M[1, 1]
     eps[..., 5] = SQRT2 * (z * M[0, 1])
     return eps
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_tables(n1, n2, n3, gamma, box_side, lame, parity):
-    """Strain matrices, forms and folded kernels of the phases with the Lame
-    pairs `lame`, in that order, in one parity on the grid; memoized,
-    read-only and shared by the operators.
-
-    Returns:
-        Bq: (8, 6, 24) strain matrices.
-        Bs: (layers, 48, 24) the strain matrices on the slots of each kept
-            layer.
-        forms: (phases, 6, 6) the phases' Voigt forms.
-        ke: (phases * layers, 24, 24) folded kernels, phase-major.
-    """
-    grid = RVEGrid(n1, n2, n3, gamma, box_side)
-    _, weight, _, sigma = _fold(n1, n2, n3, parity)
-    Bq = _strain_matrices(grid)
-    forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
-    ke = _folded_kernels(np.einsum("qci,pcd,qdj->pij", Bq, forms, Bq)
-                         * (1.0 / (8.0 * grid.n_elements)), sigma, weight)
-    out = Bq, Bq.reshape(48, 24) * sigma[:, None], forms, ke
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _load_vectors(n1, n2, n3, gamma, box_side, lame, parity, parts):
-    """Folded element load vectors per (phase, kept layer) of the loads
-    whose parts in the parity are `parts`, the bytes of their (m, 2, 2)
-    stack; otherwise keyed as `_phase_tables`, memoized and read-only.
-
-    Returns:
-        (phases * layers, 24, m) array, phase-major.
-    """
-    Bq, _, forms, _ = _phase_tables(n1, n2, n3, gamma, box_side, lame,
-                                    parity)
-    _, weight, _, sigma = _fold(n1, n2, n3, parity)
-    zq, wq = _heights(n3, len(weight)), 1.0 / (8.0 * (n1 * n2 * n3))
-    parts = np.frombuffer(parts).reshape(-1, 2, 2)
-    fe = np.stack([np.einsum("qci,pcd,kqd->pki", Bq, forms,
-                             _load_strains(M, zq, parity)) * wq
-                   for M in parts], axis=-1)
-    scale = weight[:, None] * sigma                      # (layers, 24)
-    fe = (fe * scale[..., None]).reshape(-1, 24, len(parts))
-    fe.flags.writeable = False
-    return fe
 
 
 def _translations(fold):
@@ -339,11 +281,10 @@ def _apply_kernels(kernels, bounds, table, keys, U):
     return scatter(keys, Ve, U.shape)
 
 
-@functools.lru_cache(maxsize=8)
-def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam, parity):
-    """Per-wavevector inverses of the folded stiffness of the isotropic medium
-    (mu, lam) in one parity on the grid; memoized, read-only and shared by
-    the operators.
+def _reference_inverse(n1, n2, free, edof, kernels, t):
+    """Per-wavevector inverses of the folded stiffness of a homogeneous
+    medium of folded kernels (layers, 24, 24), given `_fold`'s edof, the free
+    (slot, component) pairs and their translations t of `_translations`.
 
     The folded stiffness applied to the f unit fields of the free dofs at
     in-plane node (0, 0), then transformed by rfft2, is the symbol per
@@ -362,43 +303,98 @@ def _reference_inverse(n1, n2, n3, gamma, box_side, mu, lam, parity):
         (n1, n2 // 2 + 1, 2f, f) real array stacking A over B, f the free
         pairs of M = 3 (n3 // 2 + 1).
     """
-    grid = RVEGrid(n1, n2, n3, gamma, box_side)
-    fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
-    pinned = ~fold.any(axis=0).ravel()
-    free = np.flatnonzero(~pinned)
+    pinned, free = ~free, np.flatnonzero(free)
     m, f = pinned.size, len(free)
-    Bq = _strain_matrices(grid)
-    ke = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt, Bq) \
-        * (1.0 / (8.0 * grid.n_elements))
     near = edof[(edof[:, 0] < f).any(axis=1)]   # columns touching node (0, 0)
     table = near.transpose(1, 0, 2).reshape(-1, 24).T    # layer-major
     units = np.eye(f * n1 * n2, f)   # in-plane node (0, 0) holds dofs :f
-    columns = _apply_kernels(_folded_kernels(ke[None], sigma, weight),
-                             np.arange(len(weight) + 1) * len(near), table,
-                             column_keys(table, f), units)
+    columns = _apply_kernels(kernels, np.arange(len(kernels) + 1) * len(near),
+                             table, column_keys(table, f), units)
     symbol = np.zeros((n1, n2 // 2 + 1, m, m), dtype=complex)
     symbol[:, :, free[:, None], free] = np.fft.rfft2(
         columns.reshape(n1, n2, f, f), axes=(0, 1))
-    t = _translations(fold)
     symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
     symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
-    inverse = np.ascontiguousarray(
+    return np.ascontiguousarray(
         np.linalg.inv(embedded)[..., np.r_[free, m + free][:, None], free])
-    inverse.flags.writeable = False
-    return inverse
+
+
+# All of a cell operator that its phase layout does not enter: `_fold`'s
+# fold, weight, edof and sigma; free, whether each (slot, component) pair is
+# free; Bq, the (8, 6, 24) strain matrices, and Bs, (layers, 48, 24) them on
+# the slots of each kept layer; forms, the (phases, 6, 6) Voigt forms; ke,
+# the (phases * layers, 24, 24) folded kernels, phase-major; zq, the x3 of
+# each (kept layer, Gauss point), (layers, 8); fft_inverse, the
+# `_reference_inverse` of the medium whose Lame constants are the geometric
+# means of the phases'; shift, the translations on the free pairs.
+_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke zq "
+                    "fft_inverse shift")
+
+
+@functools.lru_cache(maxsize=8)
+def _setup(n1, n2, n3, gamma, box_side, lame, parity):
+    """The `_Setup` of the phases with the Lame pairs `lame`, in that order,
+    in one parity on the grid; memoized, read-only and shared by every
+    operator on them, whatever its phase layout."""
+    grid = RVEGrid(n1, n2, n3, gamma, box_side)
+    fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
+    free = fold.any(axis=0).ravel()
+    Bq = _strain_matrices(grid)
+    wq = 1.0 / (8.0 * grid.n_elements)              # volume-average weight
+    forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
+    ke = _folded_kernels(np.einsum("qci,pcd,qdj->pij", Bq, forms, Bq) * wq,
+                         sigma, weight)
+    mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
+    reference = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt,
+                          Bq) * wq
+    t = _translations(fold)
+    fft_inverse = _reference_inverse(
+        n1, n2, free, edof, _folded_kernels(reference[None], sigma, weight), t)
+    gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
+    zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
+    out = _Setup(fold, weight, edof, sigma, free, Bq,
+                 Bq.reshape(48, 24) * sigma[:, None], forms, ke, zq,
+                 fft_inverse, t[free])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _load_vectors(key, parts):
+    """Folded element load vectors per (phase, kept layer), on the set-up
+    `_setup(*key)`, of the loads whose parts in its parity are `parts`, the
+    bytes of their (m, 2, 2) stack; memoized and read-only.
+
+    Returns:
+        (phases * layers, 24, m) array, phase-major.
+    """
+    n1, n2, n3, _, _, _, parity = key
+    s = _setup(*key)
+    wq = 1.0 / (8.0 * (n1 * n2 * n3))
+    parts = np.frombuffer(parts).reshape(-1, 2, 2)
+    fe = np.stack([np.einsum("qci,pcd,kqd->pki", s.Bq, s.forms,
+                             _load_strains(M, s.zq, parity)) * wq
+                   for M in parts], axis=-1)
+    scale = s.weight[:, None] * s.sigma                  # (layers, 24)
+    fe = (fe * scale[..., None]).reshape(-1, 24, len(parts))
+    fe.flags.writeable = False
+    return fe
 
 
 class CellOperator:
     """Matrix-free stiffness operator of one cell problem, on the folded
     half-slab of one parity (`BENDING` or `MEMBRANE`).
 
-    Holds the (phase, layer)-sorted dof table of the kept elements, their
-    folded 24x24 kernels, the factored in-plane FFT preconditioner, and the
-    Gauss-point load strains.  Its fields are folded, (ndof, m); `expand` and
-    `restrict` map them to and from full-slab nodal fields.  Loads enter
-    through their part in the parity: x3 G for bending, B for membrane.
+    Holds the (phase, layer)-sorted dof table of the kept elements and the
+    arrays of its `_setup`, shared with every operator on the same grid,
+    parity and Lame pairs: the folded 24x24 kernels, the factored in-plane FFT
+    preconditioner, the Gauss heights.  Its fields are folded, (ndof, m);
+    `expand` and `restrict` map them to and from full-slab nodal fields.
+    Loads enter through their part in the parity, x3 G for bending, B for
+    membrane; the other part is orthogonal to every field of the parity.
     """
 
     def __init__(self, grid, phases, materials, parity):
@@ -414,32 +410,26 @@ class CellOperator:
                               "MEMBRANE, not %r" % (parity,))
         self.grid = grid
         self.parity = parity
-        n1, n2, n3 = grid.n1, grid.n2, grid.n3
-        self.fold, self.weight, edof, _ = _fold(n1, n2, n3, parity)
-        layers = len(self.weight)
-        self._free = self.fold.any(axis=0).ravel()    # free (slot, component)
-        self.ndof = n1 * n2 * int(self._free.sum())
+        lame = tuple((materials[p].lame_mu, materials[p].lame_lambda)
+                     for p in present)
+        self._key = (grid.n1, grid.n2, grid.n3, grid.gamma, grid.box_side,
+                     lame, parity)
+        s = _setup(*self._key)
+        self.fold, self.weight, self.zq, self._free = \
+            s.fold, s.weight, s.zq, s.free
+        self.Bs, self.forms, self.ke = s.Bs, s.forms, s.ke
+        self.fft_inverse, self._shift = s.fft_inverse, s.shift
+        self.ndof = grid.n1 * grid.n2 * int(self._free.sum())
+        self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
 
         # --- connectivity: kept elements stably sorted by (phase, layer) ----
+        layers = len(self.weight)
         block = (np.searchsorted(present, phases.cell_phase).reshape(-1, 1)
                  * layers + np.arange(layers)).ravel()
         order = np.argsort(block, kind="stable")
         # kernel b = phase * layers + layer owns bounds[b]:bounds[b + 1]
-        self.table = edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
+        self.table = s.edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
         self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
-
-        # --- element kernels, shared by the media of the same phases --------
-        lame = tuple((materials[p].lame_mu, materials[p].lame_lambda)
-                     for p in present)
-        self._key = (n1, n2, n3, grid.gamma, grid.box_side, lame, parity)
-        _, self.Bs, self.forms, self.ke = _phase_tables(*self._key)
-        self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
-        self.zq = _heights(n3, layers)
-        mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
-        self.fft_inverse = _reference_inverse(n1, n2, n3, grid.gamma,
-                                              grid.box_side, mu, lam,
-                                              self.parity)
-        self._shift = _translations(self.fold)[self._free]
         self._keys = {}     # column count -> column_keys of the dof table
 
     # --- in-plane FFT preconditioner -----------------------------------------
@@ -499,16 +489,10 @@ class CellOperator:
         return folded.reshape(n, -1, m)[:, self._free].reshape(-1, m)
 
     # --- loads ---------------------------------------------------------------
-    def load_strains(self, load):
-        """Voigt strain per (kept layer, gauss) of the load's part in this
-        parity, iota(x3 G) or iota(B): (layers, 8, 6).  The other part is
-        orthogonal to every field of the parity."""
-        return _load_strains(_part(load, self.parity), self.zq, self.parity)
-
     def rhs(self, loads):
         """Folded right-hand sides -f for a list of loads: (ndof, m)."""
         parts = np.stack([_part(load, self.parity) for load in loads])
-        fe = _load_vectors(*self._key, parts.tobytes())
+        fe = _load_vectors(self._key, parts.tobytes())
         kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
         fe = np.take(fe.transpose(1, 0, 2), kernel, axis=1)  # (24, n_kept, m)
         return -scatter(self._column_keys(len(loads)), fe,
@@ -523,7 +507,8 @@ class CellOperator:
         layers = len(self.weight)
         XT = np.ascontiguousarray(X.reshape(len(X), -1).T)
         Xe = np.take(XT, self.table, axis=1)          # (m, 24, n_kept)
-        eps = np.stack([self.load_strains(ld) for ld in loads])[..., None]
+        eps = np.stack([_load_strains(_part(ld, self.parity), self.zq,
+                                      self.parity) for ld in loads])[..., None]
         # M[a, b] = sum_(p, l) w_l sum_qe tau_a[q, :, e] . Q_p tau_b[q, :, e],
         # each block summed pairwise over its contiguous points: the running
         # sum of a matrix product over thousands of points left the tensors

@@ -14,7 +14,7 @@ import concurrent.futures
 import numpy as np
 
 from .cellsolve import EffectiveBendingForm, effective_form, qgamma_eval
-from .errors import ConfigError, NumericalError, as_real
+from .errors import ConfigError, NumericalError, as_index, as_real
 from .material import SQRT2
 from .microstructure import phase_grid, rasterize, sample_realization
 
@@ -127,8 +127,11 @@ def birkhoff_rate(series, fit_count=2):
         whether every remaining error satisfies err <= C * eps (with a tiny
         absolute slack so exactly-resolved averages do not trip it).
     """
-    if len(series.epsilons) <= fit_count:
-        raise ConfigError("birkhoff_rate: need more scales than fit_count")
+    fit_count = as_index(fit_count, "birkhoff_rate: fit_count")
+    if not 1 <= fit_count < len(series.epsilons):
+        raise ConfigError("birkhoff_rate: fit_count must lie in [1, %d), "
+                          "below the scale count, got %d"
+                          % (len(series.epsilons), fit_count))
     rates = series.errors / series.epsilons
     C = float(rates[:fit_count].max())
     ok = bool(np.all(series.errors[fit_count:]
@@ -148,6 +151,8 @@ def isotropy_defect(form, rotation_count=8):
     Returns:
         float: max over probes/angles of |q(R^T G R) - q(G)| / max(q(G), tiny).
     """
+    rotation_count = as_index(rotation_count,
+                              "isotropy_defect: rotation_count")
     if rotation_count < 8:
         raise ConfigError("isotropy_defect: rotation_count must be >= 8 "
                           "(coarser sweeps miss off-axis anisotropy)")

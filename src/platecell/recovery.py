@@ -240,10 +240,7 @@ class CellCorrectorSource:
 class RecoveryFamily:
     """The bent plate plus one rotated cell corrector, of load minus II."""
 
-    def __init__(self, iso, cfg, source, V=None):
-        if V is not None:
-            raise ConfigError("build_recovery: only the zero midplane "
-                              "displacement is supported")
+    def __init__(self, iso, cfg, source):
         if not iso.constant_connection:
             raise ConfigError("build_recovery: isometry kind %r has no "
                               "constant connection, which the one-cell "
@@ -270,9 +267,9 @@ class RecoveryFamily:
         return DeformationSampler(self, h)
 
 
-def build_recovery(iso, cfg, source, V=None):
+def build_recovery(iso, cfg, source):
     """Assemble the recovery family for an isometry and corrector source."""
-    return RecoveryFamily(iso, cfg, source, V=V)
+    return RecoveryFamily(iso, cfg, source)
 
 
 # Per-point data reused across the thickness quadrature layers: the isometry
@@ -357,16 +354,20 @@ class DeformationSampler:
         return _Plan(_field_views(y, F0, F1, dR), F0, F1, layers)
 
     def _layer(self, x3):
-        """Thickness element k0 holding height x3 and the offset tz in it."""
-        n3 = self._n3
-        s = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
-        k0 = min(int(s), n3 - 1)
-        return k0, s - k0
+        """Height x3, read strictly and in [-1/2, 1/2], the thickness element
+        k0 holding it and the offset tz in it."""
+        x3 = as_real(x3, "DeformationSampler: x3")
+        if not -0.5 <= x3 <= 0.5:
+            raise ConfigError("DeformationSampler: x3 must lie in "
+                              "[-1/2, 1/2], got %r" % x3)
+        s = (x3 + 0.5) * self._n3
+        k0 = min(int(s), self._n3 - 1)
+        return x3, k0, s - k0
 
     def deformation(self, xp, x3):
         """Deformed positions (M, 3) of midplane points at one fiber height."""
+        x3, k0, tz = self._layer(x3)
         plan = self.plan(xp)
-        k0, tz = self._layer(x3)
         lo, hi = plan.layers[:, 2, k0], plan.layers[:, 2, k0 + 1]
         out = plan.frames["y"] + self.h * x3 * plan.frames["n"]
         out += (self.h * ((1.0 - tz) * lo + tz * hi)).T
@@ -374,9 +375,9 @@ class DeformationSampler:
 
     def scaled_gradient(self, xp, x3, plan=None):
         """Scaled deformation gradients (M, 3, 3) at one fiber height."""
+        x3, k0, tz = self._layer(x3)
         if plan is None:
             plan = self.plan(xp)
-        k0, tz = self._layer(x3)
         lo, hi = plan.layers[:, :, k0], plan.layers[:, :, k0 + 1]
         F = plan.F0 + (self.h * x3) * plan.F1
         F[:, :2] += (1.0 - tz) * lo[:, :2] + tz * hi[:, :2]

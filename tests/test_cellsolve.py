@@ -637,56 +637,27 @@ def test_operator_is_freed_without_gc():
             gc.enable()
 
 
-def test_reference_inverse_is_memoized_per_grid_and_pair():
-    # the inverse depends only on the grid, the parity and the reference Lame
-    # pair, so operators on two media with the same phases present share one
+def test_setup_is_memoized_per_grid_parity_and_pairs():
+    # all of an operator but its dof table depends only on the grid, the
+    # parity and the Lame pairs of the phases present, so operators on two
+    # layouts of the same phases share one set-up, and the element load
+    # vectors also on the loads' parts
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
     grid = RVEGrid(6, 4, 2, 1.0, 1.5)
     a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
     b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
                      mats, BENDING)
-    assert a.fft_inverse is b.fft_inverse
-    assert not a.fft_inverse.flags.writeable
-    misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
-                           checker_phases(6, 4, 1.5), mats, BENDING),
-              CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
-                           checker_phases(6, 4, 2.0), mats, BENDING),
-              CellOperator(grid, checker_phases(6, 4, 1.5),
-                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]),
-                           BENDING),
-              CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
-    for op in misses:
-        assert op.fft_inverse is not a.fft_inverse
-
-    # a cached inverse gives the tensor of a freshly computed one, bitwise
-    phases = checker_phases(6, 4, 1.5)
-    cellsolve._reference_inverse.cache_clear()
-    fresh = effective_form(grid, phases, mats).voigt3
-    hits = cellsolve._reference_inverse.cache_info().hits
-    cached = effective_form(grid, phases, mats).voigt3
-    assert cellsolve._reference_inverse.cache_info().hits == hits + 1
-    npt.assert_array_equal(cached, fresh)
-
-
-def test_phase_tables_are_memoized_per_grid_and_pair():
-    # the kernels and the element load vectors depend only on the grid, the
-    # parity, the Lame pairs of the phases present (and the loads' parts), so
-    # operators on two media with the same phases present share them
-    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
-    grid = RVEGrid(6, 4, 2, 1.0, 1.5)
-    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
-    b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
-                     mats, BENDING)
-    for name in ("Bs", "forms", "ke"):
+    for name in ("ke", "forms", "Bs", "fft_inverse"):
         assert getattr(a, name) is getattr(b, name)
-        assert not getattr(a, name).flags.writeable
+    for arr in cellsolve._setup(*a._key):
+        assert not arr.flags.writeable
     loads = unit_loads()[3:]
     a.rhs(loads)
     hits = cellsolve._load_vectors.cache_info().hits
     b.rhs(loads)
     assert cellsolve._load_vectors.cache_info().hits == hits + 1
     parts = np.stack([ld.G for ld in loads]).tobytes()
-    assert not cellsolve._load_vectors(*a._key, parts).flags.writeable
+    assert not cellsolve._load_vectors(a._key, parts).flags.writeable
     misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
                            checker_phases(6, 4, 1.5), mats, BENDING),
               CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
@@ -696,20 +667,22 @@ def test_phase_tables_are_memoized_per_grid_and_pair():
                            BENDING),
               CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
     for op in misses:
-        assert op.ke is not a.ke
+        for name in ("ke", "fft_inverse"):
+            assert getattr(op, name) is not getattr(a, name)
         hits = cellsolve._load_vectors.cache_info().hits
         op.rhs(loads)
         assert cellsolve._load_vectors.cache_info().hits == hits
 
-    # cached tables give the tensors of freshly computed ones, bitwise
+    # a cached set-up and load vectors give the tensors of fresh ones, bitwise
     phases = checker_phases(6, 4, 1.5)
-    cellsolve._phase_tables.cache_clear()
-    cellsolve._load_vectors.cache_clear()
-    fresh = coupled_tensor(grid, phases, mats).matrix
-    hits = cellsolve._phase_tables.cache_info().hits
-    cached = coupled_tensor(grid, phases, mats).matrix
-    assert cellsolve._phase_tables.cache_info().hits > hits
-    npt.assert_array_equal(cached, fresh)
+    for tensor in (lambda: coupled_tensor(grid, phases, mats).matrix,
+                   lambda: effective_form(grid, phases, mats).voigt3):
+        cellsolve._setup.cache_clear()
+        cellsolve._load_vectors.cache_clear()
+        fresh = tensor()
+        hits = cellsolve._setup.cache_info().hits
+        npt.assert_array_equal(tensor(), fresh)
+        assert cellsolve._setup.cache_info().hits > hits
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_birkhoff_validation():
         birkhoff_rate(series, fit_count=3)                         # nothing left
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3, 1.0, 1.5, True, "1"])
+def test_birkhoff_rate_reads_fit_count_strictly(bad):
+    # -1 would fit all but the last scale, and 0 an empty array
+    series = birkhoff_average(checkerboard_realization(), [0, 1], WINDOW,
+                              [0.5, 0.25, 0.125])
+    with pytest.raises(ConfigError, match="fit_count"):
+        birkhoff_rate(series, fit_count=bad)
+    assert birkhoff_rate(series, fit_count=np.int64(2)) \
+        == birkhoff_rate(series)
+
+
 # ---------------------------------------------------------------------------
 # Isotropy defect
 # ---------------------------------------------------------------------------
@@ -149,6 +160,13 @@ def test_isotropy_defect_validation():
     with pytest.raises(ConfigError):
         isotropy_defect(np.eye(4))
     assert isotropy_defect(np.eye(3)) >= 0.0
+
+
+@pytest.mark.parametrize("bad", [8.5, 9.0, True, "8", 7, -8])
+def test_isotropy_defect_reads_rotation_count_strictly(bad):
+    with pytest.raises(ConfigError, match="rotation_count"):
+        isotropy_defect(np.eye(3), rotation_count=bad)
+    assert isotropy_defect(np.eye(3), rotation_count=np.int64(9)) >= 0.0
 
 
 def test_scaled_identity_form_has_zero_defect():

@@ -222,10 +222,21 @@ def test_non_finite_energy_raises():
         evaluate_scaled_energy(fam.sampler(1e300))
 
 
-def test_midplane_displacement_not_supported():
-    with pytest.raises(ConfigError):
-        build_recovery(flat_isometry(), RecoveryConfig(),
-                       checker_source(), V=np.zeros(3))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1", True,
+                                 None, 0.7, 5.0, -0.5000001])
+def test_sampler_reads_height_strictly(bad):
+    # a height outside the plate's thickness is refused, not clipped onto the
+    # top or bottom corrector layer while the fiber term extrapolates
+    sampler = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
+                             checker_source()).sampler(0.2)
+    xp = np.array([[0.3, 0.4]])
+    with pytest.raises(ConfigError, match="DeformationSampler: x3"):
+        sampler.deformation(xp, bad)
+    with pytest.raises(ConfigError, match="DeformationSampler: x3"):
+        sampler.scaled_gradient(xp, bad)
+    for x3 in (-0.5, np.float64(0.25), 0.5):
+        assert np.isfinite(sampler.deformation(xp, x3)).all()
+        assert np.isfinite(sampler.scaled_gradient(xp, x3)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -637,17 +637,50 @@ def test_operator_is_freed_without_gc():
             gc.enable()
 
 
-def test_setup_is_memoized_per_grid_parity_and_pairs():
-    # all of an operator but its dof table depends only on the grid, the
-    # parity and the Lame pairs of the phases present, so operators on two
-    # layouts of the same phases share one set-up, and the element load
-    # vectors also on the loads' parts
+def test_reference_inverse_is_memoized_per_grid_and_pair():
+    # the FFT reference inverse is part of the shared set-up, which depends
+    # only on the grid, the parity and the Lame pairs of the phases present,
+    # so operators on two layouts of the same phases share one inverse
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
     grid = RVEGrid(6, 4, 2, 1.0, 1.5)
     a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
     b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
                      mats, BENDING)
-    for name in ("ke", "forms", "Bs", "fft_inverse"):
+    assert a.fft_inverse is b.fft_inverse
+    assert not a.fft_inverse.flags.writeable
+    misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
+                           checker_phases(6, 4, 1.5), mats, BENDING),
+              CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
+                           checker_phases(6, 4, 2.0), mats, BENDING),
+              CellOperator(grid, checker_phases(6, 4, 1.5),
+                           material_table([(0, 1.0, 1.0), (1, 4.0, 5.0)]),
+                           BENDING),
+              CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
+    for op in misses:
+        assert op.fft_inverse is not a.fft_inverse
+
+    # a cached set-up gives the tensor of a freshly computed one, bitwise
+    phases = checker_phases(6, 4, 1.5)
+    cellsolve._setup.cache_clear()
+    cellsolve._load_vectors.cache_clear()
+    fresh = effective_form(grid, phases, mats).voigt3
+    hits = cellsolve._setup.cache_info().hits
+    cached = effective_form(grid, phases, mats).voigt3
+    assert cellsolve._setup.cache_info().hits > hits
+    npt.assert_array_equal(cached, fresh)
+
+
+def test_phase_tables_are_memoized_per_grid_and_pair():
+    # the kernels, forms and strain matrices (in the shared set-up) and the
+    # element load vectors depend only on the grid, the parity, the Lame
+    # pairs of the phases present (and the loads' parts), so operators on two
+    # layouts of the same phases share them
+    mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
+    grid = RVEGrid(6, 4, 2, 1.0, 1.5)
+    a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
+    b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
+                     mats, BENDING)
+    for name in ("Bs", "forms", "ke"):
         assert getattr(a, name) is getattr(b, name)
     for arr in cellsolve._setup(*a._key):
         assert not arr.flags.writeable
@@ -667,22 +700,20 @@ def test_setup_is_memoized_per_grid_parity_and_pairs():
                            BENDING),
               CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
     for op in misses:
-        for name in ("ke", "fft_inverse"):
-            assert getattr(op, name) is not getattr(a, name)
+        assert op.ke is not a.ke
         hits = cellsolve._load_vectors.cache_info().hits
         op.rhs(loads)
         assert cellsolve._load_vectors.cache_info().hits == hits
 
     # a cached set-up and load vectors give the tensors of fresh ones, bitwise
     phases = checker_phases(6, 4, 1.5)
-    for tensor in (lambda: coupled_tensor(grid, phases, mats).matrix,
-                   lambda: effective_form(grid, phases, mats).voigt3):
-        cellsolve._setup.cache_clear()
-        cellsolve._load_vectors.cache_clear()
-        fresh = tensor()
-        hits = cellsolve._setup.cache_info().hits
-        npt.assert_array_equal(tensor(), fresh)
-        assert cellsolve._setup.cache_info().hits > hits
+    cellsolve._setup.cache_clear()
+    cellsolve._load_vectors.cache_clear()
+    fresh = coupled_tensor(grid, phases, mats).matrix
+    hits = cellsolve._setup.cache_info().hits
+    cached = coupled_tensor(grid, phases, mats).matrix
+    assert cellsolve._setup.cache_info().hits > hits
+    npt.assert_array_equal(cached, fresh)
 
 
 # ---------------------------------------------------------------------------

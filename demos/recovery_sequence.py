@@ -25,7 +25,7 @@ def main():
     src = CellCorrectorSource(
         grid, PhaseGrid(4, 4, 1.0, ids),
         material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)]), tol=1e-10)
-    cfg = RecoveryConfig(gamma=1.0, h_schedule=[0.2, 0.1, 0.05, 0.025])
+    cfg = RecoveryConfig(h_schedule=[0.2, 0.1, 0.05, 0.025])  # gamma: the grid's
 
     t0 = time.perf_counter()
     out = recovery_gaps(build_recovery(cylinder_isometry(1.0), cfg, src))

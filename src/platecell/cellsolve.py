@@ -62,7 +62,8 @@ import numpy as np
 
 from ._krylov import block_pcg
 from ._mesh import GAUSS, column_keys, dN, nodes, scatter
-from .errors import ConfigError, NumericalError, as_index, as_real
+from .errors import ConfigError, NumericalError, as_index, as_real, \
+    as_tolerance
 from .material import SQRT2, isotropic_form
 from .microstructure import PhaseGrid
 
@@ -398,9 +399,12 @@ class CellOperator:
     """
 
     def __init__(self, grid, phases, materials, parity):
-        if (phases.n1, phases.n2) != (grid.n1, grid.n2):
-            raise ConfigError("phase grid is %dx%d but the RVE grid wants %dx%d"
-                              % (phases.n1, phases.n2, grid.n1, grid.n2))
+        if (phases.n1, phases.n2, phases.box_side) != \
+                (grid.n1, grid.n2, grid.box_side):
+            raise ConfigError("phase grid is %dx%d with box_side %r but the "
+                              "RVE grid wants %dx%d with box_side %r"
+                              % (phases.n1, phases.n2, phases.box_side,
+                                 grid.n1, grid.n2, grid.box_side))
         present = np.unique(phases.cell_phase)
         missing = [int(p) for p in present if int(p) not in materials]
         if missing:
@@ -540,11 +544,10 @@ class CellOperator:
             per-column relative residuals.
 
         Raises:
-            ConfigError: tol is outside (0, 1).
+            ConfigError: tol is not a number in (0, 1).
             ConvergenceError: a column missed tol within the cap.
         """
-        if not 0 < tol < 1:
-            raise ConfigError("cell solve: tol must lie in (0, 1)")
+        tol = as_tolerance(tol, "cell solve: tol")
         if max_iter is None:
             max_iter = int(20.0 * np.sqrt(3 * self.grid.n_nodes)) + 10
         return block_pcg(self.matvec, self.precondition, self.project, rhs,

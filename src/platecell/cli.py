@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -206,22 +205,6 @@ def _cell(cfg):
 # Artifact plumbing
 # ---------------------------------------------------------------------------
 
-def _threads(args):
-    env = os.environ.get("PLATECELL_THREADS")
-    if env is not None:
-        try:
-            t = int(env)
-            if t < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError("PLATECELL_THREADS must be a positive integer, "
-                              "got %r" % env)
-        print("platecell: PLATECELL_THREADS=%d overrides --threads=%d"
-              % (t, args.threads), file=sys.stderr)
-        return t
-    return args.threads
-
-
 def _finish(args, payload, started, config):
     """Echo config + version into the payload and write primary artifact."""
     payload["config"] = config
@@ -303,7 +286,7 @@ def _cmd_isotropy(args, cfg, started):
     seeds, rotations, tol = (_read(cfg, path)
                              for path in ("seeds", "rotations", "tol"))
     ens = ensemble_effective(model, materials, grid, seeds, tol=tol,
-                             threads=_threads(args))
+                             threads=args.threads)
     report = isotropy_report(ens, rotation_count=rotations)
     fileio.write_ensemble_csv(args.out + ".csv", ens,
                               defects=report.ensemble)
@@ -375,10 +358,9 @@ def _cmd_decompose(args, cfg, started):
 def _cmd_recovery(args, cfg, started):
     iso = _under("isometry", IsometrySpec, **_block(cfg, "isometry"))
     rec = _block(cfg, "recovery")
+    rcfg = _under("recovery", RecoveryConfig, h_schedule=rec["h_schedule"])
     grid, materials, seed, phases = _cell(cfg)
-    rcfg = _under("recovery", RecoveryConfig, gamma=grid.gamma, **rec)
-    source = CellCorrectorSource(grid, phases, materials,
-                                 tol=rcfg.corrector_tol)
+    source = CellCorrectorSource(grid, phases, materials, rec["corrector_tol"])
     family = build_recovery(iso, rcfg, source)
     gaps = recovery_gaps(family)
     payload = {

@@ -39,7 +39,7 @@ Two decompositions live here.
 import numpy as np
 
 from ._mesh import N, dN, nodes, scatter
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, as_tolerance
 
 _LAYOUTS = ("nodes", "gauss")
 
@@ -143,10 +143,10 @@ def gradient_field(grid, scalar):
     return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
 
 
-def random_mixed_field(grid, seed, scale=1.0):
+def random_mixed_field(grid, seed):
     """Reproducible nodal white-noise field (for property checks and demos)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    vals = scale * rng.standard_normal((grid.n1, grid.n2, grid.n3 + 1, 3))
+    vals = rng.standard_normal((grid.n1, grid.n2, grid.n3 + 1, 3))
     return MixedField(vals, grid, layout="nodes")
 
 
@@ -222,8 +222,7 @@ def decompose_mixed(field, tol=1e-10):
     Raises:
         ConvergenceError: the verified residual is above tol.
     """
-    if not 0 < tol < 1:
-        raise ConfigError("decompose_mixed: tol must lie in (0, 1)")
+    tol = as_tolerance(tol, "decompose_mixed: tol")
     grid = field.grid
     B, wq = _scalar_tables(grid)
     B = B.reshape(24, 8)                  # rows (Gauss point, component)

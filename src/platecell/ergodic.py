@@ -196,9 +196,11 @@ def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):
     folded in the given seed order so the output is invariant to scheduling.
 
     Raises:
+        ConfigError: fewer than two seeds, or one not an integer >= 0.
         NumericalError: a per-seed failure, annotated with the seed.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [as_index(s, "ensemble_effective: seeds[%d]" % k, low=0)
+             for k, s in enumerate(seeds)]
     if len(seeds) < 2:
         raise ConfigError("ensemble_effective: need at least two seeds "
                           "(ensemble statistics are meaningless for one)")

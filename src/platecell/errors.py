@@ -13,14 +13,19 @@ class ConfigError(ValueError):
     """Invalid configuration or arguments; message names the offending field."""
 
 
-def as_index(value, name):
-    """`value` as an int; Python and numpy integers pass, while bools, floats
-    (8.0 too) and strings raise instead of being truncated or coerced."""
+def as_index(value, name, low=None):
+    """`value` as an int, at least `low` if given; Python and numpy integers
+    pass, while bools, floats (8.0 too) and strings raise instead of being
+    truncated or coerced."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or index >= low:
+                return index
+            raise ConfigError("%s must be >= %d, got %r" % (name, low, value))
     raise ConfigError("%s must be an integer, got %r" % (name, value))
 
 
@@ -35,6 +40,14 @@ def as_real(value, name):
         if math.isfinite(real):
             return real
     raise ConfigError("%s must be a finite number, got %r" % (name, value))
+
+
+def as_tolerance(value, name):
+    """`value` as a solver tolerance: a finite float in (0, 1)."""
+    tol = as_real(value, name)
+    if not 0 < tol < 1:
+        raise ConfigError("%s must lie in (0, 1), got %r" % (name, value))
+    return tol
 
 
 class NumericalError(RuntimeError):

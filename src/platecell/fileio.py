@@ -174,16 +174,13 @@ def write_series_csv(path, series):
                         repr(float(series.reference)), repr(float(err))])
 
 
-def write_ensemble_csv(path, ensemble, defects=None):
-    """CSV of per-seed Voigt entries (and isotropy defects if given)."""
+def write_ensemble_csv(path, ensemble, defects):
+    """CSV of per-seed Voigt entries and isotropy defects."""
     cols = ["seed"] + ["v%d%d" % (i, j) for i in range(3) for j in range(3)]
-    if defects is not None:
-        cols.append("defect")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
-        for k, (seed, form) in enumerate(zip(ensemble.seeds, ensemble.forms)):
-            row = [seed] + [repr(float(v)) for v in form.voigt3.ravel()]
-            if defects is not None:
-                row.append(repr(float(defects[k])))
-            w.writerow(row)
+        w.writerow(cols + ["defect"])
+        for seed, form, defect in zip(ensemble.seeds, ensemble.forms,
+                                      defects, strict=True):
+            w.writerow([seed] + [repr(float(v)) for v in form.voigt3.ravel()]
+                       + [repr(float(defect))])

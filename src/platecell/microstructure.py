@@ -58,9 +58,7 @@ class MicrostructureModel:
         if kind not in _KINDS:
             raise ConfigError("model.kind must be one of %s, got %r" % (_KINDS, kind))
         self.kind = kind
-        self.phase_count = as_index(phase_count, "model.phase_count")
-        if self.phase_count < 1:
-            raise ConfigError("model.phase_count must be >= 1")
+        self.phase_count = as_index(phase_count, "model.phase_count", low=1)
         self.period_hint = float(period_hint)
         self.intensity = None if intensity is None else float(intensity)
         if not isinstance(resample_on_empty, (bool, np.bool_)):
@@ -209,6 +207,7 @@ def sample_realization(model, seed, box_side):
     Philox streams; a zero-point draw raises unless the model requests
     resampling, in which case fresh streams are used.
     """
+    seed = as_index(seed, "sample_realization: seed", low=0)
     box_side = float(box_side)
     if not box_side > 0:
         raise ConfigError("box_side must be > 0")
@@ -308,9 +307,8 @@ def phase_grid(r, xs, ys):
 
 def rasterize(r, n1, n2):
     """Phase ids at element centers ((i+1/2) L/n1, (j+1/2) L/n2)."""
-    n1, n2 = as_index(n1, "rasterize: n1"), as_index(n2, "rasterize: n2")
-    if n1 < 1 or n2 < 1:
-        raise ConfigError("rasterize: n1, n2 must be >= 1")
+    n1 = as_index(n1, "rasterize: n1", low=1)
+    n2 = as_index(n2, "rasterize: n2", low=1)
     L = r.box_side
     cx = (np.arange(n1) + 0.5) * (L / n1)
     cy = (np.arange(n2) + 0.5) * (L / n2)

@@ -38,7 +38,7 @@ import numpy as np
 from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
-from .errors import ConfigError, NumericalError, as_index, as_real
+from .errors import ConfigError, NumericalError, as_real, as_tolerance
 from .material import svk_energy
 from .microstructure import _tensor_points
 
@@ -159,47 +159,32 @@ class RecoveryConfig:
     """Parameters of the recovery family.
 
     Args:
-        gamma: thickness-to-microscale ratio; the microscale of the h-member
-            is eps = h / gamma.
-        h_schedule: optional strictly decreasing thicknesses, for drivers
-            that sweep the family.
-        corrector_tol: CG tolerance of the cell solves behind the correctors.
+        gamma: optional thickness-to-microscale ratio, eps = h / gamma; the
+            family takes it from the cell grid its corrector is solved on,
+            and refuses a value here that differs from the grid's.
+        h_schedule: the thicknesses `recovery_gaps` evaluates, finite,
+            positive and strictly decreasing.
     """
 
-    def __init__(self, gamma=1.0, h_schedule=None, corrector_tol=1e-10):
-        gamma = as_real(gamma, "RecoveryConfig: gamma")
-        if not gamma > 0:
-            raise ConfigError("RecoveryConfig: gamma must be > 0")
+    def __init__(self, gamma=None, h_schedule=None):
+        if gamma is not None:
+            gamma = as_real(gamma, "RecoveryConfig: gamma")
+            if not gamma > 0:
+                raise ConfigError("RecoveryConfig: gamma must be > 0")
         if h_schedule is not None:
-            h_schedule = _h_schedule(h_schedule, "RecoveryConfig")
+            name = "RecoveryConfig: h_schedule"
+            try:
+                h_schedule = [as_real(h, "%s[%d]" % (name, k))
+                              for k, h in enumerate(h_schedule)]
+            except TypeError:
+                raise ConfigError("%s must be a list of numbers, got %r"
+                                  % (name, h_schedule)) from None
+            if not h_schedule or any(h <= 0 for h in h_schedule) or \
+                    any(b >= a for a, b in zip(h_schedule, h_schedule[1:])):
+                raise ConfigError("%s must be positive and strictly "
+                                  "decreasing" % name)
         self.gamma = gamma
         self.h_schedule = h_schedule
-        self.corrector_tol = _tolerance(corrector_tol,
-                                        "RecoveryConfig: corrector_tol")
-
-
-def _tolerance(value, name):
-    """A cell solve's tolerance as a float: a finite number in (0, 1)."""
-    tol = as_real(value, name)
-    if not 0 < tol < 1:
-        raise ConfigError("%s must lie in (0, 1), got %r" % (name, value))
-    return tol
-
-
-def _h_schedule(value, owner):
-    """Thicknesses of a sweep as floats: finite, positive and strictly
-    decreasing."""
-    name = "%s: h_schedule" % owner
-    try:
-        hs = [as_real(h, "%s[%d]" % (name, k)) for k, h in enumerate(value)]
-    except TypeError:
-        raise ConfigError("%s must be a list of numbers, got %r"
-                          % (name, value)) from None
-    if not hs or any(h <= 0 for h in hs) or \
-            any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError("%s must be positive and strictly decreasing"
-                          % name)
-    return hs
 
 
 class CellCorrectorSource:
@@ -211,7 +196,7 @@ class CellCorrectorSource:
         self.grid = grid
         self.phases = phases
         self.materials = materials
-        self.tol = _tolerance(tol, "CellCorrectorSource: tol")
+        self.tol = as_tolerance(tol, "CellCorrectorSource: tol")
         self._form = self._units = None
 
     def corrector(self, G):
@@ -238,13 +223,18 @@ class CellCorrectorSource:
 # ---------------------------------------------------------------------------
 
 class RecoveryFamily:
-    """The bent plate plus one rotated cell corrector, of load minus II."""
+    """The bent plate plus one rotated cell corrector, of load minus II, at
+    the gamma of the corrector's cell grid."""
 
     def __init__(self, iso, cfg, source):
         if not iso.constant_connection:
             raise ConfigError("build_recovery: isometry kind %r has no "
                               "constant connection, which the one-cell "
                               "energy needs" % (iso.kind,))
+        if cfg.gamma is not None and cfg.gamma != source.grid.gamma:
+            raise ConfigError("RecoveryConfig: gamma %r differs from the "
+                              "gamma %r of the corrector's cell grid"
+                              % (cfg.gamma, source.grid.gamma))
         self.iso = iso
         self.cfg = cfg
         self.source = source
@@ -315,8 +305,8 @@ class DeformationSampler:
             raise ConfigError("DeformationSampler: h must be > 0")
         self.family = family
         self.h = h
-        self.eps = h / family.cfg.gamma
         g = family.source.grid
+        self.eps = h / g.gamma
         self._hx = g.box_side / g.n1
         self._hy = g.box_side / g.n2
         self._n3 = g.n3
@@ -477,44 +467,35 @@ def evaluate_scaled_energy(sampler):
     return float(energy)
 
 
-def limit_energy(form, iso, resolution=32):
+def limit_energy(form, iso):
     """Homogenized bending energy of the isometry: integral of q(II).
 
-    Midpoint rule on a resolution^2 grid (exact for the constant-curvature
-    isometries shipped here).
+    Midpoint rule on a 32 x 32 grid, exact for the constant-curvature
+    isometries shipped here.
     """
-    resolution = as_index(resolution, "limit_energy: resolution")
-    if resolution < 1:
-        raise ConfigError("limit_energy: resolution must be >= 1")
     x0, y0, x1, y1 = iso.domain
-    xs = x0 + (np.arange(resolution) + 0.5) * (x1 - x0) / resolution
-    ys = y0 + (np.arange(resolution) + 0.5) * (y1 - y0) / resolution
+    n = 32
+    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
     II = iso.second_form(_tensor_points(xs, ys))
     return float(qgamma_eval(form, II).mean() * (x1 - x0) * (y1 - y0))
 
 
-def recovery_gaps(family, h_schedule=None):
-    """Scaled energies, the limit energy, and relative gaps per thickness.
-
-    Args:
-        family: the recovery family.
-        h_schedule: thicknesses, finite, positive and strictly decreasing;
-            default the family config's.
+def recovery_gaps(family):
+    """Scaled energies, the limit energy, and relative gaps per thickness of
+    the family config's h_schedule.
 
     Returns:
         dict with h_schedule, scaled (list), limit (float), gaps (list of
         (scaled - limit) / limit).
 
     Raises:
-        ConfigError: the limit energy is 0 (a flat isometry), where relative
-            gaps are undefined.
+        ConfigError: the config has no h_schedule, or the limit energy is 0
+            (a flat isometry), where relative gaps are undefined.
     """
-    if h_schedule is None:
-        hs = family.cfg.h_schedule
-        if not hs:
-            raise ConfigError("recovery_gaps: no h_schedule given")
-    else:
-        hs = _h_schedule(h_schedule, "recovery_gaps")
+    hs = family.cfg.h_schedule
+    if not hs:
+        raise ConfigError("recovery_gaps: RecoveryConfig has no h_schedule")
     limit = limit_energy(family.source.effective(), family.iso)
     if limit == 0:
         raise ConfigError("isometry: the limit energy of kind %r is 0, so "

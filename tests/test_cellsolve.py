@@ -46,6 +46,7 @@ from oracles import (
     plane_stress_form,
     single_phase_bending_discrete,
 )
+from test_recovery import BAD_TOLERANCES
 
 E1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E2 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -128,6 +129,19 @@ def test_operator_rejects_mismatched_inputs():
                      BENDING)
     with pytest.raises(ConfigError, match="parity"):
         CellOperator(grid, uniform_phases(4, 4), ONE_PHASE, (1, 1, 1))
+    # a phase grid rasterized on a box of side 2 is not solved on side 1
+    with pytest.raises(ConfigError, match="box_side 2.0 .* box_side 1.0"):
+        CellOperator(grid, uniform_phases(4, 4, 2.0), ONE_PHASE, BENDING)
+    with pytest.raises(ConfigError, match="box_side"):
+        effective_form(grid, uniform_phases(4, 4, 2.0), ONE_PHASE)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES + [None])
+def test_cell_solve_reads_tol_strictly(bad):
+    # no string, bool, None or out-of-range tolerance ends in a bare error
+    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="cell solve: tol"):
+        effective_form(grid, uniform_phases(4, 4), ONE_PHASE, tol=bad)
 
 
 def test_corrector_field_shape_checked():

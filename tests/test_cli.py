@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from platecell import cellsolve, cli, decomposition
+from platecell import CellCorrectorSource, cellsolve, cli, decomposition
+from platecell import recovery
 from platecell.cli import main
 from platecell.fileio import phase_grid_from_dict, read_field, read_json
 from oracles import single_phase_bending_discrete
@@ -412,18 +414,6 @@ def test_isotropy_thread_count_invisible(tmp_path):
     assert len(payload["per_seed_defects"]) == 3
 
 
-def test_threads_env_override_is_logged(tmp_path, capsys, monkeypatch):
-    grid = {"n1": 4, "n2": 4, "n3": 2, "gamma": 1.0, "L": 2.0}
-    cfg = write_cfg(tmp_path, {"model": VORONOI, "grid": grid,
-                               "seeds": [0, 1], "materials": MATS_TWO})
-    monkeypatch.setenv("PLATECELL_THREADS", "2")
-    assert run("isotropy", cfg, tmp_path / "iso.json") == 0
-    assert "PLATECELL_THREADS=2 overrides" in capsys.readouterr().err
-    monkeypatch.setenv("PLATECELL_THREADS", "many")
-    assert run("isotropy", cfg, tmp_path / "iso.json") == 2
-    assert "PLATECELL_THREADS" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # Malformed fields: exit 2 naming the field, before any numerical work
 # ---------------------------------------------------------------------------
@@ -553,9 +543,49 @@ def test_fields_are_checked_before_the_ensemble_is_solved(tmp_path, capsys,
 
 
 def test_every_config_field_is_documented():
+    # both ways: every field of the table behind the CLI is a row of
+    # README's config table, and every path there is a field, or the
+    # "box_side" spelling of an "L" field that the reader accepts
     readme = (CONFIGS.parent.parent / "README.md").read_text()
-    missing = [p for p in cli._FIELDS if "`%s`" % p not in readme]
-    assert not missing
+    section = readme.split("## Config fields")[1].split("\n## ")[0]
+    documented, aliases = set(), set()
+    for cell in re.findall(r"^\| (.+?) \|", section, re.M):
+        paths, _, alias = cell.partition(" (or ")
+        documented.update(re.findall(r"`([^`]+)`", paths))
+        aliases.update(re.findall(r"`([^`]+)`", alias))
+    fields = set(cli._FIELDS)
+    assert fields - documented == set()
+    assert documented - fields == set()
+    assert aliases == {p[:-1] + "box_side" for p in fields
+                       if p.rpartition(".")[2] == "L"}
+
+
+def test_recovery_corrector_tol_reaches_the_cell_solve(tmp_path,
+                                                        monkeypatch):
+    # the config key recovery.corrector_tol goes straight to the corrector
+    # source, and from it to the one bending solve
+    sources, solves = [], []
+
+    class Spy(CellCorrectorSource):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sources.append(self)
+
+    def bending_solve(*args, tol):
+        solves.append(tol)
+        return cellsolve.bending_solve(*args, tol=tol)
+
+    monkeypatch.setattr("platecell.cli.CellCorrectorSource", Spy)
+    monkeypatch.setattr(recovery, "bending_solve", bending_solve)
+    cfg = probe_base("recovery")
+    for tol, want in ((None, 1e-10), (1e-9, 1e-9)):
+        if tol is not None:
+            cfg["recovery"]["corrector_tol"] = tol
+        assert run("recovery", write_cfg(tmp_path, cfg),
+                   tmp_path / "o.json") == 0
+        assert [s.tol for s in sources] == solves == [want]
+        sources.clear()
+        solves.clear()
 
 
 def test_cli_tour_demo_runs(capsys):

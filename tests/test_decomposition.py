@@ -28,6 +28,7 @@ from platecell.decomposition import (
     _eigenbasis_1d,
     _scalar_tables,
 )
+from test_recovery import BAD_TOLERANCES
 
 GRID = RVEGrid(6, 6, 4, 1.0, 1.0)
 
@@ -137,6 +138,12 @@ def test_decompose_mixed_rejects_bad_tol():
     for tol in (0.0, -1e-8, 1.0, 1e300, float("nan")):
         with pytest.raises(ConfigError):
             decompose_mixed(random_mixed_field(GRID, 0), tol=tol)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES + [None])
+def test_decompose_mixed_reads_tol_strictly(bad):
+    with pytest.raises(ConfigError, match="decompose_mixed: tol"):
+        decompose_mixed(random_mixed_field(GRID, 0), tol=bad)
 
 
 @pytest.mark.parametrize("n_el, h, periodic",

@@ -233,6 +233,19 @@ def test_ensemble_needs_two_seeds():
         ensemble_effective(model, mats, grid, [], tol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [0.7, True, -1])
+def test_ensemble_reads_seeds_strictly(bad, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a seed was solved before the seeds were read")
+
+    monkeypatch.setattr("platecell.ergodic.effective_form", fail)
+    model = MicrostructureModel("checkerboard", period_hint=0.5)
+    grid = RVEGrid(4, 4, 2, 1.0, 1.0)
+    mats = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
+    with pytest.raises(ConfigError, match=r"ensemble_effective: seeds\[1\]"):
+        ensemble_effective(model, mats, grid, [0, bad], tol=1e-8)
+
+
 def test_threaded_ensemble_matches_serial():
     model = MicrostructureModel("poisson_voronoi", intensity=4.0,
                                 mark_distribution=[0.4, 0.6])

@@ -249,8 +249,6 @@ def test_ensemble_csv(tmp_path):
     assert rows[1][0] == "4"
     assert [float(v) for v in rows[1][1:]] == list(range(9)) + [0.125]
     assert [float(v) for v in rows[2][1:]] == [0.5] * 9 + [0.25]
-    # without defects the column disappears
-    write_ensemble_csv(path, ensemble)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][-1] == "v22"
+    # one defect per seed, no fewer
+    with pytest.raises(ValueError):
+        write_ensemble_csv(path, ensemble, defects=[0.125])

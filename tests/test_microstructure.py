@@ -314,6 +314,18 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
           rng.random(35) * 6.0 - 3.0)
 
 
+@pytest.mark.parametrize("bad", [0.7, True, "3", None, -1])
+@pytest.mark.parametrize("kind", ["checkerboard", "poisson_voronoi"])
+def test_sample_realization_reads_seed_strictly(kind, bad):
+    # 0.7 does not draw seed 0, True not seed 1, and -1 is refused for every
+    # kind alike
+    model = MicrostructureModel(kind, period_hint=0.5) \
+        if kind == "checkerboard" else voronoi_model()
+    with pytest.raises(ConfigError, match="sample_realization: seed"):
+        sample_realization(model, bad, 1.0)
+    assert sample_realization(model, np.int64(3), 1.0).seed == 3
+
+
 def test_zero_point_draw_raises_or_resamples():
     # mean count 1.5: empty draws occur for ~22% of seeds, retries succeed fast
     tiny = voronoi_model(intensity=1.5)

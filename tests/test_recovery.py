@@ -30,7 +30,8 @@ from platecell import (
     sample_realization,
     solve_corrector,
 )
-from platecell import cellsolve, recovery
+from platecell import cellsolve, cli, recovery
+from platecell.errors import as_tolerance
 from platecell.material import svk_energy
 from oracles import single_phase_bending_discrete
 
@@ -156,8 +157,6 @@ def test_recovery_config_validation():
     inf, nan = float("inf"), float("nan")
     for field, bad in (("gamma", {"gamma": inf}), ("gamma", {"gamma": "2"}),
                        ("gamma", {"gamma": True}),
-                       ("corrector_tol", {"corrector_tol": nan}),
-                       ("corrector_tol", {"corrector_tol": "1e-8"}),
                        ("h_schedule", {"h_schedule": [inf, 1.0]}),
                        ("h_schedule", {"h_schedule": [0.2, "0.1"]}),
                        ("h_schedule", {"h_schedule": [True, 0.5]})):
@@ -177,9 +176,11 @@ BAD_TOLERANCES = [2.0, 1.0, 0.0, -1.0, "0.1", True, float("nan")]
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
 def test_recovery_config_reads_corrector_tol_strictly(bad):
-    # no string, bool or out-of-range tolerance is coerced into a solve
-    with pytest.raises(ConfigError, match="RecoveryConfig: corrector_tol"):
-        RecoveryConfig(corrector_tol=bad)
+    # the config key recovery.corrector_tol, which the CLI hands to the
+    # corrector source: no string, bool or out-of-range tolerance is coerced
+    # into a solve
+    with pytest.raises(ConfigError, match="recovery.corrector_tol"):
+        cli._read({"corrector_tol": bad}, "recovery.corrector_tol")
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
@@ -190,11 +191,25 @@ def test_corrector_source_reads_tol_strictly(bad):
 
 
 def test_tolerances_read_numpy_numbers_as_floats():
-    assert RecoveryConfig(corrector_tol=np.float32(0.5)).corrector_tol == 0.5
+    tol = as_tolerance(np.float32(0.5), "tol")
+    assert type(tol) is float and tol == 0.5
     src = CellCorrectorSource(RVEGrid(4, 4, 4, 1.0, 1.0),
                               checker_phases(4, 4), TWO_PHASE,
                               tol=np.float64(1e-9))
     assert type(src.tol) is float and src.tol == 1e-9
+
+
+def test_family_takes_gamma_from_the_cell_grid():
+    # the corrector is solved at its grid's gamma; a config stating another
+    # is refused, naming the field, and one stating none takes the grid's
+    src = contrast5_source(4)                  # gamma 2
+    iso = cylinder_isometry(1.0)
+    with pytest.raises(ConfigError, match="RecoveryConfig: gamma 3.0"):
+        build_recovery(iso, RecoveryConfig(gamma=3.0), src)
+    stated = build_recovery(iso, RecoveryConfig(gamma=2), src).sampler(0.1)
+    implied = build_recovery(iso, RecoveryConfig(), src).sampler(0.1)
+    assert stated.eps == implied.eps == 0.1 / 2.0
+    assert evaluate_scaled_energy(stated) == evaluate_scaled_energy(implied)
 
 
 def test_sampler_needs_positive_thickness():
@@ -788,22 +803,6 @@ def test_limit_energy_closed_forms():
     npt.assert_allclose(
         limit_energy(M, cylinder_isometry(1.0, (0.0, 0.0, 1.0, 2.0))), 1.0,
         rtol=1e-13)
-    # constant curvature: any resolution integrates exactly
-    npt.assert_allclose(limit_energy(M, cylinder_isometry(1.0), resolution=5),
-                        limit_energy(M, cylinder_isometry(1.0)), rtol=1e-13)
-
-
-def test_limit_energy_resolution_is_a_positive_index():
-    M = np.diag([0.5, 0.5, 0.4])
-    iso = cylinder_isometry(1.0)
-    for bad in (2.5, 3.0, True, "32"):
-        with pytest.raises(ConfigError, match="resolution must be an int"):
-            limit_energy(M, iso, resolution=bad)
-    for bad in (0, -1):
-        with pytest.raises(ConfigError, match="resolution must be >= 1"):
-            limit_energy(M, iso, resolution=bad)
-    assert limit_energy(M, iso, resolution=np.int64(32)) \
-        == limit_energy(M, iso)
 
 
 def test_limit_energy_is_the_pointwise_midpoint_rule():
@@ -879,8 +878,9 @@ def test_gaps_fall_at_second_order_to_zero(name):
     # the family attains the cell solve's own discrete limit
     src = config_source(name)
     fam = build_recovery(cylinder_isometry(1.0, (0.0, 0.0, 0.4, 0.4)),
-                         RecoveryConfig(gamma=src.grid.gamma), src)
-    gaps = recovery_gaps(fam, h_schedule=[0.1, 0.05, 0.025, 0.0125])["gaps"]
+                         RecoveryConfig(h_schedule=[0.1, 0.05, 0.025, 0.0125]),
+                         src)
+    gaps = recovery_gaps(fam)["gaps"]
     assert all(g > 0.0 for g in gaps)
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 3.9 <= coarse / fine <= 4.1, gaps
@@ -893,8 +893,8 @@ def test_bench_recovery_gap_is_positive():
     src = contrast5_source(8)
     for radius in (0.8, 1.0, 1.25):
         fam = build_recovery(cylinder_isometry(radius),
-                             RecoveryConfig(gamma=2.0), src)
-        assert recovery_gaps(fam, h_schedule=[0.1])["gaps"][0] > 0.0
+                             RecoveryConfig(gamma=2.0, h_schedule=[0.1]), src)
+        assert recovery_gaps(fam)["gaps"][0] > 0.0
 
 
 def test_gap_trend_single_phase():
@@ -913,23 +913,26 @@ def test_gap_trend_single_phase():
 
 
 def test_recovery_gaps_needs_schedule():
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
-                         checker_source())
-    with pytest.raises(ConfigError):
+    src = checker_source()
+    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(), src)
+    with pytest.raises(ConfigError, match="no h_schedule"):
         recovery_gaps(fam)
-    out = recovery_gaps(fam, h_schedule=[0.4])
+    fam = build_recovery(cylinder_isometry(1.0),
+                         RecoveryConfig(h_schedule=[0.4]), src)
+    out = recovery_gaps(fam)
     assert set(out) == {"h_schedule", "scaled", "limit", "gaps"}
 
 
 def test_recovery_gaps_validate_their_schedule():
-    # the rule of RecoveryConfig.h_schedule: finite, positive, decreasing
-    fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
-                         checker_source())
+    # the gaps' thicknesses come from RecoveryConfig.h_schedule, which must
+    # be finite, positive and decreasing
     for bad in ([float("inf")], [0.4, 0.8], [0.4, 0.4], [0.4, -0.1], [],
                 [0.4, "0.2"], [True], 0.4):
-        with pytest.raises(ConfigError, match="recovery_gaps: h_schedule"):
-            recovery_gaps(fam, h_schedule=bad)
-    out = recovery_gaps(fam, h_schedule=(np.float64(0.4),))
+        with pytest.raises(ConfigError, match="RecoveryConfig: h_schedule"):
+            RecoveryConfig(h_schedule=bad)
+    cfg = RecoveryConfig(h_schedule=(np.float64(0.4),))
+    out = recovery_gaps(build_recovery(cylinder_isometry(1.0), cfg,
+                                       checker_source()))
     assert out["h_schedule"] == [0.4]
     assert type(out["h_schedule"][0]) is float
 
@@ -946,6 +949,7 @@ def test_corrector_load_must_be_finite():
 def test_recovery_gaps_refuse_a_zero_limit():
     """A flat isometry's limit energy is exactly 0: relative gaps are
     undefined there, so the gaps are refused instead of dividing by 0."""
-    fam = build_recovery(flat_isometry(), RecoveryConfig(), checker_source())
+    fam = build_recovery(flat_isometry(), RecoveryConfig(h_schedule=[0.4]),
+                         checker_source())
     with pytest.raises(ConfigError, match="isometry"):
-        recovery_gaps(fam, h_schedule=[0.4])
+        recovery_gaps(fam)

@@ -12,7 +12,7 @@ of the plain expressions x + alpha p, r - alpha q and z + beta p.
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 
 
 def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
@@ -40,6 +40,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
 
     Raises:
         ConvergenceError: some column is still above tol at the cap.
+        NumericalError: a relative residual is not finite (an overflow).
     """
     b = project(rhs.copy())
     bnorm = np.sqrt(np.einsum("ij,ij->j", b, b))
@@ -52,9 +53,12 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
     rz = np.einsum("ij,ij->j", r, z)
     rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
     history = [rel.copy()]
-    active = rel > tol
+    active = ~(rel <= tol)      # a nan is active, and raises at the loop head
     it = 0
     while active.any():
+        if not np.isfinite(rel).all():
+            raise NumericalError("PCG: relative residual %s is not finite "
+                                 "after %d iterations" % (rel.tolist(), it))
         if it >= max_iter:
             raise ConvergenceError(
                 "PCG: %d of %d columns above tol=%g after %d iterations "
@@ -69,7 +73,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         r -= np.multiply(alpha, q, out=q)
         rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
         history.append(rel.copy())
-        active = rel > tol
+        active = ~(rel <= tol)
         z = project(precondition(r))
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)

@@ -62,8 +62,8 @@ import numpy as np
 
 from ._krylov import block_pcg
 from ._mesh import GAUSS, column_keys, dN, nodes, scatter
-from .errors import ConfigError, NumericalError, as_index, as_real, \
-    as_tolerance
+from .errors import ConfigError, NumericalError, as_array, as_index, \
+    as_real
 from .material import SQRT2, isotropic_form
 from .microstructure import PhaseGrid
 
@@ -78,17 +78,11 @@ class RVEGrid:
     def __init__(self, n1, n2, n3, gamma, box_side):
         self.n1 = as_index(n1, "grid: n1")
         self.n2 = as_index(n2, "grid: n2")
-        self.n3 = as_index(n3, "grid: n3")
-        self.gamma = as_real(gamma, "grid: gamma")
-        self.box_side = as_real(box_side, "grid: box_side")
+        self.n3 = as_index(n3, "grid: n3", low=2)
+        self.gamma = as_real(gamma, "grid: gamma", 0)
+        self.box_side = as_real(box_side, "grid: box_side", 0)
         if self.n1 < 2 or self.n2 < 2 or self.n1 % 2 or self.n2 % 2:
             raise ConfigError("grid: n1, n2 must be even and >= 2")
-        if self.n3 < 2:
-            raise ConfigError("grid: n3 must be >= 2")
-        if not self.gamma > 0:
-            raise ConfigError("grid: gamma must be > 0")
-        if not self.box_side > 0:
-            raise ConfigError("grid: box_side must be > 0")
 
     @property
     def n_nodes(self):
@@ -118,12 +112,7 @@ class CellLoad:
     def _check(M, name):
         if M is None:
             return np.zeros((2, 2))
-        M = np.asarray(M, dtype=float)
-        if M.shape != (2, 2):
-            raise ConfigError("load.%s must be 2x2" % name)
-        if not np.all(np.isfinite(M)):
-            raise ConfigError("load.%s must be finite, got %r"
-                              % (name, M.tolist()))
+        M = as_array(M, "load." + name, (2, 2))
         if np.max(np.abs(M - M.T)) > 1e-14 * max(1.0, np.max(np.abs(M))):
             raise ConfigError("load.%s must be symmetric within 1e-14" % name)
         return 0.5 * (M + M.T)
@@ -547,7 +536,7 @@ class CellOperator:
             ConfigError: tol is not a number in (0, 1).
             ConvergenceError: a column missed tol within the cap.
         """
-        tol = as_tolerance(tol, "cell solve: tol")
+        tol = as_real(tol, "cell solve: tol", 0, 1)
         if max_iter is None:
             max_iter = int(20.0 * np.sqrt(3 * self.grid.n_nodes)) + 10
         return block_pcg(self.matvec, self.precondition, self.project, rhs,
@@ -620,9 +609,7 @@ class EffectiveBendingForm:
     """3x3 Voigt representation of the effective bending form."""
 
     def __init__(self, voigt3):
-        voigt3 = np.asarray(voigt3, dtype=float)
-        if voigt3.shape != (3, 3):
-            raise ConfigError("EffectiveBendingForm.voigt3 must be 3x3")
+        voigt3 = as_array(voigt3, "EffectiveBendingForm.voigt3", (3, 3))
         self.voigt3 = 0.5 * (voigt3 + voigt3.T)
 
 
@@ -631,8 +618,9 @@ def _symmetrized(M, name):
     `name`, checked positive definite."""
     asym = float(np.max(np.abs(M - M.T)))
     M = 0.5 * (M + M.T)
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= 0:
+    # a non-finite tensor, on which eigvalsh may raise, reads as eigenvalue nan
+    w = np.linalg.eigvalsh(M) if np.isfinite(M).all() else [np.nan]
+    if not w[0] > 0:
         raise NumericalError("%s is not positive definite (min eigenvalue %g); "
                              "the solve is under-resolved or the material "
                              "table is invalid" % (name, w[0]))

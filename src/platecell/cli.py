@@ -16,7 +16,6 @@ of the same config are byte-identical regardless of --threads.
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -31,7 +30,7 @@ from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
     isotropy_report
 from .errors import ConfigError, ConvergenceError, DegenerateRealizationError, \
-    NumericalError
+    NumericalError, as_index, as_real
 from . import fileio
 from .material import PhaseMaterial, material_table
 from .microstructure import MicrostructureModel, rasterize, sample_realization
@@ -103,34 +102,38 @@ def _list_of(test, size=None):
         and size in (None, len(v)) and all(map(test, v))
 
 
-def _is_num(v):
-    """A JSON number that reads as a finite float, as in errors.as_real."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:       # an int beyond the float range
-        return False
+def _reads(read, *bounds):
+    """Test that the errors reader `read` accepts a value within `bounds`."""
+    def test(v):
+        try:
+            return read(v, "", *bounds) is not None
+        except ConfigError:
+            return False
+    return test
 
 
-# what a field must be -> the test of its JSON value; type() is exact, so no
-# bool passes for a number, no float for an integer, no string for either
+_number = _reads(as_real)
+
+# what a field must be -> the test of its JSON value by the errors readers:
+# no bool passes for a number, no float for an integer, no string for either
 _TYPES = {
-    "an integer": lambda v: type(v) is int,
-    "an integer >= 0": lambda v: type(v) is int and v >= 0,
-    "an integer >= 8": lambda v: type(v) is int and v >= 8,
-    "a number": _is_num,
-    "a number > 0": lambda v: _is_num(v) and v > 0,
-    "a number in (0, 1)": lambda v: _is_num(v) and 0 < v < 1,
+    "an integer": _reads(as_index),
+    "an integer >= 0": _reads(as_index, 0),
+    "an integer >= 8": _reads(as_index, 8),
+    "a number": _number,
+    "a number > 0": _reads(as_real, 0),
+    "a number in (0, 1)": _reads(as_real, 0, 1),
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: type(v) is str,
     "an object": lambda v: type(v) is dict,
     "a list of objects": _list_of(lambda v: type(v) is dict),
-    "a list of numbers": _list_of(_is_num),
-    "a list of integers >= 0": _list_of(lambda v: type(v) is int and v >= 0),
-    "a list of 4 numbers": _list_of(_is_num, 4),
-    "a 2x2 matrix": _list_of(_list_of(_is_num, 2), 2),
+    "a list of numbers": _list_of(_number),
+    "a list of integers >= 0": _list_of(_reads(as_index, 0)),
+    "a list of 4 numbers": _list_of(_number, 4),
+    "a 2x2 matrix": _list_of(_list_of(_number, 2), 2),
     "a list of numbers or an object of numbers by phase id":
-        lambda v: _list_of(_is_num)(v) or type(v) is dict and all(
-            k.isdecimal() and _is_num(x) for k, x in v.items()),
+        lambda v: _list_of(_number)(v) or type(v) is dict and all(
+            k.isdecimal() and _number(x) for k, x in v.items()),
 }
 
 
@@ -307,7 +310,7 @@ def _cmd_ergodic(args, cfg, started):
     window, epsilons, f_table, step = (
         _read(cfg, path) for path in ("window", "epsilons", "f_table", "step"))
     if isinstance(f_table, dict):
-        f_table = {int(k): float(v) for k, v in f_table.items()}
+        f_table = {int(k): v for k, v in f_table.items()}
     r = _under("L", sample_realization, model, seed, box)
     series = birkhoff_average(r, f_table, window, epsilons, step=step)
     C, ok = birkhoff_rate(series)
@@ -334,11 +337,16 @@ def _cmd_decompose(args, cfg, started):
         field = random_mixed_field(grid, _read(cfg, "seed"))
     else:
         try:
-            values, _ = _under("field", fileio.read_field, field_file)
+            values, header = _under("field", fileio.read_field, field_file)
         except OSError as exc:
             raise ConfigError("field: cannot read field file: %s" % exc) \
                 from exc
-        field = _under("field", MixedField, values, grid, layout="nodes")
+        # gamma does not enter the split, so only the mesh and box must agree
+        got = [header[k] for k in ("n1", "n2", "n3", "L")]
+        if got != [grid.n1, grid.n2, grid.n3, grid.box_side]:
+            raise ConfigError("field: the file's grid n1, n2, n3, L = %s "
+                              "differs from the config's %r" % (got, grid))
+        field = MixedField(values, grid, layout="nodes")
     # interpolated once, then shared by the splitting and its report
     field = to_gauss(field)
     dec = decompose_mixed(field, tol=tol)
@@ -451,6 +459,8 @@ def main(argv=None):
                   % hist_path, file=sys.stderr)
         except OSError:
             pass
+        except ValueError:      # a history that is not finite, so not JSON
+            _write_failure(args.out, exc)
         print("platecell: numerical failure: %s" % exc, file=sys.stderr)
         return 1
     except DegenerateRealizationError as exc:

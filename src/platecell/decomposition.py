@@ -39,7 +39,8 @@ Two decompositions live here.
 import numpy as np
 
 from ._mesh import N, dN, nodes, scatter
-from .errors import ConfigError, ConvergenceError, as_tolerance
+from .errors import ConfigError, ConvergenceError, as_array, as_index, \
+    as_real
 
 _LAYOUTS = ("nodes", "gauss")
 
@@ -133,10 +134,8 @@ def gradient_field(grid, scalar):
     Useful for building fields that are exact gradients of the finite element
     space (e.g. to test that their solenoidal part vanishes).
     """
-    scalar = np.asarray(scalar, dtype=float)
-    if scalar.shape != (grid.n1, grid.n2, grid.n3 + 1):
-        raise ConfigError("gradient_field: scalar must be nodal, shape %s"
-                          % ((grid.n1, grid.n2, grid.n3 + 1),))
+    scalar = as_array(scalar, "gradient_field: scalar",
+                      (grid.n1, grid.n2, grid.n3 + 1))
     B, _ = _scalar_tables(grid)
     edof = nodes(grid.n1, grid.n2, grid.n3)
     vals = scalar.reshape(-1)[edof] @ B.reshape(24, 8).T
@@ -145,6 +144,7 @@ def gradient_field(grid, scalar):
 
 def random_mixed_field(grid, seed):
     """Reproducible nodal white-noise field (for property checks and demos)."""
+    seed = as_index(seed, "random_mixed_field: seed", low=0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     vals = rng.standard_normal((grid.n1, grid.n2, grid.n3 + 1, 3))
     return MixedField(vals, grid, layout="nodes")
@@ -222,7 +222,7 @@ def decompose_mixed(field, tol=1e-10):
     Raises:
         ConvergenceError: the verified residual is above tol.
     """
-    tol = as_tolerance(tol, "decompose_mixed: tol")
+    tol = as_real(tol, "decompose_mixed: tol", 0, 1)
     grid = field.grid
     B, wq = _scalar_tables(grid)
     B = B.reshape(24, 8)                  # rows (Gauss point, component)
@@ -323,7 +323,7 @@ def _wavenumbers(n, box_side):
     of real fields; treating it as non-differentiable (k = 0, so those modes
     stay in remainders) keeps every projection exactly real and orthogonal.
     """
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=float(box_side) / n)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=box_side / n)
     if n % 2 == 0:
         k1[n // 2] = 0.0
     kx, ky = np.empty((n, n)), np.empty((n, n))
@@ -332,10 +332,10 @@ def _wavenumbers(n, box_side):
     return kx, ky
 
 
-def _check_sym_field(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 4 or A.shape[2:] != (2, 2) or A.shape[0] != A.shape[1]:
-        raise ConfigError("expected a square (n, n, 2, 2) field")
+def _check_sym_field(A, name):
+    A = as_array(A, name, (None, None, 2, 2))
+    if A.shape[0] != A.shape[1]:
+        raise ConfigError("%s: expected a square (n, n, 2, 2) field" % name)
     if np.max(np.abs(A - np.swapaxes(A, 2, 3))) > 1e-12 * max(
             1.0, float(np.max(np.abs(A)))):
         raise ConfigError("matrix field is not symmetric")
@@ -359,11 +359,9 @@ def decompose_second_order(A, box_side=1.0):
     Returns:
         SecondOrderSplit.
     """
-    A = _check_sym_field(A)
+    A = _check_sym_field(A, "decompose_second_order: A")
     n = A.shape[0]
-    L = float(box_side)
-    if not L > 0:
-        raise ConfigError("box_side must be > 0")
+    L = as_real(box_side, "decompose_second_order: box_side", 0)
     Ah = np.fft.fft2(A, axes=(0, 1))
     kx, ky = _wavenumbers(n, L)
     k2 = kx * kx + ky * ky
@@ -392,7 +390,7 @@ def hessian_pairing(split, other):
     pairing vanishes mode-by-mode (2x2 cofactors are linear), so this is a
     rounding-level check of the structural orthogonality.
     """
-    other = _check_sym_field(other)
+    other = _check_sym_field(other, "hessian_pairing: other")
     H = split.hessian
     num = abs(float(np.sum(H * other))) / H.shape[0] ** 2
     den = max(np.sqrt(float(np.sum(H * H)) * float(np.sum(other * other)))
@@ -409,7 +407,8 @@ def cof_sym_grad(b, box_side=1.0):
     Returns:
         (n, n, 2, 2) symmetric field.
     """
-    G = _spectral_grad(np.asarray(b, dtype=float), box_side)
+    G = _spectral_grad(as_array(b, "cof_sym_grad: b", (None, None, 2)),
+                       as_real(box_side, "cof_sym_grad: box_side", 0))
     S = 0.5 * (G + np.swapaxes(G, 2, 3))
     return _cof2(S)
 
@@ -440,7 +439,7 @@ def _spectral_grad(b, box_side):
 def _fd_grad(b, box_side):
     """Second-order centered periodic differences of a (n, n, 2) field."""
     n = b.shape[0]
-    h = float(box_side) / n
+    h = box_side / n
     G = np.empty(b.shape[:2] + (2, 2))
     G[..., 0] = (np.roll(b, -1, axis=0) - np.roll(b, 1, axis=0)) / (2 * h)
     G[..., 1] = (np.roll(b, -1, axis=1) - np.roll(b, 1, axis=1)) / (2 * h)
@@ -468,7 +467,8 @@ def div_cof_residual(b, box_side=1.0, method="spectral", grad=None):
     Returns:
         float: RMS(div cof) * (box_side / 2 pi) / RMS(cof).
     """
-    b = np.asarray(b, dtype=float)
+    b = as_array(b, "div_cof_residual: b", (None, None, 2))
+    box_side = as_real(box_side, "div_cof_residual: box_side", 0)
     if method == "spectral":
         d1 = _spectral_grad
     elif method == "fd2":
@@ -478,10 +478,7 @@ def div_cof_residual(b, box_side=1.0, method="spectral", grad=None):
                           "'fd2', got %r" % (method,))
     G = _spectral_grad(b, box_side)
     if grad is not None:
-        grad = np.asarray(grad, dtype=float)
-        if grad.shape != (2, 2):
-            raise ConfigError("div_cof_residual: grad must be 2x2")
-        G = G + grad
+        G = G + as_array(grad, "div_cof_residual: grad", (2, 2))
     C = _cof2(G)
     # row-wise divergence: r_i = d_a C[i, a]
     Cx = d1(C[..., :, 0], box_side)   # derivatives of column a=0
@@ -489,4 +486,4 @@ def div_cof_residual(b, box_side=1.0, method="spectral", grad=None):
     r = Cx[..., 0] + Cy[..., 1]
     rms_r = np.sqrt(float(np.mean(r * r)))
     rms_c = np.sqrt(float(np.mean(C * C)))
-    return rms_r * (float(box_side) / (2.0 * np.pi)) / max(rms_c, 1e-30)
+    return rms_r * (box_side / (2.0 * np.pi)) / max(rms_c, 1e-30)

@@ -14,7 +14,8 @@ import concurrent.futures
 import numpy as np
 
 from .cellsolve import EffectiveBendingForm, effective_form, qgamma_eval
-from .errors import ConfigError, NumericalError, as_index, as_real
+from .errors import ConfigError, NumericalError, as_array, as_index, \
+    as_real
 from .material import SQRT2
 from .microstructure import phase_grid, rasterize, sample_realization
 
@@ -39,19 +40,14 @@ class BirkhoffSeries:
 def _phase_values(f_table, phase_ids):
     """Normalize {phase: value} / sequence into a dense lookup array."""
     if isinstance(f_table, dict):
-        missing = [p for p in phase_ids if p not in f_table]
-        if missing:
-            raise ConfigError("f_table lacks values for phases %s" % missing)
-        extra = sorted(int(p) for p in f_table if int(p) not in phase_ids)
-        if extra:
-            raise ConfigError("f_table has values for phases %s outside the "
-                              "model's phases %s" % (extra, phase_ids))
-        out = np.zeros(max(phase_ids) + 1)
-        for p, v in f_table.items():
-            out[int(p)] = float(v)
-        return out
-    out = np.asarray(f_table, dtype=float)
-    if out.ndim != 1 or len(out) <= max(phase_ids):
+        table = {as_index(p, "f_table: phase id"):
+                 as_real(v, "f_table[%r]" % (p,)) for p, v in f_table.items()}
+        if sorted(table) != phase_ids:
+            raise ConfigError("f_table has values for phases %s, not for the "
+                              "model's phases %s" % (sorted(table), phase_ids))
+        return np.array([table[p] for p in phase_ids])
+    out = as_array(f_table, "f_table", (None,))
+    if len(out) <= max(phase_ids):
         raise ConfigError("f_table must cover phases up to %d"
                           % max(phase_ids))
     return out
@@ -85,20 +81,16 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     Returns:
         BirkhoffSeries with the model's ensemble mean as reference.
     """
-    x0, y0, x1, y1 = (as_real(v, "birkhoff_average: window[%d]" % k)
-                      for k, v in enumerate(window))
+    x0, y0, x1, y1 = as_array(window, "birkhoff_average: window",
+                              (4,)).tolist()
     if not (x1 > x0 and y1 > y0):
         raise ConfigError("birkhoff_average: empty window %r" % (window,))
     if step is not None:
-        step = as_real(step, "birkhoff_average: step")
-        if not step > 0:
-            raise ConfigError("birkhoff_average: step must be > 0")
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.ndim != 1 or len(eps) == 0 or np.any(eps <= 0):
-        raise ConfigError("birkhoff_average: epsilons must be positive")
-    if np.any(np.diff(eps) >= 0):
-        raise ConfigError("birkhoff_average: epsilons must be strictly "
-                          "decreasing")
+        step = as_real(step, "birkhoff_average: step", 0)
+    eps = as_array(epsilons, "birkhoff_average: epsilons", (None,))
+    if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+        raise ConfigError("birkhoff_average: epsilons must be positive and "
+                          "strictly decreasing")
     phase_ids = realization.model.phase_ids()
     values = _phase_values(f_table, phase_ids)
     probs = _phase_probabilities(realization.model)
@@ -151,16 +143,12 @@ def isotropy_defect(form, rotation_count=8):
     Returns:
         float: max over probes/angles of |q(R^T G R) - q(G)| / max(q(G), tiny).
     """
+    # coarser sweeps than 8 rotations miss off-axis anisotropy
     rotation_count = as_index(rotation_count,
-                              "isotropy_defect: rotation_count")
-    if rotation_count < 8:
-        raise ConfigError("isotropy_defect: rotation_count must be >= 8 "
-                          "(coarser sweeps miss off-axis anisotropy)")
+                              "isotropy_defect: rotation_count", low=8)
     if isinstance(form, EffectiveBendingForm):
         form = form.voigt3
-    form = np.asarray(form, dtype=float)
-    if form.shape != (3, 3):
-        raise ConfigError("isotropy_defect: expected a 3x3 Voigt matrix")
+    form = as_array(form, "isotropy_defect: form", (3, 3))
     worst = 0.0
     for G in _PROBES:
         base = qgamma_eval(form, G)

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, as_index, as_real
+from .errors import ConfigError, as_array, as_index, as_real
 from .microstructure import _PERIODIC_KINDS, MicrostructureModel, \
     MicrostructureRealization, PhaseGrid
 
@@ -28,9 +28,10 @@ def canonical_json(obj):
 
 
 def write_json(path, obj):
+    """Canonical JSON to `path`, serialized before the file is opened."""
+    text = canonical_json(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path):
@@ -61,22 +62,15 @@ def realization_to_dict(r):
 def realization_from_dict(d):
     try:
         model = MicrostructureModel.from_dict(d["model"])
-        pts = np.asarray([[as_real(p[0], "point coordinate"),
-                           as_real(p[1], "point coordinate")]
-                          for p in d["points"]], dtype=float)
-        marks = np.asarray([as_index(p[2], "mark") for p in d["points"]],
-                           dtype=np.int64)
-        if len(pts) == 0:
-            if model.kind not in _PERIODIC_KINDS:
-                raise ConfigError("realization of a %r model has no points"
-                                  % model.kind)
-            pts = None
-            marks = None
+        points = d["points"]
+        if not points and model.kind not in _PERIODIC_KINDS:
+            raise ConfigError("realization of a %r model has no points"
+                              % model.kind)
         return MicrostructureRealization(
-            model, as_index(d["seed"], "realization file: seed"),
-            as_real(d["box_side"], "box_side"),
-            points=pts, marks=marks,
-            offset=[as_real(v, "offset") for v in d.get("offset", (0.0, 0.0))])
+            model, d["seed"], d["box_side"],
+            points=[p[:2] for p in points] if points else None,
+            marks=[p[2] for p in points] if points else None,
+            offset=d.get("offset", (0.0, 0.0)))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError("malformed realization file: %s" % exc) from exc
 
@@ -92,12 +86,10 @@ def phase_grid_to_dict(pg):
 
 def phase_grid_from_dict(d):
     try:
-        n1 = as_index(d["n1"], "n1")
-        n2 = as_index(d["n2"], "n2")
-        cells = np.asarray([as_index(v, "cell_phase entry")
-                            for v in d["cell_phase"]],
-                           dtype=np.int64).reshape(n1, n2)
-        return PhaseGrid(n1, n2, as_real(d["box_side"], "box_side"), cells)
+        n1, n2 = as_index(d["n1"], "n1"), as_index(d["n2"], "n2")
+        cells = as_array(d["cell_phase"], "cell_phase", (n1 * n2,),
+                         integer=True)
+        return PhaseGrid(n1, n2, d["box_side"], cells.reshape(n1, n2))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed phase grid: %s" % exc) from exc
 
@@ -124,7 +116,7 @@ def write_field(path, values, grid):
 
 
 def read_field(path):
-    """Read a field written by write_field; returns (values, header dict)."""
+    """Read a field written by write_field: (values, header dict), checked."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         raw = fh.read()
@@ -132,7 +124,9 @@ def read_field(path):
         header = json.loads(header_line.decode("utf-8"))
         n1, n2, n3 = (as_index(header[k], "header " + k)
                       for k in ("n1", "n2", "n3"))
-        values = np.frombuffer(raw, dtype="<f8").reshape(n1, n2, n3 + 1, 3)
+        header["L"] = as_real(header["L"], "header L", 0)
+        values = as_array(np.frombuffer(raw, dtype="<f8").reshape(
+            n1, n2, n3 + 1, 3), "values")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("malformed field file %s: %s" % (path, exc)) from exc
     return values.copy(), header

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, as_index, as_real
+from .errors import ConfigError, as_array, as_index, as_real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -77,9 +77,7 @@ class StrainForm:
     """A quadratic form on symmetric 3x3 strains, stored as a 6x6 Voigt matrix."""
 
     def __init__(self, voigt):
-        voigt = np.asarray(voigt, dtype=float)
-        if voigt.shape != (6, 6):
-            raise ConfigError("StrainForm.voigt must be 6x6, got %s" % (voigt.shape,))
+        voigt = as_array(voigt, "StrainForm.voigt", (6, 6))
         if np.max(np.abs(voigt - voigt.T)) > 1e-12 * max(1.0, np.max(np.abs(voigt))):
             raise ConfigError("StrainForm.voigt must be symmetric within 1e-12")
         self.voigt = 0.5 * (voigt + voigt.T)
@@ -94,8 +92,8 @@ def isotropic_form(mu, lam):
     Normal block 2*mu*I + lam*(1 x 1), shear block 2*mu*I; eigenvalues
     {2mu (x5), 2mu + 3lam}.
     """
-    if not mu > 0:
-        raise ConfigError("isotropic_form: mu must be > 0, got %r" % (mu,))
+    mu = as_real(mu, "isotropic_form: mu", 0)
+    lam = as_real(lam, "isotropic_form: lambda")
     if lam < 0:
         raise ConfigError("isotropic_form: lambda must be >= 0, got %r" % (lam,))
     V = 2.0 * mu * np.eye(6)
@@ -209,8 +207,8 @@ def taylor_check(phase, G, t_values):
     For the SVK density the residual decays linearly in t (cubic term of W),
     and for skew G it decays quadratically (the cubic term vanishes).
     """
-    G = np.asarray(G, dtype=float)
-    t_values = np.asarray(t_values, dtype=float)
+    G = as_array(G, "taylor_check: G", (3, 3))
+    t_values = as_array(t_values, "taylor_check: t_values", (None,))
     if np.any(t_values <= 0) or np.any(np.diff(t_values) >= 0):
         raise ConfigError("taylor_check: t_values must be positive and decreasing")
     g2 = float(np.sum(G * G))

@@ -23,7 +23,8 @@ import copy
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRealizationError, as_index
+from .errors import ConfigError, DegenerateRealizationError, as_array, \
+    as_index, as_real
 
 _PERIODIC_KINDS = ("periodic_texture", "checkerboard")
 _KINDS = _PERIODIC_KINDS + ("poisson_voronoi",)
@@ -35,7 +36,7 @@ _ENTRIES = 16 * 4096
 
 def _rng(seed, stream):
     """Philox generator on an independent stream of the given seed."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -45,8 +46,8 @@ class MicrostructureModel:
     Args:
         kind: one of periodic_texture | checkerboard | poisson_voronoi.
         phase_count: number of phases (periodic kinds: 1 or 2).
-        period_hint: texture period / tile side for periodic kinds.
-        intensity: mean points per unit area (poisson_voronoi).
+        period_hint: texture period / tile side for periodic kinds; > 0.
+        intensity: mean points per unit area (poisson_voronoi); > 0.
         mark_distribution: per-phase mark probabilities for poisson_voronoi
             (length phase_count); defaults to uniform.
         resample_on_empty: retry (with fresh streams) when a Poisson draw
@@ -59,29 +60,23 @@ class MicrostructureModel:
             raise ConfigError("model.kind must be one of %s, got %r" % (_KINDS, kind))
         self.kind = kind
         self.phase_count = as_index(phase_count, "model.phase_count", low=1)
-        self.period_hint = float(period_hint)
-        self.intensity = None if intensity is None else float(intensity)
         if not isinstance(resample_on_empty, (bool, np.bool_)):
             raise ConfigError("model.resample_on_empty must be true or false, "
                               "got %r" % (resample_on_empty,))
         self.resample_on_empty = bool(resample_on_empty)
 
-        if kind in _PERIODIC_KINDS:
-            if not self.period_hint > 0:
-                raise ConfigError("model.period_hint must be > 0 for periodic kinds")
-            if self.phase_count > 2:
-                raise ConfigError("model.phase_count: periodic textures ship with "
-                                  "at most 2 phases")
-            self.mark_distribution = None
-        else:
-            if self.intensity is None or not self.intensity > 0:
-                raise ConfigError("model.intensity must be > 0 for poisson_voronoi")
+        self.period_hint = as_real(period_hint, "model.period_hint", 0)
+        self.intensity = as_real(intensity, "model.intensity", 0) \
+            if intensity is not None or kind not in _PERIODIC_KINDS else None
+        self.mark_distribution = None
+        if kind in _PERIODIC_KINDS and self.phase_count > 2:
+            raise ConfigError("model.phase_count: periodic textures ship with "
+                              "at most 2 phases")
+        if kind == "poisson_voronoi":
             if mark_distribution is None:
                 mark_distribution = [1.0 / self.phase_count] * self.phase_count
-            probs = np.asarray(mark_distribution, dtype=float)
-            if probs.shape != (self.phase_count,):
-                raise ConfigError("model.mark_distribution must list one "
-                                  "probability per phase")
+            probs = as_array(mark_distribution, "model.mark_distribution",
+                             (self.phase_count,))
             if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
                 raise ConfigError("model.mark_distribution: probabilities must be "
                                   "nonnegative and sum to 1")
@@ -102,12 +97,7 @@ class MicrostructureModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["kind"],
-                   phase_count=d.get("phase_count", 2),
-                   period_hint=d.get("period_hint", 1.0),
-                   intensity=d.get("intensity"),
-                   mark_distribution=d.get("mark_distribution"),
-                   resample_on_empty=d.get("resample_on_empty", False))
+        return cls(**d)
 
 
 class PhaseGrid:
@@ -116,12 +106,9 @@ class PhaseGrid:
     def __init__(self, n1, n2, box_side, cell_phase):
         self.n1 = as_index(n1, "PhaseGrid.n1")
         self.n2 = as_index(n2, "PhaseGrid.n2")
-        self.box_side = float(box_side)
-        if not 0 < self.box_side < np.inf:
-            raise ConfigError("PhaseGrid.box_side must be finite and > 0")
-        cell_phase = np.asarray(cell_phase, dtype=np.int64)
-        if cell_phase.shape != (self.n1, self.n2):
-            raise ConfigError("PhaseGrid.cell_phase must have shape (n1, n2)")
+        self.box_side = as_real(box_side, "PhaseGrid.box_side", 0)
+        cell_phase = as_array(cell_phase, "PhaseGrid.cell_phase",
+                              (self.n1, self.n2), integer=True)
         if (cell_phase < 0).any():
             raise ConfigError("PhaseGrid.cell_phase ids must be >= 0")
         self.cell_phase = cell_phase
@@ -184,17 +171,17 @@ class MicrostructureRealization:
     def __init__(self, model, seed, box_side, points=None, marks=None,
                  offset=(0.0, 0.0), stream_base=0):
         self.model = model
-        self.seed = int(seed)
-        self.box_side = float(box_side)
-        if not 0 < self.box_side < np.inf:
-            raise ConfigError("realization box_side must be finite and > 0")
-        self.points = None if points is None else np.asarray(points, dtype=float)
-        self.marks = None if marks is None else np.asarray(marks, dtype=np.int64)
-        self.offset = np.asarray(offset, dtype=float).reshape(2).copy()
-        self.stream_base = int(stream_base)
+        self.seed = as_index(seed, "realization seed", low=0)
+        self.box_side = as_real(box_side, "realization box_side", 0)
+        self.offset = as_array(offset, "realization offset", (2,)).copy()
+        self.stream_base = as_index(stream_base, "realization stream_base",
+                                    low=0)
         # site indices in (x, y, index) order, read-only; shifts share it
-        self._order = None
-        if self.points is not None:
+        self.points = self.marks = self._order = None
+        if points is not None:
+            self.points = as_array(points, "realization points", (None, 2))
+            self.marks = as_array(marks, "realization marks",
+                                  (len(self.points),), integer=True)
             self._order = np.lexsort((self.points[:, 1], self.points[:, 0]))
             self._order.flags.writeable = False
 
@@ -208,9 +195,7 @@ def sample_realization(model, seed, box_side):
     resampling, in which case fresh streams are used.
     """
     seed = as_index(seed, "sample_realization: seed", low=0)
-    box_side = float(box_side)
-    if not box_side > 0:
-        raise ConfigError("box_side must be > 0")
+    box_side = as_real(box_side, "sample_realization: box_side", 0)
     if model.kind in _PERIODIC_KINDS:
         ratio = box_side / model.period_hint
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -282,7 +267,7 @@ def phase_at(r, x):
 def shift(r, x):
     """Translation action: the result's phase map is phase_at(r, . + x)."""
     s = copy.copy(r)    # shares the immutable points, marks and site order
-    s.offset = r.offset + np.asarray(x, dtype=float).reshape(2)
+    s.offset = r.offset + as_array(x, "shift: x", (2,))
     return s
 
 

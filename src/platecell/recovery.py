@@ -38,7 +38,7 @@ import numpy as np
 from ._mesh import GAUSS, locate
 from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
-from .errors import ConfigError, NumericalError, as_real, as_tolerance
+from .errors import ConfigError, NumericalError, as_array, as_real
 from .material import svk_energy
 from .microstructure import _tensor_points
 
@@ -62,15 +62,12 @@ class IsometrySpec:
     def __init__(self, kind, domain, radius=None):
         if kind not in ("flat", "cylinder"):
             raise ConfigError("IsometrySpec: kind %r is unknown" % (kind,))
-        x0, y0, x1, y1 = (as_real(v, "IsometrySpec: domain[%d]" % k)
-                          for k, v in enumerate(domain))
+        x0, y0, x1, y1 = as_array(domain, "IsometrySpec: domain",
+                                  (4,)).tolist()
         if not (x1 > x0 and y1 > y0):
             raise ConfigError("IsometrySpec: domain %r is empty" % (domain,))
         if kind == "cylinder":
-            radius = as_real(radius, "IsometrySpec: radius")
-            if not radius > 0:
-                raise ConfigError("IsometrySpec: radius must be > 0 for a "
-                                  "cylinder")
+            radius = as_real(radius, "IsometrySpec: radius", 0)
         self.kind = kind
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
@@ -168,21 +165,13 @@ class RecoveryConfig:
 
     def __init__(self, gamma=None, h_schedule=None):
         if gamma is not None:
-            gamma = as_real(gamma, "RecoveryConfig: gamma")
-            if not gamma > 0:
-                raise ConfigError("RecoveryConfig: gamma must be > 0")
+            gamma = as_real(gamma, "RecoveryConfig: gamma", 0)
         if h_schedule is not None:
-            name = "RecoveryConfig: h_schedule"
-            try:
-                h_schedule = [as_real(h, "%s[%d]" % (name, k))
-                              for k, h in enumerate(h_schedule)]
-            except TypeError:
-                raise ConfigError("%s must be a list of numbers, got %r"
-                                  % (name, h_schedule)) from None
-            if not h_schedule or any(h <= 0 for h in h_schedule) or \
-                    any(b >= a for a, b in zip(h_schedule, h_schedule[1:])):
-                raise ConfigError("%s must be positive and strictly "
-                                  "decreasing" % name)
+            hs = as_array(h_schedule, "RecoveryConfig: h_schedule", (None,))
+            if not len(hs) or np.any(hs <= 0) or np.any(np.diff(hs) >= 0):
+                raise ConfigError("RecoveryConfig: h_schedule must be "
+                                  "positive and strictly decreasing")
+            h_schedule = hs.tolist()
         self.gamma = gamma
         self.h_schedule = h_schedule
 
@@ -196,7 +185,7 @@ class CellCorrectorSource:
         self.grid = grid
         self.phases = phases
         self.materials = materials
-        self.tol = as_tolerance(tol, "CellCorrectorSource: tol")
+        self.tol = as_real(tol, "CellCorrectorSource: tol", 0, 1)
         self._form = self._units = None
 
     def corrector(self, G):
@@ -300,9 +289,7 @@ class DeformationSampler:
     """
 
     def __init__(self, family, h):
-        h = as_real(h, "DeformationSampler: h")
-        if not h > 0:
-            raise ConfigError("DeformationSampler: h must be > 0")
+        h = as_real(h, "DeformationSampler: h", 0)
         self.family = family
         self.h = h
         g = family.source.grid

@@ -782,6 +782,37 @@ def test_indefinite_closure_raises_naming_the_tensor(monkeypatch, solve, name):
         solve(grid, uniform_phases(4, 4), ONE_PHASE)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_closure_raises_naming_the_tensor(monkeypatch, bad):
+    # a nan closure passed `w[0] <= 0`, or made eigvalsh raise a LinAlgError
+    closed = np.eye(3)
+    closed[0, 0] = bad
+    monkeypatch.setattr(CellOperator, "closure",
+                        lambda self, loads, X: closed)
+    with pytest.raises(NumericalError, match="^effective bending form is "
+                       "not positive definite \\(min eigenvalue nan\\)"):
+        with np.errstate(invalid="ignore"):        # inf - inf
+            effective_form(RVEGrid(4, 4, 2, 1.0, 1.0), uniform_phases(4, 4),
+                           ONE_PHASE)
+
+
+def test_pcg_raises_on_a_residual_that_is_not_finite():
+    # `rel > tol` read a nan residual as converged and returned the nan
+    def overflowing(p):
+        return p * np.inf
+
+    rhs = np.ones((4, 2))
+    with pytest.raises(NumericalError, match="not finite after 1 iterations"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            block_pcg(overflowing, lambda r: r.copy(), lambda x: x, rhs,
+                      1e-8, 10)
+    rhs[0, 1] = np.inf
+    with pytest.raises(NumericalError, match="not finite after 0 iterations"):
+        with np.errstate(invalid="ignore"):
+            block_pcg(overflowing, lambda r: r.copy(), lambda x: x, rhs,
+                      1e-8, 10)
+
+
 def test_polarization_consistency():
     """Off-diagonal entries close the energy bilinearly: solving the summed
     load directly must reproduce E(a) + E(b) + 2 M[a,b]."""
@@ -988,3 +1019,40 @@ def test_rescale_requires_integral_rescaled_mesh():
     with pytest.raises(ConfigError):
         gamma_rescale_check(grid, checker_phases(4, 4),
                             material_table([(0, 1.0, 1.0), (1, 2.0, 2.0)]))
+
+
+def test_rescale_refuses_what_it_cannot_resample_exactly():
+    mats = material_table([(0, 1.0, 1.0), (1, 2.0, 2.0)])
+    cases = [
+        # refining 4 columns to gamma * 4 = 6, not a multiple of 4
+        (RVEGrid(4, 4, 2, 1.5, 1.0), checker_phases(4, 4),
+         "rescaled count 6 is not a multiple of 4"),
+        # coarsening 6 columns to gamma * 6 = 4, which does not divide 6
+        (RVEGrid(6, 6, 2, 2.0 / 3.0, 1.0), checker_phases(6, 6),
+         "count 6 is not divisible by rescaled count 4"),
+        # coarsening 8 columns to 4 blocks of 2 that hold both phases
+        (RVEGrid(8, 8, 2, 0.5, 1.0), checker_phases(8, 8),
+         "not constant on 2-element blocks"),
+    ]
+    for grid, phases, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            gamma_rescale_check(grid, phases, mats)
+
+
+def test_rescale_coarsens_a_block_constant_medium():
+    # gamma = 1/2 halves the columns of formulation B: the tiles of the
+    # medium, 2 elements on 8 x 8 and 4 on 16 x 16, keep their side on a box
+    # twice as wide, and the discrepancy shrinks under refinement
+    r = sample_realization(MicrostructureModel("checkerboard",
+                                               period_hint=0.25), 0, 1.0)
+    mats = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
+    d = []
+    for n in (8, 16):
+        grid, phases = RVEGrid(n, n, 2, 0.5, 1.0), rasterize(r, n, n)
+        grid_b, phases_b = cellsolve._formulation_b(grid, phases)
+        assert (grid_b.n1, grid_b.n2, grid_b.box_side) == (n // 2, n // 2,
+                                                           2.0)
+        npt.assert_array_equal(phases_b.cell_phase,
+                               phases.cell_phase[::2, ::2])
+        d.append(gamma_rescale_check(grid, phases, mats, tol=1e-10))
+    assert 0.0 < d[1] <= 0.3 * d[0]

@@ -15,7 +15,10 @@ import pytest
 from platecell import CellCorrectorSource, cellsolve, cli, decomposition
 from platecell import recovery
 from platecell.cli import main
-from platecell.fileio import phase_grid_from_dict, read_field, read_json
+from platecell import MicrostructureModel, material_table, rasterize, \
+    sample_realization
+from platecell.fileio import phase_grid_from_dict, read_field, read_json, \
+    write_field
 from oracles import single_phase_bending_discrete
 
 MATS_ONE = [{"phase_id": 0, "mu": 1.0, "lambda": 1.0},
@@ -316,6 +319,117 @@ def test_decompose_unreachable_tol_exits_1_with_sidecar(tmp_path, capsys):
     history = read_json(str(out) + ".residuals.json")["residual_history"]
     assert history[0] == [1.0] and history[1][0] > 1e-30
     assert not out.exists()
+
+
+def _field_file(tmp_path, grid, values):
+    """A field file of `values` written on the grid `grid` (a GRID dict)."""
+    path = tmp_path / "in.field"
+    write_field(path, values, cellsolve.RVEGrid(
+        grid["n1"], grid["n2"], grid["n3"], grid["gamma"], grid["L"]))
+    return str(path)
+
+
+def test_decompose_reads_a_field_file(tmp_path):
+    # the split of a field file is the split of its values, in process
+    values = np.random.default_rng(8).normal(size=(4, 4, 5, 3))
+    cfg = write_cfg(tmp_path, {"grid": GRID,
+                               "field": _field_file(tmp_path, GRID, values)})
+    out = tmp_path / "dec.json"
+    assert run("decompose", cfg, out) == 0
+    grid = cellsolve.RVEGrid(4, 4, 4, 1.0, 1.0)
+    field = decomposition.to_gauss(decomposition.MixedField(values, grid))
+    dec = decomposition.decompose_mixed(field, tol=1e-10)
+    payload = read_json(out)
+    assert payload["mean"] == [float(v) for v in dec.mean]
+    assert payload["report"] == {
+        k: float(v) for k, v in
+        decomposition.orthogonality_report(field, dec).items()}
+
+
+@pytest.mark.parametrize("key,value", [("L", 2.0), ("n3", 2), ("n1", 8)])
+def test_decompose_refuses_a_field_of_another_grid(tmp_path, capsys, key,
+                                                    value):
+    # the file's grid must be the config's: a field written on L = 2 was
+    # decomposed on L = 1 before; gamma does not enter the split
+    written = dict(GRID, **{key: value}, gamma=3.0)
+    values = np.zeros((written["n1"], written["n2"], written["n3"] + 1, 3))
+    cfg = write_cfg(tmp_path, {"grid": GRID,
+                               "field": _field_file(tmp_path, written,
+                                                    values)})
+    out = tmp_path / "dec.json"
+    assert run("decompose", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "config error: field: the file's grid" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_decompose_refuses_a_field_file_with_nan(tmp_path, capsys):
+    # a NaN reached the splitting, whose residual history then failed to
+    # serialize into a traceback
+    values = np.zeros((4, 4, 5, 3))
+    values[1, 2, 3, 0] = np.nan
+    cfg = write_cfg(tmp_path, {"grid": GRID,
+                               "field": _field_file(tmp_path, GRID, values)})
+    out = tmp_path / "dec.json"
+    assert run("decompose", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "config error: field: malformed field file" in err
+    assert "values must be finite" in err
+    assert "Traceback" not in err and not out.exists()
+    assert not os.path.exists(str(out) + ".residuals.json")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow
+def test_decompose_overflow_exits_1_with_failure_sidecar(tmp_path, capsys):
+    # finite values of 1e300 overflow the splitting's residual to nan, which
+    # a residual-history sidecar cannot hold
+    values = np.random.default_rng(8).normal(size=(4, 4, 5, 3)) * 1e300
+    cfg = write_cfg(tmp_path, {"grid": GRID,
+                               "field": _field_file(tmp_path, GRID, values)})
+    out = tmp_path / "dec.json"
+    assert run("decompose", cfg, out) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: decompose_mixed" in err
+    assert "Traceback" not in err and not out.exists()
+    assert not os.path.exists(str(out) + ".residuals.json")
+    assert read_json(str(out) + ".failure.json")["error"] == \
+        "ConvergenceError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow
+@pytest.mark.parametrize("command", ["effective", "solve-cell"])
+def test_overflowing_solve_exits_1_with_failure_sidecar(tmp_path, capsys,
+                                                         command):
+    # moduli of 1e300 overflow the element kernels; the PCG read the NaN
+    # residual as converged and the run ended writing a 0-byte artifact
+    mats = [dict(MATS_TWO[0]), {"phase_id": 1, "mu": 1e300, "lambda": 1e300}]
+    cfg = write_cfg(tmp_path, {"model": CHECKER, "grid": GRID, "seed": 0,
+                               "materials": mats,
+                               "load": {"G": [[1.0, 0.0], [0.0, 0.0]]}})
+    out = tmp_path / "o.json"
+    assert run(command, cfg, out) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: PCG: relative residual" in err
+    assert "not finite" in err and "Traceback" not in err
+    failure = read_json(str(out) + ".failure.json")
+    assert failure["error"] == "NumericalError"
+    assert not out.exists()
+
+
+def test_effective_rescale_check_below_unit_gamma(tmp_path):
+    # gamma = 1/2 coarsens the medium for formulation B; `effective` reuses
+    # its bending block and reports gamma_rescale_check's discrepancy
+    grid = dict(GRID, n1=8, n2=8, n3=2, gamma=0.5)
+    model = {"kind": "checkerboard", "period_hint": 0.25}
+    cfg = write_cfg(tmp_path, {"model": model, "grid": grid, "seed": 0,
+                               "materials": MATS_TWO, "rescale_check": True})
+    out = tmp_path / "eff.json"
+    assert run("effective", cfg, out) == 0
+    r = sample_realization(MicrostructureModel(**model), 0, 1.0)
+    d = cellsolve.gamma_rescale_check(
+        cellsolve.RVEGrid(8, 8, 2, 0.5, 1.0), rasterize(r, 8, 8),
+        material_table(MATS_TWO))
+    assert read_json(out)["rescale_discrepancy"] == d > 0
 
 
 def test_decompose_interpolates_the_field_once(tmp_path, monkeypatch):

@@ -252,3 +252,15 @@ def test_ensemble_csv(tmp_path):
     # one defect per seed, no fewer
     with pytest.raises(ValueError):
         write_ensemble_csv(path, ensemble, defects=[0.125])
+
+
+def test_write_json_leaves_no_file_when_it_cannot_serialize(tmp_path):
+    # a non-finite number used to truncate the file to 0 bytes and then raise
+    path = tmp_path / "o.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("nan")})
+    assert not path.exists()
+    write_json(path, {"x": 1.0})
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("inf")})
+    assert read_json(path) == {"x": 1.0}

@@ -207,7 +207,7 @@ def _lattice():
     lattice = np.stack(np.meshgrid(grid, grid, indexing="ij"),
                        -1).reshape(-1, 2)[::-1]
     return MicrostructureRealization(voronoi_model(), 0, 6.0, points=lattice,
-                                     marks=np.zeros(36))
+                                     marks=np.zeros(36, dtype=np.int64))
 
 
 def _twin_sites():
@@ -244,7 +244,7 @@ def test_phase_at_brute_force_random_queries():
         pts = rng.random((n, 2)) * 3.0
         _assert_sites_match_brute_force(
             MicrostructureRealization(model, 0, 3.0, points=pts,
-                                      marks=np.zeros(n)),
+                                      marks=np.zeros(n, dtype=np.int64)),
             rng.random((300, 2)) * 3.0)
 
     # dense: about 750 sites
@@ -261,7 +261,7 @@ def test_phase_at_brute_force_random_queries():
     assert np.sqrt((d * d).sum(axis=2).min(axis=1).max()) > 16.0 / 8
     _assert_sites_match_brute_force(
         MicrostructureRealization(model, 0, 16.0, points=pts,
-                                  marks=np.zeros(64)), queries)
+                                  marks=np.zeros(64, dtype=np.int64)), queries)
 
     # a shifted realization, queried outside the box too
     r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
@@ -293,7 +293,7 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     for n in (1, 2, 5, 9):          # few sites
         pts = rng.random((n, 2)) * 3.0
         check(MicrostructureRealization(model, 0, 3.0, points=pts,
-                                        marks=np.zeros(n)),
+                                        marks=np.zeros(n, dtype=np.int64)),
               rng.random(31) * 3.0, rng.random(5) * 3.0)
     r = sample_realization(voronoi_model(intensity=47.0), 5, 4.0)
     assert 700 <= len(r.points) <= 800
@@ -307,7 +307,7 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     d = np.minimum(d, 16.0 - d)
     assert np.sqrt((d * d).sum(axis=2).min(axis=1).max()) > 16.0 / 8
     check(MicrostructureRealization(model, 0, 16.0, points=pts,
-                                    marks=np.zeros(64)), xs, ys)
+                                    marks=np.zeros(64, dtype=np.int64)), xs, ys)
 
     r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
     check(shift(r, (0.73, -1.91)), rng.random(25) * 6.0 - 3.0,

@@ -31,7 +31,7 @@ from platecell import (
     solve_corrector,
 )
 from platecell import cellsolve, cli, recovery
-from platecell.errors import as_tolerance
+from platecell.errors import as_real
 from platecell.material import svk_energy
 from oracles import single_phase_bending_discrete
 
@@ -191,7 +191,7 @@ def test_corrector_source_reads_tol_strictly(bad):
 
 
 def test_tolerances_read_numpy_numbers_as_floats():
-    tol = as_tolerance(np.float32(0.5), "tol")
+    tol = as_real(np.float32(0.5), "tol", 0, 1)
     assert type(tol) is float and tol == 0.5
     src = CellCorrectorSource(RVEGrid(4, 4, 4, 1.0, 1.0),
                               checker_phases(4, 4), TWO_PHASE,

@@ -3,11 +3,17 @@
 One Krylov loop serves the symmetric positive semidefinite cell problems of
 the package.  Columns of the right-hand side iterate together but carry
 independent step sizes, and a projection callback removes the operator
-kernel (rigid translations) from every iterate, which is the gauge fixing of
-the methods that call this.  The preconditioner is a callable supplied by
-the caller; the cell problems pass an in-plane FFT solve with a homogeneous
-reference medium.  The loop updates its vectors in place, with the roundings
-of the plain expressions x + alpha p, r - alpha q and z + beta p.
+kernel (rigid translations), which is the gauge fixing of the methods that
+call this.  The system is consistent once the right-hand side is projected,
+so the residuals stay in the range of the operator; a kernel part of the
+preconditioned residuals moves the iterate along the kernel only and leaves
+the residuals and the iterate's range part unchanged, so the projection is
+applied to the right-hand side and to the returned solution, not to every
+iterate (Kaasschieter 1988).  The preconditioner is a callable supplied by
+the caller; the cell problems pass the exact in-plane inverse of a
+homogeneous reference medium, applied as real DFT matrix products.  The loop
+updates its vectors in place, with the roundings of the plain expressions
+x + alpha p, r - alpha q and z + beta p.
 """
 
 import numpy as np
@@ -26,10 +32,12 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
     Args:
         matvec: function (n, m) -> (n, m) applying the operator.
         precondition: function (n, m) -> (n, m) applying an approximate
-            inverse of the operator to residuals; it must not modify its
-            argument.
+            inverse of the operator to residuals, symmetric and positive
+            definite (on the range of the operator at least); it must not
+            modify its argument.  Its outputs are not projected.
         project: function projecting (n, m) onto the orthogonal complement of
-            the kernel, in place; identity for trivial kernels.
+            the kernel, in place; identity for trivial kernels.  It is called
+            twice: on a copy of rhs and on the solution.
         rhs: (n, m) right-hand sides.
         tol: per-column relative residual target.
         max_iter: iteration cap.
@@ -47,7 +55,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(precondition(r))
+    z = precondition(r)
     p = z.copy()
     step = np.empty_like(b)
     rz = np.einsum("ij,ij->j", r, z)
@@ -74,7 +82,7 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
         history.append(rel.copy())
         active = ~(rel <= tol)
-        z = project(precondition(r))
+        z = precondition(r)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
         p *= beta

@@ -35,24 +35,31 @@ w diag(sigma) K_p diag(sigma) per (phase, layer), sigma the slot coefficients
 of the local dofs, and one dof table of the kept elements sorted by (phase,
 layer), which serves the matvec (np.take -> one GEMM per kernel -> the mesh's
 scatter, one bincount over all columns), the right-hand sides and the energy
-closure, in conjugate gradients that update in place, with the translations
-of the even components projected out each iteration.
+closure, in conjugate gradients that update in place; the translations of
+the even components are projected out of the right-hand sides and the
+solution only.
 The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
-stiffness is block-circulant in the in-plane node indices, so a real 2D FFT
-splits it into one Hermitian system per wavevector on the free pairs of an
-in-plane node (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
-counts then depend on the phase contrast but not on the mesh.  That
-inverse, the fold, the strain matrices, the phase forms and kernels depend
-only on the grid, the parity and the Lame pairs of the phases present, so
-they make one set-up, built once per (grid, parity, Lame pairs) and shared
-read-only by every operator on them, whatever its phase layout; the layout
-enters through the dof table alone.  One more table holds the element load
-vectors, which depend also on the loads' parts in the parity.  Unit loads
-iterate together (block right-hand side) into one bilinear energy closure:
-the three bending loads give the bending form, and with the three membrane
-loads, solved in the other parity, the 6x6 tensor, whose membrane/bending
-block is zero and whose bending block is therefore the bending form.
+stiffness is block-circulant in the in-plane node indices, so the real 2D
+DFT splits it into one Hermitian system per wavevector on the free pairs of
+an in-plane node (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
+counts then depend on the phase contrast but not on the mesh.  The inverse
+is applied as products with precomputed real matrices, five matrix products
+and no complex arithmetic: the real DFT along n2, the complex DFT along n1
+in its real embedding, the per-wavevector inverse blocks in theirs, then the
+two transposed passes; the inverse transform's Hermitian weights and
+1/(n1 n2) are folded into the blocks, so the preconditioner reads F^T D F.
+Those matrices, the fold, the strain matrices, the phase forms and kernels
+depend only on the grid, the parity and the Lame pairs of the phases
+present, so they make one set-up, built once per (grid, parity, Lame pairs)
+and shared read-only by every operator on them, whatever its phase layout;
+the layout enters through the dof table alone.  One more table holds the
+element load vectors, which depend also on the loads' parts in the parity.
+Unit loads iterate together (block right-hand side) into one bilinear energy
+closure: the three bending loads give the bending form, and with the three
+membrane loads, solved in the other parity, the 6x6 tensor, whose
+membrane/bending block is zero and whose bending block is therefore the
+bending form.
 """
 
 import functools
@@ -271,6 +278,28 @@ def _apply_kernels(kernels, bounds, table, keys, U):
     return scatter(keys, Ve, U.shape)
 
 
+def _dft_passes(n1, n2):
+    """The two passes of the real 2D DFT on the n1 x n2 in-plane nodes, as
+    real matrices.
+
+    Returns:
+        rdft: (2 (n2 // 2 + 1), n2) real DFT along n2, rows (j, part): the
+            cos and -sin of 2 pi j l / n2, the real and imaginary parts of
+            rfft's wavevector j.
+        dft: (2 n1, 2 n1) complex DFT along n1 in its real embedding, rows
+            (a, part) and columns (part, i): [[C, S], [-S, C]], C and S the
+            cos and sin of 2 pi a i / n1.
+    """
+    phase = 2.0 * np.pi * (np.outer(np.arange(n2 // 2 + 1), np.arange(n2))
+                           % n2) / n2
+    rdft = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, n2)
+    theta = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(n1)) % n1) / n1
+    c, s = np.cos(theta), np.sin(theta)
+    dft = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)],
+                   axis=1).reshape(2 * n1, 2 * n1)
+    return rdft, dft
+
+
 def _reference_inverse(n1, n2, free, edof, kernels, t):
     """Per-wavevector inverses of the folded stiffness of a homogeneous
     medium of folded kernels (layers, 24, 24), given `_fold`'s edof, the free
@@ -282,16 +311,20 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     with the identity on the pinned others, the odd components at the
     midplane.
     The zero-wavevector block is singular on the translations of the even
-    components, which are lifted by a multiple of their projector (project()
-    removes them from every iterate).  Each Hermitian block K = Kr + i Ki is
-    inverted through its real embedding [[Kr, -Ki], [Ki, Kr]], whose inverse
-    is [[A, -B], [B, A]] with K^-1 = A + i B; only the free rows and columns
-    of its left half are kept, so they hold the values of the full inverse
-    bit for bit.
+    components, which are lifted by a multiple of their projector; the lifted
+    block maps the mean-free fields to themselves, so the inverse adds only a
+    rounding-level translation part, which the solve's final projection
+    removes.  Each Hermitian block K = Kr + i Ki is inverted through its real
+    embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]] with
+    K^-1 = A + i B; its free rows and columns are kept, times irfft2's
+    Hermitian weight of the wavevector's column j (1 at j = 0 and n2 / 2, 2
+    between) over n1 n2, so that with `_dft_passes`' F the inverse of the
+    reference stiffness is F^T D F.
 
     Returns:
-        (n1, n2 // 2 + 1, 2f, f) real array stacking A over B, f the free
-        pairs of M = 3 (n3 // 2 + 1).
+        D: (n2 // 2 + 1, n1, 2f, 2f) real array, wavevector (a, j) at D[j, a],
+            rows and columns (part, free pair), f the free pairs of
+            M = 3 (n3 // 2 + 1).
     """
     pinned, free = ~free, np.flatnonzero(free)
     m, f = pinned.size, len(free)
@@ -307,8 +340,12 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
-    return np.ascontiguousarray(
-        np.linalg.inv(embedded)[..., np.r_[free, m + free][:, None], free])
+    kept = np.r_[free, m + free]
+    weight = np.full(n2 // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
+        * (weight / (n1 * n2))[:, None, None]
+    return np.ascontiguousarray(D.transpose(1, 0, 2, 3))
 
 
 # All of a cell operator that its phase layout does not enter: `_fold`'s
@@ -316,11 +353,12 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
 # free; Bq, the (8, 6, 24) strain matrices, and Bs, (layers, 48, 24) them on
 # the slots of each kept layer; forms, the (phases, 6, 6) Voigt forms; ke,
 # the (phases * layers, 24, 24) folded kernels, phase-major; zq, the x3 of
-# each (kept layer, Gauss point), (layers, 8); fft_inverse, the
-# `_reference_inverse` of the medium whose Lame constants are the geometric
-# means of the phases'; shift, the translations on the free pairs.
+# each (kept layer, Gauss point), (layers, 8); rdft and dft, the
+# `_dft_passes`, and spectral_inverse, the blocks D of `_reference_inverse`,
+# of the medium whose Lame constants are the geometric means of the phases';
+# shift, the translations on the free pairs.
 _Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke zq "
-                    "fft_inverse shift")
+                    "rdft dft spectral_inverse shift")
 
 
 @functools.lru_cache(maxsize=8)
@@ -340,13 +378,13 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     reference = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt,
                           Bq) * wq
     t = _translations(fold)
-    fft_inverse = _reference_inverse(
+    spectral_inverse = _reference_inverse(
         n1, n2, free, edof, _folded_kernels(reference[None], sigma, weight), t)
     gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
     zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
     out = _Setup(fold, weight, edof, sigma, free, Bq,
                  Bq.reshape(48, 24) * sigma[:, None], forms, ke, zq,
-                 fft_inverse, t[free])
+                 *_dft_passes(n1, n2), spectral_inverse, t[free])
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -380,8 +418,9 @@ class CellOperator:
 
     Holds the (phase, layer)-sorted dof table of the kept elements and the
     arrays of its `_setup`, shared with every operator on the same grid,
-    parity and Lame pairs: the folded 24x24 kernels, the factored in-plane FFT
-    preconditioner, the Gauss heights.  Its fields are folded, (ndof, m);
+    parity and Lame pairs: the folded 24x24 kernels, the real DFT matrices
+    and per-wavevector blocks of the reference-medium preconditioner, the
+    Gauss heights.  Its fields are folded, (ndof, m);
     `expand` and `restrict` map them to and from full-slab nodal fields.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
@@ -411,7 +450,8 @@ class CellOperator:
         self.fold, self.weight, self.zq, self._free = \
             s.fold, s.weight, s.zq, s.free
         self.Bs, self.forms, self.ke = s.Bs, s.forms, s.ke
-        self.fft_inverse, self._shift = s.fft_inverse, s.shift
+        self._rdft, self._dft, self.spectral_inverse, self._shift = \
+            s.rdft, s.dft, s.spectral_inverse, s.shift
         self.ndof = grid.n1 * grid.n2 * int(self._free.sum())
         self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
 
@@ -425,21 +465,28 @@ class CellOperator:
         self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
         self._keys = {}     # column count -> column_keys of the dof table
 
-    # --- in-plane FFT preconditioner -----------------------------------------
+    # --- reference-medium preconditioner --------------------------------------
     def precondition(self, R):
-        """Apply the reference-medium inverse to residuals R: (ndof, k)."""
-        n1, n2, f = self.grid.n1, self.grid.n2, self.fft_inverse.shape[-1]
-        # rfft2 and irfft2 are these 1-D passes, without their wrappers
-        Rh = np.fft.fft(np.fft.rfft(R.reshape(n1, n2, f, -1), axis=1), axis=0)
-        # [A; B] times the interleaved (Rr, Ri) columns: A Rr, A Ri over
-        # B Rr, B Ri, recombined into Zh = (A Rr - B Ri) + i (B Rr + A Ri)
-        Y = np.matmul(self.fft_inverse, Rh.view(float))
-        Zh = np.empty_like(Rh)
-        Z = Zh.view(float)
-        np.subtract(Y[:, :, :f, ::2], Y[:, :, f:, 1::2], out=Z[..., ::2])
-        np.add(Y[:, :, f:, ::2], Y[:, :, :f, 1::2], out=Z[..., 1::2])
-        return np.fft.irfft(np.fft.ifft(Zh, axis=0), n2, axis=1) \
-            .reshape(R.shape)
+        """Apply the reference-medium inverse F^T D F to residuals R:
+        (ndof, k).
+
+        Five matrix products with the set-up's real matrices: the rdft along
+        n2 per in-plane row i, written as (j, part, i) so that each column j
+        holds one (part, i) block; the embedded dft along n1 per j, giving
+        rows (a, part); the blocks D per wavevector (j, a); then the
+        transposes of the two passes in reverse order.
+        """
+        n1, n2, k = self.grid.n1, self.grid.n2, R.shape[1]
+        h = len(self._rdft) // 2
+        fk = R.size // (n1 * n2)
+        Rh = np.empty((h, 2, n1, fk))
+        np.matmul(self._rdft, R.reshape(n1, n2, fk),
+                  out=Rh.reshape(2 * h, n1, fk).transpose(1, 0, 2))
+        Rh = np.matmul(self._dft, Rh.reshape(h, 2 * n1, fk))
+        Zh = np.matmul(self.spectral_inverse, Rh.reshape(h, n1, -1, k))
+        Zh = np.matmul(self._dft.T, Zh.reshape(h, 2 * n1, fk))
+        return np.matmul(self._rdft.T, Zh.reshape(2 * h, n1, fk)
+                         .transpose(1, 0, 2)).reshape(R.shape)
 
     # --- kernel projection -------------------------------------------------
     def project(self, U):
@@ -519,7 +566,8 @@ class CellOperator:
 
     # --- solver ---------------------------------------------------------------
     def solve(self, rhs, tol=1e-8, max_iter=None, callback=None):
-        """Block PCG, FFT-preconditioned, with per-iteration kernel projection.
+        """Block PCG, preconditioned by the reference-medium inverse, with the
+        kernel projected out of the right-hand sides and the solution.
 
         Args:
             rhs: (ndof, m) folded right-hand sides (solved simultaneously).
@@ -680,8 +728,16 @@ def qgamma_eval(q, G):
 
     Returns:
         float for one matrix, array (...) for a stack.
+
+    Raises:
+        ConfigError: q or G is not a finite numeric array of its shape.
     """
-    voigt3 = q.voigt3 if isinstance(q, EffectiveBendingForm) else np.asarray(q)
+    voigt3 = q.voigt3 if isinstance(q, EffectiveBendingForm) \
+        else as_array(q, "qgamma_eval: q", (3, 3))
+    G = as_array(G, "qgamma_eval: G")
+    if G.shape[-2:] != (2, 2):
+        raise ConfigError("qgamma_eval: G must have shape (..., 2, 2), got %s"
+                          % (G.shape,))
     v = sym2_to_voigt3(G)
     if v.ndim == 1:
         return float(v @ voigt3 @ v)

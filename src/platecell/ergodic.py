@@ -19,12 +19,10 @@ from .errors import ConfigError, NumericalError, as_array, as_index, \
 from .material import SQRT2
 from .microstructure import phase_grid, rasterize, sample_realization
 
-_PROBES = (
-    np.array([[1.0, 0.0], [0.0, 0.0]]),
-    np.array([[0.0, 0.0], [0.0, 1.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2,
-    np.eye(2),
-)
+_PROBES = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [0.0, 1.0]],
+                    [[0.0, 1.0 / SQRT2], [1.0 / SQRT2, 0.0]],
+                    [[1.0, 0.0], [0.0, 1.0]]])
 
 
 class BirkhoffSeries:
@@ -149,16 +147,15 @@ def isotropy_defect(form, rotation_count=8):
     if isinstance(form, EffectiveBendingForm):
         form = form.voigt3
     form = as_array(form, "isotropy_defect: form", (3, 3))
-    worst = 0.0
-    for G in _PROBES:
-        base = qgamma_eval(form, G)
-        for m in range(rotation_count):
-            t = np.pi * m / rotation_count
-            c, s = np.cos(t), np.sin(t)
-            R = np.array([[c, -s], [s, c]])
-            rotated = qgamma_eval(form, R.T @ G @ R)
-            worst = max(worst, abs(rotated - base) / max(abs(base), 1e-12))
-    return worst
+    t = np.pi * np.arange(rotation_count) / rotation_count
+    c, s = np.cos(t), np.sin(t)
+    R = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)],
+                 axis=-2)                                 # (rotations, 2, 2)
+    base = qgamma_eval(form, _PROBES)                     # (probes,)
+    # every probe under every rotation, R^T G R, in one stack
+    rotated = qgamma_eval(form, np.swapaxes(R, 1, 2) @ _PROBES[:, None] @ R)
+    return float(np.max(np.abs(rotated - base[:, None])
+                        / np.maximum(np.abs(base), 1e-12)[:, None]))
 
 
 class EnsembleResult:

@@ -147,7 +147,11 @@ def material_table(entries):
             except KeyError as miss:
                 raise ConfigError("materials[%d]: missing key %s" % (k, miss))
         else:
-            pid, mu, lam = e
+            try:
+                pid, mu, lam = e
+            except (TypeError, ValueError):
+                raise ConfigError("materials[%d] must be (phase_id, mu, lambda) "
+                                  "or a dict, got %r" % (k, e)) from None
             pm = PhaseMaterial(pid, mu, lam)
         if pm.phase_id in table:
             raise ConfigError("materials[%d]: duplicate phase_id %d" % (k, pm.phase_id))

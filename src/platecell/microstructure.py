@@ -238,8 +238,15 @@ def sample_realization(model, seed, box_side):
 
 
 def phase_at(r, x):
-    """Phase id at a point (2,) or points (M, 2); wraps into the periodic box."""
-    x = np.asarray(x, dtype=float)
+    """Phase id at a point (2,) or points (M, 2); wraps into the periodic box.
+
+    Raises:
+        ConfigError: x is not a finite numeric array of those shapes.
+    """
+    x = as_array(x, "phase_at: x")
+    if x.ndim not in (1, 2) or x.shape[-1] != 2:
+        raise ConfigError("phase_at: x must have shape (2) or (n, 2), got %s"
+                          % (x.shape,))
     scalar = x.ndim == 1
     q = np.atleast_2d(x) + r.offset
     L = r.box_side
@@ -281,8 +288,13 @@ def _tensor_points(xs, ys):
 
 def phase_grid(r, xs, ys):
     """Phase ids (len(xs), len(ys)) on the tensor grid xs x ys; point for point
-    equal to phase_at(r, _tensor_points(xs, ys)), without building the points."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    equal to phase_at(r, _tensor_points(xs, ys)), without building the points.
+
+    Raises:
+        ConfigError: xs or ys is not a finite 1-D numeric array.
+    """
+    xs = as_array(xs, "phase_grid: xs", (None,))
+    ys = as_array(ys, "phase_grid: ys", (None,))
     if r.model.kind in _PERIODIC_KINDS:
         return phase_at(r, _tensor_points(xs, ys)).reshape(len(xs), len(ys))
     L = r.box_side

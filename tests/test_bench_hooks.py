@@ -39,6 +39,12 @@ def test_cell_solve_hooks_fire(monkeypatch):
     recorded = {span[0] for span in tracer.spans}
     assert {"operator_setup", "operator_rhs", "operator_solve",
             "block_pcg"} <= recorded
+    # krylov.project_s times the kernel projection, which block_pcg applies
+    # to the right-hand side and the solution: two inner spans per solve
+    solves = [k for k, span in enumerate(tracer.spans)
+              if span[0] == "block_pcg"]
+    projections = [span[3] for span in tracer.spans if span[0] == "project"]
+    assert solves and sorted(projections) == sorted(solves * 2)
 
 
 def test_recovery_hooks_fire(monkeypatch):

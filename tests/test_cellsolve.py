@@ -251,14 +251,15 @@ def test_nonconvergence_raises_with_history():
 
 def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
                    callback=None):
-    """The block PCG loop as it was before it updated in place, verbatim:
-    every update allocates its result."""
+    """The block PCG loop as it was before it updated in place, with the
+    kernel projected out of the right-hand side and the solution only: every
+    update allocates its result."""
     b = project(rhs.copy())
     bnorm = np.sqrt(np.einsum("ij,ij->j", b, b))
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(precondition(r))
+    z = precondition(r)
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
     rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
@@ -281,7 +282,7 @@ def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
         rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
         history.append(rel.copy())
         active = rel > tol
-        z = project(precondition(r))
+        z = precondition(r)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
         p = z + beta * p
@@ -293,12 +294,21 @@ def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
 
 
 def concatenating_precondition(op, R):
-    """The reference-medium inverse applied through the concatenated real
-    and imaginary spectra, as before it multiplied their interleaved view."""
-    n1, n2, m = op.grid.n1, op.grid.n2, op.fft_inverse.shape[-1]
+    """The reference-medium inverse applied through pocketfft's rfft2 and
+    irfft2 and the concatenated real and imaginary spectra, as before it
+    was applied by real DFT matrix products.  The left half [A; B] of each
+    wavevector's block is read back from the operator's blocks, whose
+    Hermitian weight and 1 / (n1 n2) are undone."""
+    n1, n2 = op.grid.n1, op.grid.n2
+    m = op.spectral_inverse.shape[-1] // 2
     k = R.shape[1]
+    weight = np.full(n2 // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    AB = (op.spectral_inverse[..., :m] * (n1 * n2 / weight)[:, None, None,
+                                                               None])
+    AB = AB.transpose(1, 0, 2, 3)
     Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(0, 1))
-    Y = np.matmul(op.fft_inverse, np.concatenate([Rh.real, Rh.imag], axis=3))
+    Y = np.matmul(AB, np.concatenate([Rh.real, Rh.imag], axis=3))
     Zh = (Y[:, :, :m, :k] - Y[:, :, m:, k:]) \
         + 1j * (Y[:, :, m:, :k] + Y[:, :, :m, k:])
     return np.fft.irfft2(Zh, s=(n1, n2), axes=(0, 1)).reshape(R.shape)
@@ -322,17 +332,13 @@ def copy_free_cases():
 
 
 def test_copy_free_pcg_keeps_every_rounding():
-    # the in-place loop and the interleaved preconditioner against their
-    # allocating forms: the same iterates bit for bit, and the right-hand
-    # sides untouched
+    # the in-place loop against its allocating form: the same iterates bit
+    # for bit, and the right-hand sides untouched
     for grid, phases, mats, parity in copy_free_cases():
         op = CellOperator(grid, phases, mats, parity)
         part = slice(3, 6) if parity == BENDING else slice(0, 3)
         b = op.rhs(unit_loads()[part])
         b0 = b.copy()
-        R = np.random.default_rng(1).standard_normal(b.shape)
-        npt.assert_array_equal(op.precondition(R),
-                               concatenating_precondition(op, R))
         x, history = block_pcg(op.matvec, op.precondition, op.project, b,
                                1e-8, 200)
         npt.assert_array_equal(b, b0)
@@ -342,6 +348,61 @@ def test_copy_free_pcg_keeps_every_rounding():
         assert len(history) == len(want_history), (grid, parity)
         for h, w in zip(history, want_history):
             assert np.array_equal(h, w), (grid, parity)
+
+
+def dft_cases():
+    """`copy_free_cases`, then a 6x10x3 and a 64x4x8 grid in both parities:
+    odd n3, n1 != n2, and a long thin grid with many slots."""
+    yield from copy_free_cases()
+    rng = np.random.default_rng(4)
+    mats = material_table([(0, 1.0, 0.5), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    for n1, n2, n3, box_side in ((6, 10, 3, 1.7), (64, 4, 8, 3.0)):
+        phases = PhaseGrid(n1, n2, box_side, rng.integers(0, 3, (n1, n2)))
+        for parity in (BENDING, MEMBRANE):
+            yield RVEGrid(n1, n2, n3, 1.3, box_side), phases, mats, parity
+
+
+def test_dft_products_match_the_fft_preconditioner():
+    # the real DFT matrix products against pocketfft's rfft2 and irfft2 on
+    # the same per-wavevector blocks, for one and for three columns
+    for grid, phases, mats, parity in dft_cases():
+        op = CellOperator(grid, phases, mats, parity)
+        for k in (1, 3):
+            R = np.random.default_rng(k).standard_normal((op.ndof, k))
+            R0 = R.copy()
+            Z = op.precondition(R)
+            want = concatenating_precondition(op, R)
+            npt.assert_array_equal(R, R0)
+            assert Z.shape == R.shape
+            npt.assert_allclose(Z, want, rtol=0,
+                                atol=1e-13 * np.abs(want).max(),
+                                err_msg=str((grid, parity, k)))
+
+
+def test_pcg_projects_the_rhs_and_the_solution_only():
+    # the kernel leaves the loop through the right-hand side and the
+    # returned solution: two projections per solve, and one preconditioner
+    # application per iteration plus the initial one
+    for grid, phases, mats, parity in copy_free_cases():
+        op = CellOperator(grid, phases, mats, parity)
+        calls = {"project": 0, "precondition": 0}
+
+        def counted(name, fn):
+            def wrapper(U):
+                calls[name] += 1
+                return fn(U)
+            return wrapper
+
+        part = slice(3, 6) if parity == BENDING else slice(0, 3)
+        x, history = block_pcg(op.matvec,
+                               counted("precondition", op.precondition),
+                               counted("project", op.project),
+                               op.rhs(unit_loads()[part]), 1e-8, 200)
+        assert calls == {"project": 2,
+                         "precondition": len(history)}, (grid, parity)
+        # the returned solution is mean-free in every even component
+        npt.assert_allclose(op.project(x.copy()), x, rtol=0,
+                            atol=1e-14 * np.abs(x).max())
 
 
 def natural_order(grid, phases):
@@ -652,7 +713,7 @@ def test_operator_is_freed_without_gc():
 
 
 def test_reference_inverse_is_memoized_per_grid_and_pair():
-    # the FFT reference inverse is part of the shared set-up, which depends
+    # the reference inverse is part of the shared set-up, which depends
     # only on the grid, the parity and the Lame pairs of the phases present,
     # so operators on two layouts of the same phases share one inverse
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
@@ -660,8 +721,8 @@ def test_reference_inverse_is_memoized_per_grid_and_pair():
     a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
     b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
                      mats, BENDING)
-    assert a.fft_inverse is b.fft_inverse
-    assert not a.fft_inverse.flags.writeable
+    assert a.spectral_inverse is b.spectral_inverse
+    assert not a.spectral_inverse.flags.writeable
     misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
                            checker_phases(6, 4, 1.5), mats, BENDING),
               CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
@@ -671,7 +732,7 @@ def test_reference_inverse_is_memoized_per_grid_and_pair():
                            BENDING),
               CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
     for op in misses:
-        assert op.fft_inverse is not a.fft_inverse
+        assert op.spectral_inverse is not a.spectral_inverse
 
     # a cached set-up gives the tensor of a freshly computed one, bitwise
     phases = checker_phases(6, 4, 1.5)

@@ -16,6 +16,7 @@ from platecell import (
     isotropy_report,
     material_table,
     phase_at,
+    qgamma_eval,
     sample_realization,
     shift,
 )
@@ -172,6 +173,38 @@ def test_isotropy_defect_reads_rotation_count_strictly(bad):
 def test_scaled_identity_form_has_zero_defect():
     # q = a*|G|^2 in Voigt coordinates is exactly rotation invariant
     assert isotropy_defect(0.37 * np.eye(3), rotation_count=16) <= 1e-12
+
+
+def looped_isotropy_defect(form, rotation_count):
+    """The defect one probe and one rotation at a time, each through
+    qgamma_eval on a single matrix."""
+    probes = (np.array([[1.0, 0.0], [0.0, 0.0]]),
+              np.array([[0.0, 0.0], [0.0, 1.0]]),
+              np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0),
+              np.eye(2))
+    worst = 0.0
+    for G in probes:
+        base = qgamma_eval(form, G)
+        for m in range(rotation_count):
+            t = np.pi * m / rotation_count
+            c, s = np.cos(t), np.sin(t)
+            R = np.array([[c, -s], [s, c]])
+            rotated = qgamma_eval(form, R.T @ G @ R)
+            worst = max(worst, abs(rotated - base) / max(abs(base), 1e-12))
+    return worst
+
+
+def test_stacked_isotropy_defect_matches_the_loop():
+    # the probes under every rotation are evaluated as one stack; the
+    # defect is the looped one up to the roundings of the products
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        A = rng.standard_normal((3, 3))
+        form = A @ A.T + 0.1 * np.eye(3)
+        for rotations in (8, 13):
+            want = looped_isotropy_defect(form, rotations)
+            npt.assert_allclose(isotropy_defect(form, rotations), want,
+                                rtol=1e-13, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------

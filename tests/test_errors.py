@@ -33,6 +33,9 @@ from platecell import (
     isotropic_form,
     isotropy_defect,
     material_table,
+    phase_at,
+    phase_grid,
+    qgamma_eval,
     random_mixed_field,
     sample_realization,
 )
@@ -46,6 +49,11 @@ STRIPES = sample_realization(
 WINDOW = (0.1, 0.1, 1.1, 0.9)
 TWO_PHASE = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
 CELLS = np.array([[0, 1], [1, 0]])
+# the query points are read on a periodic and on a Voronoi medium, whose
+# lookups take different paths
+MEDIA = {"checkerboard": sample_realization(CHECKER, 0, 1.0),
+         "voronoi": sample_realization(
+             MicrostructureModel("poisson_voronoi", intensity=4.0), 0, 2.0)}
 
 
 def _source(tol):
@@ -157,7 +165,31 @@ ARRAYS = {
     "div_cof_residual.grad": (
         lambda v: div_cof_residual(np.zeros((4, 4, 2)), grad=v),
         "div_cof_residual: grad", np.eye(2), np.eye(3)),
+    "qgamma_eval.q": (
+        lambda v: qgamma_eval(v, np.eye(2)), "qgamma_eval: q", np.eye(3),
+        np.eye(2)),
+    "qgamma_eval.G": (
+        lambda v: qgamma_eval(np.eye(3), v), "qgamma_eval: G",
+        [[1, 0.5], [0.5, 0]], [1, 0]),
+    "qgamma_eval.G stack": (
+        lambda v: qgamma_eval(np.eye(3), v), "qgamma_eval: G",
+        [[[1, 0], [0, 0]], [[0, 1], [1, 2]]], [[[1, 0, 0]]]),
 }
+for _kind, _r in MEDIA.items():
+    ARRAYS.update({
+        "phase_at.x %s" % _kind: (
+            lambda v, r=_r: phase_at(r, v), "phase_at: x", [0.2, 0.3],
+            [0.2]),
+        "phase_at.x points %s" % _kind: (
+            lambda v, r=_r: phase_at(r, v), "phase_at: x",
+            [[0.2, 0.3], [0.7, 0.1]], [[0.2, 0.3, 0.1]]),
+        "phase_grid.xs %s" % _kind: (
+            lambda v, r=_r: phase_grid(r, v, [0.1, 0.4]), "phase_grid: xs",
+            [0.2, 0.3, 0.9], [[0.2]]),
+        "phase_grid.ys %s" % _kind: (
+            lambda v, r=_r: phase_grid(r, [0.1, 0.4], v), "phase_grid: ys",
+            [0.2, 0.3, 0.9], [[0.2]]),
+    })
 
 
 def _raises_naming(call, value, name):
@@ -299,6 +331,28 @@ def test_material_table_names_a_missing_key():
     with pytest.raises(ConfigError, match="materials\\[1\\]: missing key 'mu'"):
         material_table([{"phase_id": 0, "mu": 1.0, "lambda": 1.0},
                         {"phase_id": 1, "lambda": 1.0}])
+
+
+@pytest.mark.parametrize("entry", [(0, 1.0), (0, 1.0, 1.0, 2.0), 5, None])
+def test_material_table_names_a_malformed_entry(entry):
+    # an entry that is neither (phase_id, mu, lambda) nor a dict
+    with pytest.raises(ConfigError, match="materials\\[1\\] must be "
+                       "\\(phase_id, mu, lambda\\) or a dict"):
+        material_table([(0, 1.0, 1.0), entry])
+
+
+@pytest.mark.parametrize("kind", MEDIA)
+def test_nan_query_point_gets_no_phase(kind):
+    # a nan point used to get a phase: 0 on the checkerboard, the mark of
+    # one site on a Voronoi medium
+    r = MEDIA[kind]
+    for x in ([np.nan, 0.2], [[0.1, 0.2], [0.3, np.inf]]):
+        with pytest.raises(ConfigError, match="phase_at: x must be finite"):
+            phase_at(r, x)
+    with pytest.raises(ConfigError, match="phase_grid: ys must be finite"):
+        phase_grid(r, [0.1, 0.2], [0.3, np.nan])
+    assert phase_grid(r, [0.1, 0.2], [0.3]).tolist() == \
+        phase_at(r, [[0.1, 0.3], [0.2, 0.3]])[:, None].tolist()
 
 
 def test_coercivity_refuses_an_indefinite_form():

@@ -53,10 +53,11 @@ def nodes(n1, n2, n3):
     return out
 
 
-def column_keys(edof, m):
-    """Keys of `scatter` for m columns: edof * m + c for every local entry of
-    the global index table edof (..., a) and column c, (..., a, m)."""
-    return edof[..., None] * m + np.arange(m)
+def column_keys(edof, n, m):
+    """Keys of `scatter` for m columns of n entries: c * n + edof for every
+    column c and every local entry of the global index table edof (...),
+    (m, ...)."""
+    return edof + n * np.arange(m).reshape((m,) + (1,) * edof.ndim)
 
 
 def scatter(keys, values, shape):
@@ -64,18 +65,20 @@ def scatter(keys, values, shape):
 
     Args:
         keys: flat output index of each contribution, the global index table
-            edof (n_elements, a) itself for one column, `column_keys(edof, m)`
-            for m columns.
+            edof (n_elements, a) itself for one column, `column_keys(edof, n,
+            m)` for m columns.
         values: the contributions, keys.shape.
         shape: n for one column, (n, m) for m.
 
     Returns:
         array of `shape`: out[edof[e, l], c] summed over all (e, l) by one
         np.bincount in the order of the entries, so every column sums in the
-        order of a bincount of that column alone.
+        order of a bincount of that column alone.  An (n, m) result is stored
+        column by column, the transpose of the (m, n) bincount.
     """
-    return np.bincount(keys.ravel(), weights=values.ravel(),
-                       minlength=np.prod(shape)).reshape(shape)
+    flat = np.bincount(keys.ravel(), weights=values.ravel(),
+                       minlength=np.prod(shape))
+    return flat if np.ndim(shape) == 0 else flat.reshape(shape[::-1]).T
 
 
 def locate(y, grid):

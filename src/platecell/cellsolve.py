@@ -33,11 +33,17 @@ s_c.
 The stationarity system is solved matrix-free: one folded 24x24 kernel
 w diag(sigma) K_p diag(sigma) per (phase, layer), sigma the slot coefficients
 of the local dofs, and one dof table of the kept elements sorted by (phase,
-layer), which serves the matvec (np.take -> one GEMM per kernel -> the mesh's
-scatter, one bincount over all columns), the right-hand sides and the energy
-closure, in conjugate gradients that update in place; the translations of
-the even components are projected out of the right-hand sides and the
-solution only.
+layer), which serves the matvec (np.take -> one GEMM per kernel and column ->
+the mesh's scatter, one bincount over all columns), the right-hand sides and
+the energy closure, in conjugate gradients that update in place; the
+translations of the even components are projected out of the right-hand
+sides and the solution only.  Fields are (ndof, m) blocks, one column per
+load, stored column by column (Fortran order): each column is one contiguous
+run, so the gathers, the conjugate gradients' per-column updates and dot
+products, and the preconditioner's products all read contiguous memory,
+while the shape stays the one that callers and the benchmark's matvec hooks
+read.  The operator's maps give identical bits for either memory order of
+their input.
 The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
 stiffness is block-circulant in the in-plane node indices, so the real 2D
@@ -45,10 +51,11 @@ DFT splits it into one Hermitian system per wavevector on the free pairs of
 an in-plane node (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
 counts then depend on the phase contrast but not on the mesh.  The inverse
 is applied as products with precomputed real matrices, five matrix products
-and no complex arithmetic: the real DFT along n2, the complex DFT along n1
+and no complex arithmetic: the real DFT along n1, the complex DFT along n2
 in its real embedding, the per-wavevector inverse blocks in theirs, then the
-two transposed passes; the inverse transform's Hermitian weights and
-1/(n1 n2) are folded into the blocks, so the preconditioner reads F^T D F.
+two transposed passes, each on the contiguous plane of one column; the
+inverse transform's Hermitian weights and 1/(n1 n2) are folded into the
+blocks, so the preconditioner reads F^T D F.
 Those matrices, the fold, the strain matrices, the phase forms and kernels
 depend only on the grid, the parity and the Lame pairs of the phases
 present, so they make one set-up, built once per (grid, parity, Lame pairs)
@@ -268,13 +275,13 @@ def _translations(fold):
 
 def _apply_kernels(kernels, bounds, table, keys, U):
     """Apply kernels[p] to the element columns bounds[p]:bounds[p + 1] of
-    the (24, n_el) dof table: gather U, one GEMM per kernel, scatter back
-    through the table's `column_keys` for U's columns."""
-    m = U.shape[1]
-    Ue = np.take(U, table, axis=0).reshape(24, -1)   # (24, n_el * m)
+    the (24, n_el) dof table: gather each column of U (n, m), one GEMM per
+    kernel and column, scatter back through the table's `column_keys` for
+    U's columns into an (n, m) block stored column by column."""
+    Ue = np.take(U.T, table, axis=1)                 # (m, 24, n_el)
     Ve = np.empty_like(Ue)
     for ke, a, b in zip(kernels, bounds[:-1], bounds[1:]):
-        np.matmul(ke, Ue[:, a * m:b * m], out=Ve[:, a * m:b * m])
+        np.matmul(ke, Ue[..., a:b], out=Ve[..., a:b])
     return scatter(keys, Ve, U.shape)
 
 
@@ -283,20 +290,20 @@ def _dft_passes(n1, n2):
     real matrices.
 
     Returns:
-        rdft: (2 (n2 // 2 + 1), n2) real DFT along n2, rows (j, part): the
-            cos and -sin of 2 pi j l / n2, the real and imaginary parts of
-            rfft's wavevector j.
-        dft: (2 n1, 2 n1) complex DFT along n1 in its real embedding, rows
-            (a, part) and columns (part, i): [[C, S], [-S, C]], C and S the
-            cos and sin of 2 pi a i / n1.
+        rdft: (2 (n1 // 2 + 1), n1) real DFT along n1, rows (a, part): the
+            cos and -sin of 2 pi a i / n1, the real and imaginary parts of
+            rfft's wavevector a.
+        dft: (2 n2, 2 n2) complex DFT along n2 in its real embedding, rows
+            (j, part) and columns (part, l): [[C, S], [-S, C]], C and S the
+            cos and sin of 2 pi j l / n2.
     """
-    phase = 2.0 * np.pi * (np.outer(np.arange(n2 // 2 + 1), np.arange(n2))
-                           % n2) / n2
-    rdft = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, n2)
-    theta = 2.0 * np.pi * (np.outer(np.arange(n1), np.arange(n1)) % n1) / n1
+    phase = 2.0 * np.pi * (np.outer(np.arange(n1 // 2 + 1), np.arange(n1))
+                           % n1) / n1
+    rdft = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, n1)
+    theta = 2.0 * np.pi * (np.outer(np.arange(n2), np.arange(n2)) % n2) / n2
     c, s = np.cos(theta), np.sin(theta)
     dft = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)],
-                   axis=1).reshape(2 * n1, 2 * n1)
+                   axis=1).reshape(2 * n2, 2 * n2)
     return rdft, dft
 
 
@@ -306,10 +313,10 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     (slot, component) pairs and their translations t of `_translations`.
 
     The folded stiffness applied to the f unit fields of the free dofs at
-    in-plane node (0, 0), then transformed by rfft2, is the symbol per
-    wavevector, set into the M x M symbol of all the (slot, component) pairs
-    with the identity on the pinned others, the odd components at the
-    midplane.
+    in-plane node (0, 0), then transformed by rfft2 with the real transform
+    along n1, is the symbol per wavevector, set into the M x M symbol of all
+    the (slot, component) pairs with the identity on the pinned others, the
+    odd components at the midplane.
     The zero-wavevector block is singular on the translations of the even
     components, which are lifted by a multiple of their projector; the lifted
     block maps the mean-free fields to themselves, so the inverse adds only a
@@ -317,12 +324,14 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     removes.  Each Hermitian block K = Kr + i Ki is inverted through its real
     embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]] with
     K^-1 = A + i B; its free rows and columns are kept, times irfft2's
-    Hermitian weight of the wavevector's column j (1 at j = 0 and n2 / 2, 2
+    Hermitian weight of the wavevector's row a (1 at a = 0 and n1 / 2, 2
     between) over n1 n2, so that with `_dft_passes`' F the inverse of the
-    reference stiffness is F^T D F.
+    reference stiffness is F^T D F.  K^-1 is Hermitian, so each block is
+    symmetric; it is symmetrized exactly, and the preconditioner applies it
+    from the right to the rows of its columns.
 
     Returns:
-        D: (n2 // 2 + 1, n1, 2f, 2f) real array, wavevector (a, j) at D[j, a],
+        D: (n1 // 2 + 1, n2, 2f, 2f) real array, wavevector (a, j) at D[a, j],
             rows and columns (part, free pair), f the free pairs of
             M = 3 (n3 // 2 + 1).
     """
@@ -332,20 +341,20 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     table = near.transpose(1, 0, 2).reshape(-1, 24).T    # layer-major
     units = np.eye(f * n1 * n2, f)   # in-plane node (0, 0) holds dofs :f
     columns = _apply_kernels(kernels, np.arange(len(kernels) + 1) * len(near),
-                             table, column_keys(table, f), units)
-    symbol = np.zeros((n1, n2 // 2 + 1, m, m), dtype=complex)
+                             table, column_keys(table, len(units), f), units)
+    symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
     symbol[:, :, free[:, None], free] = np.fft.rfft2(
-        columns.reshape(n1, n2, f, f), axes=(0, 1))
+        columns.reshape(n1, n2, f, f), axes=(1, 0))
     symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
     symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
     kept = np.r_[free, m + free]
-    weight = np.full(n2 // 2 + 1, 2.0)
+    weight = np.full(n1 // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
     D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
-        * (weight / (n1 * n2))[:, None, None]
-    return np.ascontiguousarray(D.transpose(1, 0, 2, 3))
+        * (weight / (n1 * n2))[:, None, None, None]
+    return np.ascontiguousarray(0.5 * (D + D.swapaxes(-1, -2)))
 
 
 # All of a cell operator that its phase layout does not enter: `_fold`'s
@@ -356,7 +365,8 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
 # each (kept layer, Gauss point), (layers, 8); rdft and dft, the
 # `_dft_passes`, and spectral_inverse, the blocks D of `_reference_inverse`,
 # of the medium whose Lame constants are the geometric means of the phases';
-# shift, the translations on the free pairs.
+# shift, the translations on the free pairs of one in-plane row of nodes,
+# (translations, n2 * free pairs).
 _Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke zq "
                     "rdft dft spectral_inverse shift")
 
@@ -384,7 +394,8 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
     out = _Setup(fold, weight, edof, sigma, free, Bq,
                  Bq.reshape(48, 24) * sigma[:, None], forms, ke, zq,
-                 *_dft_passes(n1, n2), spectral_inverse, t[free])
+                 *_dft_passes(n1, n2), spectral_inverse,
+                 np.tile(t[free].T, n2))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -420,7 +431,8 @@ class CellOperator:
     arrays of its `_setup`, shared with every operator on the same grid,
     parity and Lame pairs: the folded 24x24 kernels, the real DFT matrices
     and per-wavevector blocks of the reference-medium preconditioner, the
-    Gauss heights.  Its fields are folded, (ndof, m);
+    Gauss heights.  Its fields are folded, (ndof, m), stored column by
+    column;
     `expand` and `restrict` map them to and from full-slab nodal fields.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
@@ -468,46 +480,53 @@ class CellOperator:
     # --- reference-medium preconditioner --------------------------------------
     def precondition(self, R):
         """Apply the reference-medium inverse F^T D F to residuals R:
-        (ndof, k).
+        (ndof, k), returned stored column by column.
 
-        Five matrix products with the set-up's real matrices: the rdft along
-        n2 per in-plane row i, written as (j, part, i) so that each column j
-        holds one (part, i) block; the embedded dft along n1 per j, giving
-        rows (a, part); the blocks D per wavevector (j, a); then the
-        transposes of the two passes in reverse order.
+        Five matrix products with the set-up's real matrices, each on the
+        contiguous (n1, n2 f) plane of one column of a column-major R: the
+        rdft along n1, giving rows (a, part); the embedded dft along n2 per
+        (column, a), giving rows (j, part); the symmetric blocks D per
+        wavevector (a, j), applied from the right to the k rows of its
+        columns; then the transposes of the two passes in reverse order.
         """
         n1, n2, k = self.grid.n1, self.grid.n2, R.shape[1]
         h = len(self._rdft) // 2
-        fk = R.size // (n1 * n2)
-        Rh = np.empty((h, 2, n1, fk))
-        np.matmul(self._rdft, R.reshape(n1, n2, fk),
-                  out=Rh.reshape(2 * h, n1, fk).transpose(1, 0, 2))
-        Rh = np.matmul(self._dft, Rh.reshape(h, 2 * n1, fk))
-        Zh = np.matmul(self.spectral_inverse, Rh.reshape(h, n1, -1, k))
-        Zh = np.matmul(self._dft.T, Zh.reshape(h, 2 * n1, fk))
-        return np.matmul(self._rdft.T, Zh.reshape(2 * h, n1, fk)
-                         .transpose(1, 0, 2)).reshape(R.shape)
+        f = len(R) // (n1 * n2)
+        RT = np.asfortranarray(R).T                    # (k, ndof), no copy
+        X = np.matmul(self._rdft, RT.reshape(k, n1, n2 * f))
+        X = np.matmul(self._dft, X.reshape(k, h, 2 * n2, f))
+        Z = np.empty_like(X)
+        np.matmul(X.reshape(k, h, n2, 2 * f).transpose(1, 2, 0, 3),
+                  self.spectral_inverse,
+                  out=Z.reshape(k, h, n2, 2 * f).transpose(1, 2, 0, 3))
+        Z = np.matmul(self._dft.T, Z)
+        return np.matmul(self._rdft.T, Z.reshape(k, 2 * h, -1)) \
+            .reshape(RT.shape).T
 
     # --- kernel projection -------------------------------------------------
     def project(self, U):
         """Remove the translations of the even components from U (ndof, m),
-        in place."""
-        V = U.reshape(self.grid.n1 * self.grid.n2, len(self._shift), -1)
-        # each translation's coefficient, summed over the pairs in order
-        coef = (self._shift[..., None] * V.sum(axis=0)[:, None]).sum(axis=0)
-        V -= self._shift @ (coef / len(V))
+        in place, in either memory order."""
+        # (m, n1, n2 * pairs), a row of in-plane nodes per n1: a view of U.T
+        # in both orders
+        V = U.T.reshape(U.shape[1], self.grid.n1, -1)
+        # (m, translations); the node sums are made C-ordered, so that both
+        # orders reach the same matrix product
+        coef = np.ascontiguousarray(V.sum(axis=1)) @ self._shift.T
+        V -= ((coef / (self.grid.n1 * self.grid.n2)) @ self._shift)[:, None]
         return U
 
     # --- operator application ----------------------------------------------
     def matvec(self, U):
-        """Apply the stiffness operator to U of shape (ndof, m)."""
+        """Apply the stiffness operator to U of shape (ndof, m); the result
+        is stored column by column."""
         return _apply_kernels(self.ke, self.bounds, self.table,
                               self._column_keys(U.shape[1]), U)
 
     def _column_keys(self, m):
         """`column_keys` of the dof table for m columns, built once per m."""
         if m not in self._keys:
-            self._keys[m] = column_keys(self.table, m)
+            self._keys[m] = column_keys(self.table, self.ndof, m)
         return self._keys[m]
 
     # --- full-slab fields ----------------------------------------------------
@@ -530,11 +549,12 @@ class CellOperator:
 
     # --- loads ---------------------------------------------------------------
     def rhs(self, loads):
-        """Folded right-hand sides -f for a list of loads: (ndof, m)."""
+        """Folded right-hand sides -f for a list of loads: (ndof, m), stored
+        column by column."""
         parts = np.stack([_part(load, self.parity) for load in loads])
         fe = _load_vectors(self._key, parts.tobytes())
         kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
-        fe = np.take(fe.transpose(1, 0, 2), kernel, axis=1)  # (24, n_kept, m)
+        fe = np.take(fe.transpose(2, 1, 0), kernel, axis=2)  # (m, 24, n_kept)
         return -scatter(self._column_keys(len(loads)), fe,
                         (self.ndof, len(loads)))
 
@@ -545,8 +565,8 @@ class CellOperator:
         over the loads' parts in this parity."""
         m = len(loads)
         layers = len(self.weight)
-        XT = np.ascontiguousarray(X.reshape(len(X), -1).T)
-        Xe = np.take(XT, self.table, axis=1)          # (m, 24, n_kept)
+        # (m, 24, n_kept), read from either memory order of X
+        Xe = np.take(X.reshape(len(X), -1).T, self.table, axis=1)
         eps = np.stack([_load_strains(_part(ld, self.parity), self.zq,
                                       self.parity) for ld in loads])[..., None]
         # M[a, b] = sum_(p, l) w_l sum_qe tau_a[q, :, e] . Q_p tau_b[q, :, e],

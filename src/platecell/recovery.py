@@ -455,17 +455,21 @@ def evaluate_scaled_energy(sampler):
 
 
 def limit_energy(form, iso):
-    """Homogenized bending energy of the isometry: integral of q(II).
+    """Homogenized bending energy of the isometry: the integral of q(II).
 
-    Midpoint rule on a 32 x 32 grid, exact for the constant-curvature
-    isometries shipped here.
+    An isometry with a constant connection has a constant second form, so
+    the integral is q(II) |omega|, with II read at the domain's centre.
+
+    Raises:
+        ConfigError: the isometry has no constant connection.
     """
+    if not iso.constant_connection:
+        raise ConfigError("limit_energy: isometry kind %r has no constant "
+                          "connection, so its second form is not constant"
+                          % (iso.kind,))
     x0, y0, x1, y1 = iso.domain
-    n = 32
-    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-    II = iso.second_form(_tensor_points(xs, ys))
-    return float(qgamma_eval(form, II).mean() * (x1 - x0) * (y1 - y0))
+    II = iso.second_form(np.array([[0.5 * (x0 + x1), 0.5 * (y0 + y1)]]))[0]
+    return float(qgamma_eval(form, II) * (x1 - x0) * (y1 - y0))
 
 
 def recovery_gaps(family):

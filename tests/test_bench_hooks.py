@@ -45,6 +45,15 @@ def test_cell_solve_hooks_fire(monkeypatch):
               if span[0] == "block_pcg"]
     projections = [span[3] for span in tracer.spans if span[0] == "project"]
     assert solves and sorted(projections) == sorted(solves * 2)
+    # every matvec gets an (ndof, m) block, m = 3 bending loads: the base of
+    # dofcols and of the kernel flops behind matvec_gflops
+    ndof = [span[5]["ndof"] for span in tracer.spans
+            if span[0] == "operator_setup"]
+    matvecs = [span[5] for span in tracer.spans if span[0] == "matvec"]
+    assert len(ndof) == 1 and matvecs
+    for counts in matvecs:
+        assert counts["dofcols"] == ndof[0] * 3
+        assert counts["flops"] == 2 * 24 * 24 * grid.n_elements * 3
 
 
 def test_recovery_hooks_fire(monkeypatch):

@@ -252,17 +252,18 @@ def test_nonconvergence_raises_with_history():
 def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
                    callback=None):
     """The block PCG loop as it was before it updated in place, with the
-    kernel projected out of the right-hand side and the solution only: every
-    update allocates its result."""
-    b = project(rhs.copy())
-    bnorm = np.sqrt(np.einsum("ij,ij->j", b, b))
+    kernel projected out of the right-hand side and the solution only, on
+    the transposed blocks (a contiguous row per column): every update
+    allocates its result."""
+    b = project(np.array(rhs, order="F")).T
+    bnorm = np.sqrt(np.einsum("ij,ij->i", b, b))
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
+    z = precondition(r.T).T
     p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-    rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
+    rz = np.einsum("ij,ij->i", r, z)
+    rel = np.sqrt(np.einsum("ij,ij->i", r, r)) / bnorm
     history = [rel.copy()]
     active = rel > tol
     it = 0
@@ -273,45 +274,44 @@ def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
                 "(worst relative residual %.3e)"
                 % (int(active.sum()), rhs.shape[1], tol, it, float(rel.max())),
                 residual_history=[h.tolist() for h in history])
-        q = matvec(p)
-        pq = np.einsum("ij,ij->j", p, q)
+        q = matvec(p.T).T
+        pq = np.einsum("ij,ij->i", p, q)
         ok = active & (pq > 0)
         alpha = np.where(ok, rz / np.where(pq > 0, pq, 1.0), 0.0)
-        x += alpha * p
-        r -= alpha * q
-        rel = np.sqrt(np.einsum("ij,ij->j", r, r)) / bnorm
+        x = x + alpha[:, None] * p
+        r = r - alpha[:, None] * q
+        rel = np.sqrt(np.einsum("ij,ij->i", r, r)) / bnorm
         history.append(rel.copy())
         active = rel > tol
-        z = precondition(r)
-        rz_new = np.einsum("ij,ij->j", r, z)
+        z = precondition(r.T).T
+        rz_new = np.einsum("ij,ij->i", r, z)
         beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        p = z + beta * p
+        p = z + beta[:, None] * p
         rz = rz_new
         it += 1
         if callback is not None:
-            callback(it, x)
-    return project(x), history
+            callback(it, x.T)
+    return project(x.T), history
 
 
 def concatenating_precondition(op, R):
     """The reference-medium inverse applied through pocketfft's rfft2 and
-    irfft2 and the concatenated real and imaginary spectra, as before it
-    was applied by real DFT matrix products.  The left half [A; B] of each
-    wavevector's block is read back from the operator's blocks, whose
-    Hermitian weight and 1 / (n1 n2) are undone."""
+    irfft2 (the real transform along n1) and the concatenated real and
+    imaginary spectra, as before it was applied by real DFT matrix products.
+    The left half [A; B] of each wavevector's block is read back from the
+    operator's blocks, whose Hermitian weight and 1 / (n1 n2) are undone."""
     n1, n2 = op.grid.n1, op.grid.n2
     m = op.spectral_inverse.shape[-1] // 2
     k = R.shape[1]
-    weight = np.full(n2 // 2 + 1, 2.0)
+    weight = np.full(n1 // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
     AB = (op.spectral_inverse[..., :m] * (n1 * n2 / weight)[:, None, None,
                                                                None])
-    AB = AB.transpose(1, 0, 2, 3)
-    Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(0, 1))
+    Rh = np.fft.rfft2(R.reshape(n1, n2, m, k), axes=(1, 0))
     Y = np.matmul(AB, np.concatenate([Rh.real, Rh.imag], axis=3))
     Zh = (Y[:, :, :m, :k] - Y[:, :, m:, k:]) \
         + 1j * (Y[:, :, m:, :k] + Y[:, :, :m, k:])
-    return np.fft.irfft2(Zh, s=(n1, n2), axes=(0, 1)).reshape(R.shape)
+    return np.fft.irfft2(Zh, s=(n2, n1), axes=(1, 0)).reshape(R.shape)
 
 
 def copy_free_cases():
@@ -377,6 +377,54 @@ def test_dft_products_match_the_fft_preconditioner():
             npt.assert_allclose(Z, want, rtol=0,
                                 atol=1e-13 * np.abs(want).max(),
                                 err_msg=str((grid, parity, k)))
+
+
+def test_memory_order_does_not_change_the_results():
+    # blocks are (ndof, m) stored column by column; a C-ordered block of the
+    # same values gives the same bits, and the operator's blocks come back
+    # column-major
+    for grid, phases, mats, parity in dft_cases():
+        op = CellOperator(grid, phases, mats, parity)
+        case = (grid, parity)
+        loads = unit_loads()[3:] if parity == BENDING else unit_loads()[:3]
+        b = op.rhs(loads)
+        assert b.shape == (op.ndof, 3) and b.flags.f_contiguous, case
+        U = np.random.default_rng(5).standard_normal((op.ndof, 3))
+        UF = np.asfortranarray(U)
+        for apply in (op.matvec, op.precondition):
+            want = apply(UF)
+            assert want.flags.f_contiguous, (apply.__name__, case)
+            assert np.array_equal(apply(U), want), (apply.__name__, case)
+        assert np.array_equal(op.closure(loads, U), op.closure(loads, UF))
+        # the projection works in place on both orders
+        PC, PF = U.copy(order="C"), U.copy(order="F")
+        assert op.project(PC) is PC and op.project(PF) is PF, case
+        assert np.array_equal(PC, PF) and not np.array_equal(PC, U), case
+        # the solver copies its right-hand side into column-major order
+        x, history = block_pcg(op.matvec, op.precondition, op.project, b,
+                               1e-8, 200)
+        xc, history_c = block_pcg(op.matvec, op.precondition, op.project,
+                                  np.ascontiguousarray(b), 1e-8, 200)
+        assert x.flags.f_contiguous, case
+        assert np.array_equal(x, xc), case
+        assert len(history) == len(history_c), case
+        for h, hc in zip(history, history_c):
+            assert np.array_equal(h, hc), case
+
+
+# PCG iterations of the copy_free_cases() solves at tol 1e-8: the 20x20x2
+# Voronoi bending solve, then the checkerboard's bending and membrane solves
+COPY_FREE_ITERATIONS = (17, 11, 11)
+
+
+def test_copy_free_solves_take_the_pinned_iterations():
+    cases = zip(copy_free_cases(), COPY_FREE_ITERATIONS, strict=True)
+    for (grid, phases, mats, parity), want in cases:
+        op = CellOperator(grid, phases, mats, parity)
+        part = slice(3, 6) if parity == BENDING else slice(0, 3)
+        _, history = block_pcg(op.matvec, op.precondition, op.project,
+                               op.rhs(unit_loads()[part]), 1e-8, 200)
+        assert len(history) - 1 == want, (grid, parity)
 
 
 def test_pcg_projects_the_rhs_and_the_solution_only():

@@ -80,17 +80,20 @@ def test_scatter_sums_every_entry_per_column():
     rng = np.random.default_rng(3)
     conn = nodes(4, 4, 2)
     n = 4 * 4 * 3
-    values = rng.standard_normal(conn.shape + (3,))
+    values = rng.standard_normal((3,) + conn.shape)
     want = np.zeros((n, 3))
-    np.add.at(want, conn, values)
-    got = scatter(column_keys(conn, 3), values, (n, 3))
+    for c in range(3):
+        np.add.at(want[:, c], conn, values[c])
+    got = scatter(column_keys(conn, n, 3), values, (n, 3))
     npt.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    # stored column by column
+    assert got.flags.f_contiguous
     # one bincount over the column keys sums each column in the order of a
     # bincount of that column alone
     for c in range(3):
-        npt.assert_array_equal(scatter(conn, values[..., c], n), got[:, c])
+        npt.assert_array_equal(scatter(conn, values[c], n), got[:, c])
         npt.assert_array_equal(np.bincount(conn.ravel(),
-                                           weights=values[..., c].ravel(),
+                                           weights=values[c].ravel(),
                                            minlength=n), got[:, c])
 
 

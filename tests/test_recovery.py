@@ -818,6 +818,14 @@ def test_limit_energy_is_the_pointwise_midpoint_rule():
         npt.assert_allclose(limit_energy(form, iso), loop, rtol=1e-14)
 
 
+def test_limit_energy_needs_a_constant_connection():
+    # q(II) |omega| is the integral only for a constant second form
+    iso = cylinder_isometry(1.0)
+    iso.kind = "sphere"
+    with pytest.raises(ConfigError, match="constant connection"):
+        limit_energy(np.diag([0.5, 0.5, 0.4]), iso)
+
+
 def test_limit_energy_retains_no_objects():
     # numpy keeps a bounded cache of small shape buffers, so a few blocks may
     # stay behind once; a leak grows with the calls.  The second window makes

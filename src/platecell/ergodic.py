@@ -65,7 +65,9 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     """Midpoint-rule window averages of x -> f(phase(x / eps)).
 
     Each scale's midpoints form a tensor grid, whose phases come from one
-    `phase_grid` query.
+    `phase_grid` query: on a Voronoi medium, float32 per-phase minima of the
+    squared torus distance decide almost every midpoint, and the exact
+    float64 per-point pass the rest, so the phases are exact.
 
     Args:
         realization: MicrostructureRealization.
@@ -181,11 +183,13 @@ def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):
     folded in the given seed order so the output is invariant to scheduling.
 
     Raises:
-        ConfigError: fewer than two seeds, or one not an integer >= 0.
+        ConfigError: fewer than two seeds, or one not an integer >= 0;
+            threads not an integer >= 1.
         NumericalError: a per-seed failure, annotated with the seed.
     """
     seeds = [as_index(s, "ensemble_effective: seeds[%d]" % k, low=0)
              for k, s in enumerate(seeds)]
+    threads = as_index(threads, "ensemble_effective: threads", low=1)
     if len(seeds) < 2:
         raise ConfigError("ensemble_effective: need at least two seeds "
                           "(ensemble statistics are meaningless for one)")
@@ -200,7 +204,7 @@ def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):
             annotated.__dict__.update(exc.__dict__)   # keeps residual_history
             raise annotated from exc
 
-    if threads <= 1:
+    if threads == 1:
         forms = [one(s) for s in seeds]    # stops at the first failing seed
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:

@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError, as_array, as_index, as_real
-from .microstructure import _PERIODIC_KINDS, MicrostructureModel, \
+from .microstructure import MicrostructureModel, \
     MicrostructureRealization, PhaseGrid
 
 
@@ -63,9 +63,6 @@ def realization_from_dict(d):
     try:
         model = MicrostructureModel.from_dict(d["model"])
         points = d["points"]
-        if not points and model.kind not in _PERIODIC_KINDS:
-            raise ConfigError("realization of a %r model has no points"
-                              % model.kind)
         return MicrostructureRealization(
             model, d["seed"], d["box_side"],
             points=[p[:2] for p in points] if points else None,

@@ -10,13 +10,17 @@ Three media are supported:
 
 A realization is immutable and carries a translation offset implementing the
 shift action: shifting composes exactly (offsets add), and every query wraps
-into the periodic box.  A Voronoi lookup is one exact pass over all sites,
-taken in (x, y, index) order so that the first nearest site is the tie-broken
-one: `phase_at` serves scattered points, and `phase_grid` a tensor grid
-xs x ys, whose squared torus distances split into per-axis terms that each
-grid line computes once.  Randomness comes from a counter-based
-Philox generator keyed by (seed, stream), with point positions and marks on
-separate streams so they stay independent.
+into the periodic box.  `phase_at` looks up scattered Voronoi points in one
+exact float64 pass over all sites, taken in (x, y, index) order so that the
+first nearest site is the tie-broken one.  `phase_grid` finds the phases of
+a tensor grid xs x ys through a float32 filter: the squared torus distances
+split into per-axis terms that each grid line computes once, and the float32
+minimum of each phase over its sites decides every point whose lowest phase
+beats the others by a margin 4x the float32 rounding error.  The few
+undecided points (ties and near-ties across phases) take `phase_at`'s exact
+pass, so both give the same phase at every point.  Randomness comes from a
+counter-based Philox generator keyed by (seed, stream), with point positions
+and marks on separate streams so they stay independent.
 """
 
 import copy
@@ -29,9 +33,20 @@ from .errors import ConfigError, DegenerateRealizationError, as_array, \
 _PERIODIC_KINDS = ("periodic_texture", "checkerboard")
 _KINDS = _PERIODIC_KINDS + ("poisson_voronoi",)
 
-# Distances (queries x sites) per pass of _nearest: large enough that numpy's
-# per-call overhead is small, small enough that a pass takes about half a MB.
+# Entries per pass: float64 distances (queries x sites) in _nearest, float32
+# sums (sites x grid points) in _phase_min.  Large enough that numpy's
+# per-call overhead is small, small enough that a pass takes at most half a
+# MB.
 _ENTRIES = 16 * 4096
+
+# The float32 filter of _grid_phases decides a point when its lowest phase
+# minimum lies more than this below every other one, in units of L^2.  Sites
+# and wrapped queries lie in [0, L]^2, so each per-axis term is at most 1/4
+# and each sum at most 1/2: the roundings to float32 of the two terms and of
+# their sum move a float32 sum at most 2^-24 (1/4 + 1/4 + 1/2) from the
+# float64 d^2 / L^2, and this margin is 4x the error of a difference of two
+# sums.
+_MARGIN = 8 * 2.0 ** -24
 
 
 def _rng(seed, stream):
@@ -129,35 +144,87 @@ def _wrapped_sq(d, L):
     return d
 
 
-def _nearest(r, qx, qy, grid):
-    """Indices of the sites of r nearest to wrapped queries: the points
-    (qx[m], qy[m]), or the tensor grid qx x qy as (len(qx), len(qy)) when
-    `grid`.
+def _nearest(r, qx, qy):
+    """Indices of the sites of r nearest to the wrapped query points
+    (qx[m], qy[m]): the exact per-point pass of phase_at, and of the points
+    that _grid_phases leaves undecided.
 
-    Each query takes one pass over all sites in r's (x, y, index) order, so
-    the first minimum of d^2 = wrapped_sq(dx) + wrapped_sq(dy) is the tie
-    rule.  A grid computes its per-axis terms once per grid line and adds
-    them by broadcasting; scattered points pair them point by point.  Each
-    pass holds at most _ENTRIES distances, or one grid line if that is more.
+    Each query takes one float64 pass over all sites in r's (x, y, index)
+    order, so the first minimum of d^2 = wrapped_sq(dx) + wrapped_sq(dy) is
+    the tie rule.  Each pass holds at most _ENTRIES distances, or one query
+    if that is more.
     """
     order, L = r._order, r.box_side
     px, py = r.points[order, 0], r.points[order, 1]
-    n = len(order)
-    if grid:
-        dx = _wrapped_sq(qx[:, None] - px, L)
-        dy = _wrapped_sq(qy[:, None] - py, L)
-        k = np.empty((len(qx), len(qy)), dtype=np.int64)
-        step = max(1, _ENTRIES // (n * max(len(qy), 1)))
-        for s in range(0, len(qx), step):
-            k[s:s + step] = np.argmin(dx[s:s + step, None] + dy, axis=2)
-    else:
-        k = np.empty(len(qx), dtype=np.int64)
-        step = max(1, _ENTRIES // n)
-        for s in range(0, len(qx), step):
-            d2 = _wrapped_sq(qx[s:s + step, None] - px, L)
-            d2 += _wrapped_sq(qy[s:s + step, None] - py, L)
-            k[s:s + step] = np.argmin(d2, axis=1)
+    k = np.empty(len(qx), dtype=np.int64)
+    step = max(1, _ENTRIES // len(order))
+    for s in range(0, len(qx), step):
+        d2 = _wrapped_sq(qx[s:s + step, None] - px, L)
+        d2 += _wrapped_sq(qy[s:s + step, None] - py, L)
+        k[s:s + step] = np.argmin(d2, axis=1)
     return order[k]
+
+
+def _phase_min(tx, ty):
+    """min over sites k of tx[k, :, None] + ty[k] in float32, in passes of
+    at most _ENTRIES entries (one site and one grid line if that is more),
+    each reduced over its site axis."""
+    sites, rows = tx.shape
+    cols = max(ty.shape[1], 1)
+    ks = max(1, min(sites, _ENTRIES // cols))
+    kr = max(1, _ENTRIES // (ks * cols))
+    out = np.empty((rows, ty.shape[1]), dtype=np.float32)
+    for i in range(0, rows, kr):
+        o = out[i:i + kr]
+        np.minimum.reduce(tx[:ks, i:i + kr, None] + ty[:ks, None], axis=0,
+                          out=o)
+        for s in range(ks, sites, ks):
+            np.minimum(o, np.minimum.reduce(tx[s:s + ks, i:i + kr, None]
+                                            + ty[s:s + ks, None], axis=0),
+                       out=o)
+    return out
+
+
+def _grid_phases(r, qx, qy):
+    """Phases (len(qx), len(qy)) of the tensor grid qx x qy of wrapped
+    queries: the marks of their nearest sites, as _nearest finds them.
+
+    The squared torus distance splits into per-axis terms, computed in
+    float64 as _nearest computes them, scaled by 1/L^2 and rounded to
+    float32.  Each phase's float32 minimum over its sites decides the points
+    whose lowest phase minimum lies more than _MARGIN below every other
+    phase's; the rest (ties and near-ties across phases) take the exact
+    per-point pass of _nearest.
+    """
+    L = r.box_side
+    scale = (1.0 / L) ** 2
+    sx, sy = r._by_phase
+    tx = (_wrapped_sq(sx - qx, L) * scale).astype(np.float32)
+    ty = (_wrapped_sq(sy - qy, L) * scale).astype(np.float32)
+    # the lowest phase minimum so far, its phase, and the lowest minimum of
+    # the other phases
+    low = second = None
+    start = 0
+    for p, count in enumerate(np.bincount(r.marks).tolist()):
+        if not count:
+            continue
+        m = _phase_min(tx[start:start + count], ty[start:start + count])
+        start += count
+        if low is None:
+            low, phase = m, np.empty(m.shape, dtype=np.int64)
+            phase.fill(p)
+            continue
+        np.copyto(phase, p, where=m < low)
+        high = np.maximum(low, m)
+        second = high if second is None else np.minimum(second, high,
+                                                        out=second)
+        np.minimum(low, m, out=low)
+    if second is not None:
+        second -= low
+        i, j = (~(second > _MARGIN)).nonzero()    # nan: undecided too
+        if len(i):
+            phase[i, j] = r.marks[_nearest(r, qx[i], qy[j])]
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +243,31 @@ class MicrostructureRealization:
         self.offset = as_array(offset, "realization offset", (2,)).copy()
         self.stream_base = as_index(stream_base, "realization stream_base",
                                     low=0)
-        # site indices in (x, y, index) order, read-only; shifts share it
-        self.points = self.marks = self._order = None
-        if points is not None:
+        # site indices in (x, y, index) order, and the site coordinates
+        # grouped by mark, each group in (x, y, index) order, as an
+        # (axis, site, 1) array; read-only, shifts share them
+        self.points = self.marks = self._order = self._by_phase = None
+        if points is None:
+            if model.kind == "poisson_voronoi":
+                raise ConfigError("realization points: a poisson_voronoi "
+                                  "realization needs its sites")
+        else:
             self.points = as_array(points, "realization points", (None, 2))
+            if not len(self.points) or self.points.min() < 0 \
+                    or self.points.max() > self.box_side:
+                raise ConfigError("realization points must be one or more "
+                                  "sites in [0, %g]^2" % self.box_side)
             self.marks = as_array(marks, "realization marks",
                                   (len(self.points),), integer=True)
+            if self.marks.min() < 0 or self.marks.max() >= model.phase_count:
+                raise ConfigError("realization marks must lie in [0, %d)"
+                                  % model.phase_count)
             self._order = np.lexsort((self.points[:, 1], self.points[:, 0]))
+            grouped = np.lexsort((self.points[:, 1], self.points[:, 0],
+                                  self.marks))
+            self._by_phase = self.points.take(grouped, axis=0).T[:, :, None]
             self._order.flags.writeable = False
+            self._by_phase.flags.writeable = False
 
 
 def sample_realization(model, seed, box_side):
@@ -267,7 +351,7 @@ def phase_at(r, x):
             out = (i + j) % 2
     else:
         qw = np.mod(q, L)
-        out = r.marks[_nearest(r, qw[:, 0], qw[:, 1], grid=False)]
+        out = r.marks[_nearest(r, qw[:, 0], qw[:, 1])]
     return int(out[0]) if scalar else out
 
 
@@ -290,6 +374,9 @@ def phase_grid(r, xs, ys):
     """Phase ids (len(xs), len(ys)) on the tensor grid xs x ys; point for point
     equal to phase_at(r, _tensor_points(xs, ys)), without building the points.
 
+    A Voronoi grid is decided by the float32 per-phase minima of
+    _grid_phases; only its undecided points take phase_at's exact pass.
+
     Raises:
         ConfigError: xs or ys is not a finite 1-D numeric array.
     """
@@ -298,8 +385,8 @@ def phase_grid(r, xs, ys):
     if r.model.kind in _PERIODIC_KINDS:
         return phase_at(r, _tensor_points(xs, ys)).reshape(len(xs), len(ys))
     L = r.box_side
-    return r.marks[_nearest(r, np.mod(xs + r.offset[0], L),
-                            np.mod(ys + r.offset[1], L), grid=True)]
+    return _grid_phases(r, np.mod(xs + r.offset[0], L),
+                        np.mod(ys + r.offset[1], L))
 
 
 def rasterize(r, n1, n2):

@@ -26,6 +26,7 @@ from platecell import (
     StrainForm,
     birkhoff_average,
     coercivity_constants,
+    ensemble_effective,
     cof_sym_grad,
     decompose_mixed,
     decompose_second_order,
@@ -41,6 +42,7 @@ from platecell import (
 )
 from platecell.cli import main
 from platecell.errors import as_array, as_index, as_real
+from platecell.fileio import realization_from_dict, realization_to_dict
 
 GRID = RVEGrid(4, 4, 2, 1.0, 1.0)
 CHECKER = MicrostructureModel("checkerboard", period_hint=0.5)
@@ -119,6 +121,10 @@ SCALARS = {
     "birkhoff_average.step": (
         lambda v: birkhoff_average(STRIPES, [0, 1], WINDOW, [0.5], step=v),
         "birkhoff_average: step", 0.05, 0.0),
+    "ensemble_effective.threads": (
+        lambda v: ensemble_effective(CHECKER, TWO_PHASE, GRID, [0, 1],
+                                     threads=v),
+        "ensemble_effective: threads", 2, -3),
 }
 
 # the same for arrays, with a valid value and one of the wrong shape
@@ -353,6 +359,55 @@ def test_nan_query_point_gets_no_phase(kind):
         phase_grid(r, [0.1, 0.2], [0.3, np.nan])
     assert phase_grid(r, [0.1, 0.2], [0.3]).tolist() == \
         phase_at(r, [[0.1, 0.3], [0.2, 0.3]])[:, None].tolist()
+
+
+@pytest.mark.parametrize("threads", [2.5, True, -3, 0, "2"])
+def test_ensemble_reads_threads_strictly(threads):
+    # 2.5, True and -3 were run silently, and "2" ended in a bare TypeError
+    _raises_naming(lambda v: ensemble_effective(CHECKER, TWO_PHASE, GRID,
+                                                [0, 1], threads=v),
+                   threads, "ensemble_effective: threads")
+
+
+VORONOI = MicrostructureModel("poisson_voronoi", intensity=1.0)
+
+
+# (points, marks, the name the message must hold) of realizations on L = 2
+# that were read as given and answered wrongly
+MISREAD_REALIZATIONS = {
+    # phase 0 at (0.05, 0.5), where its wrapped copy (1.5, 0.5) gives 1
+    "site beyond the box": ([[3.5, 0.5], [0.4, 0.5]], [1, 0],
+                            "realization points"),
+    "site below the box": ([[-0.5, 0.5], [0.4, 0.5]], [1, 0],
+                           "realization points"),
+    # read as the last phase, and as a bare IndexError
+    "mark -1": ([[1.5, 0.5], [0.4, 0.5]], [-1, 0], "realization marks"),
+    "mark 5": ([[1.5, 0.5], [0.4, 0.5]], [5, 0], "realization marks"),
+    # phase_at ended in a ZeroDivisionError
+    "no sites": (None, None, "realization points"),
+    "empty sites": (np.zeros((0, 2)), [], "realization points"),
+}
+
+
+@pytest.mark.parametrize("case", MISREAD_REALIZATIONS)
+def test_realization_refuses_what_it_would_misread(case):
+    points, marks, name = MISREAD_REALIZATIONS[case]
+    with pytest.raises(ConfigError, match=name):
+        MicrostructureRealization(VORONOI, 0, 2.0, points=points,
+                                  marks=marks)
+    if points is not None and len(points):
+        # the same from a file
+        d = realization_to_dict(sample_realization(VORONOI, 0, 2.0))
+        d["points"] = [list(p) + [k] for p, k in zip(points, marks)]
+        with pytest.raises(ConfigError, match=name):
+            realization_from_dict(d)
+
+
+def test_realization_takes_sites_on_the_box_edges():
+    r = MicrostructureRealization(VORONOI, 0, 2.0,
+                                  points=[[0.0, 2.0], [2.0, 1.0]],
+                                  marks=[0, 1])
+    assert phase_at(r, [0.1, 1.9]) == 0 and phase_at(r, [1.9, 1.0]) == 1
 
 
 def test_coercivity_refuses_an_indefinite_form():

@@ -190,24 +190,31 @@ def test_rasterize_matches_phase_at_on_centers():
 
 
 def _index_marks(r):
-    """r with its marks set to the site indices, so that a wrong site with
-    the right mark cannot pass."""
-    return MicrostructureRealization(r.model, r.seed, r.box_side,
+    """r with its marks set to the site indices, one phase per site, so that
+    a wrong site with the right mark cannot pass."""
+    return MicrostructureRealization(voronoi_model(phases=len(r.points)),
+                                     r.seed, r.box_side,
                                      points=r.points,
                                      marks=np.arange(len(r.points)),
                                      offset=r.offset)
 
 
-def _lattice():
+def _lattice(alternating=False, nudge=0.0):
     """A 6 x 6 unit lattice on a box of side 6; queries at half-integers
     tie 2 or 4 ways, some of them only through the wrap (x = 5.5 is 0.5 from
     the sites at 5 and at 0).  The sites are listed in reverse so that index
-    order breaks no tie."""
+    order breaks no tie.  `alternating` marks them like a checkerboard, so
+    the ties are across phases; `nudge` moves each site by a seeded normal
+    step of that size, wrapped into the box."""
     grid = np.arange(6.0)
     lattice = np.stack(np.meshgrid(grid, grid, indexing="ij"),
                        -1).reshape(-1, 2)[::-1]
+    marks = lattice.sum(axis=1).astype(np.int64) % 2 if alternating \
+        else np.zeros(36, dtype=np.int64)
+    lattice = np.mod(lattice + nudge * np.random.default_rng(2).normal(
+        size=lattice.shape), 6.0)
     return MicrostructureRealization(voronoi_model(), 0, 6.0, points=lattice,
-                                     marks=np.zeros(36, dtype=np.int64))
+                                     marks=marks)
 
 
 def _twin_sites():
@@ -215,8 +222,8 @@ def _twin_sites():
     side 16, marked by index."""
     pts = np.vstack([np.random.default_rng(3).random((14, 2)),
                      [[1.5, 1.5], [1.5, 1.5]]])
-    return MicrostructureRealization(voronoi_model(), 0, 16.0, points=pts,
-                                     marks=np.arange(16))
+    return MicrostructureRealization(voronoi_model(phases=16), 0, 16.0,
+                                     points=pts, marks=np.arange(16))
 
 
 def _assert_sites_match_brute_force(r, queries):
@@ -273,22 +280,40 @@ def test_phase_at_brute_force_random_queries():
 def test_phase_grid_matches_phase_at(monkeypatch, block):
     """phase_grid's site at every grid point is phase_at's, index for index,
     on the media of test_phase_at_brute_force_random_queries and on twin
-    sites; _ENTRIES of 7 makes every pass one query or one grid line, so
-    pass edges fall between all of them."""
+    sites; _ENTRIES of 7 makes every pass one site and one grid line, so
+    pass edges fall between all of them.  Media whose own marks are checked
+    too test the float32 filter across phases: cross-phase ties, near-ties
+    that float32 sums put in the wrong order, a large box and three
+    phases."""
     monkeypatch.setattr(microstructure, "_ENTRIES", block)
     rng = np.random.default_rng(14)
     model = voronoi_model()
 
-    def check(r, xs, ys):
-        r = _index_marks(r)
-        got = phase_grid(r, xs, ys)
-        assert got.shape == (len(xs), len(ys))
-        npt.assert_array_equal(got.reshape(-1),
-                               phase_at(r, _tensor_points(xs, ys)))
+    def check(r, xs, ys, own_marks=False):
+        for r in (_index_marks(r), r) if own_marks else (_index_marks(r),):
+            got = phase_grid(r, xs, ys)
+            assert got.shape == (len(xs), len(ys))
+            npt.assert_array_equal(got.reshape(-1),
+                                   phase_at(r, _tensor_points(xs, ys)))
 
     half = np.arange(12) * 0.5
     check(_lattice(), half, half)
     check(_lattice(), half, half[:0])
+    check(_lattice(alternating=True), half, half, own_marks=True)
+    # sites moved by about 1e-8: float32 sums order some near-ties wrongly,
+    # so the filter must leave them to the exact pass
+    nudged = _lattice(alternating=True, nudge=1e-8)
+    check(nudged, half, half, own_marks=True)
+    with monkeypatch.context() as m:
+        m.setattr(microstructure, "_MARGIN", 0.0)
+        assert (phase_grid(nudged, half, half).reshape(-1)
+                != phase_at(nudged, _tensor_points(half, half))).any()
+    r = sample_realization(voronoi_model(intensity=1e-4), 3, 1000.0)
+    check(r, rng.random(60) * 1000.0, rng.random(70) * 1000.0,
+          own_marks=True)
+    r = sample_realization(voronoi_model(intensity=40.0, phases=3), 8, 2.0)
+    assert set(r.marks.tolist()) == {0, 1, 2}
+    check(r, rng.random(80) * 2.0, rng.random(90) * 2.0, own_marks=True)
     check(_twin_sites(), np.array([3.0, 7.5, 3.0]), np.array([7.5, 3.0]))
     for n in (1, 2, 5, 9):          # few sites
         pts = rng.random((n, 2)) * 3.0
@@ -388,7 +413,13 @@ def test_shift_matches_translated_queries():
     x = np.array([0.21, 0.55])
     npt.assert_array_equal(phase_at(shift(r, x), pts), phase_at(r, pts + x))
     # the shift shares the realization's read-only (x, y, index) site order
-    assert shift(r, x)._order is r._order and not r._order.flags.writeable
+    # and its read-only grouping of the sites by mark
+    s = shift(r, x)
+    assert s._order is r._order and not r._order.flags.writeable
+    assert s._by_phase is r._by_phase and not r._by_phase.flags.writeable
+    xs, ys = rng.random(7), rng.random(9)
+    npt.assert_array_equal(phase_grid(s, xs, ys),
+                           phase_grid(r, xs + x[0], ys + x[1]))
 
 
 def test_stationarity_histogram():

@@ -26,11 +26,11 @@ from platecell import (
     StrainForm,
     birkhoff_average,
     coercivity_constants,
-    ensemble_effective,
     cof_sym_grad,
     decompose_mixed,
     decompose_second_order,
     div_cof_residual,
+    ensemble_effective,
     isotropic_form,
     isotropy_defect,
     material_table,

@@ -308,12 +308,6 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
         m.setattr(microstructure, "_MARGIN", 0.0)
         assert (phase_grid(nudged, half, half).reshape(-1)
                 != phase_at(nudged, _tensor_points(half, half))).any()
-    r = sample_realization(voronoi_model(intensity=1e-4), 3, 1000.0)
-    check(r, rng.random(60) * 1000.0, rng.random(70) * 1000.0,
-          own_marks=True)
-    r = sample_realization(voronoi_model(intensity=40.0, phases=3), 8, 2.0)
-    assert set(r.marks.tolist()) == {0, 1, 2}
-    check(r, rng.random(80) * 2.0, rng.random(90) * 2.0, own_marks=True)
     check(_twin_sites(), np.array([3.0, 7.5, 3.0]), np.array([7.5, 3.0]))
     for n in (1, 2, 5, 9):          # few sites
         pts = rng.random((n, 2)) * 3.0
@@ -337,6 +331,14 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     r = sample_realization(voronoi_model(intensity=40.0), 29, 2.0)
     check(shift(r, (0.73, -1.91)), rng.random(25) * 6.0 - 3.0,
           rng.random(35) * 6.0 - 3.0)
+
+    # a large box, and three phases
+    r = sample_realization(voronoi_model(intensity=1e-4), 3, 1000.0)
+    check(r, rng.random(60) * 1000.0, rng.random(70) * 1000.0,
+          own_marks=True)
+    r = sample_realization(voronoi_model(intensity=40.0, phases=3), 8, 2.0)
+    assert set(r.marks.tolist()) == {0, 1, 2}
+    check(r, rng.random(80) * 2.0, rng.random(90) * 2.0, own_marks=True)
 
 
 @pytest.mark.parametrize("bad", [0.7, True, "3", None, -1])

@@ -432,8 +432,7 @@ class CellOperator:
     parity and Lame pairs: the folded 24x24 kernels, the real DFT matrices
     and per-wavevector blocks of the reference-medium preconditioner, the
     Gauss heights.  Its fields are folded, (ndof, m), stored column by
-    column;
-    `expand` and `restrict` map them to and from full-slab nodal fields.
+    column; `expand` maps them to full-slab nodal fields.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
     """
@@ -539,14 +538,6 @@ class CellOperator:
                          V.reshape((n,) + self.fold.shape[1:] + (m,)))
         return full.reshape(-1, m)
 
-    def restrict(self, u):
-        """Folded coordinates (ndof, m) of the orthogonal projection of the
-        full-slab nodal fields u (3 n_nodes, m) onto this parity."""
-        n, m = self.grid.n1 * self.grid.n2, u.shape[-1]
-        V = u.reshape(n, self.grid.n3 + 1, 3, m)
-        folded = np.einsum("krc,skcm->srcm", self.fold, V)
-        return folded.reshape(n, -1, m)[:, self._free].reshape(-1, m)
-
     # --- loads ---------------------------------------------------------------
     def rhs(self, loads):
         """Folded right-hand sides -f for a list of loads: (ndof, m), stored
@@ -614,21 +605,6 @@ class CellOperator:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def cell_energy(grid, phases, materials, load, phi=None):
-    """Volume-averaged cell energy of a load plus (optional) corrector.
-
-    Each parity takes its part of the load and the projection of phi; the
-    cross terms of the two parities vanish on the reflection-symmetric cell.
-    """
-    u = np.zeros((3 * grid.n_nodes, 1)) if phi is None \
-        else phi.values.reshape(-1, 1)
-    energy = 0.0
-    for parity in (MEMBRANE, BENDING):
-        op = CellOperator(grid, phases, materials, parity)
-        energy += op.closure([load], op.restrict(u))[0, 0]
-    return float(energy)
-
 
 def _solve(grid, phases, materials, parity, loads, tol):
     """Solve the loads' parts in one parity: (op, b, X, history), the

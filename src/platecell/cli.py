@@ -82,7 +82,8 @@ _FIELDS = {
     "rotations": ("an integer >= 8", 8),
     "window": ("a list of 4 numbers", ...),
     "epsilons": ("a list of numbers", ...),
-    "f_table": ("a list of numbers or an object of numbers by phase id", ...),
+    "f_table": ("a list of numbers or an object of numbers by phase id, "
+                "one value per phase", ...),
     "step": ("a number > 0", None),
     "field": ("a string", None),
     "write_potential": ("true or false", False),
@@ -131,7 +132,8 @@ _TYPES = {
     "a list of integers >= 0": _list_of(_reads(as_index, 0)),
     "a list of 4 numbers": _list_of(_number, 4),
     "a 2x2 matrix": _list_of(_list_of(_number, 2), 2),
-    "a list of numbers or an object of numbers by phase id":
+    "a list of numbers or an object of numbers by phase id, one value per "
+    "phase":
         lambda v: _list_of(_number)(v) or type(v) is dict and all(
             k.isdecimal() and _number(x) for k, x in v.items()),
 }

@@ -114,34 +114,6 @@ def to_gauss(field):
     return MixedField(values, grid, layout="gauss")
 
 
-def mixed_inner(a, b):
-    """Physical L2 inner product of two fields via the 2x2x2 Gauss rule."""
-    if a.grid is not b.grid and a.grid.to_dict() != b.grid.to_dict():
-        raise ConfigError("mixed_inner: fields live on different grids")
-    _, wq = _scalar_tables(a.grid)
-    ga = to_gauss(a).values
-    gb = ga if b is a else to_gauss(b).values
-    return float(wq * np.sum(ga * gb))
-
-
-def mixed_norm(a):
-    return np.sqrt(max(mixed_inner(a, a), 0.0))
-
-
-def gradient_field(grid, scalar):
-    """Discrete gradient of a nodal scalar, as a Gauss-layout MixedField.
-
-    Useful for building fields that are exact gradients of the finite element
-    space (e.g. to test that their solenoidal part vanishes).
-    """
-    scalar = as_array(scalar, "gradient_field: scalar",
-                      (grid.n1, grid.n2, grid.n3 + 1))
-    B, _ = _scalar_tables(grid)
-    edof = nodes(grid.n1, grid.n2, grid.n3)
-    vals = scalar.reshape(-1)[edof] @ B.reshape(24, 8).T
-    return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
-
-
 def random_mixed_field(grid, seed):
     """Reproducible nodal white-noise field (for property checks and demos)."""
     seed = as_index(seed, "random_mixed_field: seed", low=0)

@@ -36,7 +36,8 @@ class BirkhoffSeries:
 
 
 def _phase_values(f_table, phase_ids):
-    """Normalize {phase: value} / sequence into a dense lookup array."""
+    """Normalize {phase: value} / a sequence of one value per phase into a
+    dense lookup array."""
     if isinstance(f_table, dict):
         table = {as_index(p, "f_table: phase id"):
                  as_real(v, "f_table[%r]" % (p,)) for p, v in f_table.items()}
@@ -44,11 +45,7 @@ def _phase_values(f_table, phase_ids):
             raise ConfigError("f_table has values for phases %s, not for the "
                               "model's phases %s" % (sorted(table), phase_ids))
         return np.array([table[p] for p in phase_ids])
-    out = as_array(f_table, "f_table", (None,))
-    if len(out) <= max(phase_ids):
-        raise ConfigError("f_table must cover phases up to %d"
-                          % max(phase_ids))
-    return out
+    return as_array(f_table, "f_table", (len(phase_ids),))
 
 
 def _phase_probabilities(model):
@@ -71,7 +68,7 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
 
     Args:
         realization: MicrostructureRealization.
-        f_table: per-phase values, dict or array.
+        f_table: one value per phase, a dict by phase id or a sequence.
         window: (x0, y0, x1, y1) averaging rectangle, finite numbers.
         epsilons: positive, strictly decreasing scale factors.
         step: quadrature spacing target, a positive finite number; default
@@ -94,7 +91,7 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     phase_ids = realization.model.phase_ids()
     values = _phase_values(f_table, phase_ids)
     probs = _phase_probabilities(realization.model)
-    reference = float(np.sum(probs * values[:len(probs)]))
+    reference = float(np.sum(probs * values))
 
     averages = []
     for e in eps:
@@ -171,9 +168,7 @@ class EnsembleResult:
         # spread about the first seed's form (variance is shift-invariant):
         # seeds with identical forms then give exactly zero, which spread
         # about a rounded mean does not
-        shifted = stack - stack[0]
-        self.voigt3_var = shifted.var(axis=0)
-        self.voigt3_std = shifted.std(axis=0)
+        self.voigt3_std = (stack - stack[0]).std(axis=0)
 
 
 def ensemble_effective(model, materials, grid, seeds, tol=1e-8, threads=1):

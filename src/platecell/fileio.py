@@ -17,8 +17,6 @@ import json
 import numpy as np
 
 from .errors import ConfigError, as_array, as_index, as_real
-from .microstructure import MicrostructureModel, \
-    MicrostructureRealization, PhaseGrid
 
 
 def canonical_json(obj):
@@ -32,11 +30,6 @@ def write_json(path, obj):
     text = canonical_json(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -59,19 +52,6 @@ def realization_to_dict(r):
     }
 
 
-def realization_from_dict(d):
-    try:
-        model = MicrostructureModel.from_dict(d["model"])
-        points = d["points"]
-        return MicrostructureRealization(
-            model, d["seed"], d["box_side"],
-            points=[p[:2] for p in points] if points else None,
-            marks=[p[2] for p in points] if points else None,
-            offset=d.get("offset", (0.0, 0.0)))
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError("malformed realization file: %s" % exc) from exc
-
-
 def phase_grid_to_dict(pg):
     return {
         "n1": int(pg.n1),
@@ -79,16 +59,6 @@ def phase_grid_to_dict(pg):
         "box_side": float(pg.box_side),
         "cell_phase": [int(v) for v in pg.cell_phase.ravel()],
     }
-
-
-def phase_grid_from_dict(d):
-    try:
-        n1, n2 = as_index(d["n1"], "n1"), as_index(d["n2"], "n2")
-        cells = as_array(d["cell_phase"], "cell_phase", (n1 * n2,),
-                         integer=True)
-        return PhaseGrid(n1, n2, d["box_side"], cells.reshape(n1, n2))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("malformed phase grid: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +89,8 @@ def read_field(path):
         raw = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-        n1, n2, n3 = (as_index(header[k], "header " + k)
-                      for k in ("n1", "n2", "n3"))
+        n1, n2, n3 = (as_index(header[k], "header " + k, low)
+                      for k, low in (("n1", 1), ("n2", 1), ("n3", 2)))
         header["L"] = as_real(header["L"], "header L", 0)
         values = as_array(np.frombuffer(raw, dtype="<f8").reshape(
             n1, n2, n3 + 1, 3), "values")

@@ -14,59 +14,11 @@ sqrt2 shear scaling the matrix IS the form: eigenvalues coincide with the
 coercivity constants and there is no engineering-shear bookkeeping.
 """
 
-import json
-
 import numpy as np
 
 from .errors import ConfigError, as_array, as_index, as_real
 
 SQRT2 = np.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# Voigt helpers
-# ---------------------------------------------------------------------------
-
-def sym_to_voigt6(M):
-    """Orthonormal Voigt vector of sym(M).
-
-    Args:
-        M: array (..., 3, 3); only the symmetric part enters.
-
-    Returns:
-        array (..., 6) with entries (E11, E22, E33, s2*E23, s2*E13, s2*E12).
-    """
-    M = np.asarray(M, dtype=float)
-    S = 0.5 * (M + np.swapaxes(M, -1, -2))
-    v = np.empty(M.shape[:-2] + (6,))
-    v[..., 0] = S[..., 0, 0]
-    v[..., 1] = S[..., 1, 1]
-    v[..., 2] = S[..., 2, 2]
-    v[..., 3] = SQRT2 * S[..., 1, 2]
-    v[..., 4] = SQRT2 * S[..., 0, 2]
-    v[..., 5] = SQRT2 * S[..., 0, 1]
-    return v
-
-
-def voigt6_to_sym(v):
-    """Inverse of sym_to_voigt6 (image is always symmetric)."""
-    v = np.asarray(v, dtype=float)
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 0] = v[..., 0]
-    S[..., 1, 1] = v[..., 1]
-    S[..., 2, 2] = v[..., 2]
-    S[..., 1, 2] = S[..., 2, 1] = v[..., 3] / SQRT2
-    S[..., 0, 2] = S[..., 2, 0] = v[..., 4] / SQRT2
-    S[..., 0, 1] = S[..., 1, 0] = v[..., 5] / SQRT2
-    return S
-
-
-def embed_plane(M2):
-    """Embed a 2x2 matrix into the upper-left block of a 3x3 (third row/col zero)."""
-    M2 = np.asarray(M2, dtype=float)
-    out = np.zeros(M2.shape[:-2] + (3, 3))
-    out[..., :2, :2] = M2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +51,6 @@ def isotropic_form(mu, lam):
     V = 2.0 * mu * np.eye(6)
     V[:3, :3] += lam
     return StrainForm(V)
-
-
-def q0_apply(q, M):
-    """Evaluate the quadratic form on sym(M) for a 3x3 matrix (or batch)."""
-    v = sym_to_voigt6(M)
-    return np.einsum("...i,ij,...j->...", v, q.voigt, v)
 
 
 def coercivity_constants(q):
@@ -161,17 +107,6 @@ def material_table(entries):
     return table
 
 
-def material_table_to_json(table):
-    """Serialize to the canonical JSON list [{phase_id, mu, lambda}, ...]."""
-    rows = [{"phase_id": pm.phase_id, "mu": pm.lame_mu, "lambda": pm.lame_lambda}
-            for pm in sorted(table.values(), key=lambda m: m.phase_id)]
-    return json.dumps(rows, sort_keys=True, separators=(",", ":"))
-
-
-def material_table_from_json(text):
-    return material_table(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # Finite-strain energy
 # ---------------------------------------------------------------------------
@@ -203,25 +138,3 @@ def svk_energy(phase, F):
     tr = e11 + e22 + e33
     out = 0.5 * mu * frob2 + 0.25 * lam * tr * tr
     return float(out) if out.ndim == 0 else out
-
-
-def taylor_check(phase, G, t_values):
-    """Normalized Taylor residuals |W(I + tG) - Q(tG)| / (t^2 |G|^2) per t.
-
-    For the SVK density the residual decays linearly in t (cubic term of W),
-    and for skew G it decays quadratically (the cubic term vanishes).
-    """
-    G = as_array(G, "taylor_check: G", (3, 3))
-    t_values = as_array(t_values, "taylor_check: t_values", (None,))
-    if np.any(t_values <= 0) or np.any(np.diff(t_values) >= 0):
-        raise ConfigError("taylor_check: t_values must be positive and decreasing")
-    g2 = float(np.sum(G * G))
-    if g2 == 0.0:
-        return np.zeros_like(t_values)
-    I = np.eye(3)
-    out = np.empty_like(t_values)
-    for k, t in enumerate(t_values):
-        w = svk_energy(phase, I + t * G)
-        q = q0_apply(phase.q0, t * G)
-        out[k] = abs(w - q) / (t * t * g2)
-    return out

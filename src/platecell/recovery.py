@@ -107,23 +107,11 @@ class IsometrySpec:
         dR[0, 2, 0] = -cu / r
         return y, F0, F1, dR
 
-    def frame_fields(self, xp):
-        """Immersion, tangent frame, normal and their derivatives at points.
-
-        Args:
-            xp: (M, 2) midplane points.
-
-        Returns:
-            dict with keys y, d1y, d2y, n, d1n, d2n -- each (M, 3) -- and
-            ddy: (M, 2, 2, 3) second derivatives of the immersion; all are
-            views of the arrays `frames` returns.
-        """
-        return _field_views(*self.frames(xp))
-
     def second_form(self, xp):
         """Second fundamental form (M, 2, 2) at midplane points."""
-        f = self.frame_fields(xp)
-        return np.einsum("mabc,mc->mab", f["ddy"], f["n"])
+        _, F0, _, dR = self.frames(xp)
+        return np.einsum("mabc,mc->mab", dR[:, :, :2].transpose(3, 0, 2, 1),
+                         F0[:, 2].T)
 
     @property
     def constant_connection(self):
@@ -131,13 +119,6 @@ class IsometrySpec:
         at every point: then the recovery energy density is periodic in x'
         with the cell's period.  True of both shipped kinds."""
         return self.kind in ("flat", "cylinder")
-
-
-def _field_views(y, F0, F1, dR):
-    """`frame_fields`' dict of (M, ...) views of `frames`' arrays."""
-    return {"y": y.T, "d1y": F0[:, 0].T, "d2y": F0[:, 1].T, "n": F0[:, 2].T,
-            "d1n": F1[:, 0].T, "d2n": F1[:, 1].T,
-            "ddy": dR[:, :, :2].transpose(3, 0, 2, 1)}
 
 
 def cylinder_isometry(radius, domain=(0.0, 0.0, 1.0, 1.0)):
@@ -201,11 +182,6 @@ class CellCorrectorSource:
                 self.grid, self.phases, self.materials, tol=self.tol)
         return self._form
 
-    def phase_of_points(self, ypts):
-        """Phase ids at cell coordinates, wrapped onto the cell grid."""
-        (i, j), _, _ = locate(ypts, self.grid)
-        return self.phases.cell_phase[i, j]
-
 
 # ---------------------------------------------------------------------------
 # The recovery family
@@ -251,17 +227,17 @@ def build_recovery(iso, cfg, source):
     return RecoveryFamily(iso, cfg, source)
 
 
-# Per-point data reused across the thickness quadrature layers: the isometry
-# frame fields at the points, F0 (3, 3, M) with columns d1y, d2y, n, F1
-# (3, 3, M) with columns d1n, d2n, 0, and layers (3, 3, n3+1, M).  The
-# corrector is trilinear, so at height x3 in thickness element k its value
-# and gradient blend those of node layers k and k+1.  Node layer l's
-# corrector part of the scaled gradient is layers[:, :, l]: columns 0-1 the
-# in-plane derivatives of h eps R g_l (its R dg and dR g terms), column 2
-# eps R g_l itself, whose layer difference times n3 is the x3 derivative.
-# The frame part of the gradient is F0 + (h x3) F1.  Arrays keep the point
-# index last, so every operation runs along it.
-_Plan = namedtuple("_Plan", "frames F0 F1 layers")
+# Per-point data reused across the thickness quadrature layers: F0 (3, 3, M)
+# with columns d1y, d2y, n, F1 (3, 3, M) with columns d1n, d2n, 0, and
+# layers (3, 3, n3+1, M).  The corrector is trilinear, so at height x3 in
+# thickness element k its value and gradient blend those of node layers k
+# and k+1.  Node layer l's corrector part of the scaled gradient is
+# layers[:, :, l]: columns 0-1 the in-plane derivatives of h eps R g_l (its
+# R dg and dR g terms), column 2 eps R g_l itself, whose layer difference
+# times n3 is the x3 derivative.  The frame part of the gradient is
+# F0 + (h x3) F1.  Arrays keep the point index last, so every operation runs
+# along it.
+_Plan = namedtuple("_Plan", "F0 F1 layers")
 
 
 def _rotate(A, g):
@@ -311,7 +287,7 @@ class DeformationSampler:
         """Frame part and per-node-layer corrector part of the gradient at
         midplane points xp (M, 2)."""
         xp = np.asarray(xp, dtype=float)
-        y, F0, F1, dR = self.family.iso.frames(xp)
+        _, F0, F1, dR = self.family.iso.frames(xp)
         h, eps, n2 = self.h, self.eps, self.family.source.grid.n2
         (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps,
                                               self.family.source.grid)
@@ -328,7 +304,7 @@ class DeformationSampler:
             layers[:, a] = _rotate((h / side) * F0, step) \
                 + _rotate((h * eps) * dR[a], g)
         layers[:, 2] = _rotate(eps * F0, g)
-        return _Plan(_field_views(y, F0, F1, dR), F0, F1, layers)
+        return _Plan(F0, F1, layers)
 
     def _layer(self, x3):
         """Height x3, read strictly and in [-1/2, 1/2], the thickness element
@@ -340,15 +316,6 @@ class DeformationSampler:
         s = (x3 + 0.5) * self._n3
         k0 = min(int(s), self._n3 - 1)
         return x3, k0, s - k0
-
-    def deformation(self, xp, x3):
-        """Deformed positions (M, 3) of midplane points at one fiber height."""
-        x3, k0, tz = self._layer(x3)
-        plan = self.plan(xp)
-        lo, hi = plan.layers[:, 2, k0], plan.layers[:, 2, k0 + 1]
-        out = plan.frames["y"] + self.h * x3 * plan.frames["n"]
-        out += (self.h * ((1.0 - tz) * lo + tz * hi)).T
-        return out
 
     def scaled_gradient(self, xp, x3, plan=None):
         """Scaled deformation gradients (M, 3, 3) at one fiber height."""

@@ -4,9 +4,18 @@ Everything here is deliberately built by a different route than the package:
 closed forms where they exist, a reduced-dimension sparse direct solve for
 laminates (scipy LU instead of matrix-free CG), brute-force scans instead of
 spatial indexes, and exact integral identities instead of quadrature.
+The last section holds the small readers the tests look at the package
+through: energies, positions, norms and artifacts that no run computes.
 """
 
+import json
+
 import numpy as np
+
+from platecell import BENDING, MEMBRANE, CellOperator, MicrostructureModel, \
+    MicrostructureRealization, MixedField, PhaseGrid, to_gauss
+from platecell._mesh import nodes
+from platecell.decomposition import _scalar_tables
 
 SQRT2 = np.sqrt(2.0)
 
@@ -268,3 +277,115 @@ def svk_taylor_exact(mu, lam, G, t):
 def pooled_binomial_std(p, n_total):
     """Std of a mark fraction pooled over n_total independent marks."""
     return np.sqrt(p * (1.0 - p) / n_total)
+
+
+# ---------------------------------------------------------------------------
+# Readers of the package's fields and artifacts
+# ---------------------------------------------------------------------------
+
+VOIGT6 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+
+
+def sym_to_voigt6(M):
+    """Orthonormal Voigt vector (E11, E22, E33, s2 E23, s2 E13, s2 E12) of
+    sym(M), for a 3x3 M."""
+    S = 0.5 * (M + M.T)
+    return np.array([S[i, j] * (1.0 if i == j else SQRT2) for i, j in VOIGT6])
+
+
+def voigt6_basis():
+    """The symmetric 3x3 matrices whose Voigt vectors are the unit vectors."""
+    basis = np.zeros((6, 3, 3))
+    for a, (i, j) in enumerate(VOIGT6):
+        basis[a, i, j] = basis[a, j, i] = 1.0 if i == j else 1.0 / SQRT2
+    return basis
+
+
+def restrict(op, u):
+    """Folded coordinates (ndof, m) of the orthogonal projection of the
+    full-slab nodal fields u (3 n_nodes, m) onto the parity of the cell
+    operator op: the transpose of `op.expand`."""
+    n, m = op.grid.n1 * op.grid.n2, u.shape[-1]
+    folded = np.einsum("krc,skcm->srcm", op.fold,
+                       u.reshape(n, op.grid.n3 + 1, 3, m))
+    free = op.fold.any(axis=0).ravel()
+    return folded.reshape(n, -1, m)[:, free].reshape(-1, m)
+
+
+def cell_energy(grid, phases, materials, load, phi=None):
+    """Volume-averaged cell energy of a load plus an optional corrector
+    field: each parity's closure of its part of the load and of the field's
+    projection; the cross terms of the two parities vanish on the
+    reflection-symmetric cell."""
+    u = np.zeros((3 * grid.n_nodes, 1)) if phi is None \
+        else phi.values.reshape(-1, 1)
+    energy = 0.0
+    for parity in (MEMBRANE, BENDING):
+        op = CellOperator(grid, phases, materials, parity)
+        energy += op.closure([load], restrict(op, u))[0, 0]
+    return float(energy)
+
+
+def mixed_inner(a, b):
+    """L2 inner product of two MixedFields by the 2x2x2 Gauss rule."""
+    _, wq = _scalar_tables(a.grid)
+    return float(wq * np.sum(to_gauss(a).values * to_gauss(b).values))
+
+
+def mixed_norm(a):
+    return np.sqrt(mixed_inner(a, a))
+
+
+def gradient_field(grid, scalar):
+    """Discrete gradient of a nodal scalar (n1, n2, n3+1), as a Gauss-layout
+    MixedField: an exact gradient of the finite element space."""
+    B, _ = _scalar_tables(grid)
+    vals = scalar.reshape(-1)[nodes(grid.n1, grid.n2, grid.n3)] \
+        @ B.reshape(24, 8).T
+    return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
+
+
+def frame_fields(iso, xp):
+    """The isometry's frames at points xp (M, 2) as a dict of (M, ...)
+    views: y, d1y, d2y, n, d1n, d2n, each (M, 3), and the immersion's second
+    derivatives ddy (M, 2, 2, 3)."""
+    y, F0, F1, dR = iso.frames(xp)
+    return {"y": y.T, "d1y": F0[:, 0].T, "d2y": F0[:, 1].T, "n": F0[:, 2].T,
+            "d1n": F1[:, 0].T, "d2n": F1[:, 1].T,
+            "ddy": dR[:, :, :2].transpose(3, 0, 2, 1)}
+
+
+def deformation(sampler, xp, x3):
+    """Deformed positions (M, 3) of a recovery member at midplane points xp
+    and one fiber height: y + h x3 n plus h times the corrector column of
+    the sampler's plan, blended between the two node layers around x3."""
+    x3, k0, tz = sampler._layer(x3)
+    y, F0, _, _ = sampler.family.iso.frames(xp)
+    layers = sampler.plan(xp).layers
+    lo, hi = layers[:, 2, k0], layers[:, 2, k0 + 1]
+    out = y.T + sampler.h * x3 * F0[:, 2].T
+    out += (sampler.h * ((1.0 - tz) * lo + tz * hi)).T
+    return out
+
+
+def read_json(path):
+    """A JSON artifact, read with json.load."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def realization_from_dict(d):
+    """The realization of a `generate` payload's realization object."""
+    points = d["points"]
+    return MicrostructureRealization(
+        MicrostructureModel.from_dict(d["model"]), d["seed"], d["box_side"],
+        points=[p[:2] for p in points] if points else None,
+        marks=[p[2] for p in points] if points else None,
+        offset=d["offset"])
+
+
+def phase_grid_from_dict(d):
+    """The PhaseGrid of a `generate` payload's phase_grid object, whose
+    cell_phase lists the n1 x n2 ids row-major."""
+    return PhaseGrid(d["n1"], d["n2"], d["box_side"],
+                     np.reshape(d["cell_phase"], (d["n1"], d["n2"])))

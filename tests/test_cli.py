@@ -17,9 +17,9 @@ from platecell import recovery
 from platecell.cli import main
 from platecell import MicrostructureModel, material_table, rasterize, \
     sample_realization
-from platecell.fileio import phase_grid_from_dict, read_field, read_json, \
-    write_field
-from oracles import single_phase_bending_discrete
+from platecell.fileio import read_field, write_field
+from oracles import phase_grid_from_dict, read_json, \
+    single_phase_bending_discrete
 
 MATS_ONE = [{"phase_id": 0, "mu": 1.0, "lambda": 1.0},
             {"phase_id": 1, "mu": 1.0, "lambda": 1.0}]
@@ -616,6 +616,7 @@ PROBES = [
     ("effective", "materials[0].mu", RAW_1E999, "materials[0].mu"),
     ("effective", "grid.L", 10 ** 400, "grid.L"),
     ("recovery", "isometry.radius", -1.0, "isometry.radius"),
+    ("ergodic", "f_table", [0, 1, 7], "f_table"),
 ]
 
 

@@ -1,7 +1,6 @@
-"""Smoke runs of the fast demo scripts: each must exit 0.
+"""Smoke runs of the demo scripts: each must exit 0.
 
-gamma_rescaling.py and voronoi_isotropy.py take several seconds each and are
-left to manual runs; cli_tour.py is exercised by test_cli.py.
+cli_tour.py is exercised by test_cli.py.
 """
 
 import os
@@ -19,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
     "recovery_sequence.py",
     "single_phase_closed_form.py",
     "microstructure_gallery.py",
+    "gamma_rescaling.py",
+    "voronoi_isotropy.py",
 ])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)

@@ -216,7 +216,7 @@ def test_periodic_model_has_zero_variance():
     mats = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
     grid = RVEGrid(4, 4, 2, 1.0, 1.0)
     ens = ensemble_effective(model, mats, grid, [0, 1, 2], tol=1e-9)
-    assert np.max(ens.voigt3_var) == 0.0
+    assert np.max(ens.voigt3_std) == 0.0
     assert len(ens.forms) == 3
 
 
@@ -239,7 +239,7 @@ def test_variance_shrinks_with_box_size():
     for L, n in [(4.0, 12), (8.0, 24)]:
         grid = RVEGrid(n, n, 2, 1.0, L)
         ens = ensemble_effective(model, mats, grid, seeds, tol=1e-6)
-        var[L] = float(np.linalg.norm(ens.voigt3_var))
+        var[L] = float(np.linalg.norm(ens.voigt3_std ** 2))
     assert var[8.0] < var[4.0]
 
 

@@ -42,7 +42,8 @@ from platecell import (
 )
 from platecell.cli import main
 from platecell.errors import as_array, as_index, as_real
-from platecell.fileio import realization_from_dict, realization_to_dict
+from platecell.fileio import realization_to_dict
+from oracles import realization_from_dict
 
 GRID = RVEGrid(4, 4, 2, 1.0, 1.0)
 CHECKER = MicrostructureModel("checkerboard", period_hint=0.5)
@@ -287,6 +288,9 @@ def test_f_table_by_phase_reads_keys_and_values():
     for bad in ({0: 0.0, 1: "1"}, {0: 0.0, 1: True}, {0: 0.0, 1: math.nan},
                 {0: 0.0, 1.0: 1.0}, {0: 0.0, "1": 1.0}):
         _raises_naming(call, bad, "f_table")
+    # a list holds one value per phase: a third value on a 2-phase medium
+    # was ignored, where a dict with a key 2 is refused
+    _raises_naming(call, [0, 1, 7], "f_table")
     series = call({np.int64(0): np.float32(0.0), 1: 1})
     assert series.reference == 0.5
 

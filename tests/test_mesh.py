@@ -5,7 +5,6 @@ import numpy.testing as npt
 
 from platecell import (
     BENDING,
-    CellCorrectorSource,
     CellOperator,
     PhaseGrid,
     RVEGrid,
@@ -99,10 +98,6 @@ def test_scatter_sums_every_entry_per_column():
 
 def test_locate_wraps_and_matches_the_phase_lookup():
     grid = RVEGrid(4, 8, 2, 1.0, 1.0)
-    ids = np.random.default_rng(0).integers(0, 3, size=(4, 8))
-    src = CellCorrectorSource(grid, PhaseGrid(4, 8, 1.0, ids),
-                              material_table([(0, 1.0, 1.0), (1, 2.0, 1.0),
-                                              (2, 3.0, 0.5)]))
     pts = np.array([[0.1, 0.1], [0.3, 0.2], [0.6, 0.9], [0.95, 0.99],
                     [0.0, 0.5]])
     lo, hi, t = locate(pts, grid)
@@ -114,8 +109,6 @@ def test_locate_wraps_and_matches_the_phase_lookup():
         npt.assert_array_equal(lo_s, lo)
         npt.assert_array_equal(hi_s, hi)
         npt.assert_allclose(t_s, t, rtol=0, atol=1e-12)
-        npt.assert_array_equal(src.phase_of_points(pts + shift),
-                               ids[lo[0], lo[1]])
 
 
 def test_cached_arrays_are_read_only_and_shared():

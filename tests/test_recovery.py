@@ -31,9 +31,10 @@ from platecell import (
     solve_corrector,
 )
 from platecell import cellsolve, cli, recovery
+from platecell._mesh import locate
 from platecell.errors import as_real
 from platecell.material import svk_energy
-from oracles import single_phase_bending_discrete
+from oracles import deformation, frame_fields, single_phase_bending_discrete
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -66,7 +67,7 @@ def checker_source(tol=1e-11):
 
 def kirchhoff_love(iso, h, xp, x3):
     """Bent-plate positions and scaled gradient without any corrector."""
-    f = iso.frame_fields(xp)
+    f = frame_fields(iso, xp)
     v = f["y"] + h * x3 * f["n"]
     F = np.empty((len(xp), 3, 3))
     F[:, :, 0] = f["d1y"] + h * x3 * f["d1n"]
@@ -97,7 +98,7 @@ def test_isometry_validation():
 def test_orthonormal_frame(iso):
     rng = np.random.default_rng(3)
     xp = rng.uniform([0, 0], [3, 2], size=(200, 2))
-    f = iso.frame_fields(xp)
+    f = frame_fields(iso, xp)
     gram = np.einsum("mi,mi->m", f["d1y"], f["d1y"])
     npt.assert_allclose(gram, 1.0, atol=1e-12)
     gram = np.einsum("mi,mi->m", f["d2y"], f["d2y"])
@@ -112,7 +113,7 @@ def test_flat_second_form_vanishes():
     iso = flat_isometry((0.0, 0.0, 2.0, 2.0))
     xp = np.random.default_rng(1).uniform(0, 2, size=(50, 2))
     npt.assert_array_equal(iso.second_form(xp), 0.0)
-    f = iso.frame_fields(xp)
+    f = frame_fields(iso, xp)
     npt.assert_array_equal(f["y"][:, :2], xp)
     npt.assert_array_equal(f["y"][:, 2], 0.0)
 
@@ -136,7 +137,7 @@ def test_weingarten_consistency():
     # normal derivatives and curvature form agree: d_a n = -II_ab d_b y
     iso = cylinder_isometry(1.3, (0.0, 0.0, 5.0, 1.0))
     xp = np.random.default_rng(9).uniform([0, 0], [5, 1], size=(40, 2))
-    f = iso.frame_fields(xp)
+    f = frame_fields(iso, xp)
     II = iso.second_form(xp)
     dn = np.stack([f["d1n"], f["d2n"]], axis=1)       # (m, a, 3)
     dy = np.stack([f["d1y"], f["d2y"]], axis=1)
@@ -246,11 +247,8 @@ def test_sampler_reads_height_strictly(bad):
                              checker_source()).sampler(0.2)
     xp = np.array([[0.3, 0.4]])
     with pytest.raises(ConfigError, match="DeformationSampler: x3"):
-        sampler.deformation(xp, bad)
-    with pytest.raises(ConfigError, match="DeformationSampler: x3"):
         sampler.scaled_gradient(xp, bad)
     for x3 in (-0.5, np.float64(0.25), 0.5):
-        assert np.isfinite(sampler.deformation(xp, x3)).all()
         assert np.isfinite(sampler.scaled_gradient(xp, x3)).all()
 
 
@@ -304,16 +302,6 @@ def test_source_form_does_not_depend_on_call_order():
     npt.assert_array_equal(src.effective().voigt3, first)
 
 
-def test_source_phase_lookup_wraps():
-    src = checker_source()
-    pts = np.array([[0.1, 0.1], [0.3, 0.1], [0.6, 0.9], [0.95, 0.95]])
-    want = np.array([0, 1, 1, 0])       # (i + j) % 2 on the 4x4 grid
-    npt.assert_array_equal(src.phase_of_points(pts), want)
-    npt.assert_array_equal(src.phase_of_points(pts + 1.0), want)
-    npt.assert_array_equal(src.phase_of_points(pts + np.array([2.0, 3.0])),
-                           want)
-
-
 # ---------------------------------------------------------------------------
 # The corrector load
 # ---------------------------------------------------------------------------
@@ -351,7 +339,7 @@ def test_flat_family_is_identity():
     sampler = fam.sampler(0.3)
     xp = np.random.default_rng(11).uniform(0, 1, size=(30, 2))
     for x3 in (-0.4, 0.0, 0.25):
-        v = sampler.deformation(xp, x3)
+        v = deformation(sampler, xp, x3)
         npt.assert_array_equal(v[:, :2], xp)
         npt.assert_array_equal(v[:, 2], 0.3 * x3)
         F = sampler.scaled_gradient(xp, x3)
@@ -372,7 +360,7 @@ def _eight_corner_reference(sampler, xp, x3):
     fam, h, eps = sampler.family, sampler.h, sampler.eps
     grid = fam.source.grid
     hx, hy, n3 = grid.box_side / grid.n1, grid.box_side / grid.n2, grid.n3
-    f = fam.iso.frame_fields(xp)
+    f = frame_fields(fam.iso, xp)
     v = f["y"] + h * x3 * f["n"]
     _, F = kirchhoff_love(fam.iso, h, xp, x3)
     s3 = np.clip((x3 + 0.5) * n3, 0.0, float(n3))
@@ -436,7 +424,7 @@ def test_node_layer_plan_matches_per_patch_formula(case):
         for x3 in (-0.5, -0.31, -0.25, 0.0, 0.06, 0.37, 0.5):
             v_ref, F_ref = _eight_corner_reference(sampler, xp, x3)
             F = sampler.scaled_gradient(xp, x3, plan=plan)
-            v = sampler.deformation(xp, x3)
+            v = deformation(sampler, xp, x3)
             npt.assert_allclose(F, F_ref, rtol=0,
                                 atol=1e-13 * np.max(np.abs(F_ref)))
             npt.assert_allclose(v, v_ref, rtol=0,
@@ -458,11 +446,11 @@ def test_rows_do_not_depend_on_the_other_points():
                np.arange(0, len(xp), 3), rng.permutation(len(xp))[:57]]
     for x3 in (-0.4, 0.06, 0.5):
         F = sampler.scaled_gradient(xp, x3)
-        v = sampler.deformation(xp, x3)
+        v = deformation(sampler, xp, x3)
         for sub in subsets:
             npt.assert_array_equal(sampler.scaled_gradient(xp[sub], x3),
                                    F[sub])
-            npt.assert_array_equal(sampler.deformation(xp[sub], x3), v[sub])
+            npt.assert_array_equal(deformation(sampler, xp[sub], x3), v[sub])
 
 
 def _pieces(a, b, size):
@@ -491,7 +479,8 @@ def _per_point_energy(sampler):
     (xs, wx), (ys, wy) = axes
     xp = np.array([(x, y) for x in xs for y in ys])
     w = np.outer(wx, wy).ravel()
-    phases = fam.source.phase_of_points(xp / eps)
+    (i, j), _, _ = locate(xp / eps, grid)
+    phases = fam.source.phases.cell_phase[i, j]
     n3 = grid.n3
     total = 0.0
     for k in range(n3):
@@ -632,10 +621,8 @@ def test_public_plan_is_not_overwritten_by_later_plans():
 
 
 def _plan_arrays(plan):
-    """Every array a plan holds, by name, frame views included."""
-    arrays = {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
-    arrays.update(("frames." + k, v) for k, v in plan.frames.items())
-    return arrays
+    """Every array a plan holds, by name."""
+    return {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
 
 
 @pytest.mark.parametrize("n3", [2, 3, 4, 5, 6])
@@ -671,10 +658,10 @@ def _fd_gradient(sampler, xp, x3, s, s3):
     for a in range(2):
         e = np.zeros(2)
         e[a] = s
-        G[:, :, a] = (sampler.deformation(xp + e, x3)
-                      - sampler.deformation(xp - e, x3)) / (2.0 * s)
-    G[:, :, 2] = (sampler.deformation(xp, x3 + s3)
-                  - sampler.deformation(xp, x3 - s3)) / (2.0 * s3 * sampler.h)
+        G[:, :, a] = (deformation(sampler, xp + e, x3)
+                      - deformation(sampler, xp - e, x3)) / (2.0 * s)
+    G[:, :, 2] = (deformation(sampler, xp, x3 + s3)
+                  - deformation(sampler, xp, x3 - s3)) / (2.0 * s3 * sampler.h)
     return G
 
 
@@ -716,8 +703,7 @@ def test_gradient_is_rotation_plus_order_h():
     for h in (0.08, 0.04):
         sampler = fam.sampler(h)
         plan = sampler.plan(xp)
-        R = np.stack([plan.frames["d1y"], plan.frames["d2y"],
-                      plan.frames["n"]], axis=2)
+        R = plan.F0.transpose(2, 0, 1)      # columns d1y, d2y, n
         F = sampler.scaled_gradient(xp, 0.06, plan=plan)
         resid[h] = np.max(np.abs(F - R))
     assert resid[0.08] < 1e-2

@@ -763,17 +763,21 @@ def _resample_axis(arr, target, axis):
 
 
 def _formulation_b(grid, phases):
-    """Grid and phase grid of formulation B of `gamma_rescale_check`."""
+    """Grid and phase grid of formulation B of `gamma_rescale_check`, or a
+    ConfigError naming B's grid when it is not integral or cannot be built."""
     g = grid.gamma
     n1b, n2b = g * grid.n1, g * grid.n2
+    name = "formulation B's grid gamma*n1 x gamma*n2 = %g x %g" % (n1b, n2b)
     if abs(n1b - round(n1b)) > 1e-9 or abs(n2b - round(n2b)) > 1e-9:
-        raise ConfigError("gamma_rescale_check: gamma*n1 and gamma*n2 must be "
-                          "integral (gamma=%g, n1=%d, n2=%d)"
-                          % (g, grid.n1, grid.n2))
+        raise ConfigError("%s is not integral" % name)
     n1b, n2b = int(round(n1b)), int(round(n2b))
-    grid_b = RVEGrid(n1b, n2b, grid.n3, 1.0, grid.box_side / g)
-    phases_b = PhaseGrid(n1b, n2b, grid_b.box_side, _resample_axis(
-        _resample_axis(phases.cell_phase, n1b, 0), n2b, 1))
+    try:
+        grid_b = RVEGrid(n1b, n2b, grid.n3, 1.0, grid.box_side / g)
+        phases_b = PhaseGrid(n1b, n2b, grid_b.box_side, _resample_axis(
+            _resample_axis(phases.cell_phase, n1b, 0), n2b, 1))
+    except ConfigError as exc:      # RVEGrid's "grid:" names the caller's
+        msg = str(exc).removeprefix("grid: ")
+        raise ConfigError("%s: %s" % (name, msg)) from exc
     return grid_b, phases_b
 
 

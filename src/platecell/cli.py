@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .cellsolve import CellLoad, EffectiveBendingForm, RVEGrid, \
-    coupled_tensor, effective_form, rescale_discrepancy, solve_corrector
+    _formulation_b, coupled_tensor, effective_form, rescale_discrepancy, \
+    solve_corrector
 from .decomposition import MixedField, decompose_mixed, orthogonality_report, \
     random_mixed_field, to_gauss
 from .ergodic import birkhoff_average, birkhoff_rate, ensemble_effective, \
@@ -81,7 +82,7 @@ _FIELDS = {
     "seeds": ("a list of integers >= 0", ...),
     "rotations": ("an integer >= 8", 8),
     "window": ("a list of 4 numbers", ...),
-    "epsilons": ("a list of numbers", ...),
+    "epsilons": ("a list of at least 3 numbers", ...),
     "f_table": ("a list of numbers or an object of numbers by phase id, "
                 "one value per phase", ...),
     "step": ("a number > 0", None),
@@ -129,13 +130,17 @@ _TYPES = {
     "an object": lambda v: type(v) is dict,
     "a list of objects": _list_of(lambda v: type(v) is dict),
     "a list of numbers": _list_of(_number),
+    "a list of at least 3 numbers":
+        lambda v: _list_of(_number)(v) and len(v) >= 3,
     "a list of integers >= 0": _list_of(_reads(as_index, 0)),
     "a list of 4 numbers": _list_of(_number, 4),
     "a 2x2 matrix": _list_of(_list_of(_number, 2), 2),
     "a list of numbers or an object of numbers by phase id, one value per "
     "phase":
         lambda v: _list_of(_number)(v) or type(v) is dict and all(
-            k.isdecimal() and _number(x) for k, x in v.items()),
+            k.isdecimal() and _number(x) for k, x in v.items())
+        # "1" and "01" would both set phase 1
+        and len(set(map(int, v))) == len(v),
 }
 
 
@@ -258,6 +263,8 @@ def _cmd_solve_cell(args, cfg, started):
 def _cmd_effective(args, cfg, started):
     tol, rescale = _read(cfg, "tol"), _read(cfg, "rescale_check")
     grid, materials, seed, phases = _cell(cfg)
+    if rescale:                 # refuse a formulation B it cannot build
+        _under("rescale_check", _formulation_b, grid, phases)
     ct = coupled_tensor(grid, phases, materials, tol=tol)
     form = EffectiveBendingForm(ct.matrix[3:, 3:])
     payload = fileio.tensor_result_dict(ct, form, grid, extra={"seed": seed})

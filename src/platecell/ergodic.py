@@ -108,23 +108,22 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     return BirkhoffSeries(eps, averages, reference)
 
 
-def birkhoff_rate(series, fit_count=2):
-    """Fit err <= C * eps on the coarsest scales and test the rest.
+def birkhoff_rate(series):
+    """Fit err <= C * eps on the two coarsest scales and test the rest.
 
     Returns:
-        (C, ok): the constant from the `fit_count` coarsest scales and
-        whether every remaining error satisfies err <= C * eps (with a tiny
-        absolute slack so exactly-resolved averages do not trip it).
+        (C, ok): the constant from the two coarsest scales and whether every
+        remaining error satisfies err <= C * eps (with a tiny absolute slack
+        so exactly-resolved averages do not trip it).
+
+    Raises:
+        ConfigError: fewer than 3 scales, which leave none to test.
     """
-    fit_count = as_index(fit_count, "birkhoff_rate: fit_count")
-    if not 1 <= fit_count < len(series.epsilons):
-        raise ConfigError("birkhoff_rate: fit_count must lie in [1, %d), "
-                          "below the scale count, got %d"
-                          % (len(series.epsilons), fit_count))
-    rates = series.errors / series.epsilons
-    C = float(rates[:fit_count].max())
-    ok = bool(np.all(series.errors[fit_count:]
-                     <= C * series.epsilons[fit_count:] + 1e-12))
+    if len(series.epsilons) < 3:
+        raise ConfigError("birkhoff_rate: needs at least 3 scales, got %d"
+                          % len(series.epsilons))
+    C = float((series.errors[:2] / series.epsilons[:2]).max())
+    ok = bool(np.all(series.errors[2:] <= C * series.epsilons[2:] + 1e-12))
     return C, ok
 
 

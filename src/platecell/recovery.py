@@ -11,17 +11,20 @@ thickness-scaled elastic energy of one member of the family; `limit_energy`
 integrates the homogenized bending form over the midplane.  Their gap is
 O(h^2): the family attains the cell solve's own discrete limit.
 
-The energy is evaluated on one cell.  Both shipped isometries, flat and
-cylinder, have a constant connection R^T d_a R and a constant II, and the
-St. Venant-Kirchhoff density depends on the gradient F only through F^T F.
-So the density is periodic in x' with the period eps L of the cell.  The
-quadrature is the cell solve's own rule, per axis in cell units: the domain
-is cut at the element boundaries; whole elements count by their integer
-multiplicity per element column at the 2 Gauss points, and the at most two
-partial end pieces get a 2-point Gauss rule of their own.  Every distinct
-point is evaluated once, placed in the first period.  Through the thickness
-the rule is 2-point Gauss per corrector layer.  So the energy is a weighted
-sum over at most (2 n1 + 4)(2 n2 + 4) in-plane points, whatever the domain.
+The family is evaluated in the moving frame R = (d1y, d2y, n) of the
+isometry.  The St. Venant-Kirchhoff density is frame indifferent,
+W(R F) = W(F), so the energy reads only R^T times the gradient, and that
+sees the isometry only through its connection R^T d_a R.  Both shipped
+isometries, flat and cylinder, have a constant connection, and so a
+constant II: the density is periodic in x' with the period eps L of the
+cell, and the energy is evaluated on one cell.  The quadrature is the cell
+solve's own rule, per axis in cell units: the domain is cut at the element
+boundaries; whole elements count by their integer multiplicity per element
+column at the 2 Gauss points, and the at most two partial end pieces get a
+2-point Gauss rule of their own.  Every distinct point is evaluated once,
+placed in the first period.  Through the thickness the rule is 2-point
+Gauss per corrector layer.  So the energy is a weighted sum over at most
+(2 n1 + 4)(2 n2 + 4) in-plane points, whatever the domain.
 
 The corrector comes from the effective form's own cell solve, and each
 quadrature point is read with the phase of its cell element, so the energy
@@ -31,7 +34,6 @@ slab mesh's one in-plane lookup (`_mesh.locate`).
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -48,15 +50,22 @@ from .microstructure import _tensor_points
 # ---------------------------------------------------------------------------
 
 class IsometrySpec:
-    """Smooth isometric immersion of a planar domain, with frame derivatives.
+    """Smooth isometric immersion y of a planar domain, seen in its moving
+    frame R = (d1y, d2y, n).
 
     Supported kinds: "flat" (identity embedding) and "cylinder" (rolling onto
-    a cylinder of given radius about the x2 axis).
+    a cylinder of given radius about the x2 axis).  Both have a constant
+    connection A_a = R^T d_a R, and the recovery family reads nothing else of
+    them: a frame-indifferent energy never sees R itself.
 
     Args:
         kind: "flat" or "cylinder".
         domain: (x0, y0, x1, y1) midplane rectangle.
         radius: cylinder radius (ignored for "flat").
+
+    Attributes:
+        connection: (2, 3, 3) skew matrices A_1, A_2; zero for "flat", and
+            for "cylinder" A_1 = (e1 e3^T - e3 e1^T) / radius, A_2 = 0.
     """
 
     def __init__(self, kind, domain, radius=None):
@@ -66,59 +75,19 @@ class IsometrySpec:
                                   (4,)).tolist()
         if not (x1 > x0 and y1 > y0):
             raise ConfigError("IsometrySpec: domain %r is empty" % (domain,))
+        self.connection = np.zeros((2, 3, 3))
         if kind == "cylinder":
             radius = as_real(radius, "IsometrySpec: radius", 0)
+            self.connection[0, 0, 2] = 1.0 / radius
+            self.connection[0, 2, 0] = -1.0 / radius
         self.kind = kind
         self.domain = (x0, y0, x1, y1)
         self.radius = radius
 
-    def frames(self, xp):
-        """Immersion and rotation frame at points, point index last.
-
-        Args:
-            xp: (M, 2) midplane points.
-
-        Returns:
-            (y, F0, F1, dR): the immersion y (3, M); the rotation F0 (3, 3, M)
-            with columns d1y, d2y, n; F1 (3, 3, M) with columns d1n, d2n, 0;
-            and dR (2, 3, 3, M) with dR[a] = d_a F0.
-        """
-        xp = np.asarray(xp, dtype=float)
-        m = xp.shape[0]
-        y, F0, F1, dR = (np.zeros((3, m)), np.zeros((3, 3, m)),
-                         np.zeros((3, 3, m)), np.zeros((2, 3, 3, m)))
-        y[0] = xp[:, 0]
-        y[1] = xp[:, 1]
-        F0[1, 1] = 1.0
-        if self.kind == "flat":
-            F0[0, 0] = F0[2, 2] = 1.0
-            return y, F0, F1, dR
-        r = self.radius
-        u = xp[:, 0] / r
-        cu, su = np.cos(u), np.sin(u)
-        y[0] = r * su
-        y[2] = r * cu
-        F0[0, 0] = F0[2, 2] = cu
-        F0[0, 2] = su
-        F0[2, 0] = -su
-        F1[0, 0] = dR[0, 0, 2] = cu / r
-        F1[2, 0] = dR[0, 2, 2] = -su / r
-        dR[0, 0, 0] = -su / r
-        dR[0, 2, 0] = -cu / r
-        return y, F0, F1, dR
-
-    def second_form(self, xp):
-        """Second fundamental form (M, 2, 2) at midplane points."""
-        _, F0, _, dR = self.frames(xp)
-        return np.einsum("mabc,mc->mab", dR[:, :, :2].transpose(3, 0, 2, 1),
-                         F0[:, 2].T)
-
     @property
-    def constant_connection(self):
-        """Whether the connection R^T d_a R and the second form are the same
-        at every point: then the recovery energy density is periodic in x'
-        with the cell's period.  True of both shipped kinds."""
-        return self.kind in ("flat", "cylinder")
+    def second_form(self):
+        """Second fundamental form II_ab = n . d_a d_b y = (A_a)_3b, (2, 2)."""
+        return self.connection[:, 2, :2]
 
 
 def cylinder_isometry(radius, domain=(0.0, 0.0, 1.0, 1.0)):
@@ -192,10 +161,6 @@ class RecoveryFamily:
     the gamma of the corrector's cell grid."""
 
     def __init__(self, iso, cfg, source):
-        if not iso.constant_connection:
-            raise ConfigError("build_recovery: isometry kind %r has no "
-                              "constant connection, which the one-cell "
-                              "energy needs" % (iso.kind,))
         if cfg.gamma is not None and cfg.gamma != source.grid.gamma:
             raise ConfigError("RecoveryConfig: gamma %r differs from the "
                               "gamma %r of the corrector's cell grid"
@@ -203,20 +168,11 @@ class RecoveryFamily:
         self.iso = iso
         self.cfg = cfg
         self.source = source
-        self.load = self._load()
-
-    def _load(self):
-        """The corrector load: minus the second fundamental form.
-
-        The fiber term y + h x3 n carries the first-order strain
-        -x3 * (second fundamental form) by the Weingarten relation
-        (d_a n = -II_ab d_b y), so that is the bending load the corrector
-        has to relax.  The sign is immaterial for the limit energy (the
-        form is even) but not for the cross term here.  II is constant, so
-        one point reads it.
-        """
-        II = self.iso.second_form(np.array([self.iso.domain[:2]]))[0]
-        return -0.5 * (II + II.T)
+        # The fiber term y + h x3 n carries the first-order strain -x3 II by
+        # the Weingarten relation (d_a n = -II_ab d_b y), so minus II is the
+        # bending load the corrector has to relax.  The sign is immaterial
+        # for the limit energy (the form is even) but not for the cross term.
+        self.load = -iso.second_form
 
     def sampler(self, h):
         return DeformationSampler(self, h)
@@ -227,32 +183,14 @@ def build_recovery(iso, cfg, source):
     return RecoveryFamily(iso, cfg, source)
 
 
-# Per-point data reused across the thickness quadrature layers: F0 (3, 3, M)
-# with columns d1y, d2y, n, F1 (3, 3, M) with columns d1n, d2n, 0, and
-# layers (3, 3, n3+1, M).  The corrector is trilinear, so at height x3 in
-# thickness element k its value and gradient blend those of node layers k
-# and k+1.  Node layer l's corrector part of the scaled gradient is
-# layers[:, :, l]: columns 0-1 the in-plane derivatives of h eps R g_l (its
-# R dg and dR g terms), column 2 eps R g_l itself, whose layer difference
-# times n3 is the x3 derivative.  The frame part of the gradient is
-# F0 + (h x3) F1.  Arrays keep the point index last, so every operation runs
-# along it.
-_Plan = namedtuple("_Plan", "F0 F1 layers")
-
-
-def _rotate(A, g):
-    """Per-point matrices A (3, 3, M) applied to a corrector on every node
-    layer, g (3, n3+1, M): (3, n3+1, M)."""
-    return A[:, 0, None] * g[0] + A[:, 1, None] * g[1] + A[:, 2, None] * g[2]
-
-
 # Reflection x3 -> -x3 of a bending corrector's components: in-plane odd,
 # transverse even.
 _MIRROR = np.array([-1.0, -1.0, 1.0])
 
 
 class DeformationSampler:
-    """One member of the recovery family, evaluable point-wise.
+    """One member of the recovery family, evaluable point-wise in its moving
+    frame.
 
     The deformation of the plate point (x', x3) (midplane coordinates and
     unit-thickness coordinate) is
@@ -261,7 +199,14 @@ class DeformationSampler:
 
     with R the rotation (d1y, d2y, n), g the corrector of the family's load
     sampled trilinearly on the cell grid, and eps = h / gamma.
-    `scaled_gradient` returns (d1 v, d2 v, (1/h) d3 v).
+    `scaled_gradient` returns R^T (d1 v, d2 v, (1/h) d3 v), which the
+    frame-indifferent density W(R F) = W(F) scores as the gradient itself.
+    With A_a = R^T d_a R and d_a g the derivative in cell coordinates,
+
+        R^T d_a v = e_a + h x3 A_a e3 + h d_a g + h eps A_a g,
+        R^T (1/h) d3 v = e3 + eps d3 g,
+
+    so the frame part I + h x3 (A_1 e3, A_2 e3, 0) is the same everywhere.
     """
 
     def __init__(self, family, h):
@@ -273,6 +218,8 @@ class DeformationSampler:
         self._hx = g.box_side / g.n1
         self._hy = g.box_side / g.n2
         self._n3 = g.n3
+        # A_1 e3 and A_2 e3, the frame part's slope in h x3, (3, 2, 1)
+        self._bend = family.iso.connection[:, :, 2].T[:, :, None]
         values = family.source.corrector(family.load)
         # the parity solve builds a bending corrector mirror-symmetric across
         # the midplane, bit for bit; a table that is not did not come from it
@@ -284,10 +231,17 @@ class DeformationSampler:
             values.transpose(3, 2, 0, 1).reshape(3, g.n3 + 1, -1))
 
     def plan(self, xp):
-        """Frame part and per-node-layer corrector part of the gradient at
-        midplane points xp (M, 2)."""
+        """Corrector part of the gradient per node layer, (3, 3, n3+1, M), at
+        midplane points xp (M, 2).
+
+        The corrector is trilinear, so at height x3 in thickness element k
+        its value and gradient blend those of node layers k and k+1.  Node
+        layer l's part is plan[:, :, l]: columns 0-1 the in-plane
+        derivatives of h eps g_l in the moving frame, (h / side) step +
+        h eps A_a g_l, and column 2 eps g_l itself, whose layer difference
+        times n3 is the x3 derivative.  The point index is last.
+        """
         xp = np.asarray(xp, dtype=float)
-        _, F0, F1, dR = self.family.iso.frames(xp)
         h, eps, n2 = self.h, self.eps, self.family.source.grid.n2
         (i0, j0), (i1, j1), (tx, ty) = locate(xp / eps,
                                               self.family.source.grid)
@@ -299,12 +253,12 @@ class DeformationSampler:
         step2 = c01 + tx * d1 - lo              # step along y2
         g = lo + ty * step2
         step1 = (1.0 - ty) * d0 + ty * d1
+        A = (h * eps) * self.family.iso.connection[:, :, :, None, None]
         layers = np.empty((3, 3, self._n3 + 1, len(xp)))
         for a, step, side in ((0, step1, self._hx), (1, step2, self._hy)):
-            layers[:, a] = _rotate((h / side) * F0, step) \
-                + _rotate((h * eps) * dR[a], g)
-        layers[:, 2] = _rotate(eps * F0, g)
-        return _Plan(F0, F1, layers)
+            layers[:, a] = (h / side) * step + (A[a] * g).sum(axis=1)
+        layers[:, 2] = eps * g
+        return layers
 
     def _layer(self, x3):
         """Height x3, read strictly and in [-1/2, 1/2], the thickness element
@@ -318,14 +272,17 @@ class DeformationSampler:
         return x3, k0, s - k0
 
     def scaled_gradient(self, xp, x3, plan=None):
-        """Scaled deformation gradients (M, 3, 3) at one fiber height."""
+        """Scaled deformation gradients in the moving frame,
+        R^T (d1 v, d2 v, (1/h) d3 v), (M, 3, 3) at one fiber height."""
         x3, k0, tz = self._layer(x3)
         if plan is None:
             plan = self.plan(xp)
-        lo, hi = plan.layers[:, :, k0], plan.layers[:, :, k0 + 1]
-        F = plan.F0 + (self.h * x3) * plan.F1
-        F[:, :2] += (1.0 - tz) * lo[:, :2] + tz * hi[:, :2]
-        F[:, 2] += self._n3 * (hi[:, 2] - lo[:, 2])
+        lo, hi = plan[:, :, k0], plan[:, :, k0 + 1]
+        F = np.empty(lo.shape)
+        F[:, :2] = (1.0 - tz) * lo[:, :2] + tz * hi[:, :2] \
+            + (self.h * x3) * self._bend
+        F[:, 2] = self._n3 * (hi[:, 2] - lo[:, 2])
+        F += np.eye(3)[:, :, None]
         return F.transpose(2, 0, 1)
 
 
@@ -424,19 +381,11 @@ def evaluate_scaled_energy(sampler):
 def limit_energy(form, iso):
     """Homogenized bending energy of the isometry: the integral of q(II).
 
-    An isometry with a constant connection has a constant second form, so
-    the integral is q(II) |omega|, with II read at the domain's centre.
-
-    Raises:
-        ConfigError: the isometry has no constant connection.
+    The connection is constant, and with it the second form, so the
+    integral is q(II) |omega|.
     """
-    if not iso.constant_connection:
-        raise ConfigError("limit_energy: isometry kind %r has no constant "
-                          "connection, so its second form is not constant"
-                          % (iso.kind,))
     x0, y0, x1, y1 = iso.domain
-    II = iso.second_form(np.array([[0.5 * (x0 + x1), 0.5 * (y0 + y1)]]))[0]
-    return float(qgamma_eval(form, II) * (x1 - x0) * (y1 - y0))
+    return float(qgamma_eval(form, iso.second_form) * (x1 - x0) * (y1 - y0))
 
 
 def recovery_gaps(family):

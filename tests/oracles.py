@@ -345,27 +345,81 @@ def gradient_field(grid, scalar):
     return MixedField(vals.reshape(-1, 8, 3), grid, layout="gauss")
 
 
+# ---------------------------------------------------------------------------
+# Isometry frames: per-point closed forms
+# ---------------------------------------------------------------------------
+
+def frames(iso, xp):
+    """The immersion and its rotation frame at points, point index last,
+    from the closed forms of the isometry's kind.
+
+    Args:
+        iso: IsometrySpec, "flat" or "cylinder".
+        xp: (M, 2) midplane points.
+
+    Returns:
+        (y, F0, F1, dR): the immersion y (3, M); the rotation R = F0
+        (3, 3, M) with columns d1y, d2y, n; F1 (3, 3, M) with columns d1n,
+        d2n, 0; and dR (2, 3, 3, M) with dR[a] = d_a F0.
+    """
+    xp = np.asarray(xp, dtype=float)
+    m = xp.shape[0]
+    y, F0, F1, dR = (np.zeros((3, m)), np.zeros((3, 3, m)),
+                     np.zeros((3, 3, m)), np.zeros((2, 3, 3, m)))
+    y[0] = xp[:, 0]
+    y[1] = xp[:, 1]
+    F0[1, 1] = 1.0
+    if iso.kind == "flat":
+        F0[0, 0] = F0[2, 2] = 1.0
+        return y, F0, F1, dR
+    r = iso.radius
+    u = xp[:, 0] / r
+    cu, su = np.cos(u), np.sin(u)
+    y[0] = r * su
+    y[2] = r * cu
+    F0[0, 0] = F0[2, 2] = cu
+    F0[0, 2] = su
+    F0[2, 0] = -su
+    F1[0, 0] = dR[0, 0, 2] = cu / r
+    F1[2, 0] = dR[0, 2, 2] = -su / r
+    dR[0, 0, 0] = -su / r
+    dR[0, 2, 0] = -cu / r
+    return y, F0, F1, dR
+
+
 def frame_fields(iso, xp):
     """The isometry's frames at points xp (M, 2) as a dict of (M, ...)
-    views: y, d1y, d2y, n, d1n, d2n, each (M, 3), and the immersion's second
-    derivatives ddy (M, 2, 2, 3)."""
-    y, F0, F1, dR = iso.frames(xp)
+    views: y, d1y, d2y, n, d1n, d2n, each (M, 3), the rotation R (M, 3, 3)
+    with columns d1y, d2y, n, and the immersion's second derivatives ddy
+    (M, 2, 2, 3)."""
+    y, F0, F1, dR = frames(iso, xp)
     return {"y": y.T, "d1y": F0[:, 0].T, "d2y": F0[:, 1].T, "n": F0[:, 2].T,
-            "d1n": F1[:, 0].T, "d2n": F1[:, 1].T,
+            "d1n": F1[:, 0].T, "d2n": F1[:, 1].T, "R": F0.transpose(2, 0, 1),
             "ddy": dR[:, :, :2].transpose(3, 0, 2, 1)}
 
 
+def second_form(iso, xp):
+    """Second fundamental form II_ab = d_a d_b y . n, (M, 2, 2), at points."""
+    f = frame_fields(iso, xp)
+    return np.einsum("mabc,mc->mab", f["ddy"], f["n"])
+
+
+# ---------------------------------------------------------------------------
+# Readers of recovery members and artifacts
+# ---------------------------------------------------------------------------
+
 def deformation(sampler, xp, x3):
     """Deformed positions (M, 3) of a recovery member at midplane points xp
-    and one fiber height: y + h x3 n plus h times the corrector column of
-    the sampler's plan, blended between the two node layers around x3."""
+    and one fiber height: y + h x3 n plus h R times the corrector column of
+    the sampler's plan, which holds eps g in the moving frame, blended
+    between the two node layers around x3."""
     x3, k0, tz = sampler._layer(x3)
-    y, F0, _, _ = sampler.family.iso.frames(xp)
-    layers = sampler.plan(xp).layers
+    f = frame_fields(sampler.family.iso, xp)
+    layers = sampler.plan(xp)
     lo, hi = layers[:, 2, k0], layers[:, 2, k0 + 1]
-    out = y.T + sampler.h * x3 * F0[:, 2].T
-    out += (sampler.h * ((1.0 - tz) * lo + tz * hi)).T
-    return out
+    g = (sampler.h * ((1.0 - tz) * lo + tz * hi)).T
+    return f["y"] + sampler.h * x3 * f["n"] + np.einsum("mij,mj->mi",
+                                                        f["R"], g)
 
 
 def read_json(path):

@@ -617,6 +617,10 @@ PROBES = [
     ("effective", "grid.L", 10 ** 400, "grid.L"),
     ("recovery", "isometry.radius", -1.0, "isometry.radius"),
     ("ergodic", "f_table", [0, 1, 7], "f_table"),
+    ("ergodic", "epsilons", [0.5, 0.25],
+     "epsilons: must be a list of at least 3 numbers"),
+    # "01" names phase 1 a second time
+    ("ergodic", "f_table", {"0": 0, "1": 1, "01": 5}, "f_table"),
 ]
 
 
@@ -673,6 +677,31 @@ def test_every_config_field_is_documented():
     assert documented - fields == set()
     assert aliases == {p[:-1] + "box_side" for p in fields
                        if p.rpartition(".")[2] == "L"}
+
+
+@pytest.mark.parametrize("n,gamma,period,text", [
+    (4, 0.75, 0.5, "= 3 x 3: n1, n2 must be even"),
+    (4, 0.3, 0.5, "= 1.2 x 1.2 is not integral"),
+    (8, 0.5, 0.125, "= 4 x 4: phase grid is not constant on 2-element"),
+])
+def test_rescale_check_refuses_formulation_b_before_any_solve(
+        tmp_path, capsys, monkeypatch, n, gamma, period, text):
+    # the user's grid is fine; formulation B's, gamma*n1 x gamma*n2, is not
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before formulation B was checked")
+
+    monkeypatch.setattr("platecell.cli.coupled_tensor", fail)
+    grid = dict(GRID, n1=n, n2=n, n3=2, gamma=gamma)
+    cfg = write_cfg(tmp_path, {"model": {"kind": "checkerboard",
+                                         "period_hint": period},
+                               "grid": grid, "seed": 0, "materials": MATS_TWO,
+                               "rescale_check": True})
+    out = tmp_path / "eff.json"
+    assert run("effective", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("platecell: config error: rescale_check: "
+                          "formulation B's grid gamma*n1 x gamma*n2 " + text)
+    assert not out.exists()
 
 
 def test_recovery_corrector_tol_reaches_the_cell_solve(tmp_path,

@@ -119,20 +119,10 @@ def test_birkhoff_validation():
     for step in ("0.01", True, np.nan, 0.0, -0.01):
         with pytest.raises(ConfigError, match="step"):
             birkhoff_average(r, [0, 1], WINDOW, [2.0], step=step)
-    series = birkhoff_average(r, [0, 1], WINDOW, [0.5, 0.25, 0.125])
-    with pytest.raises(ConfigError):
-        birkhoff_rate(series, fit_count=3)                         # nothing left
-
-
-@pytest.mark.parametrize("bad", [0, -1, 3, 1.0, 1.5, True, "1"])
-def test_birkhoff_rate_reads_fit_count_strictly(bad):
-    # -1 would fit all but the last scale, and 0 an empty array
-    series = birkhoff_average(checkerboard_realization(), [0, 1], WINDOW,
-                              [0.5, 0.25, 0.125])
-    with pytest.raises(ConfigError, match="fit_count"):
-        birkhoff_rate(series, fit_count=bad)
-    assert birkhoff_rate(series, fit_count=np.int64(2)) \
-        == birkhoff_rate(series)
+    # two scales fit the rate and leave none to test it
+    series = birkhoff_average(r, [0, 1], WINDOW, [0.5, 0.25])
+    with pytest.raises(ConfigError, match="at least 3 scales, got 2"):
+        birkhoff_rate(series)
 
 
 # ---------------------------------------------------------------------------

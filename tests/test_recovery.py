@@ -1,7 +1,14 @@
-"""Recovery family: isometry frames, the corrector, scaled vs limit energy."""
+"""Recovery family: the isometry's constant connection, the corrector, the
+gradient in the moving frame, scaled vs limit energy.
+
+The package evaluates R^T grad v, never the frame R itself; the per-point
+frames of `oracles.frames` are the reference that the finite-difference and
+8-corner checks rotate back with.
+"""
 
 import gc
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -34,7 +41,8 @@ from platecell import cellsolve, cli, recovery
 from platecell._mesh import locate
 from platecell.errors import as_real
 from platecell.material import svk_energy
-from oracles import deformation, frame_fields, single_phase_bending_discrete
+from oracles import deformation, frame_fields, second_form, \
+    single_phase_bending_discrete
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -76,6 +84,12 @@ def kirchhoff_love(iso, h, xp, x3):
     return v, F
 
 
+def in_frame(iso, xp, F):
+    """Lab-frame gradients F (M, 3, 3) at points xp, seen in the moving
+    frame: R^T F."""
+    return np.einsum("mji,mjk->mik", frame_fields(iso, xp)["R"], F)
+
+
 # ---------------------------------------------------------------------------
 # Isometry geometry
 # ---------------------------------------------------------------------------
@@ -112,7 +126,9 @@ def test_orthonormal_frame(iso):
 def test_flat_second_form_vanishes():
     iso = flat_isometry((0.0, 0.0, 2.0, 2.0))
     xp = np.random.default_rng(1).uniform(0, 2, size=(50, 2))
-    npt.assert_array_equal(iso.second_form(xp), 0.0)
+    npt.assert_array_equal(iso.connection, 0.0)
+    npt.assert_array_equal(iso.second_form, 0.0)
+    npt.assert_array_equal(second_form(iso, xp), 0.0)
     f = frame_fields(iso, xp)
     npt.assert_array_equal(f["y"][:, :2], xp)
     npt.assert_array_equal(f["y"][:, 2], 0.0)
@@ -121,16 +137,12 @@ def test_flat_second_form_vanishes():
 @pytest.mark.parametrize("radius", [1.0, 2.0])
 def test_cylinder_second_form(radius):
     iso = cylinder_isometry(radius, (0.0, 0.0, 4.0, 1.0))
+    npt.assert_array_equal(iso.second_form, np.diag([-1.0 / radius, 0.0]))
+    # the immersion's d_a d_b y . n, the same matrix at every point
     xp = np.random.default_rng(5).uniform([0, 0], [4, 1], size=(60, 2))
-    II = iso.second_form(xp)
-    want = np.diag([1.0 / radius, 0.0])
-    npt.assert_allclose(np.abs(II), np.broadcast_to(want, II.shape),
-                        atol=1e-13)
-    # the same matrix everywhere: constant curvature
-    npt.assert_allclose(II - II[0], 0.0, atol=1e-13)
-    # Frobenius norm 1/r
-    npt.assert_allclose(np.linalg.norm(II, axis=(1, 2)), 1.0 / radius,
-                        rtol=1e-13)
+    npt.assert_allclose(second_form(iso, xp),
+                        np.broadcast_to(iso.second_form, (60, 2, 2)),
+                        rtol=0, atol=1e-13)
 
 
 def test_weingarten_consistency():
@@ -138,10 +150,34 @@ def test_weingarten_consistency():
     iso = cylinder_isometry(1.3, (0.0, 0.0, 5.0, 1.0))
     xp = np.random.default_rng(9).uniform([0, 0], [5, 1], size=(40, 2))
     f = frame_fields(iso, xp)
-    II = iso.second_form(xp)
     dn = np.stack([f["d1n"], f["d2n"]], axis=1)       # (m, a, 3)
     dy = np.stack([f["d1y"], f["d2y"]], axis=1)
-    npt.assert_allclose(dn, -np.einsum("mab,mbc->mac", II, dy), atol=1e-13)
+    npt.assert_allclose(dn, -np.einsum("ab,mbc->mac", iso.second_form, dy),
+                        atol=1e-13)
+
+
+@pytest.mark.parametrize("iso", [
+    flat_isometry((0.0, 0.0, 3.0, 2.0)),
+    cylinder_isometry(0.7, (0.0, 0.0, 3.0, 2.0)),
+    cylinder_isometry(2.0, (-1.0, 0.5, 3.0, 2.0)),
+], ids=["flat", "cylinder", "cylinder_wide"])
+def test_connection_is_the_frames_derivative(iso):
+    # A_a = R^T d_a R, by a centered difference of the reference frames at
+    # points all over the domain: the same skew matrix everywhere
+    A = iso.connection
+    assert A.shape == (2, 3, 3)
+    npt.assert_array_equal(A, -A.transpose(0, 2, 1))
+    x0, y0, x1, y1 = iso.domain
+    xp = np.random.default_rng(4).uniform([x0, y0], [x1, y1], size=(80, 2))
+    s = 1e-4
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = s
+        dR = (frame_fields(iso, xp + e)["R"]
+              - frame_fields(iso, xp - e)["R"]) / (2.0 * s)
+        npt.assert_allclose(in_frame(iso, xp, dR),
+                            np.broadcast_to(A[a], (80, 3, 3)),
+                            rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +347,11 @@ def test_constant_curvature_shares_one_corrector():
     # corrector serves the whole midplane
     fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
-    npt.assert_allclose(np.abs(fam.load), np.diag([1.0, 0.0]), atol=1e-13)
+    npt.assert_array_equal(fam.load, np.diag([1.0, 0.0]))
     xp = np.random.default_rng(6).uniform(0, 1, size=(50, 2))
-    npt.assert_allclose(-fam.iso.second_form(xp),
+    npt.assert_allclose(-second_form(fam.iso, xp),
                         np.broadcast_to(fam.load, (50, 2, 2)),
                         rtol=0, atol=1e-15)
-
-
-def test_family_needs_a_constant_connection():
-    # the one-cell energy rests on a periodic density, which a kind whose
-    # connection varies does not have
-    iso = cylinder_isometry(1.0)
-    assert iso.constant_connection and flat_isometry().constant_connection
-    iso.kind = "sphere"
-    assert not iso.constant_connection
-    with pytest.raises(ConfigError, match="constant connection"):
-        build_recovery(iso, RecoveryConfig(), checker_source())
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +376,12 @@ GENERAL_LOAD = np.array([[1.0, 0.3], [0.3, -0.5]])
 
 
 def _eight_corner_reference(sampler, xp, x3):
-    """Positions and scaled gradients by the 8-corner formula.
+    """Positions and lab-frame scaled gradients by the 8-corner formula.
 
     The points are interpolated trilinearly from the eight cell corners
-    around them at height x3, then rotated; this is the evaluation the
-    node-layer plan replaces, kept here as its reference.
+    around them at height x3, then rotated by the per-point frames; this is
+    the evaluation the node-layer plan in the moving frame replaces, kept
+    here as its reference.
     """
     fam, h, eps = sampler.family, sampler.h, sampler.eps
     grid = fam.source.grid
@@ -423,6 +449,7 @@ def test_node_layer_plan_matches_per_patch_formula(case):
         plan = sampler.plan(xp)
         for x3 in (-0.5, -0.31, -0.25, 0.0, 0.06, 0.37, 0.5):
             v_ref, F_ref = _eight_corner_reference(sampler, xp, x3)
+            F_ref = in_frame(iso, xp, F_ref)
             F = sampler.scaled_gradient(xp, x3, plan=plan)
             v = deformation(sampler, xp, x3)
             npt.assert_allclose(F, F_ref, rtol=0,
@@ -601,7 +628,8 @@ def test_tensor_axes_plan_equals_per_point_plan(n3):
                 npt.assert_array_equal(
                     sampler.scaled_gradient(xp[m:m + 1], x3, plan=one),
                     F[m:m + 1])
-            _, F_ref = _eight_corner_reference(sampler, xp, x3)
+            F_ref = in_frame(iso, xp, _eight_corner_reference(sampler, xp,
+                                                              x3)[1])
             npt.assert_allclose(F, F_ref, rtol=0,
                                 atol=1e-13 * np.max(np.abs(F_ref)))
 
@@ -613,16 +641,10 @@ def test_public_plan_is_not_overwritten_by_later_plans():
     sampler = fam.sampler(0.25)
     xp = _quadrature_like_points(fam)
     held = sampler.plan(xp)
-    before = {k: v.copy() for k, v in _plan_arrays(held).items()}
+    before = held.copy()
     assert evaluate_scaled_energy(sampler) > 0.0
     sampler.plan(xp[::-1] * 0.5)
-    for name, value in _plan_arrays(held).items():
-        npt.assert_array_equal(value, before[name], err_msg=name)
-
-
-def _plan_arrays(plan):
-    """Every array a plan holds, by name."""
-    return {"F0": plan.F0, "F1": plan.F1, "layers": plan.layers}
+    npt.assert_array_equal(held, before)
 
 
 @pytest.mark.parametrize("n3", [2, 3, 4, 5, 6])
@@ -685,7 +707,8 @@ def test_scaled_gradient_matches_finite_difference():
     F = sampler.scaled_gradient(xp, x3)
     errs = {}
     for s in (4e-3, 2e-3):
-        G = _fd_gradient(sampler, xp, x3, s, 0.01)
+        # the difference quotients of v, seen in the moving frame
+        G = in_frame(fam.iso, xp, _fd_gradient(sampler, xp, x3, s, 0.01))
         errs[s] = np.max(np.abs((G - F)[:, :, :2]))
         # thickness interpolation is affine within a segment: FD is exact
         assert np.max(np.abs((G - F)[:, :, 2])) < 1e-9
@@ -695,17 +718,15 @@ def test_scaled_gradient_matches_finite_difference():
 
 
 def test_gradient_is_rotation_plus_order_h():
+    # grad v = R (I + O(h)): in the moving frame, the identity plus O(h)
     fam = build_recovery(cylinder_isometry(1.0), RecoveryConfig(),
                          checker_source())
     sampler_c = fam.sampler(0.08)
     xp = _smooth_points(sampler_c.eps, 0.25, count=60)
     resid = {}
     for h in (0.08, 0.04):
-        sampler = fam.sampler(h)
-        plan = sampler.plan(xp)
-        R = plan.F0.transpose(2, 0, 1)      # columns d1y, d2y, n
-        F = sampler.scaled_gradient(xp, 0.06, plan=plan)
-        resid[h] = np.max(np.abs(F - R))
+        F = fam.sampler(h).scaled_gradient(xp, 0.06)
+        resid[h] = np.max(np.abs(F - np.eye(3)))
     assert resid[0.08] < 1e-2
     assert 1.6 < resid[0.08] / resid[0.04] < 2.7    # residual shrinks like h
 
@@ -798,18 +819,10 @@ def test_limit_energy_is_the_pointwise_midpoint_rule():
         n = 32
         xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
         ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-        II = iso.second_form(np.array([(x, y) for x in xs for y in ys]))
+        II = second_form(iso, np.array([(x, y) for x in xs for y in ys]))
         loop = np.mean([qgamma_eval(form, G) for G in II]) \
             * (x1 - x0) * (y1 - y0)
         npt.assert_allclose(limit_energy(form, iso), loop, rtol=1e-14)
-
-
-def test_limit_energy_needs_a_constant_connection():
-    # q(II) |omega| is the integral only for a constant second form
-    iso = cylinder_isometry(1.0)
-    iso.kind = "sphere"
-    with pytest.raises(ConfigError, match="constant connection"):
-        limit_energy(np.diag([0.5, 0.5, 0.4]), iso)
 
 
 def test_limit_energy_retains_no_objects():
@@ -879,6 +892,28 @@ def test_gaps_fall_at_second_order_to_zero(name):
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 3.9 <= coarse / fine <= 4.1, gaps
     assert abs(4.0 * gaps[-1] - gaps[-2]) / 3.0 <= 1e-6, gaps
+
+
+def test_readme_recovery_gaps_match_the_code():
+    # README quotes two gap series to three digits: a single-phase 4x4x8
+    # cell at gamma 1 (criterion 09's) and the shipped checkerboard, both on
+    # the unit square bent onto the cylinder of radius 1
+    readme = (CONFIGS.parent.parent / "README.md").read_text()
+    bullet = " ".join(readme.split("- **recovery**")[1]
+                      .split("- **cli**")[0].split())
+    num = r"(\d\.\d\de-\d+)"
+    quoted = re.findall(num + ", " + num + ",? and " + num
+                        + r" at h = ([\d.]+), ([\d.]+),? ([\d.]+) ", bullet)
+    single = CellCorrectorSource(RVEGrid(4, 4, 8, 1.0, 1.0),
+                                 uniform_phases(4, 4), ONE_PHASE, tol=1e-10)
+    sources = (single, config_source("checkerboard_contrast5.json"))
+    assert len(quoted) == len(sources)
+    for source, row in zip(sources, quoted):
+        gaps, hs = [float(v) for v in row[:3]], [float(v) for v in row[3:]]
+        fam = build_recovery(cylinder_isometry(1.0),
+                             RecoveryConfig(h_schedule=hs), source)
+        got = recovery_gaps(fam)["gaps"]
+        assert [float("%.2e" % g) for g in got] == gaps, got
 
 
 def test_bench_recovery_gap_is_positive():

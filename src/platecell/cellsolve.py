@@ -30,38 +30,45 @@ weight 2 for their mirror images; the self-mirrored straddling layer of odd
 n3 keeps weight 1, its top nodes aliasing its bottom slots with the signs
 s_c.
 
-The stationarity system is solved matrix-free: one folded 24x24 kernel
-w diag(sigma) K_p diag(sigma) per (phase, layer), sigma the slot coefficients
-of the local dofs, and one dof table of the kept elements sorted by (phase,
-layer), which serves the matvec (np.take -> one GEMM per kernel and column ->
-the mesh's scatter, one bincount over all columns), the right-hand sides and
-the energy closure, in conjugate gradients that update in place; the
-translations of the even components are projected out of the right-hand
-sides and the solution only.  Fields are (ndof, m) blocks, one column per
-load, stored column by column (Fortran order): each column is one contiguous
-run, so the gathers, the conjugate gradients' per-column updates and dot
-products, and the preconditioner's products all read contiguous memory,
-while the shape stays the one that callers and the benchmark's matvec hooks
-read.  The operator's maps give identical bits for either memory order of
-their input.
+The kernels are the folded 24x24 w diag(sigma) K_p diag(sigma) per (phase,
+layer), sigma the slot coefficients of the local dofs.  The stiffness is
+applied as a stencil (Bell & Garland 2009): the f free dofs of an in-plane
+node couple only to those of its 3 x 3 in-plane neighbours, so the operator
+is one (f, 9 f) block per node, and a product is one gather of the
+neighbours' node vectors and one batched matrix product, with no scatter.
+The phases are constant through the thickness, so a node's block is the sum
+of the quadrant blocks of its four element columns, each summed over the
+kept layers once per set-up; an operator sums them once per distinct pattern
+of the four phases.  One dof table of the kept elements, sorted by (phase,
+layer), serves the right-hand sides (gather, one scatter) and the energy
+closure.  Conjugate gradients update in place; the translations of the even
+components are projected out of the right-hand sides and the solution only.
+Fields are (ndof, m) blocks, one column per load, stored column by column
+(Fortran order): each column is one contiguous run, so the gathers, the
+conjugate gradients' per-column updates and dot products, and the
+preconditioner's products all read contiguous memory, while the shape stays
+the one that callers and the benchmark's matvec hooks read.  The operator's
+maps give identical bits for either memory order of their input.
 The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
-stiffness is block-circulant in the in-plane node indices, so the real 2D
-DFT splits it into one Hermitian system per wavevector on the free pairs of
-an in-plane node (Moulinec & Suquet 1998; Zeman et al. 2010).  Iteration
-counts then depend on the phase contrast but not on the mesh.  The inverse
-is applied as products with precomputed real matrices, five matrix products
-and no complex arithmetic: the real DFT along n1, the complex DFT along n2
-in its real embedding, the per-wavevector inverse blocks in theirs, then the
-two transposed passes, each on the contiguous plane of one column; the
-inverse transform's Hermitian weights and 1/(n1 n2) are folded into the
-blocks, so the preconditioner reads F^T D F.
-Those matrices, the fold, the strain matrices, the phase forms and kernels
-depend only on the grid, the parity and the Lame pairs of the phases
-present, so they make one set-up, built once per (grid, parity, Lame pairs)
-and shared read-only by every operator on them, whatever its phase layout;
-the layout enters through the dof table alone.  One more table holds the
-element load vectors, which depend also on the loads' parts in the parity.
+stiffness is block-circulant in the in-plane node indices, one stencil block
+at every node, so the real 2D DFT splits it into one Hermitian system per
+wavevector on the free pairs of an in-plane node (Moulinec & Suquet 1998;
+Zeman et al. 2010).  Iteration counts then depend on the phase contrast but
+not on the mesh.  The inverse is applied as products with precomputed real
+matrices, five matrix products and no complex arithmetic: the real DFT along
+n1, the complex DFT along n2 in its real embedding, the per-wavevector
+inverse blocks in theirs, then the two transposed passes, each on the
+contiguous plane of one column; the inverse transform's Hermitian weights
+and 1/(n1 n2) are folded into the blocks, so the preconditioner reads
+F^T D F.
+Those matrices, the fold, the strain matrices, the phase forms, kernels
+and quadrant blocks and the neighbour table depend only on the grid, the
+parity and the Lame pairs of the phases present, so they make one set-up,
+built once per (grid, parity, Lame pairs) and shared read-only by every
+operator on them, whatever its phase layout; the layout enters through the
+node blocks and the dof table alone.  One more table holds the element load
+vectors, which depend also on the loads' parts in the parity.
 Unit loads iterate together (block right-hand side) into one bilinear energy
 closure: the three bending loads give the bending form, and with the three
 membrane loads, solved in the other parity, the 6x6 tensor, whose
@@ -273,16 +280,43 @@ def _translations(fold):
         / norm
 
 
-def _apply_kernels(kernels, bounds, table, keys, U):
-    """Apply kernels[p] to the element columns bounds[p]:bounds[p + 1] of
-    the (24, n_el) dof table: gather each column of U (n, m), one GEMM per
-    kernel and column, scatter back through the table's `column_keys` for
-    U's columns into an (n, m) block stored column by column."""
-    Ue = np.take(U.T, table, axis=1)                 # (m, 24, n_el)
-    Ve = np.empty_like(Ue)
-    for ke, a, b in zip(kernels, bounds[:-1], bounds[1:]):
-        np.matmul(ke, Ue[..., a:b], out=Ve[..., a:b])
-    return scatter(keys, Ve, U.shape)
+# The 3 x 3 in-plane neighbours (di, dj) of a node, in the order of the
+# stencil's column blocks: neighbour k of node (i, j) is node (i + di, j + dj).
+_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+# A node is corner q = dx + 2 dy of the element column whose lower corner is
+# its neighbour (-dx, -dy): that neighbour's index, per q.
+_CORNERS = [_OFFSETS.index((-(q & 1), -(q >> 1))) for q in range(4)]
+
+
+def _neighbours(n1, n2):
+    """(n1 n2, 9) periodic in-plane node of each `_OFFSETS` neighbour of every
+    in-plane node i n2 + j; with n1 or n2 = 2 the -1 and +1 neighbours are one
+    node, held twice."""
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    di, dj = np.array(_OFFSETS).T
+    return ((i[:, None] + di) % n1) * n2 + (j[:, None] + dj) % n2
+
+
+def _quadrants(ke, edof, f):
+    """The stencil rows that one element column adds to the node at each of
+    its corners: (4, phases, f, 9 f), block [q, p] for corner q = dx + 2 dy
+    of a column of phase p, its columns the f dofs of each `_OFFSETS`
+    neighbour of that node, summed over the kept layers.
+
+    ke are folded kernels (phases * layers, 24, 24), phase-major, and edof
+    `_fold`'s: local dof a of layer e is dof edof[., e, a] % f of the node
+    at corner (a // 3) & 3.
+    """
+    rank = edof[0] % f                                   # (layers, 24)
+    corner = (np.arange(24) // 3) & 3
+    dx, dy = corner & 1, corner >> 1
+    k = (dx - dx[:, None] + 1) * 3 + dy - dy[:, None] + 1   # b seen from a
+    keys = ((corner[:, None] * f + rank[:, :, None]) * 9 + k) * f \
+        + rank[:, None, :]
+    return np.ascontiguousarray(np.stack([
+        np.bincount(keys.ravel(), weights=w, minlength=36 * f * f)
+        for w in ke.reshape(-1, keys.size)]).reshape(-1, 4, f, 9 * f)
+        .swapaxes(0, 1))
 
 
 def _dft_passes(n1, n2):
@@ -307,16 +341,19 @@ def _dft_passes(n1, n2):
     return rdft, dft
 
 
-def _reference_inverse(n1, n2, free, edof, kernels, t):
+def _reference_inverse(grid, free, stencil, t):
     """Per-wavevector inverses of the folded stiffness of a homogeneous
-    medium of folded kernels (layers, 24, 24), given `_fold`'s edof, the free
-    (slot, component) pairs and their translations t of `_translations`.
+    medium of node stencil (f, 9 f), the sum of its four `_quadrants`, given
+    the free (slot, component) pairs and their translations t of
+    `_translations`.
 
     The folded stiffness applied to the f unit fields of the free dofs at
-    in-plane node (0, 0), then transformed by rfft2 with the real transform
-    along n1, is the symbol per wavevector, set into the M x M symbol of all
-    the (slot, component) pairs with the identity on the pinned others, the
-    odd components at the midplane.
+    in-plane node (0, 0) is, at the node -d from it, the stencil's block of
+    neighbour d (node (0, 0) is that node's neighbour d); transformed by
+    rfft2 with the real transform along n1, it is the symbol per
+    wavevector, set into the M x M symbol of all the (slot, component) pairs
+    with the identity on the pinned others, the odd components at the
+    midplane.
     The zero-wavevector block is singular on the translations of the even
     components, which are lifted by a multiple of their projector; the lifted
     block maps the mean-free fields to themselves, so the inverse adds only a
@@ -334,17 +371,20 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
         D: (n1 // 2 + 1, n2, 2f, 2f) real array, wavevector (a, j) at D[a, j],
             rows and columns (part, free pair), f the free pairs of
             M = 3 (n3 // 2 + 1).
+
+    Raises:
+        NumericalError: an embedded block is singular or D is not finite,
+            as when the element sizes of a box side far from 1 overflow or
+            underflow the kernels.
     """
+    n1, n2 = grid.n1, grid.n2
     pinned, free = ~free, np.flatnonzero(free)
     m, f = pinned.size, len(free)
-    near = edof[(edof[:, 0] < f).any(axis=1)]   # columns touching node (0, 0)
-    table = near.transpose(1, 0, 2).reshape(-1, 24).T    # layer-major
-    units = np.eye(f * n1 * n2, f)   # in-plane node (0, 0) holds dofs :f
-    columns = _apply_kernels(kernels, np.arange(len(kernels) + 1) * len(near),
-                             table, column_keys(table, len(units), f), units)
+    columns = np.zeros((n1, n2, f, f))
+    for (di, dj), block in zip(_OFFSETS, np.split(stencil, 9, axis=1)):
+        columns[-di % n1, -dj % n2] += block
     symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
-    symbol[:, :, free[:, None], free] = np.fft.rfft2(
-        columns.reshape(n1, n2, f, f), axes=(1, 0))
+    symbol[:, :, free[:, None], free] = np.fft.rfft2(columns, axes=(1, 0))
     symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
     symbol[:, :, pinned, pinned] = 1.0
     embedded = np.block([[symbol.real, -symbol.imag],
@@ -352,8 +392,16 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
     kept = np.r_[free, m + free]
     weight = np.full(n1 // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
-    D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
-        * (weight / (n1 * n2))[:, None, None, None]
+    try:
+        D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
+            * (weight / (n1 * n2))[:, None, None, None]
+    except np.linalg.LinAlgError:
+        D = None
+    if D is None or not np.isfinite(D).all():
+        raise NumericalError(
+            "the reference-medium symbol on %r is singular or not finite: "
+            "the element sizes of box side %g overflow or underflow the "
+            "kernels" % (grid, grid.box_side))
     return np.ascontiguousarray(0.5 * (D + D.swapaxes(-1, -2)))
 
 
@@ -361,14 +409,15 @@ def _reference_inverse(n1, n2, free, edof, kernels, t):
 # fold, weight, edof and sigma; free, whether each (slot, component) pair is
 # free; Bq, the (8, 6, 24) strain matrices, and Bs, (layers, 48, 24) them on
 # the slots of each kept layer; forms, the (phases, 6, 6) Voigt forms; ke,
-# the (phases * layers, 24, 24) folded kernels, phase-major; zq, the x3 of
-# each (kept layer, Gauss point), (layers, 8); rdft and dft, the
-# `_dft_passes`, and spectral_inverse, the blocks D of `_reference_inverse`,
-# of the medium whose Lame constants are the geometric means of the phases';
-# shift, the translations on the free pairs of one in-plane row of nodes,
-# (translations, n2 * free pairs).
-_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke zq "
-                    "rdft dft spectral_inverse shift")
+# the (phases * layers, 24, 24) folded kernels, phase-major; quadrants, the
+# (4, phases, f, 9 f) `_quadrants` of those kernels, and neighbours, the
+# (n1 n2, 9) `_neighbours`; zq, the x3 of each (kept layer, Gauss point),
+# (layers, 8); rdft and dft, the `_dft_passes`, and spectral_inverse, the
+# blocks D of `_reference_inverse`, of the medium whose Lame constants are
+# the geometric means of the phases'; shift, the translations on the free
+# pairs of one in-plane row of nodes, (translations, n2 * free pairs).
+_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke "
+                    "quadrants neighbours zq rdft dft spectral_inverse shift")
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,6 +428,7 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
     fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
     free = fold.any(axis=0).ravel()
+    f = int(free.sum())
     Bq = _strain_matrices(grid)
     wq = 1.0 / (8.0 * grid.n_elements)              # volume-average weight
     forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
@@ -387,14 +437,16 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
     reference = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt,
                           Bq) * wq
+    reference = _quadrants(_folded_kernels(reference[None], sigma, weight),
+                           edof, f).sum(axis=0)[0]
     t = _translations(fold)
-    spectral_inverse = _reference_inverse(
-        n1, n2, free, edof, _folded_kernels(reference[None], sigma, weight), t)
     gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
     zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
     out = _Setup(fold, weight, edof, sigma, free, Bq,
-                 Bq.reshape(48, 24) * sigma[:, None], forms, ke, zq,
-                 *_dft_passes(n1, n2), spectral_inverse,
+                 Bq.reshape(48, 24) * sigma[:, None], forms, ke,
+                 _quadrants(ke, edof, f), _neighbours(n1, n2), zq,
+                 *_dft_passes(n1, n2),
+                 _reference_inverse(grid, free, reference, t),
                  np.tile(t[free].T, n2))
     for arr in out:
         arr.flags.writeable = False
@@ -424,15 +476,19 @@ def _load_vectors(key, parts):
 
 
 class CellOperator:
-    """Matrix-free stiffness operator of one cell problem, on the folded
-    half-slab of one parity (`BENDING` or `MEMBRANE`).
+    """Stiffness operator of one cell problem, stored as a per-node
+    stencil, on the folded half-slab of one parity (`BENDING` or
+    `MEMBRANE`).
 
-    Holds the (phase, layer)-sorted dof table of the kept elements and the
-    arrays of its `_setup`, shared with every operator on the same grid,
-    parity and Lame pairs: the folded 24x24 kernels, the real DFT matrices
-    and per-wavevector blocks of the reference-medium preconditioner, the
-    Gauss heights.  Its fields are folded, (ndof, m), stored column by
-    column; `expand` maps them to full-slab nodal fields.
+    Holds its stencil, one (f, 9 f) block per in-plane node that maps the f
+    dofs of the node's 3 x 3 neighbours to its own f, the (phase,
+    layer)-sorted dof table of the kept elements, which serves the
+    right-hand sides and the closure, and the arrays of its `_setup`, shared
+    with every operator on the same grid, parity and Lame pairs: the folded
+    24x24 kernels and their quadrant blocks, the neighbour table, the real
+    DFT matrices and per-wavevector blocks of the reference-medium
+    preconditioner, the Gauss heights.  Its fields are folded, (ndof, m),
+    stored column by column; `expand` maps them to full-slab nodal fields.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
     """
@@ -460,7 +516,8 @@ class CellOperator:
         s = _setup(*self._key)
         self.fold, self.weight, self.zq, self._free = \
             s.fold, s.weight, s.zq, s.free
-        self.Bs, self.forms, self.ke = s.Bs, s.forms, s.ke
+        self.Bs, self.forms, self.ke, self._neighbours = \
+            s.Bs, s.forms, s.ke, s.neighbours
         self._rdft, self._dft, self.spectral_inverse, self._shift = \
             s.rdft, s.dft, s.spectral_inverse, s.shift
         self.ndof = grid.n1 * grid.n2 * int(self._free.sum())
@@ -468,13 +525,24 @@ class CellOperator:
 
         # --- connectivity: kept elements stably sorted by (phase, layer) ----
         layers = len(self.weight)
-        block = (np.searchsorted(present, phases.cell_phase).reshape(-1, 1)
-                 * layers + np.arange(layers)).ravel()
+        phase = np.searchsorted(present, phases.cell_phase)    # (n1, n2)
+        block = (phase.reshape(-1, 1) * layers + np.arange(layers)).ravel()
         order = np.argsort(block, kind="stable")
         # kernel b = phase * layers + layer owns bounds[b]:bounds[b + 1]
         self.table = s.edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
         self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
-        self._keys = {}     # column count -> column_keys of the dof table
+
+        # --- stencil: the block of a node sums the quadrants [q, p_q] of its
+        # four columns, so it is summed once per distinct pattern id
+        # sum_q p_q P^q, P the phases present, and taken to every node of it
+        corners = np.take(phase.ravel(), self._neighbours[:, _CORNERS])
+        ids = corners @ len(present) ** np.arange(4)
+        patterns, node_pattern = np.unique(ids, return_inverse=True)
+        blocks = 0.0
+        for q in range(4):
+            patterns, p = np.divmod(patterns, len(present))
+            blocks = blocks + s.quadrants[q, p]
+        self.stencil = np.take(blocks, node_pattern, axis=0)
 
     # --- reference-medium preconditioner --------------------------------------
     def precondition(self, R):
@@ -518,15 +586,19 @@ class CellOperator:
     # --- operator application ----------------------------------------------
     def matvec(self, U):
         """Apply the stiffness operator to U of shape (ndof, m); the result
-        is stored column by column."""
-        return _apply_kernels(self.ke, self.bounds, self.table,
-                              self._column_keys(U.shape[1]), U)
+        is stored column by column.
 
-    def _column_keys(self, m):
-        """`column_keys` of the dof table for m columns, built once per m."""
-        if m not in self._keys:
-            self._keys[m] = column_keys(self.table, self.ndof, m)
-        return self._keys[m]
+        One gather of the f-vectors of each node's 9 neighbours from every
+        column, (m, n1 n2, 9 f), then one batched product with the node
+        blocks, written into the (n1 n2, f, m) view of a column-major result;
+        each node's rows are summed inside its own product, with no scatter.
+        """
+        n, f, m = len(self.stencil), self.stencil.shape[1], U.shape[1]
+        G = np.take(U.T.reshape(m, n, f), self._neighbours, axis=1)
+        out = np.empty((m, n, f))
+        np.matmul(self.stencil, G.reshape(m, n, 9 * f).transpose(1, 2, 0),
+                  out=out.transpose(1, 2, 0))
+        return out.reshape(m, -1).T
 
     # --- full-slab fields ----------------------------------------------------
     def expand(self, U):
@@ -546,7 +618,7 @@ class CellOperator:
         fe = _load_vectors(self._key, parts.tobytes())
         kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
         fe = np.take(fe.transpose(2, 1, 0), kernel, axis=2)  # (m, 24, n_kept)
-        return -scatter(self._column_keys(len(loads)), fe,
+        return -scatter(column_keys(self.table, self.ndof, len(loads)), fe,
                         (self.ndof, len(loads)))
 
     # --- energies ------------------------------------------------------------

@@ -13,8 +13,10 @@ import json
 import numpy as np
 
 from platecell import BENDING, MEMBRANE, CellOperator, MicrostructureModel, \
-    MicrostructureRealization, MixedField, PhaseGrid, to_gauss
-from platecell._mesh import nodes
+    MicrostructureRealization, MixedField, PhaseGrid, isotropic_form, \
+    to_gauss
+from platecell import cellsolve
+from platecell._mesh import column_keys, nodes, scatter
 from platecell.decomposition import _scalar_tables
 
 SQRT2 = np.sqrt(2.0)
@@ -268,6 +270,50 @@ def svk_taylor_exact(mu, lam, G, t):
     c3 = 2.0 * mu * np.sum(S * P) + lam * np.trace(S) * np.trace(P)
     c4 = 0.5 * mu * np.sum(P * P) + 0.25 * lam * np.trace(P) ** 2
     return c3 * t ** 3 + c4 * t ** 4
+
+
+# ---------------------------------------------------------------------------
+# Reference-medium symbol by element gather, per-layer GEMM and scatter
+# ---------------------------------------------------------------------------
+
+def kernel_route_inverse(op):
+    """The blocks D of `op.spectral_inverse` built by the element route that
+    the node stencil replaced: the folded reference kernels applied to the
+    unit fields of the free dofs at in-plane node (0, 0) through the element
+    columns touching it (gather, one GEMM per kept layer, one bincount
+    scatter), then the same lift, embedding, inversion and weights."""
+    n1, n2, _, _, _, lame, _ = op._key
+    s = cellsolve._setup(*op._key)
+    free, f = np.flatnonzero(s.free), int(s.free.sum())
+    m = s.free.size
+    mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))
+    ke = np.einsum("qci,cd,qdj->ij", s.Bq, isotropic_form(mu, lam).voigt,
+                   s.Bq) * op.wq
+    kernels = cellsolve._folded_kernels(ke[None], s.sigma, s.weight)
+    near = s.edof[(s.edof[:, 0] < f).any(axis=1)]  # columns at node (0, 0)
+    table = near.transpose(1, 0, 2).reshape(-1, 24).T     # layer-major
+    units = np.eye(f * n1 * n2, f)
+    Ue = np.take(units.T, table, axis=1)                  # (f, 24, n_el)
+    Ve = np.empty_like(Ue)
+    for l, kernel in enumerate(kernels):
+        cols = slice(l * len(near), (l + 1) * len(near))
+        np.matmul(kernel, Ue[..., cols], out=Ve[..., cols])
+    columns = scatter(column_keys(table, len(units), f), Ve, units.shape)
+    symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
+    symbol[:, :, free[:, None], free] = np.fft.rfft2(
+        columns.reshape(n1, n2, f, f), axes=(1, 0))
+    t = cellsolve._translations(s.fold)
+    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
+    pinned = ~s.free
+    symbol[:, :, pinned, pinned] = 1.0
+    embedded = np.block([[symbol.real, -symbol.imag],
+                         [symbol.imag, symbol.real]])
+    kept = np.r_[free, m + free]
+    weight = np.full(n1 // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
+        * (weight / (n1 * n2))[:, None, None, None]
+    return 0.5 * (D + D.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

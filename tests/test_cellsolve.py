@@ -42,6 +42,7 @@ from platecell._mesh import GAUSS, nodes
 from platecell.material import SQRT2
 from oracles import (
     cell_energy,
+    kernel_route_inverse,
     laminate_bending_reference,
     plane_stress_form,
     restrict,
@@ -380,6 +381,21 @@ def test_dft_products_match_the_fft_preconditioner():
                                 err_msg=str((grid, parity, k)))
 
 
+def test_stencil_reference_inverse_matches_the_element_route():
+    # the reference blocks built from the homogeneous node stencil against
+    # those of the element gather, per-layer GEMM and scatter it replaced,
+    # also on the 2x2 grid whose -1 and +1 neighbours are one node
+    cases = list(dft_cases()) + [(grid, phases, mats, parity)
+                                 for grid, phases, mats in stencil_cases(3)
+                                 for parity in (BENDING, MEMBRANE)]
+    for grid, phases, mats, parity in cases:
+        op = CellOperator(grid, phases, mats, parity)
+        want = kernel_route_inverse(op)
+        npt.assert_allclose(op.spectral_inverse, want, rtol=0,
+                            atol=1e-13 * np.abs(want).max(),
+                            err_msg=str((grid, parity)))
+
+
 def test_memory_order_does_not_change_the_results():
     # blocks are (ndof, m) stored column by column; a C-ordered block of the
     # same values gives the same bits, and the operator's blocks come back
@@ -546,50 +562,74 @@ def fold_matrix(grid, parity):
     return P
 
 
+def stencil_cases(n3):
+    """Grids and media for the stencil checks: a 6x4 grid of 3 phases; a
+    2x2 one, whose -1 and +1 neighbours are one node and whose every node
+    touches all four columns; and a 6x6 one of 5 phases, whose node patterns
+    run up to 5^4."""
+    rng = np.random.default_rng(n3)
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0),
+                           (3, 0.7, 3.0), (4, 9.0, 0.5)])
+    yield (RVEGrid(6, 4, n3, 1.3, 1.5),
+           PhaseGrid(6, 4, 1.5, rng.permutation(np.arange(24) % 3)
+                     .reshape(6, 4)), mats)
+    yield (RVEGrid(2, 2, n3, 1.3, 1.5),
+           PhaseGrid(2, 2, 1.5, np.array([[0, 1], [2, 0]])), mats)
+    yield (RVEGrid(6, 6, n3, 0.8, 2.0),
+           PhaseGrid(6, 6, 2.0, rng.permutation(np.arange(36) % 5)
+                     .reshape(6, 6)), mats)
+
+
 @pytest.mark.parametrize("n3", [2, 3])
 def test_matvec_matches_elementwise_assembly(n3):
-    # the folded gather/GEMM/scatter of the matvec and the right-hand sides
-    # against P^T (per-element assembly in natural element order) P, for one,
-    # three and six columns, in both parities
-    grid = RVEGrid(6, 4, n3, 1.3, 1.5)
+    # the per-node stencil of the matvec and the folded gather/scatter of
+    # the right-hand sides against P^T (per-element assembly in natural
+    # element order) P, for one, three and six columns, in both parities
     rng = np.random.default_rng(n3)
-    phases = PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4)))
-    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
-    full = FullSlab(grid, phases, mats)
-    for parity in (BENDING, MEMBRANE):
-        op = CellOperator(grid, phases, mats, parity)
-        assert len(op.forms) == 3
-        P = fold_matrix(grid, parity)
-        P = P[:, P.any(axis=0)]
-        assert op.ndof == P.shape[1]
-        A = P.T @ (full.K @ P)
-        for m in (1, 3, 6):
-            U = rng.standard_normal((op.ndof, m))
-            ref = A @ U
-            AU = op.matvec(U)
-            assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), m
-            loads = random_loads(rng, m)
-            ref = P.T @ full.rhs(loads)
-            f = op.rhs(loads)
-            assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), m
-            npt.assert_allclose(op.expand(U), P @ U, rtol=0, atol=1e-15)
-            u = rng.standard_normal((full.ndof, m))
-            npt.assert_allclose(restrict(op, u), P.T @ u, rtol=0, atol=1e-15)
-        u, v = rng.standard_normal((2, op.ndof, 1))
-        uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
-        assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum()
-        # the kernel of P^T K P: the folded translations of the even
-        # components, the odd ones having none
-        T = np.kron(np.ones((grid.n_nodes, 1)), np.eye(3)) \
-            / np.sqrt(grid.n_nodes)
-        kernel = P.T @ T
-        kernel = kernel[:, np.abs(kernel).sum(axis=0) > 1e-12]
-        npt.assert_allclose(kernel.T @ kernel, np.eye(kernel.shape[1]),
-                            atol=1e-14)
-        assert np.max(np.abs(A @ kernel)) <= 1e-14 * np.max(np.abs(A))
-        U = rng.standard_normal((op.ndof, 3))
-        npt.assert_allclose(op.project(U.copy()),
-                            U - kernel @ (kernel.T @ U), rtol=0, atol=1e-14)
+    for grid, phases, mats in stencil_cases(n3):
+        full = FullSlab(grid, phases, mats)
+        for parity in (BENDING, MEMBRANE):
+            check_against_assembly(grid, phases, mats, parity, full, rng)
+
+
+def check_against_assembly(grid, phases, mats, parity, full, rng):
+    case = (grid, parity)
+    op = CellOperator(grid, phases, mats, parity)
+    assert len(op.forms) == len(np.unique(phases.cell_phase)), case
+    P = fold_matrix(grid, parity)
+    P = P[:, P.any(axis=0)]
+    assert op.ndof == P.shape[1]
+    A = P.T @ (full.K @ P)
+    for m in (1, 3, 6):
+        U = rng.standard_normal((op.ndof, m))
+        ref = A @ U
+        AU = op.matvec(U)
+        assert AU.flags.f_contiguous, case
+        assert np.max(np.abs(AU - ref)) <= 1e-14 * np.max(np.abs(ref)), \
+            (case, m)
+        loads = random_loads(rng, m)
+        ref = P.T @ full.rhs(loads)
+        f = op.rhs(loads)
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), \
+            (case, m)
+        npt.assert_allclose(op.expand(U), P @ U, rtol=0, atol=1e-15)
+        u = rng.standard_normal((full.ndof, m))
+        npt.assert_allclose(restrict(op, u), P.T @ u, rtol=0, atol=1e-15)
+    u, v = rng.standard_normal((2, op.ndof, 1))
+    uAv, vAu = (u * op.matvec(v)).sum(), (v * op.matvec(u)).sum()
+    assert abs(uAv - vAu) <= 1e-14 * np.abs(u * op.matvec(v)).sum(), case
+    # the kernel of P^T K P: the folded translations of the even
+    # components, the odd ones having none
+    T = np.kron(np.ones((grid.n_nodes, 1)), np.eye(3)) \
+        / np.sqrt(grid.n_nodes)
+    kernel = P.T @ T
+    kernel = kernel[:, np.abs(kernel).sum(axis=0) > 1e-12]
+    npt.assert_allclose(kernel.T @ kernel, np.eye(kernel.shape[1]),
+                        atol=1e-14)
+    assert np.max(np.abs(A @ kernel)) <= 1e-14 * np.max(np.abs(A)), case
+    U = rng.standard_normal((op.ndof, 3))
+    npt.assert_allclose(op.project(U.copy()),
+                        U - kernel @ (kernel.T @ U), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("parity", [BENDING, MEMBRANE])

@@ -416,6 +416,30 @@ def test_overflowing_solve_exits_1_with_failure_sidecar(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow
+@pytest.mark.parametrize("side", [1e-200, 1e300])
+def test_singular_reference_symbol_exits_1_with_failure_sidecar(
+        tmp_path, capsys, side):
+    # element sizes of 1e-200 overflow the kernels and of 1e300 underflow
+    # them, so the reference medium's symbol cannot be inverted; the run
+    # ended in a bare LinAlgError traceback with no sidecar
+    cfg = json.loads((CONFIGS / "checkerboard_contrast5.json").read_text())
+    cfg["grid"]["L"] = side
+    cfg["model"]["period_hint"] = side / 2
+    out = tmp_path / "eff.json"
+    assert run("effective", write_cfg(tmp_path, cfg), out,
+               "--deterministic") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "reference-medium symbol on RVEGrid(8x8x4, gamma=2, L=%g) is " \
+        "singular or not finite" % side in err
+    failure = read_json(str(out) + ".failure.json")
+    assert failure["error"] == "NumericalError"
+    assert "box side %g" % side in failure["message"]
+    assert failure["message"] in err
+    assert not out.exists()
+
+
 def test_effective_rescale_check_below_unit_gamma(tmp_path):
     # gamma = 1/2 coarsens the medium for formulation B; `effective` reuses
     # its bending block and reports gamma_rescale_check's discrepancy

@@ -916,6 +916,18 @@ def test_readme_recovery_gaps_match_the_code():
         assert [float("%.2e" % g) for g in got] == gaps, got
 
 
+def test_partial_period_gap_is_negative():
+    # README's partial-period example: at h = 0.045 the unit square holds
+    # 1 / (eps L) = 44.4 periods of the checkerboard (eps = h / gamma), and
+    # the gap is negative, below the whole-period trend 7.29e-4, 1.82e-4
+    fam = build_recovery(cylinder_isometry(1.0),
+                         RecoveryConfig(h_schedule=[0.045]),
+                         config_source("checkerboard_contrast5.json"))
+    assert fam.source.grid.gamma == 2.0
+    gap = recovery_gaps(fam)["gaps"][0]
+    assert float("%.2e" % gap) == -4.68e-4, gap
+
+
 def test_bench_recovery_gap_is_positive():
     # the bench's recovery op: checkerboard of contrast 5 on the unit domain
     # at h = 0.1, radii in [0.8, 1.25]; its check wants scaled > limit

@@ -571,8 +571,7 @@ def stencil_cases(n3):
     mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0),
                            (3, 0.7, 3.0), (4, 9.0, 0.5)])
     yield (RVEGrid(6, 4, n3, 1.3, 1.5),
-           PhaseGrid(6, 4, 1.5, rng.permutation(np.arange(24) % 3)
-                     .reshape(6, 4)), mats)
+           PhaseGrid(6, 4, 1.5, rng.integers(0, 3, size=(6, 4))), mats)
     yield (RVEGrid(2, 2, n3, 1.3, 1.5),
            PhaseGrid(2, 2, 1.5, np.array([[0, 1], [2, 0]])), mats)
     yield (RVEGrid(6, 6, n3, 0.8, 2.0),

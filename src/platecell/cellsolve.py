@@ -151,14 +151,19 @@ class CorrectorField:
         self.residuals = [] if residuals is None else residuals
 
 
-# The six unit loads, orthonormal Voigt order (B11, B22, s2*B12 | G11, G22, s2*G12).
-_UNIT2 = (np.array([[1.0, 0.0], [0.0, 0.0]]),
-          np.array([[0.0, 0.0], [0.0, 1.0]]),
-          np.array([[0.0, 1.0 / SQRT2], [1.0 / SQRT2, 0.0]]))
-
-
+@functools.lru_cache(maxsize=None)
 def unit_loads():
-    return [CellLoad(B=U) for U in _UNIT2] + [CellLoad(G=U) for U in _UNIT2]
+    """The six unit loads in orthonormal Voigt order (B11, B22, s2*B12 |
+    G11, G22, s2*G12): a tuple built once, with read-only matrices, and
+    shared."""
+    unit2 = (np.array([[1.0, 0.0], [0.0, 0.0]]),
+             np.array([[0.0, 0.0], [0.0, 1.0]]),
+             np.array([[0.0, 1.0 / SQRT2], [1.0 / SQRT2, 0.0]]))
+    loads = tuple([CellLoad(B=U) for U in unit2]
+                  + [CellLoad(G=U) for U in unit2])
+    for load in loads:
+        load.B.flags.writeable = load.G.flags.writeable = False
+    return loads
 
 
 def sym2_to_voigt3(M):
@@ -374,8 +379,8 @@ def _reference_inverse(grid, free, stencil, t):
 
     Raises:
         NumericalError: an embedded block is singular or D is not finite,
-            as when the element sizes of a box side far from 1 overflow or
-            underflow the kernels.
+            as when the element sizes of a box side far above 1 underflow
+            the kernels (`_setup` refuses kernels that overflow).
     """
     n1, n2 = grid.n1, grid.n2
     pinned, free = ~free, np.flatnonzero(free)
@@ -398,11 +403,18 @@ def _reference_inverse(grid, free, stencil, t):
     except np.linalg.LinAlgError:
         D = None
     if D is None or not np.isfinite(D).all():
-        raise NumericalError(
-            "the reference-medium symbol on %r is singular or not finite: "
-            "the element sizes of box side %g overflow or underflow the "
-            "kernels" % (grid, grid.box_side))
+        raise _degenerate(grid)
     return np.ascontiguousarray(0.5 * (D + D.swapaxes(-1, -2)))
+
+
+def _degenerate(grid):
+    """The error of a grid whose element sizes overflow or underflow the
+    kernels, so that the reference-medium symbol is singular or not
+    finite."""
+    return NumericalError(
+        "the reference-medium symbol on %r is singular or not finite: the "
+        "element sizes of box side %g overflow or underflow the kernels"
+        % (grid, grid.box_side))
 
 
 # All of a cell operator that its phase layout does not enter: `_fold`'s
@@ -424,7 +436,12 @@ _Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke "
 def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     """The `_Setup` of the phases with the Lame pairs `lame`, in that order,
     in one parity on the grid; memoized, read-only and shared by every
-    operator on them, whatever its phase layout."""
+    operator on them, whatever its phase layout.
+
+    Raises:
+        NumericalError: the element kernels are not finite, as when the
+            element sizes of a box side far below 1 overflow them.
+    """
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
     fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
     free = fold.any(axis=0).ravel()
@@ -432,11 +449,14 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     Bq = _strain_matrices(grid)
     wq = 1.0 / (8.0 * grid.n_elements)              # volume-average weight
     forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
-    ke = _folded_kernels(np.einsum("qci,pcd,qdj->pij", Bq, forms, Bq) * wq,
-                         sigma, weight)
+    ke = np.einsum("qci,pcd,qdj->pij", Bq, forms, Bq) * wq
     mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
     reference = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt,
                           Bq) * wq
+    # refused before the folding multiplies an inf by a pinned dof's 0
+    if not (np.isfinite(ke).all() and np.isfinite(reference).all()):
+        raise _degenerate(grid)
+    ke = _folded_kernels(ke, sigma, weight)
     reference = _quadrants(_folded_kernels(reference[None], sigma, weight),
                            edof, f).sum(axis=0)[0]
     t = _translations(fold)

@@ -287,6 +287,11 @@ def sample_realization(model, seed, box_side):
                 "box_side=%g is not an integer multiple of period_hint=%g; the "
                 "periodized texture would be discontinuous at the box seam"
                 % (box_side, model.period_hint))
+        if round(ratio) < 1:
+            raise ConfigError(
+                "box_side=%g holds no whole period of period_hint=%g; a "
+                "periodic medium needs at least one" % (box_side,
+                                                        model.period_hint))
         if model.kind == "checkerboard" and model.phase_count == 2 \
                 and int(round(ratio)) % 2 != 0:
             raise ConfigError(

@@ -16,8 +16,8 @@ from platecell import BENDING, MEMBRANE, CellOperator, MicrostructureModel, \
     MicrostructureRealization, MixedField, PhaseGrid, isotropic_form, \
     to_gauss
 from platecell import cellsolve
-from platecell._mesh import column_keys, nodes, scatter
-from platecell.decomposition import _scalar_tables
+from platecell._mesh import N, column_keys, nodes, scatter
+from platecell.decomposition import _eigenbasis_1d, _scalar_tables
 
 SQRT2 = np.sqrt(2.0)
 
@@ -489,3 +489,83 @@ def phase_grid_from_dict(d):
     cell_phase lists the n1 x n2 ids row-major."""
     return PhaseGrid(d["n1"], d["n2"], d["box_side"],
                      np.reshape(d["cell_phase"], (d["n1"], d["n2"])))
+
+
+# ---------------------------------------------------------------------------
+# Mixed splitting: the whole-slab reference of the Gauss-point stages
+# ---------------------------------------------------------------------------
+
+def reference_to_gauss(field):
+    """`to_gauss` as one gather of every element's nodes and one stacked
+    product, with no blocks."""
+    if field.layout == "gauss":
+        return field
+    grid = field.grid
+    values = N @ np.take(field.values.reshape(-1, 3),
+                         nodes(grid.n1, grid.n2, grid.n3), axis=0)
+    return MixedField(values, grid, layout="gauss")
+
+
+def reference_poisson_solve(grid, rhs):
+    """`_poisson_solve` with its eigenbases built afresh on every call."""
+    n1, n2, n3, L = grid.n1, grid.n2, grid.n3, grid.box_side
+    lx, Vx = _eigenbasis_1d(n1, L / n1, periodic=True)
+    ly, Vy = _eigenbasis_1d(n2, L / n2, periodic=True)
+    lz, Vz = _eigenbasis_1d(n3, 1.0 / n3, periodic=False)
+    denom = lx[:, None, None] + ly[:, None] + lz
+    denom[0, 0, 0] = np.inf
+    u = (Vx.T @ rhs.reshape(n1, -1)).reshape(n1, n2, n3 + 1)
+    u = (Vy.T @ u @ Vz) / denom
+    psi = (Vx @ (Vy @ u @ Vz.T).reshape(n1, -1)).reshape(-1)
+    return psi - psi.mean()
+
+
+def reference_decompose_mixed(field):
+    """`decompose_mixed` on whole-slab arrays, every product a fresh array:
+    (mean, potential, solenoidal, psi, verified residual)."""
+    grid = field.grid
+    B, wq = _scalar_tables(grid)
+    B = B.reshape(24, 8)
+    edof = nodes(grid.n1, grid.n2, grid.n3)
+    sol = reference_to_gauss(field).values
+    volume = wq * 8.0 * grid.n_elements
+    mean = (wq / volume) * np.einsum("eqc->c", sol)
+    sol = sol - mean
+    n_nodes = grid.n_nodes
+    rhs = scatter(edof, wq * (sol.reshape(-1, 24) @ B), n_nodes)
+    rhs -= rhs.mean()
+    psi = reference_poisson_solve(grid, rhs)
+    psi_e = psi[edof]
+    Kpsi = scatter(edof, psi_e @ (wq * (B.T @ B)), n_nodes)
+    bnorm = np.linalg.norm(rhs)
+    res = float(np.linalg.norm(rhs - Kpsi) / (bnorm if bnorm > 0 else 1.0))
+    pot = (psi_e @ B.T).reshape(-1, 8, 3)
+    return mean, pot, sol - pot, \
+        psi.reshape(grid.n1, grid.n2, grid.n3 + 1), res
+
+
+def reference_orthogonality_report(field, mean, pot, sol):
+    """`orthogonality_report` of the parts of `reference_decompose_mixed`,
+    its reconstruction residual one whole-slab array."""
+    fg = reference_to_gauss(field).values
+    grid = field.grid
+    _, wq = _scalar_tables(grid)
+    volume = wq * 8.0 * grid.n_elements
+
+    def dot(a, b):
+        return wq * float(np.einsum("eqc,eqc->", a, b))
+
+    def pair(ab, aa, bb):
+        return abs(ab) / max(np.sqrt(aa * bb), 1e-30)
+
+    ff, pp, ss = dot(fg, fg), dot(pot, pot), dot(sol, sol)
+    mm = float(mean @ mean) * volume
+    nf = max(np.sqrt(ff), 1e-30)
+    r = fg - mean - pot - sol
+    return {
+        "pot_sol": pair(dot(pot, sol), pp, ss),
+        "pot_mean": pair(wq * float(np.einsum("eqc->c", pot) @ mean), pp, mm),
+        "sol_mean": pair(wq * float(np.einsum("eqc->c", sol) @ mean), ss, mm),
+        "pythagoras": abs(ff - mm - pp - ss) / nf ** 2,
+        "reconstruction": np.sqrt(dot(r, r)) / nf,
+    }

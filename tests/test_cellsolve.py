@@ -962,6 +962,18 @@ def test_pcg_raises_on_a_residual_that_is_not_finite():
                       1e-8, 10)
 
 
+def test_unit_loads_built_once_read_only():
+    loads = unit_loads()
+    assert unit_loads() is loads and len(loads) == 6
+    S = np.array([[0.0, 1.0], [1.0, 0.0]]) / SQRT2
+    fresh = [CellLoad(B=U) for U in (E1, E2, S)] \
+        + [CellLoad(G=U) for U in (E1, E2, S)]
+    for load, want in zip(loads, fresh):
+        for got, exact in ((load.B, want.B), (load.G, want.G)):
+            assert not got.flags.writeable
+            npt.assert_array_equal(got, exact)
+
+
 def test_polarization_consistency():
     """Off-diagonal entries close the energy bilinearly: solving the summed
     load directly must reproduce E(a) + E(b) + 2 M[a,b]."""

@@ -416,13 +416,14 @@ def test_overflowing_solve_exits_1_with_failure_sidecar(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow
 @pytest.mark.parametrize("side", [1e-200, 1e300])
 def test_singular_reference_symbol_exits_1_with_failure_sidecar(
         tmp_path, capsys, side):
     # element sizes of 1e-200 overflow the kernels and of 1e300 underflow
     # them, so the reference medium's symbol cannot be inverted; the run
-    # ended in a bare LinAlgError traceback with no sidecar
+    # ended in a bare LinAlgError traceback with no sidecar.  Overflowing
+    # kernels are refused before they are folded, so no numpy warning (an
+    # error in this suite) comes before the failure line
     cfg = json.loads((CONFIGS / "checkerboard_contrast5.json").read_text())
     cfg["grid"]["L"] = side
     cfg["model"]["period_hint"] = side / 2
@@ -438,6 +439,23 @@ def test_singular_reference_symbol_exits_1_with_failure_sidecar(
     assert "box side %g" % side in failure["message"]
     assert failure["message"] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "periodic_texture"])
+@pytest.mark.parametrize("command", ["generate", "effective"])
+def test_box_holding_no_period_exits_2(tmp_path, capsys, kind, command):
+    # a 1e-10 box holds no period of 0.5; every phase read 0 after numpy's
+    # "divide by zero encountered in remainder"
+    cfg = {"model": {"kind": kind, "period_hint": 0.5}, "seed": 0}
+    if command == "generate":
+        cfg["L"] = 1e-10
+    else:
+        cfg.update(grid=dict(GRID, L=1e-10), materials=MATS_TWO)
+    out = tmp_path / "o.json"
+    assert run(command, write_cfg(tmp_path, cfg), out) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "holds no whole period" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_effective_rescale_check_below_unit_gamma(tmp_path):

@@ -1,5 +1,7 @@
 """Orthogonal splittings: slab Helmholtz-type and planar Hessian projections."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,14 +20,16 @@ from platecell import (
     random_mixed_field,
     to_gauss,
 )
-from platecell import _mesh
+from platecell import _mesh, decomposition
 from platecell._krylov import block_pcg
 from platecell._mesh import nodes
 from platecell.decomposition import (
     _eigenbasis_1d,
     _scalar_tables,
 )
-from oracles import gradient_field, mixed_inner, mixed_norm
+from oracles import gradient_field, mixed_inner, mixed_norm, \
+    reference_decompose_mixed, reference_orthogonality_report, \
+    reference_to_gauss
 from test_recovery import BAD_TOLERANCES
 
 GRID = RVEGrid(6, 6, 4, 1.0, 1.0)
@@ -155,6 +159,7 @@ def test_eigenbasis_diagonalizes_assembled_1d_matrices(n_el, h, periodic):
 def test_decomposition_unchanged_by_warm_tables():
     f = random_mixed_field(GRID, 3)
     _mesh.nodes.cache_clear()
+    decomposition._eigenbases.cache_clear()
     cold = decompose_mixed(f)
     cold_report = orthogonality_report(f, decomposition=cold)
     warm = decompose_mixed(f)
@@ -179,6 +184,58 @@ def test_gauss_layout_input_splits_bitwise_as_nodal():
     assert orthogonality_report(g, nodal) == orthogonality_report(f, nodal)
     assert orthogonality_report(g) == orthogonality_report(f)
     npt.assert_array_equal(g.values, kept)      # neither writes into it
+
+
+@pytest.mark.parametrize("shape,block", [
+    ((48, 48, 4, 1.0), None), ((6, 10, 3, 1.7), None),
+    ((34, 18, 5, 1.0), None), ((6, 10, 3, 1.7), 7)])
+@pytest.mark.parametrize("layout", ["nodes", "gauss"])
+def test_decompose_path_bitwise_as_whole_slab_reference(monkeypatch, shape,
+                                                        block, layout):
+    # 48x48x4 holds 9 whole blocks of elements, 6x10x3 one partial block,
+    # 34x18x5 two whole ones and a partial one, and blocks of 7 elements
+    # split 6x10x3 into 25 whole ones and a partial one
+    if block is not None:
+        monkeypatch.setattr(decomposition, "_BLOCK", block)
+    grid = RVEGrid(*shape[:3], 1.0, shape[3])
+    for seed in range(2):
+        f = random_mixed_field(grid, seed)
+        g = to_gauss(f)
+        npt.assert_array_equal(g.values, reference_to_gauss(f).values)
+        field = f if layout == "nodes" else g
+        dec = decompose_mixed(field)
+        mean, pot, sol, psi, res = reference_decompose_mixed(field)
+        npt.assert_array_equal(dec.mean, mean)
+        npt.assert_array_equal(dec.potential.values, pot)
+        npt.assert_array_equal(dec.solenoidal.values, sol)
+        npt.assert_array_equal(dec.psi, psi)
+        assert dec.residuals == [1.0, res]
+        want = reference_orthogonality_report(field, mean, pot, sol)
+        assert want["reconstruction"] == 0.0
+        assert orthogonality_report(field, dec) == want
+        assert orthogonality_report(field) == want
+
+
+def test_decompose_path_peak_below_four_fields():
+    # tracemalloc counts numpy's own allocations, whatever the allocator
+    # does with them: the Gauss-layout field, the potential and the
+    # solenoidal part take three fields; element-sized temporaries and
+    # blocks must stay below one more
+    grid = RVEGrid(48, 48, 4, 1.0, 1.0)
+    f = random_mixed_field(grid, 3)
+
+    def run():
+        g = to_gauss(f)
+        orthogonality_report(g, decompose_mixed(g))
+
+    run()                               # builds the memoized tables
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid.n_elements * 8 * 3 * 8
 
 
 @pytest.mark.parametrize("shape", [(48, 48, 4), (16, 16, 8)])

@@ -105,6 +105,16 @@ def test_checkerboard_needs_even_multiple():
     sample_realization(model, 0, 4.0)      # even multiple is fine
 
 
+@pytest.mark.parametrize("kind", ["checkerboard", "periodic_texture"])
+def test_box_holding_no_period_rejected(kind):
+    # box_side / period_hint = 2e-10 lies within 1e-9 of the integer 0, so the
+    # commensurability check passed, and phase_at took every index modulo 0
+    model = MicrostructureModel(kind, period_hint=0.5)
+    with pytest.raises(ConfigError, match="holds no whole period"):
+        sample_realization(model, 0, 1e-10)
+    sample_realization(model, 0, 1.0)
+
+
 def test_periodicity_of_phase_map():
     model = MicrostructureModel("checkerboard", period_hint=0.5)
     r = sample_realization(model, 3, 2.0)

@@ -53,32 +53,19 @@ def nodes(n1, n2, n3):
     return out
 
 
-def column_keys(edof, n, m):
-    """Keys of `scatter` for m columns of n entries: c * n + edof for every
-    column c and every local entry of the global index table edof (...),
-    (m, ...)."""
-    return edof + n * np.arange(m).reshape((m,) + (1,) * edof.ndim)
-
-
-def scatter(keys, values, shape):
-    """Sum element contributions into global entries.
+def scatter(edof, values, n):
+    """Sum element contributions into n global entries.
 
     Args:
-        keys: flat output index of each contribution, the global index table
-            edof (n_elements, a) itself for one column, `column_keys(edof, n,
-            m)` for m columns.
-        values: the contributions, keys.shape.
-        shape: n for one column, (n, m) for m.
+        edof: (n_elements, a) global index of each local entry.
+        values: the contributions, edof.shape.
+        n: the number of global entries.
 
     Returns:
-        array of `shape`: out[edof[e, l], c] summed over all (e, l) by one
-        np.bincount in the order of the entries, so every column sums in the
-        order of a bincount of that column alone.  An (n, m) result is stored
-        column by column, the transpose of the (m, n) bincount.
+        (n,) array: out[edof[e, l]] summed over all (e, l) by one np.bincount
+        in the order of the entries.
     """
-    flat = np.bincount(keys.ravel(), weights=values.ravel(),
-                       minlength=np.prod(shape))
-    return flat if np.ndim(shape) == 0 else flat.reshape(shape[::-1]).T
+    return np.bincount(edof.ravel(), weights=values.ravel(), minlength=n)
 
 
 def locate(y, grid):

@@ -39,10 +39,12 @@ neighbours' node vectors and one batched matrix product, with no scatter.
 The phases are constant through the thickness, so a node's block is the sum
 of the quadrant blocks of its four element columns, each summed over the
 kept layers once per set-up; an operator sums them once per distinct pattern
-of the four phases.  One dof table of the kept elements, sorted by (phase,
-layer), serves the right-hand sides (gather, one scatter) and the energy
-closure.  Conjugate gradients update in place; the translations of the even
-components are projected out of the right-hand sides and the solution only.
+of the four phases.  The right-hand sides sum per pattern the load vectors
+that the columns add to their corner nodes, and the energy closure expands
+the quadratic energy exactly, E0 + X^T f + f^T X + X^T K X, with one
+stiffness product.  Conjugate gradients update in place; the translations
+of the even components are projected out of the right-hand sides and the
+solution only.
 Fields are (ndof, m) blocks, one column per load, stored column by column
 (Fortran order): each column is one contiguous run, so the gathers, the
 conjugate gradients' per-column updates and dot products, and the
@@ -67,8 +69,8 @@ and quadrant blocks and the neighbour table depend only on the grid, the
 parity and the Lame pairs of the phases present, so they make one set-up,
 built once per (grid, parity, Lame pairs) and shared read-only by every
 operator on them, whatever its phase layout; the layout enters through the
-node blocks and the dof table alone.  One more table holds the element load
-vectors, which depend also on the loads' parts in the parity.
+node patterns alone.  The node load blocks and load-only energies depend
+also on the loads' parts in the parity, and are memoized the same way.
 Unit loads iterate together (block right-hand side) into one bilinear energy
 closure: the three bending loads give the bending form, and with the three
 membrane loads, solved in the other parity, the 6x6 tensor, whose
@@ -82,7 +84,7 @@ from collections import namedtuple
 import numpy as np
 
 from ._krylov import block_pcg
-from ._mesh import GAUSS, column_keys, dN, nodes, scatter
+from ._mesh import GAUSS, dN, nodes
 from .errors import ConfigError, NumericalError, as_array, as_index, \
     as_real
 from .material import SQRT2, isotropic_form
@@ -257,23 +259,6 @@ def _folded_kernels(ke, sigma, weight):
         .reshape(-1, 24, 24)
 
 
-def _part(load, parity):
-    """The load's part in the parity: G (of x3 G) for bending, B for
-    membrane."""
-    return load.G if parity == BENDING else load.B
-
-
-def _load_strains(M, zq, parity):
-    """Voigt strain per (kept layer, gauss) of the part M in the parity,
-    iota(x3 M) or iota(M), at the heights zq: (layers, 8, 6)."""
-    z = zq if parity == BENDING else np.ones_like(zq)
-    eps = np.zeros(zq.shape + (6,))
-    eps[..., 0] = z * M[0, 0]
-    eps[..., 1] = z * M[1, 1]
-    eps[..., 5] = SQRT2 * (z * M[0, 1])
-    return eps
-
-
 def _translations(fold):
     """Unit translation of each even component on the (slot, component)
     pairs of one in-plane node, (pairs, even components); the odd components
@@ -302,6 +287,12 @@ def _neighbours(n1, n2):
     return ((i[:, None] + di) % n1) * n2 + (j[:, None] + dj) % n2
 
 
+def _corners(edof, f):
+    """(corner, rank) of `_fold`'s edof: local dof a of layer e is dof
+    rank[e, a] of the node at corner q = dx + 2 dy = corner[a]."""
+    return (np.arange(24) // 3) & 3, edof[0] % f
+
+
 def _quadrants(ke, edof, f):
     """The stencil rows that one element column adds to the node at each of
     its corners: (4, phases, f, 9 f), block [q, p] for corner q = dx + 2 dy
@@ -309,11 +300,9 @@ def _quadrants(ke, edof, f):
     neighbour of that node, summed over the kept layers.
 
     ke are folded kernels (phases * layers, 24, 24), phase-major, and edof
-    `_fold`'s: local dof a of layer e is dof edof[., e, a] % f of the node
-    at corner (a // 3) & 3.
+    `_fold`'s, placed by `_corners`.
     """
-    rank = edof[0] % f                                   # (layers, 24)
-    corner = (np.arange(24) // 3) & 3
+    corner, rank = _corners(edof, f)
     dx, dy = corner & 1, corner >> 1
     k = (dx - dx[:, None] + 1) * 3 + dy - dy[:, None] + 1   # b seen from a
     keys = ((corner[:, None] * f + rank[:, :, None]) * 9 + k) * f \
@@ -419,16 +408,16 @@ def _degenerate(grid):
 
 # All of a cell operator that its phase layout does not enter: `_fold`'s
 # fold, weight, edof and sigma; free, whether each (slot, component) pair is
-# free; Bq, the (8, 6, 24) strain matrices, and Bs, (layers, 48, 24) them on
-# the slots of each kept layer; forms, the (phases, 6, 6) Voigt forms; ke,
-# the (phases * layers, 24, 24) folded kernels, phase-major; quadrants, the
-# (4, phases, f, 9 f) `_quadrants` of those kernels, and neighbours, the
-# (n1 n2, 9) `_neighbours`; zq, the x3 of each (kept layer, Gauss point),
-# (layers, 8); rdft and dft, the `_dft_passes`, and spectral_inverse, the
-# blocks D of `_reference_inverse`, of the medium whose Lame constants are
-# the geometric means of the phases'; shift, the translations on the free
-# pairs of one in-plane row of nodes, (translations, n2 * free pairs).
-_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq Bs forms ke "
+# free; Bq, the (8, 6, 24) strain matrices; forms, the (phases, 6, 6) Voigt
+# forms; ke, the (phases * layers, 24, 24) folded kernels, phase-major;
+# quadrants, the (4, phases, f, 9 f) `_quadrants` of those kernels, and
+# neighbours, the (n1 n2, 9) `_neighbours`; zq, the x3 of each (kept layer,
+# Gauss point), (layers, 8); rdft and dft, the `_dft_passes`, and
+# spectral_inverse, the blocks D of `_reference_inverse`, of the medium
+# whose Lame constants are the geometric means of the phases'; shift, the
+# translations on the free pairs of one in-plane row of nodes,
+# (translations, n2 * free pairs).
+_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq forms ke "
                     "quadrants neighbours zq rdft dft spectral_inverse shift")
 
 
@@ -462,8 +451,7 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     t = _translations(fold)
     gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
     zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
-    out = _Setup(fold, weight, edof, sigma, free, Bq,
-                 Bq.reshape(48, 24) * sigma[:, None], forms, ke,
+    out = _Setup(fold, weight, edof, sigma, free, Bq, forms, ke,
                  _quadrants(ke, edof, f), _neighbours(n1, n2), zq,
                  *_dft_passes(n1, n2),
                  _reference_inverse(grid, free, reference, t),
@@ -474,25 +462,40 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
 
 
 @functools.lru_cache(maxsize=8)
-def _load_vectors(key, parts):
-    """Folded element load vectors per (phase, kept layer), on the set-up
-    `_setup(*key)`, of the loads whose parts in its parity are `parts`, the
-    bytes of their (m, 2, 2) stack; memoized and read-only.
+def _load_blocks(key, parts):
+    """Node load blocks and load-only energies, on the set-up `_setup(*key)`,
+    of the loads whose parts in its parity are `parts`, the bytes of their
+    (m, 2, 2) stack, G of x3 G for bending and B for membrane, with strains
+    iota(x3 G) or iota(B); memoized and read-only.
 
     Returns:
-        (phases * layers, 24, m) array, phase-major.
+        blocks: (4, phases, f, m), the folded load vectors that one element
+            column adds to its corner nodes, [q, p] as in `_quadrants`.
+        energies: (phases, m, m), the load-only energy Gram matrix of one
+            element column of each phase.
     """
     n1, n2, n3, _, _, _, parity = key
     s = _setup(*key)
+    f = int(s.free.sum())
     wq = 1.0 / (8.0 * (n1 * n2 * n3))
-    parts = np.frombuffer(parts).reshape(-1, 2, 2)
-    fe = np.stack([np.einsum("qci,pcd,kqd->pki", s.Bq, s.forms,
-                             _load_strains(M, s.zq, parity)) * wq
-                   for M in parts], axis=-1)
-    scale = s.weight[:, None] * s.sigma                  # (layers, 24)
-    fe = (fe * scale[..., None]).reshape(-1, 24, len(parts))
-    fe.flags.writeable = False
-    return fe
+    parts = np.frombuffer(parts).reshape(-1, 1, 1, 2, 2)
+    z = s.zq if parity == BENDING else np.ones_like(s.zq)
+    eps = np.zeros((len(parts),) + z.shape + (6,))   # (m, layers, gauss, 6)
+    eps[..., 0] = z * parts[..., 0, 0]
+    eps[..., 1] = z * parts[..., 1, 1]
+    eps[..., 5] = SQRT2 * (z * parts[..., 0, 1])
+    fe = np.einsum("qci,pcd,mkqd->pmki", s.Bq, s.forms, eps) * wq \
+        * (s.weight[:, None] * s.sigma)           # (phases, m, layers, 24)
+    corner, rank = _corners(s.edof, f)
+    keys = np.arange(fe.shape[0] * len(parts))[:, None, None] * (4 * f) \
+        + corner * f + rank
+    blocks = np.ascontiguousarray(np.bincount(keys.ravel(), weights=fe.ravel())
+                                  .reshape(fe.shape[:2] + (4, f))
+                                  .transpose(2, 0, 3, 1))
+    energies = np.einsum("k,akqc,pcd,bkqd->pab", s.weight, eps, s.forms,
+                         eps) * wq
+    blocks.flags.writeable = energies.flags.writeable = False
+    return blocks, energies
 
 
 class CellOperator:
@@ -500,14 +503,14 @@ class CellOperator:
     stencil, on the folded half-slab of one parity (`BENDING` or
     `MEMBRANE`).
 
-    Holds its stencil, one (f, 9 f) block per in-plane node that maps the f
-    dofs of the node's 3 x 3 neighbours to its own f, the (phase,
-    layer)-sorted dof table of the kept elements, which serves the
-    right-hand sides and the closure, and the arrays of its `_setup`, shared
-    with every operator on the same grid, parity and Lame pairs: the folded
-    24x24 kernels and their quadrant blocks, the neighbour table, the real
-    DFT matrices and per-wavevector blocks of the reference-medium
-    preconditioner, the Gauss heights.  Its fields are folded, (ndof, m),
+    Holds its node patterns, patterns (patterns, 4), the phase index of the
+    column at each corner q of a node per distinct pattern, and node_pattern
+    (n1 n2,); its stencil, one (f, 9 f) block per in-plane node that maps the
+    f dofs of the node's 3 x 3 neighbours to its own f; and the arrays of its
+    `_setup`, shared with every operator on the same grid, parity and Lame
+    pairs: the folded 24x24 kernels and their quadrant blocks, the neighbour
+    table, the real DFT matrices and per-wavevector blocks of the
+    reference-medium preconditioner.  Its fields are folded, (ndof, m),
     stored column by column; `expand` maps them to full-slab nodal fields.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
@@ -534,35 +537,33 @@ class CellOperator:
         self._key = (grid.n1, grid.n2, grid.n3, grid.gamma, grid.box_side,
                      lame, parity)
         s = _setup(*self._key)
-        self.fold, self.weight, self.zq, self._free = \
-            s.fold, s.weight, s.zq, s.free
-        self.Bs, self.forms, self.ke, self._neighbours = \
-            s.Bs, s.forms, s.ke, s.neighbours
+        self.fold, self._free, self.ke, self._neighbours = \
+            s.fold, s.free, s.ke, s.neighbours
         self._rdft, self._dft, self.spectral_inverse, self._shift = \
             s.rdft, s.dft, s.spectral_inverse, s.shift
         self.ndof = grid.n1 * grid.n2 * int(self._free.sum())
-        self.wq = 1.0 / (8.0 * grid.n_elements)      # volume-average weight
 
-        # --- connectivity: kept elements stably sorted by (phase, layer) ----
-        layers = len(self.weight)
-        phase = np.searchsorted(present, phases.cell_phase)    # (n1, n2)
-        block = (phase.reshape(-1, 1) * layers + np.arange(layers)).ravel()
-        order = np.argsort(block, kind="stable")
-        # kernel b = phase * layers + layer owns bounds[b]:bounds[b + 1]
-        self.table = s.edof.reshape(-1, 24)[order].T.copy()   # (24, n_kept)
-        self.bounds = np.r_[0, np.cumsum(np.bincount(block))]
+        # --- node patterns: the phases of a node's four columns, corner q =
+        # dx + 2 dy of the column at neighbour (-dx, -dy); each distinct
+        # pattern id sum_q p_q P^q, P the phases present, is summed once.
+        # The element columns per phase weigh the load-only energies.
+        phase = np.searchsorted(present, phases.cell_phase).ravel()
+        self._counts = np.bincount(phase, minlength=len(present))
+        corners = np.take(phase, self._neighbours[:, _CORNERS])
+        powers = len(present) ** np.arange(4)
+        ids, self.node_pattern = np.unique(corners @ powers,
+                                           return_inverse=True)
+        self.patterns = ids[:, None] // powers % len(present)  # (patterns, 4)
+        self.stencil = np.take(self._pattern_sums(s.quadrants),
+                               self.node_pattern, axis=0)
 
-        # --- stencil: the block of a node sums the quadrants [q, p_q] of its
-        # four columns, so it is summed once per distinct pattern id
-        # sum_q p_q P^q, P the phases present, and taken to every node of it
-        corners = np.take(phase.ravel(), self._neighbours[:, _CORNERS])
-        ids = corners @ len(present) ** np.arange(4)
-        patterns, node_pattern = np.unique(ids, return_inverse=True)
-        blocks = 0.0
-        for q in range(4):
-            patterns, p = np.divmod(patterns, len(present))
-            blocks = blocks + s.quadrants[q, p]
-        self.stencil = np.take(blocks, node_pattern, axis=0)
+    def _pattern_sums(self, blocks):
+        """The sums over the corners q of blocks[q, p_q], (4, phases, ...),
+        per node pattern (p_0, ..., p_3): (patterns, ...)."""
+        out = 0.0
+        for q, p in enumerate(self.patterns.T):
+            out = out + blocks[q, p]
+        return out
 
     # --- reference-medium preconditioner --------------------------------------
     def precondition(self, R):
@@ -631,41 +632,37 @@ class CellOperator:
         return full.reshape(-1, m)
 
     # --- loads ---------------------------------------------------------------
+    def _loads(self, loads):
+        """The folded load vectors of the loads, -rhs, (ndof, m) stored
+        column by column, and their load-only energy Gram matrix (m, m):
+        `_load_blocks` summed per node pattern and taken to the nodes, and
+        its energies summed over the element columns."""
+        parts = np.stack([load.G if self.parity == BENDING else load.B
+                          for load in loads])
+        blocks, energies = _load_blocks(self._key, parts.tobytes())
+        F = np.take(self._pattern_sums(blocks).transpose(2, 0, 1),
+                    self.node_pattern, axis=1)               # (m, n1 n2, f)
+        return F.reshape(len(loads), -1).T, \
+            np.einsum("p,pab->ab", self._counts, energies)
+
     def rhs(self, loads):
         """Folded right-hand sides -f for a list of loads: (ndof, m), stored
         column by column."""
-        parts = np.stack([_part(load, self.parity) for load in loads])
-        fe = _load_vectors(self._key, parts.tobytes())
-        kernel = np.repeat(np.arange(len(fe)), np.diff(self.bounds))
-        fe = np.take(fe.transpose(2, 1, 0), kernel, axis=2)  # (m, 24, n_kept)
-        return -scatter(column_keys(self.table, self.ndof, len(loads)), fe,
-                        (self.ndof, len(loads)))
+        return -self._loads(loads)[0]
 
     # --- energies ------------------------------------------------------------
     def closure(self, loads, X):
         """Energy Gram matrix (m, m) of the loads plus their folded fields X
         (ndof, m): entry (a, b) is the cell average of tau_a : Q0 : tau_b
-        over the loads' parts in this parity."""
-        m = len(loads)
-        layers = len(self.weight)
-        # (m, 24, n_kept), read from either memory order of X
-        Xe = np.take(X.reshape(len(X), -1).T, self.table, axis=1)
-        eps = np.stack([_load_strains(_part(ld, self.parity), self.zq,
-                                      self.parity) for ld in loads])[..., None]
-        # M[a, b] = sum_(p, l) w_l sum_qe tau_a[q, :, e] . Q_p tau_b[q, :, e],
-        # each block summed pairwise over its contiguous points: the running
-        # sum of a matrix product over thousands of points left the tensors
-        # up to 8e-15 relative off an exact sum
-        M = np.zeros((m, m))
-        for b, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            p, l = divmod(b, layers)
-            taus = (self.Bs[l] @ Xe[:, :, lo:hi]).reshape(m, 8, 6, -1)
-            taus += eps[:, l]
-            stress = self.forms[p] @ taus
-            for i in range(m):
-                for j in range(m):
-                    M[i, j] += self.weight[l] * (taus[i] * stress[j]).sum()
-        return M * self.wq
+        over the loads' parts in this parity: the exact expansion E0 + X^T f
+        + f^T X + X^T K X of the quadratic energy, E0 the load-only energies
+        and f = -rhs, so a field off the minimizer by e errs by e^T K e.  The
+        products are einsums of column-major X, f and K X, whose bits depend
+        neither on the memory order of X nor on a BLAS."""
+        F, E0 = self._loads(loads)
+        X = np.asfortranarray(X.reshape(len(X), -1))
+        XF = np.einsum("ia,ib->ab", X, F)
+        return E0 + (XF + XF.T) + np.einsum("ia,ib->ab", X, self.matvec(X))
 
     # --- solver ---------------------------------------------------------------
     def solve(self, rhs, tol=1e-8, max_iter=None, callback=None):

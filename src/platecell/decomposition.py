@@ -344,13 +344,20 @@ def _wavenumbers(n, box_side):
     return kx, ky
 
 
+def _square_field(a, name, shape):
+    """a as a square (n, n) + shape field, refused naming the argument."""
+    a = as_array(a, name, (None, None) + shape)
+    if a.shape[0] != a.shape[1]:
+        raise ConfigError("%s: expected a square (n, n, %s) field"
+                          % (name, ", ".join(map(str, shape))))
+    return a
+
+
 def _check_sym_field(A, name):
-    A = as_array(A, name, (None, None, 2, 2))
-    if A.shape[0] != A.shape[1]:
-        raise ConfigError("%s: expected a square (n, n, 2, 2) field" % name)
+    A = _square_field(A, name, (2, 2))
     if np.max(np.abs(A - np.swapaxes(A, 2, 3))) > 1e-12 * max(
             1.0, float(np.max(np.abs(A)))):
-        raise ConfigError("matrix field is not symmetric")
+        raise ConfigError("%s: matrix field is not symmetric" % name)
     return A
 
 
@@ -419,7 +426,7 @@ def cof_sym_grad(b, box_side=1.0):
     Returns:
         (n, n, 2, 2) symmetric field.
     """
-    G = _spectral_grad(as_array(b, "cof_sym_grad: b", (None, None, 2)),
+    G = _spectral_grad(_square_field(b, "cof_sym_grad: b", (2,)),
                        as_real(box_side, "cof_sym_grad: box_side", 0))
     S = 0.5 * (G + np.swapaxes(G, 2, 3))
     return _cof2(S)
@@ -436,11 +443,8 @@ def _cof2(M):
 
 
 def _spectral_grad(b, box_side):
-    """grad b via FFT: out[..., i, a] = d_a b_i for (n, n, 2) input."""
-    n = b.shape[0]
-    if b.shape != (n, n, 2):
-        raise ConfigError("expected a square (n, n, 2) field")
-    kx, ky = _wavenumbers(n, box_side)
+    """grad b via FFT: out[..., i, a] = d_a b_i for square (n, n, 2) b."""
+    kx, ky = _wavenumbers(b.shape[0], box_side)
     bh = np.fft.fft2(b, axes=(0, 1))
     G = np.empty(b.shape[:2] + (2, 2), dtype=complex)
     G[..., 0] = 1j * kx[..., None] * bh
@@ -479,7 +483,7 @@ def div_cof_residual(b, box_side=1.0, method="spectral", grad=None):
     Returns:
         float: RMS(div cof) * (box_side / 2 pi) / RMS(cof).
     """
-    b = as_array(b, "div_cof_residual: b", (None, None, 2))
+    b = _square_field(b, "div_cof_residual: b", (2,))
     box_side = as_real(box_side, "div_cof_residual: box_side", 0)
     if method == "spectral":
         d1 = _spectral_grad

@@ -243,6 +243,26 @@ class MicrostructureRealization:
         self.offset = as_array(offset, "realization offset", (2,)).copy()
         self.stream_base = as_index(stream_base, "realization stream_base",
                                     low=0)
+        # a periodic kind's box holds a whole, nonzero number of periods,
+        # and an even number of two-phase checkerboard tiles
+        ratio = self.box_side / model.period_hint
+        periodic = model.kind in _PERIODIC_KINDS
+        if periodic and abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            raise ConfigError(
+                "box_side=%g is not an integer multiple of period_hint=%g; the "
+                "periodized texture would be discontinuous at the box seam"
+                % (self.box_side, model.period_hint))
+        if periodic and round(ratio) < 1:
+            raise ConfigError(
+                "box_side=%g holds no whole period of period_hint=%g; a "
+                "periodic medium needs at least one" % (self.box_side,
+                                                        model.period_hint))
+        if periodic and model.kind == "checkerboard" \
+                and model.phase_count == 2 and int(round(ratio)) % 2 != 0:
+            raise ConfigError(
+                "checkerboard needs box_side an EVEN multiple of period_hint "
+                "(the pattern period is two tiles); got box_side/period_hint=%g"
+                % ratio)
         # site indices in (x, y, index) order, and the site coordinates
         # grouped by mark, each group in (x, y, index) order, as an
         # (axis, site, 1) array; read-only, shifts share them
@@ -281,23 +301,6 @@ def sample_realization(model, seed, box_side):
     seed = as_index(seed, "sample_realization: seed", low=0)
     box_side = as_real(box_side, "sample_realization: box_side", 0)
     if model.kind in _PERIODIC_KINDS:
-        ratio = box_side / model.period_hint
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                "box_side=%g is not an integer multiple of period_hint=%g; the "
-                "periodized texture would be discontinuous at the box seam"
-                % (box_side, model.period_hint))
-        if round(ratio) < 1:
-            raise ConfigError(
-                "box_side=%g holds no whole period of period_hint=%g; a "
-                "periodic medium needs at least one" % (box_side,
-                                                        model.period_hint))
-        if model.kind == "checkerboard" and model.phase_count == 2 \
-                and int(round(ratio)) % 2 != 0:
-            raise ConfigError(
-                "checkerboard needs box_side an EVEN multiple of period_hint "
-                "(the pattern period is two tiles); got box_side/period_hint=%g"
-                % ratio)
         return MicrostructureRealization(model, seed, box_side)
 
     # poisson_voronoi

@@ -16,7 +16,7 @@ from platecell import BENDING, MEMBRANE, CellOperator, MicrostructureModel, \
     MicrostructureRealization, MixedField, PhaseGrid, isotropic_form, \
     to_gauss
 from platecell import cellsolve
-from platecell._mesh import N, column_keys, nodes, scatter
+from platecell._mesh import N, nodes, scatter
 from platecell.decomposition import _eigenbasis_1d, _scalar_tables
 
 SQRT2 = np.sqrt(2.0)
@@ -282,13 +282,13 @@ def kernel_route_inverse(op):
     unit fields of the free dofs at in-plane node (0, 0) through the element
     columns touching it (gather, one GEMM per kept layer, one bincount
     scatter), then the same lift, embedding, inversion and weights."""
-    n1, n2, _, _, _, lame, _ = op._key
+    n1, n2, n3, _, _, lame, _ = op._key
     s = cellsolve._setup(*op._key)
     free, f = np.flatnonzero(s.free), int(s.free.sum())
     m = s.free.size
     mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))
     ke = np.einsum("qci,cd,qdj->ij", s.Bq, isotropic_form(mu, lam).voigt,
-                   s.Bq) * op.wq
+                   s.Bq) / (8.0 * n1 * n2 * n3)
     kernels = cellsolve._folded_kernels(ke[None], s.sigma, s.weight)
     near = s.edof[(s.edof[:, 0] < f).any(axis=1)]  # columns at node (0, 0)
     table = near.transpose(1, 0, 2).reshape(-1, 24).T     # layer-major
@@ -298,7 +298,10 @@ def kernel_route_inverse(op):
     for l, kernel in enumerate(kernels):
         cols = slice(l * len(near), (l + 1) * len(near))
         np.matmul(kernel, Ue[..., cols], out=Ve[..., cols])
-    columns = scatter(column_keys(table, len(units), f), Ve, units.shape)
+    # column c of the f unit fields sums into entries c n + table
+    keys = table + len(units) * np.arange(f)[:, None, None]
+    columns = np.bincount(keys.ravel(), weights=Ve.ravel(),
+                          minlength=units.size).reshape(f, -1).T
     symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
     symbol[:, :, free[:, None], free] = np.fft.rfft2(
         columns.reshape(n1, n2, f, f), axes=(1, 0))

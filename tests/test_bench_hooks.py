@@ -45,6 +45,12 @@ def test_cell_solve_hooks_fire(monkeypatch):
               if span[0] == "block_pcg"]
     projections = [span[3] for span in tracer.spans if span[0] == "project"]
     assert solves and sorted(projections) == sorted(solves * 2)
+    # cellsolve.rhs_s times the right-hand sides of the solves: the closure
+    # reads its loads without going through the hooked rhs
+    operator_solves = [span for span in tracer.spans
+                       if span[0] == "operator_solve"]
+    rhs = [span for span in tracer.spans if span[0] == "operator_rhs"]
+    assert len(rhs) == len(operator_solves) == 1
     # every matvec gets an (ndof, m) block, m = 3 bending loads: the base of
     # dofcols and of the kernel flops behind matvec_gflops
     ndof = [span[5]["ndof"] for span in tracer.spans

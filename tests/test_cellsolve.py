@@ -239,6 +239,34 @@ def test_energy_monotone_along_iterations():
     assert np.all(diffs <= 1e-12 * (1.0 + e0))
 
 
+def test_closure_error_is_quadratic_along_iterations():
+    # the closure is the energy itself, not its value at a minimizer: at
+    # every PCG iterate X_k it is off the converged tensor by exactly the
+    # energy Gram matrix (X_k - X*)^T K (X_k - X*) of the errors, to
+    # rounding.  On the diagonal a shortcut E0 + x^T f agrees as well, since
+    # each column's iterate is orthogonal to its own residual (Galerkin);
+    # the columns iterate apart, so the off-diagonal entries tell it apart
+    grid = RVEGrid(8, 6, 3, 1.3, 1.5)
+    rng = np.random.default_rng(4)
+    phases = PhaseGrid(8, 6, 1.5, rng.integers(0, 3, size=(8, 6)))
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    loads = unit_loads()[3:]
+    op = CellOperator(grid, phases, mats, BENDING)
+    P = fold_matrix(grid, BENDING)
+    P = P[:, P.any(axis=0)]
+    K = P.T @ (FullSlab(grid, phases, mats).K @ P)
+    b = op.rhs(loads)
+    converged, _ = op.solve(b, tol=1e-13)
+    Q = op.closure(loads, converged)
+    iterates = []
+    op.solve(b, tol=1e-9, callback=lambda it, x: iterates.append(x.copy()))
+    assert len(iterates) > 10
+    for k, X in enumerate(iterates):
+        E = X - converged
+        gap = op.closure(loads, X) - Q - E.T @ (K @ E)
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(Q)), k
+
+
 def test_nonconvergence_raises_with_history():
     grid = RVEGrid(6, 6, 4, 1.0, 1.0)
     rng = np.random.default_rng(2)
@@ -581,9 +609,10 @@ def stencil_cases(n3):
 
 @pytest.mark.parametrize("n3", [2, 3])
 def test_matvec_matches_elementwise_assembly(n3):
-    # the per-node stencil of the matvec and the folded gather/scatter of
-    # the right-hand sides against P^T (per-element assembly in natural
-    # element order) P, for one, three and six columns, in both parities
+    # the per-node stencil of the matvec, the node load blocks of the
+    # right-hand sides and the Gram expansion of the closure against P^T
+    # (per-element assembly in natural element order) P, for one, three and
+    # six columns, in both parities
     rng = np.random.default_rng(n3)
     for grid, phases, mats in stencil_cases(n3):
         full = FullSlab(grid, phases, mats)
@@ -594,7 +623,8 @@ def test_matvec_matches_elementwise_assembly(n3):
 def check_against_assembly(grid, phases, mats, parity, full, rng):
     case = (grid, parity)
     op = CellOperator(grid, phases, mats, parity)
-    assert len(op.forms) == len(np.unique(phases.cell_phase)), case
+    assert len(cellsolve._setup(*op._key).forms) \
+        == len(np.unique(phases.cell_phase)), case
     P = fold_matrix(grid, parity)
     P = P[:, P.any(axis=0)]
     assert op.ndof == P.shape[1]
@@ -610,6 +640,15 @@ def check_against_assembly(grid, phases, mats, parity, full, rng):
         ref = P.T @ full.rhs(loads)
         f = op.rhs(loads)
         assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref)), \
+            (case, m)
+        # the closure of arbitrary fields, not only of minimizers: the
+        # other part of each load is orthogonal to the parity's fields but
+        # has an energy of its own, so the reference takes the part alone
+        parts = [CellLoad(G=ld.G) if parity == BENDING else CellLoad(B=ld.B)
+                 for ld in loads]
+        ref = full.gram(parts, P @ U)
+        M = op.closure(loads, U)
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref)), \
             (case, m)
         npt.assert_allclose(op.expand(U), P @ U, rtol=0, atol=1e-15)
         u = rng.standard_normal((full.ndof, m))
@@ -825,7 +864,7 @@ def test_reference_inverse_is_memoized_per_grid_and_pair():
     # a cached set-up gives the tensor of a freshly computed one, bitwise
     phases = checker_phases(6, 4, 1.5)
     cellsolve._setup.cache_clear()
-    cellsolve._load_vectors.cache_clear()
+    cellsolve._load_blocks.cache_clear()
     fresh = effective_form(grid, phases, mats).voigt3
     hits = cellsolve._setup.cache_info().hits
     cached = effective_form(grid, phases, mats).voigt3
@@ -835,25 +874,26 @@ def test_reference_inverse_is_memoized_per_grid_and_pair():
 
 def test_phase_tables_are_memoized_per_grid_and_pair():
     # the kernels, forms and strain matrices (in the shared set-up) and the
-    # element load vectors depend only on the grid, the parity, the Lame
-    # pairs of the phases present (and the loads' parts), so operators on two
-    # layouts of the same phases share them
+    # node load blocks and energies depend only on the grid, the parity, the
+    # Lame pairs of the phases present (and the loads' parts), so operators
+    # on two layouts of the same phases share them
     mats = material_table([(0, 1.0, 1.0), (1, 4.0, 4.0)])
     grid = RVEGrid(6, 4, 2, 1.0, 1.5)
     a = CellOperator(grid, checker_phases(6, 4, 1.5), mats, BENDING)
     b = CellOperator(RVEGrid(6, 4, 2, 1.0, 1.5), stripe_phases(6, 4, 1.5),
                      mats, BENDING)
-    for name in ("Bs", "forms", "ke"):
-        assert getattr(a, name) is getattr(b, name)
+    assert a.ke is b.ke
+    assert cellsolve._setup(*a._key) is cellsolve._setup(*b._key)
     for arr in cellsolve._setup(*a._key):
         assert not arr.flags.writeable
     loads = unit_loads()[3:]
     a.rhs(loads)
-    hits = cellsolve._load_vectors.cache_info().hits
+    hits = cellsolve._load_blocks.cache_info().hits
     b.rhs(loads)
-    assert cellsolve._load_vectors.cache_info().hits == hits + 1
+    assert cellsolve._load_blocks.cache_info().hits == hits + 1
     parts = np.stack([ld.G for ld in loads]).tobytes()
-    assert not cellsolve._load_vectors(a._key, parts).flags.writeable
+    for arr in cellsolve._load_blocks(a._key, parts):
+        assert not arr.flags.writeable
     misses = [CellOperator(RVEGrid(6, 4, 2, 2.0, 1.5),
                            checker_phases(6, 4, 1.5), mats, BENDING),
               CellOperator(RVEGrid(6, 4, 2, 1.0, 2.0),
@@ -864,14 +904,14 @@ def test_phase_tables_are_memoized_per_grid_and_pair():
               CellOperator(grid, checker_phases(6, 4, 1.5), mats, MEMBRANE)]
     for op in misses:
         assert op.ke is not a.ke
-        hits = cellsolve._load_vectors.cache_info().hits
+        hits = cellsolve._load_blocks.cache_info().hits
         op.rhs(loads)
-        assert cellsolve._load_vectors.cache_info().hits == hits
+        assert cellsolve._load_blocks.cache_info().hits == hits
 
-    # a cached set-up and load vectors give the tensors of fresh ones, bitwise
+    # a cached set-up and load blocks give the tensors of fresh ones, bitwise
     phases = checker_phases(6, 4, 1.5)
     cellsolve._setup.cache_clear()
-    cellsolve._load_vectors.cache_clear()
+    cellsolve._load_blocks.cache_clear()
     fresh = coupled_tensor(grid, phases, mats).matrix
     hits = cellsolve._setup.cache_info().hits
     cached = coupled_tensor(grid, phases, mats).matrix

@@ -397,6 +397,34 @@ def test_second_order_validation():
         decompose_second_order(np.zeros((8, 8, 2, 2)), box_side=0.0)
 
 
+def _asymmetric(n):
+    A = np.zeros((n, n, 2, 2))
+    A[..., 0, 1] = 1.0
+    return A
+
+
+_SPLIT = decompose_second_order(np.zeros((8, 8, 2, 2)))
+
+
+@pytest.mark.parametrize("call, name, refusals", [
+    (decompose_second_order, "decompose_second_order: A",
+     ((np.zeros((8, 6, 2, 2)), "expected a square"),
+      (_asymmetric(8), "matrix field is not symmetric"))),
+    (lambda A: hessian_pairing(_SPLIT, A), "hessian_pairing: other",
+     ((np.zeros((8, 6, 2, 2)), "expected a square"),
+      (_asymmetric(8), "matrix field is not symmetric"))),
+    (cof_sym_grad, "cof_sym_grad: b",
+     ((np.zeros((8, 6, 2)), "expected a square"),)),
+    (div_cof_residual, "div_cof_residual: b",
+     ((np.zeros((8, 6, 2)), "expected a square"),)),
+])
+def test_field_refusals_name_their_argument(call, name, refusals):
+    for bad, what in refusals:
+        with pytest.raises(ConfigError) as err:
+            call(bad)
+        assert str(err.value).startswith("%s: %s" % (name, what))
+
+
 # ---------------------------------------------------------------------------
 # div(cof grad b) = 0
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from platecell import (
     RVEGrid,
     material_table,
 )
-from platecell._mesh import GAUSS, N, dN, column_keys, locate, nodes, scatter
+import platecell.cellsolve as cellsolve
+from platecell._mesh import GAUSS, N, dN, locate, nodes, scatter
 
 # reference-cube corners and Gauss points, both in the order ix + 2 iy + 4 iz
 CORNERS = (np.arange(8)[:, None] >> np.arange(3)) & 1
@@ -58,7 +59,8 @@ def test_connectivity_wraps_in_plane_and_joins_adjacent_layers():
 def test_vector_dofs_match_the_cell_operator():
     # the operator keeps the element layers below the midplane (and the
     # straddling one of odd n3), with node layer k on slot min(k, n3 - k),
-    # sorted stably by (phase, layer)
+    # in natural element order: the table that its quadrant and load blocks
+    # are placed by
     n3, slots, layers = 3, 2, 2
     grid = RVEGrid(4, 6, n3, 1.3, 1.7)
     phases = PhaseGrid(4, 6, 1.7, np.arange(24).reshape(4, 6) % 2)
@@ -66,34 +68,24 @@ def test_vector_dofs_match_the_cell_operator():
                                                     (1, 4.0, 2.0)]), BENDING)
     col, k = np.divmod(nodes(4, 6, n3).reshape(24, n3, 8)[:, :layers], n3 + 1)
     slot = col * slots + np.minimum(k, n3 - k)
-    edof = (3 * slot[..., None] + np.arange(3)).reshape(-1, 24)
-    key = np.repeat(phases.cell_phase.ravel(), layers) * layers \
-        + np.tile(np.arange(layers), 24)
-    order = np.argsort(key, kind="stable")
-    npt.assert_array_equal(op.table, edof[order].T)
-    npt.assert_array_equal(op.bounds, [0, 12, 24, 36, 48])
+    edof = 3 * slot[..., None] + np.arange(3)
+    npt.assert_array_equal(cellsolve._setup(*op._key).edof,
+                           edof.reshape(24, layers, 24))
     assert op.ndof == 3 * 24 * slots
 
 
-def test_scatter_sums_every_entry_per_column():
+def test_scatter_sums_every_entry():
     rng = np.random.default_rng(3)
     conn = nodes(4, 4, 2)
     n = 4 * 4 * 3
-    values = rng.standard_normal((3,) + conn.shape)
-    want = np.zeros((n, 3))
-    for c in range(3):
-        np.add.at(want[:, c], conn, values[c])
-    got = scatter(column_keys(conn, n, 3), values, (n, 3))
+    values = rng.standard_normal(conn.shape)
+    want = np.zeros(n)
+    np.add.at(want, conn, values)
+    got = scatter(conn, values, n)
     npt.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
-    # stored column by column
-    assert got.flags.f_contiguous
-    # one bincount over the column keys sums each column in the order of a
-    # bincount of that column alone
-    for c in range(3):
-        npt.assert_array_equal(scatter(conn, values[c], n), got[:, c])
-        npt.assert_array_equal(np.bincount(conn.ravel(),
-                                           weights=values[c].ravel(),
-                                           minlength=n), got[:, c])
+    # one bincount in the order of the entries
+    npt.assert_array_equal(np.bincount(conn.ravel(), weights=values.ravel(),
+                                       minlength=n), got)
 
 
 def test_locate_wraps_and_matches_the_phase_lookup():

@@ -115,6 +115,19 @@ def test_box_holding_no_period_rejected(kind):
     sample_realization(model, 0, 1.0)
 
 
+@pytest.mark.parametrize("box_side, message", [
+    (1e-10, "holds no whole period"),     # phase_at would divide by zero
+    (1.5, "EVEN multiple"),               # three tiles: a broken seam
+])
+def test_direct_realization_checks_its_box(box_side, message):
+    # the periodic-box checks belong to the realization itself, so one built
+    # without sample_realization is refused the same way
+    model = MicrostructureModel("checkerboard", period_hint=0.5)
+    with pytest.raises(ConfigError, match=message):
+        MicrostructureRealization(model, 0, box_side)
+    MicrostructureRealization(model, 0, 1.0)
+
+
 def test_periodicity_of_phase_map():
     model = MicrostructureModel("checkerboard", period_hint=0.5)
     r = sample_realization(model, 3, 2.0)

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError
 
 
-def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
-              callback=None):
+def block_pcg(matvec, precondition, project, rhs, tol, max_iter):
     """Solve A x = rhs column-wise with a symmetric positive preconditioner.
 
     The loop updates its iterates in place and overwrites the array that
@@ -52,7 +51,6 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
             give the same iterates.
         tol: per-column relative residual target.
         max_iter: iteration cap.
-        callback: optional f(iteration, x) hook, called after each update.
 
     Returns:
         (x, history): solution (n, m), stored column by column, and the list
@@ -101,6 +99,4 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter,
         p += z
         rz = rz_new
         it += 1
-        if callback is not None:
-            callback(it, x.T)
     return project(x.T), history

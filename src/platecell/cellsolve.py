@@ -18,33 +18,35 @@ Gauss points symmetric about the midplane, so the problem commutes with the
 reflection x3 -> -x3 and every corrector has a parity: the signs s of
 (u1, u2, u3) under the reflection, (-, -, +) for the bending loads x3 G and
 (+, +, -) for the membrane loads B.  An operator solves in one parity, on the
-folded half-slab: node layer k sits on slot r = min(k, n3 - k) with
-coefficient 1/sqrt2 below the midplane and s_c/sqrt2 above it, and a midplane
-node (even n3) keeps coefficient 1 for an even component and 0 for an odd
-one.  The slots are orthonormal, so the folded problem is the full one
-restricted to the parity's fields, and conjugate gradients take the same
-iterates on about half the dofs.  The unknowns are the free (slot,
-component) pairs only: an odd component at the midplane is identically 0
-and has no dof.  Only the element layers below the midplane are kept, with
-weight 2 for their mirror images; the self-mirrored straddling layer of odd
-n3 keeps weight 1, its top nodes aliasing its bottom slots with the signs
-s_c.
+folded half-slab, through one matrix E per node column, (3 (n3 + 1), f):
+node layer k sits on slot r = min(k, n3 - k) with coefficient 1/sqrt2 below
+the midplane and s_c/sqrt2 above it, and a midplane node (even n3) keeps
+coefficient 1 for an even component and 0 for an odd one.  The f columns of
+E, the free (slot, component) pairs, are orthonormal: an odd component at
+the midplane is identically 0 and has no dof.  The fold of the slab is E at
+every in-plane node, so the folded problem is the full one restricted to
+the parity's fields, and conjugate gradients take the same iterates on
+about half the dofs.
 
-The kernels are the folded 24x24 w diag(sigma) K_p diag(sigma) per (phase,
-layer), sigma the slot coefficients of the local dofs.  The stiffness is
-applied as a stencil (Bell & Garland 2009): the f free dofs of an in-plane
-node couple only to those of its 3 x 3 in-plane neighbours, so the operator
-is one (f, 9 f) block per node, and a product is one gather of the
-neighbours' node vectors and one batched matrix product, with no scatter.
-The phases are constant through the thickness, so a node's block is the sum
-of the quadrant blocks of its four element columns, each summed over the
-kept layers once per set-up; an operator sums them once per distinct pattern
-of the four phases.  The right-hand sides sum per pattern the load vectors
-that the columns add to their corner nodes, and the energy closure expands
-the quadratic energy exactly, E0 + X^T f + f^T X + X^T K X, with one
-stiffness product.  Conjugate gradients update in place; the translations
-of the even components are projected out of the right-hand sides and the
-solution only.
+Every folded table is that restriction, built over all n3 element layers.
+The map C_e of layer e takes the f dofs of each of an element column's four
+corner nodes to the layer's 24 local dofs; the column stiffness sum_e
+C_e^T K_p C_e of the element kernels K_p gives the stiffness, sum_e C_e^T
+f_e the load vectors, E^T 1_c the translations, and a product by E expands
+a folded field.  The stiffness is applied as a stencil (Bell & Garland
+2009): the f free dofs of an in-plane node couple only to those of its
+3 x 3 in-plane neighbours, so the operator is one (f, 9 f) block per node,
+and a product is one gather of the neighbours' node vectors and one batched
+matrix product, with no scatter.  The phases are constant through the
+thickness, so a node's block is the sum of the quadrant blocks of its four
+element columns, the 4 x 4 corner blocks of their column stiffness, built
+once per set-up; an operator sums them once per distinct pattern of the
+four phases.  The right-hand sides sum per pattern the load vectors that
+the columns add to their corner nodes, and the energy closure expands the
+quadratic energy exactly, E0 + X^T f + f^T X + X^T K X, with one stiffness
+product.  Conjugate gradients update in place; the translations of the even
+components are projected out of the right-hand sides and the solution
+only.
 Fields are (ndof, m) blocks, one column per load, stored column by column
 (Fortran order): each column is one contiguous run, so the gathers, the
 conjugate gradients' per-column updates and dot products, and the
@@ -55,7 +57,7 @@ The preconditioner is the exact inverse of a homogeneous reference medium
 (Lame constants the geometric means of the phases present): its folded
 stiffness is block-circulant in the in-plane node indices, one stencil block
 at every node, so the real 2D DFT splits it into one Hermitian system per
-wavevector on the free pairs of an in-plane node (Moulinec & Suquet 1998;
+wavevector on the f free dofs of an in-plane node (Moulinec & Suquet 1998;
 Zeman et al. 2010).  Iteration counts then depend on the phase contrast but
 not on the mesh.  The inverse is applied as products with precomputed real
 matrices, five matrix products and no complex arithmetic: the real DFT along
@@ -84,7 +86,7 @@ from collections import namedtuple
 import numpy as np
 
 from ._krylov import block_pcg
-from ._mesh import GAUSS, dN, nodes
+from ._mesh import GAUSS, dN
 from .errors import ConfigError, NumericalError, as_array, as_index, \
     as_real
 from .material import SQRT2, isotropic_form
@@ -182,7 +184,7 @@ def sym2_to_voigt3(M):
 
 
 # ---------------------------------------------------------------------------
-# Element machinery on the folded half-slab
+# Element machinery and the fold onto one parity
 # ---------------------------------------------------------------------------
 
 # The parities: signs of (u1, u2, u3) under the reflection x3 -> -x3.
@@ -210,64 +212,39 @@ def _strain_matrices(grid):
     return B.reshape(8, 6, 24)
 
 
-def _fold(n1, n2, n3, parity):
-    """The fold of the n1 x n2 x n3 slab onto the free unknowns of one
-    parity.
+def _fold(n3, parity):
+    """The fold E of one node column onto the free dofs of one parity: a
+    (3 (n3 + 1), f) matrix, rows the (node layer k, component c) entries of
+    the column, whose orthonormal column j is the field of free dof j.
 
-    A (slot, component) pair is free unless its coefficient is 0 at every
-    node layer: the odd components at the midplane of even n3.  The free
-    pairs of in-plane node j are dofs j f, ..., j f + f - 1, in (slot,
-    component) order.  A local dof on a pair that is not free takes the free
-    dof before it on its in-plane node; its coefficient sigma = 0 makes its
-    folded kernel row and column, its load entries and its strain column
-    exact zeros, so it never reads or writes that dof.
-
-    Returns:
-        fold: (n3 + 1, n3 // 2 + 1, 3) coefficient of component c of node
-            layer k on slot r, nonzero only at r = min(k, n3 - k).
-        weight: (layers,) 2 for each kept element layer e < ceil(n3 / 2),
-            1 for the straddling layer of odd n3.
-        edof: (n1 n2, layers, 24) folded dofs of the kept elements, in
-            natural order.
-        sigma: (layers, 24) slot coefficient of each local dof.
+    The dofs are the (slot, component) pairs in that order, slot r = min(k,
+    n3 - k), with coefficient 1/sqrt2 below the midplane and s_c/sqrt2 above
+    it; on the midplane of even n3, 1 for an even component, and no dof for
+    an odd one, which is 0 there.
     """
     s = np.asarray(parity, dtype=float)
     k = np.arange(n3 + 1)
     below, above = (2 * k < n3)[:, None], (2 * k > n3)[:, None]
     coef = np.where(below, 1.0 / SQRT2,
                     np.where(above, s / SQRT2, (1.0 + s) / 2.0))
-    fold = np.zeros((n3 + 1, n3 // 2 + 1, 3))
-    fold[k, np.minimum(k, n3 - k)] = coef
-    free = fold.any(axis=0).ravel()
-    rank = np.cumsum(free) - 1         # dof of each pair on its in-plane node
-    e = np.arange((n3 + 1) // 2)
-    weight = np.where(2 * e + 1 == n3, 1.0, 2.0)
-    col, layer = np.divmod(
-        nodes(n1, n2, n3).reshape(n1 * n2, n3, 8)[:, :len(e)], n3 + 1)
-    pair = 3 * np.minimum(layer, n3 - layer)[..., None] + np.arange(3)
-    edof = col[..., None] * free.sum() + rank[pair]
-    kz = e[:, None] + (np.arange(8) >> 2)    # node layers of local nodes
-    sigma = fold[kz, np.minimum(kz, n3 - kz)].reshape(len(e), 24)
-    return fold, weight, edof.reshape(n1 * n2, len(e), 24), sigma
+    E = np.zeros((n3 + 1, 3, n3 // 2 + 1, 3))
+    c = np.arange(3)
+    E[k[:, None], c, np.minimum(k, n3 - k)[:, None], c] = coef
+    E = E.reshape(3 * (n3 + 1), -1)
+    return E[:, E.any(axis=0)]
 
 
-def _folded_kernels(ke, sigma, weight):
-    """w diag(sigma) ke diag(sigma) for each of the kernels ke (p, 24, 24)
-    and kept layers: (p * layers, 24, 24), phase-major."""
-    scaled = weight[:, None] * sigma
-    return (sigma[:, :, None] * ke[:, None] * scaled[:, None, :]) \
-        .reshape(-1, 24, 24)
-
-
-def _translations(fold):
-    """Unit translation of each even component on the (slot, component)
-    pairs of one in-plane node, (pairs, even components); the odd components
-    have none."""
-    omega = fold.sum(axis=0)
-    even = omega.any(axis=0)
-    norm = np.sqrt((omega[:, even] ** 2).sum(axis=0))
-    return (omega[..., None] * np.eye(3)[:, even]).reshape(-1, even.sum()) \
-        / norm
+def _layers(E):
+    """(n3, 24, 4 f) maps C_e of the element layers e from the 4 f dofs of
+    an element column's corner nodes, corner q = dx + 2 dy, to the 24 local
+    dofs of its layer e: local node q + 4 dz is corner q at node layer
+    e + dz, as in `_mesh.nodes`."""
+    n3, f = len(E) // 3 - 1, E.shape[1]
+    rows = E.reshape(n3 + 1, 3, f)
+    C = np.zeros((n3, 2, 4, 3, 4, f))
+    q = np.arange(4)
+    C[:, :, q, :, q] = np.stack([rows[:-1], rows[1:]], axis=1)
+    return C.reshape(n3, 24, 4 * f)
 
 
 # The 3 x 3 in-plane neighbours (di, dj) of a node, in the order of the
@@ -287,30 +264,24 @@ def _neighbours(n1, n2):
     return ((i[:, None] + di) % n1) * n2 + (j[:, None] + dj) % n2
 
 
-def _corners(edof, f):
-    """(corner, rank) of `_fold`'s edof: local dof a of layer e is dof
-    rank[e, a] of the node at corner q = dx + 2 dy = corner[a]."""
-    return (np.arange(24) // 3) & 3, edof[0] % f
-
-
-def _quadrants(ke, edof, f):
+def _quadrants(ke, C):
     """The stencil rows that one element column adds to the node at each of
     its corners: (4, phases, f, 9 f), block [q, p] for corner q = dx + 2 dy
     of a column of phase p, its columns the f dofs of each `_OFFSETS`
-    neighbour of that node, summed over the kept layers.
+    neighbour of that node.
 
-    ke are folded kernels (phases * layers, 24, 24), phase-major, and edof
-    `_fold`'s, placed by `_corners`.
+    They are the 4 x 4 corner blocks of the column stiffness sum_e C_e^T
+    ke_p C_e of the kernels ke (phases, 24, 24) and the `_layers` C: corner
+    r of the column is the node's neighbour (dx_r - dx, dy_r - dy).
     """
-    corner, rank = _corners(edof, f)
-    dx, dy = corner & 1, corner >> 1
-    k = (dx - dx[:, None] + 1) * 3 + dy - dy[:, None] + 1   # b seen from a
-    keys = ((corner[:, None] * f + rank[:, :, None]) * 9 + k) * f \
-        + rank[:, None, :]
-    return np.ascontiguousarray(np.stack([
-        np.bincount(keys.ravel(), weights=w, minlength=36 * f * f)
-        for w in ke.reshape(-1, keys.size)]).reshape(-1, 4, f, 9 * f)
-        .swapaxes(0, 1))
+    f = C.shape[-1] // 4
+    column = np.matmul(C.swapaxes(1, 2), np.matmul(ke[:, None], C)).sum(axis=1)
+    out = np.zeros((4, len(ke), f, 9, f))
+    for q in range(4):
+        for r in range(4):
+            k = _OFFSETS.index(((r & 1) - (q & 1), (r >> 1) - (q >> 1)))
+            out[q, :, :, k] = column[:, q * f:(q + 1) * f, r * f:(r + 1) * f]
+    return out.reshape(4, len(ke), f, 9 * f)
 
 
 def _dft_passes(n1, n2):
@@ -335,60 +306,51 @@ def _dft_passes(n1, n2):
     return rdft, dft
 
 
-def _reference_inverse(grid, free, stencil, t):
+def _reference_inverse(grid, stencil, t):
     """Per-wavevector inverses of the folded stiffness of a homogeneous
     medium of node stencil (f, 9 f), the sum of its four `_quadrants`, given
-    the free (slot, component) pairs and their translations t of
-    `_translations`.
+    the translations t (f, even components) of the even components on the
+    free dofs of one in-plane node.
 
     The folded stiffness applied to the f unit fields of the free dofs at
     in-plane node (0, 0) is, at the node -d from it, the stencil's block of
     neighbour d (node (0, 0) is that node's neighbour d); transformed by
-    rfft2 with the real transform along n1, it is the symbol per
-    wavevector, set into the M x M symbol of all the (slot, component) pairs
-    with the identity on the pinned others, the odd components at the
-    midplane.
+    rfft2 with the real transform along n1, it is the f x f symbol per
+    wavevector.
     The zero-wavevector block is singular on the translations of the even
     components, which are lifted by a multiple of their projector; the lifted
     block maps the mean-free fields to themselves, so the inverse adds only a
     rounding-level translation part, which the solve's final projection
     removes.  Each Hermitian block K = Kr + i Ki is inverted through its real
     embedding [[Kr, -Ki], [Ki, Kr]], whose inverse is [[A, -B], [B, A]] with
-    K^-1 = A + i B; its free rows and columns are kept, times irfft2's
-    Hermitian weight of the wavevector's row a (1 at a = 0 and n1 / 2, 2
-    between) over n1 n2, so that with `_dft_passes`' F the inverse of the
-    reference stiffness is F^T D F.  K^-1 is Hermitian, so each block is
-    symmetric; it is symmetrized exactly, and the preconditioner applies it
-    from the right to the rows of its columns.
+    K^-1 = A + i B, times irfft2's Hermitian weight of the wavevector's row a
+    (1 at a = 0 and n1 / 2, 2 between) over n1 n2, so that with
+    `_dft_passes`' F the inverse of the reference stiffness is F^T D F.
+    K^-1 is Hermitian, so each block is symmetric; it is symmetrized exactly,
+    and the preconditioner applies it from the right to the rows of its
+    columns.
 
     Returns:
         D: (n1 // 2 + 1, n2, 2f, 2f) real array, wavevector (a, j) at D[a, j],
-            rows and columns (part, free pair), f the free pairs of
-            M = 3 (n3 // 2 + 1).
+            rows and columns (part, free dof).
 
     Raises:
         NumericalError: an embedded block is singular or D is not finite,
             as when the element sizes of a box side far above 1 underflow
             the kernels (`_setup` refuses kernels that overflow).
     """
-    n1, n2 = grid.n1, grid.n2
-    pinned, free = ~free, np.flatnonzero(free)
-    m, f = pinned.size, len(free)
+    n1, n2, f = grid.n1, grid.n2, len(stencil)
     columns = np.zeros((n1, n2, f, f))
     for (di, dj), block in zip(_OFFSETS, np.split(stencil, 9, axis=1)):
         columns[-di % n1, -dj % n2] += block
-    symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
-    symbol[:, :, free[:, None], free] = np.fft.rfft2(columns, axes=(1, 0))
-    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
-    symbol[:, :, pinned, pinned] = 1.0
+    symbol = np.fft.rfft2(columns, axes=(1, 0))
+    symbol[0, 0] += np.trace(symbol[0, 0].real) / f * (t @ t.T)
     embedded = np.block([[symbol.real, -symbol.imag],
                          [symbol.imag, symbol.real]])
-    kept = np.r_[free, m + free]
     weight = np.full(n1 // 2 + 1, 2.0)
     weight[[0, -1]] = 1.0
     try:
-        D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
-            * (weight / (n1 * n2))[:, None, None, None]
+        D = np.linalg.inv(embedded) * (weight / (n1 * n2))[:, None, None, None]
     except np.linalg.LinAlgError:
         D = None
     if D is None or not np.isfinite(D).all():
@@ -406,19 +368,20 @@ def _degenerate(grid):
         % (grid, grid.box_side))
 
 
-# All of a cell operator that its phase layout does not enter: `_fold`'s
-# fold, weight, edof and sigma; free, whether each (slot, component) pair is
-# free; Bq, the (8, 6, 24) strain matrices; forms, the (phases, 6, 6) Voigt
-# forms; ke, the (phases * layers, 24, 24) folded kernels, phase-major;
-# quadrants, the (4, phases, f, 9 f) `_quadrants` of those kernels, and
-# neighbours, the (n1 n2, 9) `_neighbours`; zq, the x3 of each (kept layer,
-# Gauss point), (layers, 8); rdft and dft, the `_dft_passes`, and
-# spectral_inverse, the blocks D of `_reference_inverse`, of the medium
-# whose Lame constants are the geometric means of the phases'; shift, the
-# translations on the free pairs of one in-plane row of nodes,
-# (translations, n2 * free pairs).
-_Setup = namedtuple("_Setup", "fold weight edof sigma free Bq forms ke "
-                    "quadrants neighbours zq rdft dft spectral_inverse shift")
+# All of a cell operator that its phase layout does not enter: fold, the
+# `_fold` E of one node column, and layers, its `_layers` C; Bq, the (8, 6,
+# 24) strain matrices; forms, the (phases, 6, 6) Voigt forms; ke, the
+# (phases, 24, 24) element kernels; quadrants, the (4, phases, f, 9 f)
+# `_quadrants` of those kernels, and neighbours, the (n1 n2, 9)
+# `_neighbours`; zq, the x3 of each (layer, Gauss point), (n3, 8); rdft and
+# dft, the `_dft_passes`, and spectral_inverse, the blocks D of
+# `_reference_inverse`, of the medium whose Lame constants are the geometric
+# means of the phases'; shift, the translations on the free dofs of one
+# in-plane row of nodes, (translations, n2 f).  Every folded table is the
+# restriction by E of the full slab's: the stiffness and loads through the
+# C_e, the translations as E^T 1_c.
+_Setup = namedtuple("_Setup", "fold layers Bq forms ke quadrants neighbours "
+                    "zq rdft dft spectral_inverse shift")
 
 
 @functools.lru_cache(maxsize=8)
@@ -432,9 +395,8 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
             element sizes of a box side far below 1 overflow them.
     """
     grid = RVEGrid(n1, n2, n3, gamma, box_side)
-    fold, weight, edof, sigma = _fold(n1, n2, n3, parity)
-    free = fold.any(axis=0).ravel()
-    f = int(free.sum())
+    E = _fold(n3, parity)
+    C = _layers(E)
     Bq = _strain_matrices(grid)
     wq = 1.0 / (8.0 * grid.n_elements)              # volume-average weight
     forms = np.stack([isotropic_form(mu, lam).voigt for mu, lam in lame])
@@ -442,20 +404,19 @@ def _setup(n1, n2, n3, gamma, box_side, lame, parity):
     mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))  # geometric means
     reference = np.einsum("qci,cd,qdj->ij", Bq, isotropic_form(mu, lam).voigt,
                           Bq) * wq
-    # refused before the folding multiplies an inf by a pinned dof's 0
+    # refused before the restriction multiplies an inf by one of C's zeros
     if not (np.isfinite(ke).all() and np.isfinite(reference).all()):
         raise _degenerate(grid)
-    ke = _folded_kernels(ke, sigma, weight)
-    reference = _quadrants(_folded_kernels(reference[None], sigma, weight),
-                           edof, f).sum(axis=0)[0]
-    t = _translations(fold)
+    t = E.T @ np.tile(np.eye(3), (n3 + 1, 1))      # E^T 1_c, c = 0, 1, 2
+    t = t[:, t.any(axis=0)]                        # the odd ones vanish
+    t /= np.sqrt((t ** 2).sum(axis=0))
     gz = np.repeat(GAUSS, 4)                     # zeta of each Gauss point
-    zq = -0.5 + (np.arange(len(weight))[:, None] + gz[None, :]) * (1.0 / n3)
-    out = _Setup(fold, weight, edof, sigma, free, Bq, forms, ke,
-                 _quadrants(ke, edof, f), _neighbours(n1, n2), zq,
-                 *_dft_passes(n1, n2),
-                 _reference_inverse(grid, free, reference, t),
-                 np.tile(t[free].T, n2))
+    zq = -0.5 + (np.arange(n3)[:, None] + gz[None, :]) * (1.0 / n3)
+    out = _Setup(E, C, Bq, forms, ke, _quadrants(ke, C), _neighbours(n1, n2),
+                 zq, *_dft_passes(n1, n2),
+                 _reference_inverse(
+                     grid, _quadrants(reference[None], C).sum(axis=0)[0], t),
+                 np.tile(t.T, n2))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -469,31 +430,26 @@ def _load_blocks(key, parts):
     iota(x3 G) or iota(B); memoized and read-only.
 
     Returns:
-        blocks: (4, phases, f, m), the folded load vectors that one element
-            column adds to its corner nodes, [q, p] as in `_quadrants`.
+        blocks: (4, phases, f, m), the folded load vectors sum_e C_e^T f_e
+            that one element column adds to its corner nodes, [q, p] as in
+            `_quadrants`.
         energies: (phases, m, m), the load-only energy Gram matrix of one
             element column of each phase.
     """
     n1, n2, n3, _, _, _, parity = key
     s = _setup(*key)
-    f = int(s.free.sum())
     wq = 1.0 / (8.0 * (n1 * n2 * n3))
     parts = np.frombuffer(parts).reshape(-1, 1, 1, 2, 2)
     z = s.zq if parity == BENDING else np.ones_like(s.zq)
-    eps = np.zeros((len(parts),) + z.shape + (6,))   # (m, layers, gauss, 6)
+    eps = np.zeros((len(parts),) + z.shape + (6,))   # (m, n3, gauss, 6)
     eps[..., 0] = z * parts[..., 0, 0]
     eps[..., 1] = z * parts[..., 1, 1]
     eps[..., 5] = SQRT2 * (z * parts[..., 0, 1])
-    fe = np.einsum("qci,pcd,mkqd->pmki", s.Bq, s.forms, eps) * wq \
-        * (s.weight[:, None] * s.sigma)           # (phases, m, layers, 24)
-    corner, rank = _corners(s.edof, f)
-    keys = np.arange(fe.shape[0] * len(parts))[:, None, None] * (4 * f) \
-        + corner * f + rank
-    blocks = np.ascontiguousarray(np.bincount(keys.ravel(), weights=fe.ravel())
-                                  .reshape(fe.shape[:2] + (4, f))
-                                  .transpose(2, 0, 3, 1))
-    energies = np.einsum("k,akqc,pcd,bkqd->pab", s.weight, eps, s.forms,
-                         eps) * wq
+    fe = np.einsum("qci,pcd,mkqd->pmki", s.Bq, s.forms, eps) * wq
+    blocks = fe.reshape(fe.shape[:2] + (-1,)) @ s.layers.reshape(24 * n3, -1)
+    blocks = np.ascontiguousarray(
+        blocks.reshape(fe.shape[:2] + (4, -1)).transpose(2, 0, 3, 1))
+    energies = np.einsum("akqc,pcd,bkqd->pab", eps, s.forms, eps) * wq
     blocks.flags.writeable = energies.flags.writeable = False
     return blocks, energies
 
@@ -508,10 +464,12 @@ class CellOperator:
     (n1 n2,); its stencil, one (f, 9 f) block per in-plane node that maps the
     f dofs of the node's 3 x 3 neighbours to its own f; and the arrays of its
     `_setup`, shared with every operator on the same grid, parity and Lame
-    pairs: the folded 24x24 kernels and their quadrant blocks, the neighbour
-    table, the real DFT matrices and per-wavevector blocks of the
-    reference-medium preconditioner.  Its fields are folded, (ndof, m),
-    stored column by column; `expand` maps them to full-slab nodal fields.
+    pairs: the fold E of a node column, (3 (n3 + 1), f), the (phases, 24,
+    24) element kernels and the quadrant blocks of their restriction by E,
+    the neighbour table, the real DFT matrices and per-wavevector blocks of
+    the reference-medium preconditioner.  Its fields are folded, (ndof, m),
+    f dofs per in-plane node, stored column by column; `expand` maps them to
+    full-slab nodal fields, E at every in-plane node.
     Loads enter through their part in the parity, x3 G for bending, B for
     membrane; the other part is orthogonal to every field of the parity.
     """
@@ -537,11 +495,10 @@ class CellOperator:
         self._key = (grid.n1, grid.n2, grid.n3, grid.gamma, grid.box_side,
                      lame, parity)
         s = _setup(*self._key)
-        self.fold, self._free, self.ke, self._neighbours = \
-            s.fold, s.free, s.ke, s.neighbours
+        self.fold, self.ke, self._neighbours = s.fold, s.ke, s.neighbours
         self._rdft, self._dft, self.spectral_inverse, self._shift = \
             s.rdft, s.dft, s.spectral_inverse, s.shift
-        self.ndof = grid.n1 * grid.n2 * int(self._free.sum())
+        self.ndof = grid.n1 * grid.n2 * s.fold.shape[1]
 
         # --- node patterns: the phases of a node's four columns, corner q =
         # dx + 2 dy of the column at neighbour (-dx, -dy); each distinct
@@ -623,13 +580,10 @@ class CellOperator:
 
     # --- full-slab fields ----------------------------------------------------
     def expand(self, U):
-        """Full-slab nodal fields (3 n_nodes, m) of the folded U (ndof, m)."""
+        """Full-slab nodal fields (3 n_nodes, m) of the folded U (ndof, m):
+        the fold E applied to the f dofs of each in-plane node."""
         n, m = self.grid.n1 * self.grid.n2, U.shape[-1]
-        V = np.zeros((n, self._free.size, m))
-        V[:, self._free] = U.reshape(n, -1, m)
-        full = np.einsum("krc,srcm->skcm", self.fold,
-                         V.reshape((n,) + self.fold.shape[1:] + (m,)))
-        return full.reshape(-1, m)
+        return np.matmul(self.fold, U.reshape(n, -1, m)).reshape(-1, m)
 
     # --- loads ---------------------------------------------------------------
     def _loads(self, loads):
@@ -665,7 +619,7 @@ class CellOperator:
         return E0 + (XF + XF.T) + np.einsum("ia,ib->ab", X, self.matvec(X))
 
     # --- solver ---------------------------------------------------------------
-    def solve(self, rhs, tol=1e-8, max_iter=None, callback=None):
+    def solve(self, rhs, tol=1e-8, max_iter=None):
         """Block PCG, preconditioned by the reference-medium inverse, with the
         kernel projected out of the right-hand sides and the solution.
 
@@ -674,7 +628,6 @@ class CellOperator:
             tol: relative residual target per column, in (0, 1).
             max_iter: iteration cap; default 20*sqrt(3 n_nodes), the full
                 slab's, since the fold leaves the iterates unchanged.
-            callback: optional f(iteration, x) hook (e.g. energy tracing).
 
         Returns:
             (x, history): folded solution (ndof, m) and per-iteration list of
@@ -688,7 +641,7 @@ class CellOperator:
         if max_iter is None:
             max_iter = int(20.0 * np.sqrt(3 * self.grid.n_nodes)) + 10
         return block_pcg(self.matvec, self.precondition, self.project, rhs,
-                         tol, max_iter, callback=callback)
+                         tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

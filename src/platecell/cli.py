@@ -78,7 +78,7 @@ _FIELDS = {
     "raster.n1": ("an integer", ...),
     "raster.n2": ("an integer", ...),
     "rescale_check": ("true or false", False),
-    "gammas": ("a list of numbers", ...),
+    "gammas": ("a list of numbers > 0", ...),
     "seeds": ("a list of integers >= 0", ...),
     "rotations": ("an integer >= 8", 8),
     "window": ("a list of 4 numbers", ...),
@@ -130,6 +130,7 @@ _TYPES = {
     "an object": lambda v: type(v) is dict,
     "a list of objects": _list_of(lambda v: type(v) is dict),
     "a list of numbers": _list_of(_number),
+    "a list of numbers > 0": _list_of(_reads(as_real, 0)),
     "a list of at least 3 numbers":
         lambda v: _list_of(_number)(v) and len(v) >= 3,
     "a list of integers >= 0": _list_of(_reads(as_index, 0)),
@@ -278,8 +279,8 @@ def _cmd_sweep_gamma(args, cfg, started):
     tol, gammas = _read(cfg, "tol"), _read(cfg, "gammas")
     # the realization and its raster depend on seed, box side, n1 and n2 only
     base, materials, seed, phases = _cell(cfg)
-    grids = [_under("gammas", RVEGrid, base.n1, base.n2, base.n3, g,
-                    base.box_side) for g in gammas]
+    grids = [RVEGrid(base.n1, base.n2, base.n3, g, base.box_side)
+             for g in gammas]
     results = []
     for grid in grids:
         form = effective_form(grid, phases, materials, tol=tol)

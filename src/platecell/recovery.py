@@ -38,7 +38,8 @@ import math
 import numpy as np
 
 from ._mesh import GAUSS, locate
-from .cellsolve import CellLoad, bending_solve, qgamma_eval, sym2_to_voigt3, \
+from .cellsolve import BENDING, CellLoad, bending_solve, qgamma_eval, \
+    sym2_to_voigt3, \
     solve_corrector  # unused; bound for perfbench's recovery.solve_corrector
 from .errors import ConfigError, NumericalError, as_array, as_real
 from .material import svk_energy
@@ -183,9 +184,8 @@ def build_recovery(iso, cfg, source):
     return RecoveryFamily(iso, cfg, source)
 
 
-# Reflection x3 -> -x3 of a bending corrector's components: in-plane odd,
-# transverse even.
-_MIRROR = np.array([-1.0, -1.0, 1.0])
+# Signs of a bending corrector's components under the reflection x3 -> -x3.
+_MIRROR = np.array(BENDING, dtype=float)
 
 
 class DeformationSampler:

@@ -13,9 +13,7 @@ import json
 import numpy as np
 
 from platecell import BENDING, MEMBRANE, CellOperator, MicrostructureModel, \
-    MicrostructureRealization, MixedField, PhaseGrid, isotropic_form, \
-    to_gauss
-from platecell import cellsolve
+    MicrostructureRealization, MixedField, PhaseGrid, to_gauss
 from platecell._mesh import N, nodes, scatter
 from platecell.decomposition import _eigenbasis_1d, _scalar_tables
 
@@ -273,53 +271,6 @@ def svk_taylor_exact(mu, lam, G, t):
 
 
 # ---------------------------------------------------------------------------
-# Reference-medium symbol by element gather, per-layer GEMM and scatter
-# ---------------------------------------------------------------------------
-
-def kernel_route_inverse(op):
-    """The blocks D of `op.spectral_inverse` built by the element route that
-    the node stencil replaced: the folded reference kernels applied to the
-    unit fields of the free dofs at in-plane node (0, 0) through the element
-    columns touching it (gather, one GEMM per kept layer, one bincount
-    scatter), then the same lift, embedding, inversion and weights."""
-    n1, n2, n3, _, _, lame, _ = op._key
-    s = cellsolve._setup(*op._key)
-    free, f = np.flatnonzero(s.free), int(s.free.sum())
-    m = s.free.size
-    mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))
-    ke = np.einsum("qci,cd,qdj->ij", s.Bq, isotropic_form(mu, lam).voigt,
-                   s.Bq) / (8.0 * n1 * n2 * n3)
-    kernels = cellsolve._folded_kernels(ke[None], s.sigma, s.weight)
-    near = s.edof[(s.edof[:, 0] < f).any(axis=1)]  # columns at node (0, 0)
-    table = near.transpose(1, 0, 2).reshape(-1, 24).T     # layer-major
-    units = np.eye(f * n1 * n2, f)
-    Ue = np.take(units.T, table, axis=1)                  # (f, 24, n_el)
-    Ve = np.empty_like(Ue)
-    for l, kernel in enumerate(kernels):
-        cols = slice(l * len(near), (l + 1) * len(near))
-        np.matmul(kernel, Ue[..., cols], out=Ve[..., cols])
-    # column c of the f unit fields sums into entries c n + table
-    keys = table + len(units) * np.arange(f)[:, None, None]
-    columns = np.bincount(keys.ravel(), weights=Ve.ravel(),
-                          minlength=units.size).reshape(f, -1).T
-    symbol = np.zeros((n1 // 2 + 1, n2, m, m), dtype=complex)
-    symbol[:, :, free[:, None], free] = np.fft.rfft2(
-        columns.reshape(n1, n2, f, f), axes=(1, 0))
-    t = cellsolve._translations(s.fold)
-    symbol[0, 0] += np.trace(symbol[0, 0].real) / m * (t @ t.T)
-    pinned = ~s.free
-    symbol[:, :, pinned, pinned] = 1.0
-    embedded = np.block([[symbol.real, -symbol.imag],
-                         [symbol.imag, symbol.real]])
-    kept = np.r_[free, m + free]
-    weight = np.full(n1 // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
-    D = np.linalg.inv(embedded)[..., kept[:, None], kept] \
-        * (weight / (n1 * n2))[:, None, None, None]
-    return 0.5 * (D + D.swapaxes(-1, -2))
-
-
-# ---------------------------------------------------------------------------
 # Statistics helpers
 # ---------------------------------------------------------------------------
 
@@ -355,10 +306,7 @@ def restrict(op, u):
     full-slab nodal fields u (3 n_nodes, m) onto the parity of the cell
     operator op: the transpose of `op.expand`."""
     n, m = op.grid.n1 * op.grid.n2, u.shape[-1]
-    folded = np.einsum("krc,skcm->srcm", op.fold,
-                       u.reshape(n, op.grid.n3 + 1, 3, m))
-    free = op.fold.any(axis=0).ravel()
-    return folded.reshape(n, -1, m)[:, free].reshape(-1, m)
+    return np.matmul(op.fold.T, u.reshape(n, -1, m)).reshape(-1, m)
 
 
 def cell_energy(grid, phases, materials, load, phi=None):

@@ -42,7 +42,6 @@ from platecell._mesh import GAUSS, nodes
 from platecell.material import SQRT2
 from oracles import (
     cell_energy,
-    kernel_route_inverse,
     laminate_bending_reference,
     plane_stress_form,
     restrict,
@@ -232,7 +231,8 @@ def test_energy_monotone_along_iterations():
     def track(it, x):
         energies.append(op.closure([load], x)[0, 0])
 
-    x, _ = op.solve(op.rhs([load]), tol=1e-9, callback=track)
+    allocating_pcg(op.matvec, op.precondition, op.project, op.rhs([load]),
+                   1e-9, 200, callback=track)
     e0 = op.closure([load], np.zeros(op.ndof))[0, 0]
     assert energies[-1] <= e0  # beats the zero corrector
     diffs = np.diff([e0] + energies)
@@ -259,7 +259,8 @@ def test_closure_error_is_quadratic_along_iterations():
     converged, _ = op.solve(b, tol=1e-13)
     Q = op.closure(loads, converged)
     iterates = []
-    op.solve(b, tol=1e-9, callback=lambda it, x: iterates.append(x.copy()))
+    allocating_pcg(op.matvec, op.precondition, op.project, b, 1e-9, 200,
+                   callback=lambda it, x: iterates.append(x.copy()))
     assert len(iterates) > 10
     for k, X in enumerate(iterates):
         E = X - converged
@@ -284,7 +285,7 @@ def allocating_pcg(matvec, precondition, project, rhs, tol, max_iter,
     """The block PCG loop as it was before it updated in place, with the
     kernel projected out of the right-hand side and the solution only, on
     the transposed blocks (a contiguous row per column): every update
-    allocates its result."""
+    allocates its result.  `callback(it, x)` sees each iterate x, (n, m)."""
     b = project(np.array(rhs, order="F")).T
     bnorm = np.sqrt(np.einsum("ij,ij->i", b, b))
     bnorm = np.where(bnorm > 0, bnorm, 1.0)
@@ -573,21 +574,53 @@ class FullSlab:
         return self.gram(loads, self.solve(loads))
 
 
-def fold_matrix(grid, parity):
-    """The fold P (full ndof, 3 n1 n2 slots), entry by entry: component c of
-    node layer k sits on slot min(k, n3 - k) with 1/sqrt2 below the midplane
-    and s_c/sqrt2 above it; on the midplane with 1 if s_c = +1, else 0.  Its
-    nonzero columns, in order, are the operator's free dofs."""
-    n3, slots, cols = grid.n3, grid.n3 // 2 + 1, grid.n1 * grid.n2
-    P = np.zeros((3 * cols * (n3 + 1), 3 * cols * slots))
-    for col in range(cols):
-        for k in range(n3 + 1):
-            for c, s in enumerate(parity):
-                v = (1.0 / np.sqrt(2.0) if 2 * k < n3 else
-                     s / np.sqrt(2.0) if 2 * k > n3 else (1.0 + s) / 2.0)
-                P[3 * (col * (n3 + 1) + k) + c,
-                  3 * (col * slots + min(k, n3 - k)) + c] = v
+def node_fold(n3, parity):
+    """The fold of one node column, (3 (n3 + 1), 3 slots), entry by entry:
+    component c of node layer k sits on slot min(k, n3 - k) with 1/sqrt2
+    below the midplane and s_c/sqrt2 above it; on the midplane with 1 if
+    s_c = +1, else 0.  Its nonzero columns, in order, are the free dofs of
+    an in-plane node."""
+    P = np.zeros((3 * (n3 + 1), 3 * (n3 // 2 + 1)))
+    for k in range(n3 + 1):
+        for c, s in enumerate(parity):
+            P[3 * k + c, 3 * min(k, n3 - k) + c] = (
+                1.0 / np.sqrt(2.0) if 2 * k < n3 else
+                s / np.sqrt(2.0) if 2 * k > n3 else (1.0 + s) / 2.0)
     return P
+
+
+def fold_matrix(grid, parity):
+    """The fold P (full ndof, 3 n1 n2 slots): `node_fold` at every in-plane
+    node.  Its nonzero columns, in order, are the operator's free dofs."""
+    return np.kron(np.eye(grid.n1 * grid.n2), node_fold(grid.n3, parity))
+
+
+def kernel_route_inverse(op):
+    """The blocks D of `op.spectral_inverse` built from the full slab: the
+    `FullSlab` stiffness K of the reference medium, restricted by the fold to
+    P^T K P and applied to the unit fields of the free dofs at in-plane node
+    (0, 0), then the same lift, embedding, inversion and weights."""
+    grid, lame = op.grid, op._key[5]
+    n1, n2, n3 = grid.n1, grid.n2, grid.n3
+    mu, lam = np.prod(lame, axis=0) ** (1.0 / len(lame))
+    full = FullSlab(grid, uniform_phases(n1, n2, grid.box_side),
+                    material_table([(0, mu, lam)]))
+    E = node_fold(n3, op.parity)
+    E = E[:, E.any(axis=0)]
+    f = E.shape[1]
+    P = sp.kron(sp.identity(n1 * n2), E, format="csr")
+    columns = P.T @ (full.K[:, :len(E)] @ E)          # (n1 n2 f, f)
+    symbol = np.fft.rfft2(columns.reshape(n1, n2, f, f), axes=(1, 0))
+    t = E.T @ np.kron(np.ones((n3 + 1, 1)), np.eye(3))
+    t = t[:, np.abs(t).sum(axis=0) > 0]
+    t /= np.linalg.norm(t, axis=0)
+    symbol[0, 0] += np.trace(symbol[0, 0].real) / f * (t @ t.T)
+    embedded = np.block([[symbol.real, -symbol.imag],
+                         [symbol.imag, symbol.real]])
+    weight = np.full(n1 // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    D = np.linalg.inv(embedded) * (weight / (n1 * n2))[:, None, None, None]
+    return 0.5 * (D + D.swapaxes(-1, -2))
 
 
 def stencil_cases(n3):
@@ -671,31 +704,53 @@ def check_against_assembly(grid, phases, mats, parity, full, rng):
 
 
 @pytest.mark.parametrize("parity", [BENDING, MEMBRANE])
-@pytest.mark.parametrize("n3", [2, 3, 4])
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
 def test_free_layout_drops_only_the_pinned_pairs(n3, parity):
-    # one dof per free (slot, component) pair of each in-plane node: at even
-    # n3 the odd components of the midplane slot are not unknowns, and the
-    # full-slab fields keep them at exactly 0.0
+    # the fold E of a node column is the node block of P, `node_fold`, with
+    # its zero columns dropped, bit for bit: one dof per free (slot,
+    # component) pair, the odd components of the midplane slot of even n3
+    # having none, and the full-slab fields keep them at exactly 0.0
     grid = RVEGrid(4, 6, n3, 1.3, 1.5)
     op = CellOperator(grid, checker_phases(4, 6, 1.5),
                       material_table([(0, 1.0, 1.0), (1, 4.0, 2.0)]), parity)
-    free = op.fold.any(axis=0)
-    assert op.ndof == 4 * 6 * free.sum()
-    assert free.sum() == free.size - (n3 % 2 == 0) * parity.count(-1)
+    P = node_fold(n3, parity)
+    free = P.any(axis=0)
+    npt.assert_array_equal(op.fold, P[:, free])
+    f = free.sum()
+    assert op.ndof == 4 * 6 * f
+    assert f == free.size - (n3 % 2 == 0) * parity.count(-1)
+    # orthonormal columns: each is 1, or fl(1/sqrt2) twice, whose square is
+    # not 1/2 in floating point
+    npt.assert_array_max_ulp(op.fold.T @ op.fold, np.eye(f), maxulp=2)
     U = np.random.default_rng(n3).standard_normal((op.ndof, 3))
     full = op.expand(U).reshape(4, 6, n3 + 1, 3, 3)
     odd = [c for c, s in enumerate(parity) if s < 0]
     if n3 % 2 == 0:
         mid = full[:, :, n3 // 2][:, :, odd]
         assert (mid == 0.0).all() and not np.signbit(mid).any()
-    # the midplane's coefficient 1 round-trips exactly; the others multiply
-    # by fl(1/sqrt2) twice, whose square is not 1/2 in floating point
+    # the midplane's coefficient 1 round-trips exactly
     back = restrict(op, op.expand(U))
-    exact = (np.abs(op.fold).max(axis=0) == 1.0)[free]
+    exact = (np.abs(op.fold).max(axis=0) == 1.0)
     per_node = back.reshape(4 * 6, -1, 3)
     npt.assert_array_equal(per_node[:, exact],
                            U.reshape(4 * 6, -1, 3)[:, exact])
     npt.assert_array_max_ulp(back, U, maxulp=2)
+
+
+@pytest.mark.parametrize("parity", [BENDING, MEMBRANE])
+@pytest.mark.parametrize("n3", [2, 3, 4, 5])
+def test_expanded_correctors_mirror_across_the_midplane(n3, parity):
+    # each component is s_c times its mirror image, bit for bit, as the
+    # recovery's DeformationSampler checks of the bending correctors
+    grid = RVEGrid(6, 4, n3, 1.3, 1.5)
+    phases = PhaseGrid(6, 4, 1.5, np.random.default_rng(n3).integers(
+        0, 3, size=(6, 4)))
+    mats = material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)])
+    op = CellOperator(grid, phases, mats, parity)
+    loads = unit_loads()[3:] if parity == BENDING else unit_loads()[:3]
+    X, _ = op.solve(op.rhs(loads))
+    V = op.expand(X).reshape(6, 4, n3 + 1, 3, 3)
+    npt.assert_array_equal(V[:, :, ::-1] * np.array(parity)[:, None], V)
 
 
 @pytest.mark.parametrize("n3", [2, 3])

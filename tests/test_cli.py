@@ -663,6 +663,9 @@ PROBES = [
      "epsilons: must be a list of at least 3 numbers"),
     # "01" names phase 1 a second time
     ("ergodic", "f_table", {"0": 0, "1": 1, "01": 5}, "f_table"),
+    # a gamma the grid would refuse is the list's fault, not the grid's
+    ("sweep-gamma", "gammas", [0.0, 1.0],
+     "gammas: must be a list of numbers > 0"),
 ]
 
 

@@ -57,21 +57,31 @@ def test_connectivity_wraps_in_plane_and_joins_adjacent_layers():
 
 
 def test_vector_dofs_match_the_cell_operator():
-    # the operator keeps the element layers below the midplane (and the
-    # straddling one of odd n3), with node layer k on slot min(k, n3 - k),
-    # in natural element order: the table that its quadrant and load blocks
-    # are placed by
-    n3, slots, layers = 3, 2, 2
-    grid = RVEGrid(4, 6, n3, 1.3, 1.7)
-    phases = PhaseGrid(4, 6, 1.7, np.arange(24).reshape(4, 6) % 2)
+    # the operator's layer map C_e takes the dofs of an element column's
+    # corner nodes, corner q = dx + 2 dy, to the local dofs of its layer e:
+    # local node q + 4 dz is the node of corner q at node layer e + dz, as
+    # in the node table, with that node's rows of the fold E
+    n1, n2, n3 = 4, 6, 3
+    grid = RVEGrid(n1, n2, n3, 1.3, 1.7)
+    phases = PhaseGrid(n1, n2, 1.7, np.arange(24).reshape(n1, n2) % 2)
     op = CellOperator(grid, phases, material_table([(0, 1.0, 1.0),
                                                     (1, 4.0, 2.0)]), BENDING)
-    col, k = np.divmod(nodes(4, 6, n3).reshape(24, n3, 8)[:, :layers], n3 + 1)
-    slot = col * slots + np.minimum(k, n3 - k)
-    edof = 3 * slot[..., None] + np.arange(3)
-    npt.assert_array_equal(cellsolve._setup(*op._key).edof,
-                           edof.reshape(24, layers, 24))
-    assert op.ndof == 3 * 24 * slots
+    s = cellsolve._setup(*op._key)
+    E, f = s.fold, s.fold.shape[1]
+    assert s.layers.shape == (n3, 24, 4 * f)
+    col, layer = np.divmod(nodes(n1, n2, n3).reshape(n1 * n2, n3, 8), n3 + 1)
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    for e in range(n3):
+        for l in range(8):
+            q, dz = l & 3, l >> 2
+            npt.assert_array_equal(layer[:, e, l], e + dz)
+            npt.assert_array_equal(
+                col[:, e, l], (i + (q & 1)) % n1 * n2 + (j + (q >> 1)) % n2)
+            want = np.zeros((3, 4, f))
+            want[:, q] = E[3 * (e + dz):3 * (e + dz) + 3]
+            npt.assert_array_equal(s.layers[e, 3 * l:3 * l + 3],
+                                   want.reshape(3, -1))
+    assert op.ndof == n1 * n2 * f
 
 
 def test_scatter_sums_every_entry():

@@ -17,3 +17,26 @@ def test_all_is_sorted_and_equals_the_imports():
     exec("from platecell import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == platecell.__all__
+
+
+# (module, name) pairs imported on purpose without being read: recovery
+# binds solve_corrector so that the benchmark can hook its calls there
+UNREAD_IMPORTS = {("recovery", "solve_corrector")}
+
+
+def test_modules_read_every_name_they_import():
+    # __init__ imports to re-export its __all__, which the test above checks
+    unread = set()
+    for path in sorted(Path(platecell.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread == UNREAD_IMPORTS

@@ -173,16 +173,19 @@ def _block(cfg, name):
 def _under(path, build, *args, **kwargs):
     """build(*args, **kwargs), a ConfigError from its checks put under `path`,
     or under `path.key` when the check, past its owner's name ("Owner: key
-    must be ..."), is on the keyword argument `key`."""
+    must be ..."), is on the keyword argument `key`.  An empty `path` is the
+    top level: a check on `key` goes under `key`, any other is left as is."""
     try:
         return build(*args, **kwargs)
     except ConfigError as exc:
         msg = str(exc)
-        if not msg.startswith(path):
+        if not path or not msg.startswith(path):
             rest = msg.partition(": ")[2]
             key, _, tail = rest.partition(" ")
-            msg = "%s.%s: %s" % (path, key, tail) if key in kwargs \
-                else "%s: %s" % (path, msg)
+            if key in kwargs:
+                msg = "%s: %s" % (path + "." + key if path else key, tail)
+            elif path:
+                msg = "%s: %s" % (path, msg)
         raise ConfigError(msg) from exc
 
 
@@ -322,7 +325,8 @@ def _cmd_ergodic(args, cfg, started):
     if isinstance(f_table, dict):
         f_table = {int(k): v for k, v in f_table.items()}
     r = _under("L", sample_realization, model, seed, box)
-    series = birkhoff_average(r, f_table, window, epsilons, step=step)
+    series = _under("", birkhoff_average, r, f_table, window=window,
+                    epsilons=epsilons, step=step)
     C, ok = birkhoff_rate(series)
     fileio.write_series_csv(args.out + ".csv", series)
     payload = {

@@ -72,8 +72,9 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
         window: (x0, y0, x1, y1) averaging rectangle, finite numbers.
         epsilons: positive, strictly decreasing scale factors.
         step: quadrature spacing target, a positive finite number; default
-            eps/8 per scale, and a spacing coarser than the scale factor
-            itself is rejected since the integrand oscillates at scale eps.
+            eps/8 per scale.  A spacing coarser than the finest scale factor
+            is refused before any scale is computed, since the integrand
+            oscillates at scale eps.
 
     Returns:
         BirkhoffSeries with the model's ensemble mean as reference.
@@ -81,13 +82,17 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     x0, y0, x1, y1 = as_array(window, "birkhoff_average: window",
                               (4,)).tolist()
     if not (x1 > x0 and y1 > y0):
-        raise ConfigError("birkhoff_average: empty window %r" % (window,))
+        raise ConfigError("birkhoff_average: window %r is empty" % (window,))
     if step is not None:
         step = as_real(step, "birkhoff_average: step", 0)
     eps = as_array(epsilons, "birkhoff_average: epsilons", (None,))
     if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ConfigError("birkhoff_average: epsilons must be positive and "
                           "strictly decreasing")
+    if step is not None and step > eps[-1]:  # refused before any lookup
+        raise ConfigError(
+            "birkhoff_average: step %g does not resolve scale %g"
+            % (step, eps[step > eps][0]))
     phase_ids = realization.model.phase_ids()
     values = _phase_values(f_table, phase_ids)
     probs = _phase_probabilities(realization.model)
@@ -96,9 +101,6 @@ def birkhoff_average(realization, f_table, window, epsilons, step=None):
     averages = []
     for e in eps:
         h = e / 8.0 if step is None else step
-        if h > e:
-            raise ConfigError(
-                "birkhoff_average: step %g does not resolve scale %g" % (h, e))
         mx = max(int(np.ceil((x1 - x0) / h)), 1)
         my = max(int(np.ceil((y1 - y0) / h)), 1)
         xs = x0 + (np.arange(mx) + 0.5) * (x1 - x0) / mx

@@ -14,9 +14,11 @@ into the periodic box.  `phase_at` looks up scattered Voronoi points in one
 exact float64 pass over all sites, taken in (x, y, index) order so that the
 first nearest site is the tie-broken one.  `phase_grid` finds the phases of
 a tensor grid xs x ys through a float32 filter: the squared torus distances
-split into per-axis terms that each grid line computes once, and the float32
-minimum of each phase over its sites decides every point whose lowest phase
-beats the others by a margin 4x the float32 rounding error.  The few
+split into per-axis terms that each grid line computes once, each site's
+outer sum of its terms is one float32 BLAS product (exact up to the one
+rounding of each sum), and the float32 minimum of each phase over its sites
+decides every point whose lowest phase beats the others by a margin 4x the
+float32 rounding error.  The few
 undecided points (ties and near-ties across phases) take `phase_at`'s exact
 pass, so both give the same phase at every point.  Randomness comes from a
 counter-based Philox generator keyed by (seed, stream), with point positions
@@ -165,23 +167,34 @@ def _nearest(r, qx, qy):
     return order[k]
 
 
-def _phase_min(tx, ty):
-    """min over sites k of tx[k, :, None] + ty[k] in float32, in passes of
-    at most _ENTRIES entries (one site and one grid line if that is more),
-    each reduced over its site axis."""
-    sites, rows = tx.shape
-    cols = max(ty.shape[1], 1)
-    ks = max(1, min(sites, _ENTRIES // cols))
-    kr = max(1, _ENTRIES // (ks * cols))
-    out = np.empty((rows, ty.shape[1]), dtype=np.float32)
+def _phase_min(u, v):
+    """min over sites k of the outer sums tx_k[:, None] + ty_k in float32,
+    each computed as the BLAS product u[k].T @ v[k] of the factors
+    u[k] = [tx_k; 1] (2, rows) and v[k] = [1; ty_k] (2, cols).
+
+    Both products by 1 are exact, so every entry is the float32 rounding of
+    tx + ty: the value of a plain add, whatever the order or FMA use of the
+    BLAS kernel.  Passes hold at most _ENTRIES entries (one site and one grid
+    line if that is more).  Each pass takes one batched product over its
+    sites, reduced over the site axis and folded into the running minimum in
+    place; a single site's product is folded as it is.
+    """
+    sites, rows, cols = len(u), u.shape[2], v.shape[2]
+    ks = max(1, min(sites, _ENTRIES // max(cols, 1)))
+    kr = max(1, _ENTRIES // (ks * max(cols, 1)))
+    u = u.swapaxes(1, 2)
+    out = np.empty((rows, cols), dtype=np.float32)
+    buf = np.empty((ks, min(kr, rows), cols), dtype=np.float32)
     for i in range(0, rows, kr):
         o = out[i:i + kr]
-        np.minimum.reduce(tx[:ks, i:i + kr, None] + ty[:ks, None], axis=0,
-                          out=o)
-        for s in range(ks, sites, ks):
-            np.minimum(o, np.minimum.reduce(tx[s:s + ks, i:i + kr, None]
-                                            + ty[s:s + ks, None], axis=0),
-                       out=o)
+        for s in range(0, sites, ks):
+            p = np.matmul(u[s:s + ks, i:i + kr], v[s:s + ks],
+                          out=buf[:min(ks, sites - s), :len(o)])
+            if s == 0:
+                np.minimum.reduce(p, axis=0, out=o)
+            else:
+                np.minimum(o, p[0] if len(p) == 1
+                           else np.minimum.reduce(p, axis=0), out=o)
     return out
 
 
@@ -191,16 +204,18 @@ def _grid_phases(r, qx, qy):
 
     The squared torus distance splits into per-axis terms, computed in
     float64 as _nearest computes them, scaled by 1/L^2 and rounded to
-    float32.  Each phase's float32 minimum over its sites decides the points
-    whose lowest phase minimum lies more than _MARGIN below every other
-    phase's; the rest (ties and near-ties across phases) take the exact
-    per-point pass of _nearest.
+    float32 into the factors of _phase_min.  Each phase's float32 minimum
+    over its sites decides the points whose lowest phase minimum lies more
+    than _MARGIN below every other phase's; the rest (ties and near-ties
+    across phases) take the exact per-point pass of _nearest.
     """
     L = r.box_side
     scale = (1.0 / L) ** 2
     sx, sy = r._by_phase
-    tx = (_wrapped_sq(sx - qx, L) * scale).astype(np.float32)
-    ty = (_wrapped_sq(sy - qy, L) * scale).astype(np.float32)
+    u = np.ones((len(sx), 2, len(qx)), dtype=np.float32)
+    u[:, 0] = _wrapped_sq(sx - qx, L) * scale
+    v = np.ones((len(sy), 2, len(qy)), dtype=np.float32)
+    v[:, 1] = _wrapped_sq(sy - qy, L) * scale
     # the lowest phase minimum so far, its phase, and the lowest minimum of
     # the other phases
     low = second = None
@@ -208,22 +223,24 @@ def _grid_phases(r, qx, qy):
     for p, count in enumerate(np.bincount(r.marks).tolist()):
         if not count:
             continue
-        m = _phase_min(tx[start:start + count], ty[start:start + count])
+        m = _phase_min(u[start:start + count], v[start:start + count])
         start += count
         if low is None:
-            low, phase = m, np.empty(m.shape, dtype=np.int64)
-            phase.fill(p)
+            low, phase = m, p
             continue
-        np.copyto(phase, p, where=m < low)
+        phase = np.where(m < low, p, phase)
         high = np.maximum(low, m)
         second = high if second is None else np.minimum(second, high,
                                                         out=second)
         np.minimum(low, m, out=low)
-    if second is not None:
-        second -= low
-        i, j = (~(second > _MARGIN)).nonzero()    # nan: undecided too
-        if len(i):
-            phase[i, j] = r.marks[_nearest(r, qx[i], qy[j])]
+    if second is None:
+        return np.full(low.shape, phase, dtype=np.int64)
+    second -= low
+    # nan: undecided too; flat indices, since a 2-D nonzero takes 10x longer
+    k = np.flatnonzero(~(second > _MARGIN))
+    if len(k):
+        i, j = np.unravel_index(k, phase.shape)
+        phase[i, j] = r.marks[_nearest(r, qx[i], qy[j])]
     return phase
 
 

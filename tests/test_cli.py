@@ -666,6 +666,12 @@ PROBES = [
     # a gamma the grid would refuse is the list's fault, not the grid's
     ("sweep-gamma", "gammas", [0.0, 1.0],
      "gammas: must be a list of numbers > 0"),
+    # ranges that birkhoff_average checks, reported under their fields
+    ("ergodic", "step", 0.3, "step: 0.3 does not resolve scale 0.25"),
+    ("ergodic", "window", [1.1, 0.1, 0.1, 0.9],
+     "window: [1.1, 0.1, 0.1, 0.9] is empty"),
+    ("ergodic", "epsilons", [0.5, 0.25, 0.25],
+     "epsilons: must be positive and strictly decreasing"),
 ]
 
 

@@ -125,6 +125,18 @@ def test_birkhoff_validation():
         birkhoff_rate(series)
 
 
+def test_unresolved_step_is_refused_before_any_lookup(monkeypatch):
+    # step 0.3 resolves 0.5 but not 0.25: no scale's grid is built
+    calls = []
+    monkeypatch.setattr("platecell.ergodic.phase_grid",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="^birkhoff_average: step 0.3 does "
+                       "not resolve scale 0.25$"):
+        birkhoff_average(checkerboard_realization(), [0, 1], WINDOW,
+                         [0.5, 0.25], step=0.3)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Isotropy defect
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Random-medium sampling: determinism, shifts, tie-breaks, mark statistics."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +21,8 @@ from platecell import (
 from platecell import microstructure
 from platecell.microstructure import _tensor_points
 from oracles import brute_nearest, pooled_binomial_std
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def voronoi_model(intensity=50.0, probs=None, phases=2, resample=False):
@@ -362,6 +367,53 @@ def test_phase_grid_matches_phase_at(monkeypatch, block):
     r = sample_realization(voronoi_model(intensity=40.0, phases=3), 8, 2.0)
     assert set(r.marks.tolist()) == {0, 1, 2}
     check(r, rng.random(80) * 2.0, rng.random(90) * 2.0, own_marks=True)
+
+
+@pytest.mark.parametrize("sites,rows,cols,block", [
+    (9, 37, 23, 30),            # one site and one grid line per pass
+    (9, 37, 23, 460),           # all sites, two grid lines per pass
+    (9, 37, 23, 100),           # passes of 4, 4 and 1 sites
+    (9, 16, 16, 4096),          # the whole grid in one pass
+    (1, 290, 213, 16 * 4096),   # a single site, in one pass
+    (4, 0, 23, 4096),           # no rows
+    (4, 37, 0, 4096),           # no columns
+])
+def test_phase_min_is_the_plain_outer_sum_minimum(monkeypatch, sites, rows,
+                                                  cols, block):
+    """The BLAS products u[k].T @ v[k] of _phase_min give the float32 outer
+    sums bit for bit: both products by 1 are exact, so each entry is one
+    rounding of tx + ty.  Terms of mixed binades make the roundings show."""
+    monkeypatch.setattr(microstructure, "_ENTRIES", block)
+    rng = np.random.default_rng(sites * 1000 + rows + cols + block)
+
+    def table(n):
+        scales = 2.0 ** rng.integers(-30, -1, (sites, n))
+        return (rng.random((sites, n)) * scales).astype(np.float32)
+
+    tx, ty = table(rows), table(cols)
+    u = np.stack([tx, np.ones_like(tx)], axis=1)
+    v = np.stack([np.ones_like(ty), ty], axis=1)
+    want = (tx[:, :, None] + ty[:, None]).min(axis=0)
+    got = microstructure._phase_min(u, v)
+    assert got.dtype == np.float32 and got.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_phase_grid_matches_phase_at_on_the_bench_grid():
+    """At the default _ENTRIES, on the finest (290 x 213) Birkhoff grid of
+    the ensemble benchmark: scale 1/32, step 1/256 and a 1.13 x 0.83 window,
+    on media of the shipped Voronoi model (intensity 1, L = 4)."""
+    model = MicrostructureModel.from_dict(json.loads(
+        (CONFIGS / "voronoi_contrast4.json").read_text())["model"])
+    e, h = 1.0 / 32, 1.0 / 256
+    for seed, (x0, y0) in enumerate([(0.3, 0.2), (1.7, 0.9), (0.05, 1.95)]):
+        r = sample_realization(model, seed, 4.0)
+        xs = x0 + (np.arange(290) + 0.5) * (1.13 / 290)
+        ys = y0 + (np.arange(213) + 0.5) * (0.83 / 213)
+        assert np.ceil(1.13 / h) == 290 and np.ceil(0.83 / h) == 213
+        got = phase_grid(r, xs / e, ys / e)
+        npt.assert_array_equal(got.reshape(-1),
+                               phase_at(r, _tensor_points(xs / e, ys / e)))
 
 
 @pytest.mark.parametrize("bad", [0.7, True, "3", None, -1])

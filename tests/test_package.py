@@ -1,7 +1,9 @@
 """The package's public names: the names `__init__` imports, `__all__` and
-what `from platecell import *` binds are one list."""
+what `from platecell import *` binds are one list.  The runtime imports
+nothing but the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import platecell
@@ -40,3 +42,19 @@ def test_modules_read_every_name_they_import():
                 and isinstance(node.ctx, ast.Load)}
         unread |= {(path.stem, name) for name in imported - read}
     assert unread == UNREAD_IMPORTS
+
+
+def test_runtime_imports_only_the_stdlib_and_numpy():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = set()
+    for path in sorted(Path(platecell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign |= {(path.stem, name) for name in names
+                        if name.partition(".")[0] not in allowed}
+    assert foreign == set()

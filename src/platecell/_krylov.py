@@ -21,7 +21,18 @@ own stored column by column (Fortran order).  It works on their transposes,
 and dot product runs over n contiguous entries instead of an inner loop of
 length m repeated n times.  The dot products are `np.einsum` reductions, not
 BLAS calls, so the iterates do not depend on the BLAS thread count.
+
+The per-column scalars (the inner products (r, z) and (p, q), the step sizes
+alpha and beta, the relative residuals and the active flags) are Python
+floats in lists of length m, not numpy arrays: on m = 3 entries a numpy
+call costs far more than its arithmetic.  Python's float division and
+comparisons are the IEEE float64 operations numpy performs on each entry,
+so the iterates and residual histories are the same bits as with masked
+array arithmetic.  The step sizes reach the (m, n) rows through one (m, 1)
+column.
 """
+
+import math
 
 import numpy as np
 
@@ -36,7 +47,10 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter):
     does not read again; `rhs` is left unchanged.  Every block passed to the
     callables is (n, m) and stored column by column; any memory order they
     return is read correctly, and column-major returns keep the loop's rows
-    contiguous.
+    contiguous.  Each callable is called with one positional argument, the
+    (n, m) block, which is how the benchmark's hooks wrap `matvec` and
+    `project`.  The per-column scalars are Python floats, with the roundings
+    of the numpy float64 operations (see the module docstring).
 
     Args:
         matvec: function (n, m) -> (n, m) applying the operator.
@@ -68,34 +82,38 @@ def block_pcg(matvec, precondition, project, rhs, tol, max_iter):
     z = precondition(r.T).T
     p = z.copy()
     step = np.empty_like(b)
-    rz = np.einsum("ij,ij->i", r, z)
+    coef = np.empty((len(b), 1))        # alpha, then beta, as a column
+    rz = np.einsum("ij,ij->i", r, z).tolist()
     rel = np.sqrt(np.einsum("ij,ij->i", r, r)) / bnorm
-    history = [rel.copy()]
-    active = ~(rel <= tol)      # a nan is active, and raises at the loop head
+    history = [rel]
+    rels = rel.tolist()
+    active = [not (v <= tol) for v in rels]     # a nan is active, and raises
     it = 0
-    while active.any():
-        if not np.isfinite(rel).all():
+    while any(active):
+        if not all(map(math.isfinite, rels)):
             raise NumericalError("PCG: relative residual %s is not finite "
-                                 "after %d iterations" % (rel.tolist(), it))
+                                 "after %d iterations" % (rels, it))
         if it >= max_iter:
             raise ConvergenceError(
                 "PCG: %d of %d columns above tol=%g after %d iterations "
                 "(worst relative residual %.3e)"
-                % (int(active.sum()), rhs.shape[1], tol, it, float(rel.max())),
+                % (sum(active), rhs.shape[1], tol, it, max(rels)),
                 residual_history=[h.tolist() for h in history])
         q = matvec(p.T).T
-        pq = np.einsum("ij,ij->i", p, q)
-        ok = active & (pq > 0)
-        alpha = np.where(ok, rz / np.where(pq > 0, pq, 1.0), 0.0)[:, None]
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, q, out=q)
+        pq = np.einsum("ij,ij->i", p, q).tolist()
+        coef[:, 0] = [a / d if on and d > 0 else 0.0
+                      for a, d, on in zip(rz, pq, active)]
+        x += np.multiply(coef, p, out=step)
+        r -= np.multiply(coef, q, out=q)
         rel = np.sqrt(np.einsum("ij,ij->i", r, r)) / bnorm
-        history.append(rel.copy())
-        active = ~(rel <= tol)
+        history.append(rel)
+        rels = rel.tolist()
+        active = [not (v <= tol) for v in rels]
         z = precondition(r.T).T
-        rz_new = np.einsum("ij,ij->i", r, z)
-        beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-        p *= beta[:, None]
+        rz_new = np.einsum("ij,ij->i", r, z).tolist()
+        coef[:, 0] = [a / d if on and d > 0 else 0.0
+                      for a, d, on in zip(rz_new, rz, active)]
+        p *= coef
         p += z
         rz = rz_new
         it += 1

@@ -381,6 +381,75 @@ def test_copy_free_pcg_keeps_every_rounding():
             assert np.array_equal(h, w), (grid, parity)
 
 
+def recovery_operators():
+    """The bench's recovery cell: the 8x8x4 checkerboard of contrast 5 on
+    L = 1 at gamma 2, in both parities, with its three unit loads each."""
+    r = sample_realization(MicrostructureModel("checkerboard",
+                                               period_hint=0.5), 0, 1.0)
+    mats = material_table([(0, 1.0, 1.0), (1, 5.0, 5.0)])
+    for parity, part in ((BENDING, slice(3, 6)), (MEMBRANE, slice(0, 3))):
+        op = CellOperator(RVEGrid(8, 8, 4, 2.0, 1.0), rasterize(r, 8, 8),
+                          mats, parity)
+        yield op, op.rhs(unit_loads()[part])
+
+
+def first_below(history, tol):
+    """The iteration at which each column first meets tol."""
+    return [next(i for i, h in enumerate(history) if h[c] <= tol)
+            for c in range(len(history[0]))]
+
+
+def test_pcg_edge_columns_keep_every_rounding():
+    # the loop's per-column guards against the allocating form: a zero
+    # right-hand side (bnorm guard) next to live columns, columns frozen at
+    # different iterations, and the recovery cell at its tol in both
+    # parities; the same iterates and history entries bit for bit
+    rng = np.random.default_rng(0)
+    random_op = CellOperator(
+        RVEGrid(8, 6, 3, 1.3, 1.5),
+        PhaseGrid(8, 6, 1.5, rng.integers(0, 3, size=(8, 6))),
+        material_table([(0, 1.0, 1.0), (1, 6.0, 2.0), (2, 2.5, 0.0)]),
+        BENDING)
+    b = random_op.rhs(unit_loads()[3:])
+    zero = b.copy()
+    zero[:, 1] = 0.0
+    scaled = b * np.array([1.0, 1e-3, 1e3])
+    cases = [(random_op, zero, 1e-9, "zero column"),
+             (random_op, scaled, 1e-9, "scaled loads")]
+    cases += [(op, rhs, 1e-10, ("recovery", op.parity))
+              for op, rhs in recovery_operators()]
+    for op, rhs, tol, case in cases:
+        x, history = block_pcg(op.matvec, op.precondition, op.project, rhs,
+                               tol, 200)
+        want, want_history = allocating_pcg(op.matvec, op.precondition,
+                                            op.project, rhs, tol, 200)
+        assert np.array_equal(x, want), case
+        assert len(history) == len(want_history), case
+        for h, w in zip(history, want_history):
+            assert np.array_equal(h, w), case
+        crossings = first_below(history, tol)
+        if case == "zero column":
+            assert crossings[1] == 0 and not x[:, 1].any(), crossings
+        else:       # some column freezes while another still iterates
+            assert len(set(crossings)) > 1, (case, crossings)
+
+
+def test_pcg_cap_raises_like_the_allocating_loop():
+    # below the needed count both loops stop at the cap with the same
+    # message and the same per-iteration residuals, frozen columns included
+    for op, rhs in recovery_operators():
+        errors = []
+        for solve in (block_pcg, allocating_pcg):
+            with pytest.raises(ConvergenceError) as err:
+                solve(op.matvec, op.precondition, op.project, rhs, 1e-10, 9)
+            errors.append(err.value)
+        got, want = errors
+        assert str(got) == str(want), op.parity
+        assert "after 9 iterations" in str(got), str(got)
+        assert got.residual_history == want.residual_history, op.parity
+        assert len(got.residual_history) == 10, op.parity
+
+
 def dft_cases():
     """`copy_free_cases`, then a 6x10x3 and a 64x4x8 grid in both parities:
     odd n3, n1 != n2, and a long thin grid with many slots."""
